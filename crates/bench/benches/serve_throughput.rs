@@ -1,8 +1,6 @@
 //! Serve front-end throughput: requests/sec at workers ∈ {1, 4} and
 //! concurrent clients ∈ {1, 8}, plus a **connections-vs-throughput
-//! curve** — clients ∈ {1, 8, 64, 256, 1000} against the
-//! thread-per-connection front-end (`--reactor off`) and the epoll
-//! reactor (`--reactor on`) at `workers = 4`.
+//! curve** — clients ∈ {1, 8, 64, 256, 1000} at `workers = 4`.
 //!
 //! Each client models an interactive tenant of the service: it creates
 //! its own NPB-6 instance, then lock-steps rounds × (update_app →
@@ -11,27 +9,18 @@
 //! per-client round count scales down as the fleet grows so every cell
 //! issues a comparable total request volume.
 //!
-//! What the matrix shows:
-//!
-//! * `workers = 1` is the **sequential single-worker server** (one
-//!   blocking accept loop, one session) — with 8 clients, seven of them
-//!   are parked in the TCP backlog while the eighth is served, so the
-//!   aggregate rate stays a single client's rate;
-//! * `workers = 4, reactor off` is the **threaded sharded server**: one
-//!   reader + one writer OS thread per connection — 2 N threads at N
-//!   connections, and the scheduler pays for every one of them;
-//! * `workers = 4, reactor on` is the **event-loop server**: one reactor
-//!   thread per shard owns all of its connections via `epoll`, so the
-//!   thread count stays 4 + 4 no matter how many clients connect.
+//! Every cell runs the one front-end there is: one reactor thread per
+//! shard owns all of its connections via `epoll`, so the thread count
+//! stays `2 × workers` no matter how many clients connect. `workers = 1`
+//! is one shard — one session, one reactor — serving all clients
+//! concurrently; `workers = 4` spreads the instances over four.
 //!
 //! Results are recorded in `BENCH_serve.json` at the repository root.
 //! Not a criterion target: the unit of measurement is a whole
 //! multi-threaded client fleet, so the harness is a plain `main` (still
 //! compiled by `cargo bench --no-run` in CI).
 
-use experiments::serve::{
-    app_to_json, client_exchange, connect_with_retries, ReactorMode, Server, DEFAULT_CLIENT_RETRIES,
-};
+use experiments::serve::{app_to_json, Client, Server};
 use minijson::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
@@ -44,8 +33,8 @@ const TARGET_REQUESTS: usize = 6000;
 const THINK: Duration = Duration::from_micros(100);
 /// Timed repetitions per configuration (the best is what counts: the
 /// others absorb scheduler warm-up noise). The curve cells run two more
-/// reps: they compare two front-ends point by point, so per-cell noise
-/// matters more than in the coarse matrix.
+/// reps: they are compared point by point against the recorded history,
+/// so per-cell noise matters more than in the coarse matrix.
 const REPS: usize = 3;
 const CURVE_REPS: usize = 5;
 /// The fan-in sweep of the connections-vs-throughput curve.
@@ -74,8 +63,7 @@ fn create_request(k: usize) -> String {
 fn run_client(addr: std::net::SocketAddr, k: usize, rounds: usize) -> usize {
     // The listener backlog is finite; a 1000-client connect storm needs
     // the bounded-backoff retry the real clients use.
-    let stream = connect_with_retries(addr, DEFAULT_CLIENT_RETRIES).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
+    let stream = Client::default().connect(addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     let mut exchange = move |line: &str| -> String {
@@ -115,29 +103,22 @@ fn run_client(addr: std::net::SocketAddr, k: usize, rounds: usize) -> usize {
     requests
 }
 
-/// Runs one (workers, reactor, clients) cell and returns the best
-/// requests/sec over `reps` repetitions.
-fn run_config(workers: usize, reactor: ReactorMode, clients: usize, reps: usize) -> f64 {
-    run_config_tagged(workers, reactor, clients, reps, false)
+/// Runs one (workers, clients) cell and returns the best requests/sec
+/// over `reps` repetitions.
+fn run_config(workers: usize, clients: usize, reps: usize) -> f64 {
+    run_config_tagged(workers, clients, reps, false)
 }
 
 /// [`run_config`] with the server's `--trace` response tagging on or off
 /// (span recording itself is the process-global `obs` flag the tracing
 /// section flips around its cells).
-fn run_config_tagged(
-    workers: usize,
-    reactor: ReactorMode,
-    clients: usize,
-    reps: usize,
-    trace: bool,
-) -> f64 {
+fn run_config_tagged(workers: usize, clients: usize, reps: usize, trace: bool) -> f64 {
     let rounds = rounds_for(clients);
     let mut best = 0.0f64;
     for _ in 0..reps {
         let mut server = Server::bind("127.0.0.1:0").expect("bind");
         server.config_mut().allow_shutdown = true;
         server.config_mut().workers = workers;
-        server.config_mut().reactor = reactor;
         server.config_mut().trace = trace;
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().expect("server run"));
@@ -163,7 +144,9 @@ fn run_config_tagged(
         // still acted on), so an EOF here only means "try again unless
         // the server already exited".
         for _ in 0..100 {
-            if client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).is_ok()
+            if Client::default()
+                .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+                .is_ok()
                 || handle.is_finished()
             {
                 break;
@@ -189,12 +172,11 @@ fn main() {
         tracing_overhead();
         return;
     }
-    // The historical workers × clients matrix; workers=4 runs the
-    // threaded front-end these numbers were first recorded against.
+    // The workers × clients matrix.
     let mut single_worker_at_8 = 0.0;
-    for (workers, reactor) in [(1usize, ReactorMode::Auto), (4, ReactorMode::Off)] {
+    for workers in [1usize, 4] {
         for clients in [1usize, 8] {
-            let rate = run_config(workers, reactor, clients, REPS);
+            let rate = run_config(workers, clients, REPS);
             println!("serve_throughput/workers={workers}/clients={clients}: {rate:>10.0} req/s");
             if workers == 1 && clients == 8 {
                 single_worker_at_8 = rate;
@@ -208,17 +190,12 @@ fn main() {
         }
     }
 
-    // The connections-vs-throughput curve: threaded vs reactor at
-    // workers=4 across the fan-in sweep.
+    // The connections-vs-throughput curve at workers=4 across the
+    // fan-in sweep.
     println!("# connections-vs-throughput curve (workers=4):");
     for clients in CURVE_CLIENTS {
-        let threaded = run_config(4, ReactorMode::Off, clients, CURVE_REPS);
-        let reactor = run_config(4, ReactorMode::On, clients, CURVE_REPS);
-        println!(
-            "serve_curve/clients={clients}: threaded {threaded:>10.0} req/s | reactor \
-             {reactor:>10.0} req/s ({:+.1}%)",
-            (reactor / threaded - 1.0) * 100.0
-        );
+        let rate = run_config(4, clients, CURVE_REPS);
+        println!("serve_curve/clients={clients}: {rate:>10.0} req/s");
     }
 
     tracing_overhead();
@@ -231,12 +208,12 @@ fn main() {
 /// disabled-path number is also directly comparable to the matrix cell
 /// above.
 fn tracing_overhead() {
-    println!("# tracing overhead (workers=4, clients=8, threaded front-end):");
+    println!("# tracing overhead (workers=4, clients=8):");
     coschedule::obs::set_enabled(false);
-    let disabled = run_config(4, ReactorMode::Off, 8, REPS);
+    let disabled = run_config(4, 8, REPS);
     println!("serve_tracing/disabled: {disabled:>10.0} req/s");
     coschedule::obs::set_enabled(true);
-    let enabled = run_config_tagged(4, ReactorMode::Off, 8, REPS, true);
+    let enabled = run_config_tagged(4, 8, REPS, true);
     coschedule::obs::set_enabled(false);
     // Rings are bounded (drop-oldest), but leave the registry clean.
     let chunk = coschedule::obs::drain();

@@ -19,10 +19,9 @@
 //! multi-threaded client fleet (still compiled by `cargo bench --no-run`
 //! in CI).
 
-use experiments::serve::{app_to_json, client_exchange, Durability, Server};
+use experiments::serve::{app_to_json, Client, Durability, Server};
 use minijson::Json;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -48,8 +47,7 @@ fn create_request(k: usize) -> String {
 /// One client's lock-step mutate/solve run; every request is logged when
 /// durability is on. Returns its request count.
 fn run_client(addr: std::net::SocketAddr, k: usize) -> usize {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
+    let stream = Client::default().connect(addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     let mut exchange = move |line: &str| -> String {
@@ -112,7 +110,9 @@ fn run_once(durability: Durability, rep: usize) -> f64 {
     });
     let elapsed = started.elapsed();
 
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .expect("shutdown");
     handle.join().expect("server thread");
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).ok();

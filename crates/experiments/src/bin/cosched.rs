@@ -11,7 +11,6 @@
 //!
 //! cosched serve --addr 127.0.0.1:7878       # line-delimited JSON over TCP
 //! cosched serve --workers 4                 # shard instances over 4 sessions
-//! cosched serve --reactor on|off|auto       # event-loop vs threaded front-end
 //! cosched serve --smoke [--workers N] [--strategy NAME]  # loopback test
 //! cosched serve --smoke-fanin [--connections N]  # 300-connection fan-in test
 //! cosched serve --durability log --wal-dir DIR   # snapshot + write-ahead log
@@ -45,8 +44,8 @@
 //! `serve` fronts long-lived [`coschedule::session::Session`]s with the
 //! create/mutate/solve/stats/list/metrics protocol of
 //! [`experiments::serve`] — `--workers N` shards instances across N
-//! per-worker sessions with multiplexed connections (`--workers 1` is the
-//! deterministic sequential server); `client` is the matching
+//! per-worker sessions, each with an epoll reactor multiplexing its
+//! connections (serving requires Linux); `client` is the matching
 //! line-oriented driver for scripting, with `--requests FILE` replaying a
 //! newline-delimited JSON trace pipelined.
 
@@ -57,10 +56,8 @@ use coschedule::obs;
 use coschedule::solver::{self, Instance, Portfolio, SolveCtx};
 use experiments::appcsv::parse_applications;
 use experiments::serve::{
-    available_workers, client_exchange, client_exchange_framed_with_retries,
-    client_exchange_with_retries, connect_with_retries, pipelined_exchange_framed_with_retries,
-    pipelined_exchange_stats, smoke_script, smoke_script_for, wal, Durability, FrameMode,
-    ReactorMode, Server, Standby, DEFAULT_CLIENT_RETRIES,
+    available_workers, handle_line, smoke_script, smoke_script_for, wal, Client, Durability,
+    FrameMode, ServeState, Server, Standby, DEFAULT_CLIENT_RETRIES,
 };
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -304,8 +301,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: cosched <apps.csv | --demo | --list-strategies> [--procs N] [--cache-gb G] \
          [--ways W] [--seed S] [--strategy NAME] [--eval-stats]\n\
-         \x20      cosched serve [--addr HOST:PORT] [--workers N] [--reactor on|off|auto] \
-         [--strategy NAME] [--tuner-window N] [--allow-shutdown] \
+         \x20      cosched serve [--addr HOST:PORT] [--workers N] [--strategy NAME] [--tuner-window N] [--allow-shutdown] \
          [--durability none|log|fsync] [--wal-dir DIR] [--restore DIR] [--snapshot-every N] \
          [--trace] [--trace-out FILE] [--metrics-addr HOST:PORT] [--slow-ms N] \
          [--smoke] [--smoke-recover] [--smoke-fanin [--connections N]] [--smoke-trace]\n\
@@ -329,8 +325,8 @@ fn usage(msg: &str) -> ExitCode {
 /// script against ourselves over real TCP, print the transcript, and exit
 /// non-zero if any response is not `"ok":true`.
 ///
-/// `--workers N` shards instances across N per-worker sessions (1 = the
-/// deterministic sequential server). Default: the machine's available
+/// `--workers N` shards instances across N per-worker sessions, each
+/// served by its own reactor thread. Default: the machine's available
 /// parallelism — except under `--smoke`, which stays single-worker unless
 /// `--workers` is given, so the default smoke transcript is byte-stable.
 fn serve_main(args: Vec<String>) -> ExitCode {
@@ -346,7 +342,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     let mut wal_dir: Option<PathBuf> = None;
     let mut restore = false;
     let mut snapshot_every: Option<u64> = None;
-    let mut reactor = ReactorMode::Auto;
     let mut tuner_window = 0u64;
     let mut trace = false;
     let mut trace_out: Option<PathBuf> = None;
@@ -363,11 +358,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
             "--workers" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => workers = Some(n),
                 _ => return usage("--workers expects an integer >= 1"),
-            },
-            "--reactor" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(mode)) => reactor = mode,
-                Some(Err(e)) => return usage(&e),
-                None => return usage("--reactor expects on, off, or auto"),
             },
             "--strategy" => match iter.next() {
                 // Validated through the registry now, so a typo fails at
@@ -431,10 +421,10 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         return serve_smoke_recover(workers.unwrap_or(4), strategy.as_deref());
     }
     if smoke_fanin {
-        return serve_smoke_fanin(workers.unwrap_or(4), reactor, connections);
+        return serve_smoke_fanin(workers.unwrap_or(4), connections);
     }
     if smoke_trace {
-        return serve_smoke_trace(workers.unwrap_or(4), reactor);
+        return serve_smoke_trace(workers.unwrap_or(4));
     }
     if smoke {
         addr = "127.0.0.1:0".to_string();
@@ -457,7 +447,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     };
     server.config_mut().allow_shutdown = allow_shutdown;
     server.config_mut().workers = workers;
-    server.config_mut().reactor = reactor;
     server.config_mut().durability = durability;
     server.config_mut().wal_dir = wal_dir.clone();
     server.config_mut().restore = restore;
@@ -531,7 +520,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         Some(name) => smoke_script_for(name, name),
         None => smoke_script(),
     };
-    let responses = match client_exchange(local, &script) {
+    let responses = match Client::default().exchange(local, &script) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("smoke client failed: {e}");
@@ -693,7 +682,7 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
         .chain(std::iter::once(&shutdown_line))
         .cloned()
         .collect();
-    let reference = match client_exchange(reference_addr, &full) {
+    let reference = match Client::default().exchange(reference_addr, &full) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("smoke-recover: reference run failed: {e}");
@@ -724,7 +713,8 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
             dir_arg.clone(),
         ])?;
         println!("# smoke-recover: primary on {addr}, {workers} workers, wal in {dir_arg}");
-        let first = client_exchange(&*addr, &before)
+        let first = Client::default()
+            .exchange(&*addr, &before)
             .map_err(|e| format!("pre-crash exchange failed: {e}"))?;
         for (got, want) in first.iter().zip(&reference) {
             if got != want {
@@ -749,7 +739,12 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
             "--allow-shutdown".into(),
         ])?;
         println!("# smoke-recover: restored server on {addr}");
-        let rest = client_exchange_with_retries(&*addr, &after, 10)
+        let patient = Client {
+            retries: 10,
+            ..Client::default()
+        };
+        let rest = patient
+            .exchange(&*addr, &after)
             .map_err(|e| format!("post-restore exchange failed: {e}"))?;
         let mut mismatches = 0;
         for ((request, got), want) in after.iter().zip(&rest).zip(&reference[before.len()..]) {
@@ -760,7 +755,7 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
                 mismatches += 1;
             }
         }
-        let _ = client_exchange(&*addr, std::slice::from_ref(&shutdown_line));
+        let _ = Client::default().exchange(&*addr, std::slice::from_ref(&shutdown_line));
         let _ = child.wait();
         if mismatches > 0 {
             return Err(format!(
@@ -791,10 +786,10 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
 /// (every 16th also runs a real request/response round trip, proving the
 /// server stays responsive while the fan-in grows), then asserts via
 /// `metrics` that every connection is registered **concurrently** — the
-/// per-shard `open_connections` gauges must sum to at least the fan-in.
-/// A thread-per-connection front-end would need one OS thread per socket
-/// here; the reactor serves them all on `workers` threads.
-fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -> ExitCode {
+/// per-shard `open_connections` gauges must account for the whole fan-in
+/// plus the control connection. The reactors serve them all on `workers`
+/// threads.
+fn serve_smoke_fanin(workers: usize, connections: usize) -> ExitCode {
     use std::io::{BufRead as _, BufReader, Write as _};
 
     let mut server = match Server::bind("127.0.0.1:0") {
@@ -806,20 +801,17 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
     };
     server.config_mut().allow_shutdown = true;
     server.config_mut().workers = workers;
-    server.config_mut().reactor = reactor;
     let addr = server.local_addr().expect("bound listener has an address");
     let handle = std::thread::spawn(move || server.run());
-    println!(
-        "# smoke-fanin: {connections} connections against {addr} \
-         ({workers} workers, reactor {reactor})"
-    );
+    println!("# smoke-fanin: {connections} connections against {addr} ({workers} workers)");
 
     let result = (|| -> Result<(), String> {
         let mut idle = Vec::with_capacity(connections);
         for k in 0..connections {
             // The listener backlog is finite; retry with backoff instead
             // of assuming every connect lands on the first try.
-            let stream = connect_with_retries(addr, DEFAULT_CLIENT_RETRIES)
+            let stream = Client::default()
+                .connect(addr)
                 .map_err(|e| format!("connect #{k} failed: {e}"))?;
             if k % 16 == 0 {
                 (&stream)
@@ -841,36 +833,45 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
         }
 
         // One extra control connection reads the gauges while every idle
-        // connection is still open.
-        let metrics = client_exchange(addr, &[r#"{"op":"metrics"}"#.to_string()])
-            .map_err(|e| format!("metrics exchange failed: {e}"))?;
-        let v = minijson::Json::parse(&metrics[0])
-            .map_err(|e| format!("unparseable metrics: {e} in {}", metrics[0]))?;
-        let shards = v
-            .get("shards")
-            .and_then(minijson::Json::as_array)
-            .ok_or_else(|| format!("metrics without shards: {}", metrics[0]))?;
-        let gauges: Vec<u64> = shards
-            .iter()
-            .filter_map(|row| row.get("open_connections").and_then(minijson::Json::as_u64))
-            .collect();
-        if gauges.is_empty() {
-            // The threaded / sequential front-ends report no net columns;
-            // the responsiveness checks above still ran.
-            println!(
-                "# smoke-fanin: no reactor gauges (front-end is not the reactor); \
-                 {connections} connections exchanged fine"
-            );
-            return Ok(());
+        // connection is still open. Reactors adopt the sockets the accept
+        // loop hands them asynchronously, so poll (for at most ~2 s) until
+        // the gauges account for every idle connection plus this one.
+        let control = Client::default()
+            .connect(addr)
+            .map_err(|e| format!("control connect failed: {e}"))?;
+        let mut reader = BufReader::new(&control);
+        let mut gauges: Vec<u64> = Vec::new();
+        for _ in 0..100 {
+            (&control)
+                .write_all(b"{\"op\":\"metrics\"}\n")
+                .map_err(|e| format!("metrics request failed: {e}"))?;
+            let mut line = String::new();
+            reader
+                .read_line(&mut line)
+                .map_err(|e| format!("metrics response failed: {e}"))?;
+            let v = minijson::Json::parse(&line)
+                .map_err(|e| format!("unparseable metrics: {e} in {line}"))?;
+            let shards = v
+                .get("shards")
+                .and_then(minijson::Json::as_array)
+                .ok_or_else(|| format!("metrics without shards: {line}"))?;
+            gauges = shards
+                .iter()
+                .filter_map(|row| row.get("open_connections").and_then(minijson::Json::as_u64))
+                .collect();
+            if gauges.iter().sum::<u64>() > connections as u64 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
         }
         let open: u64 = gauges.iter().sum();
         println!(
             "# smoke-fanin: open_connections per shard {gauges:?} (sum {open}, \
-             fan-in {connections})"
+             fan-in {connections} + 1 control)"
         );
-        if open < connections as u64 {
+        if open <= connections as u64 {
             return Err(format!(
-                "only {open} connections registered concurrently, wanted >= {connections}"
+                "only {open} connections registered concurrently, wanted {connections} + 1 control"
             ));
         }
         Ok(())
@@ -878,8 +879,9 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
 
     // Closing the idle sockets happens when `idle` drops inside the
     // closure; the server then just needs the shutdown line.
-    let shutdown =
-        client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).map_err(|e| e.to_string());
+    let shutdown = Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .map_err(|e| e.to_string());
     let run = handle.join();
     match (result, shutdown, run) {
         (Ok(()), Ok(_), Ok(Ok(()))) => {
@@ -908,7 +910,7 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
 /// line-linted; and after shutdown the emitted Chrome trace JSON is
 /// parsed and validated (non-empty, well-formed events, the expected
 /// serve spans present).
-fn serve_smoke_trace(workers: usize, reactor: ReactorMode) -> ExitCode {
+fn serve_smoke_trace(workers: usize) -> ExitCode {
     let trace_path = std::env::temp_dir().join(format!(
         "cosched-smoke-trace-{}-{workers}.json",
         std::process::id()
@@ -923,22 +925,22 @@ fn serve_smoke_trace(workers: usize, reactor: ReactorMode) -> ExitCode {
     obs::set_enabled(true);
     server.config_mut().allow_shutdown = true;
     server.config_mut().workers = workers;
-    server.config_mut().reactor = reactor;
     server.config_mut().trace = true;
     server.config_mut().trace_out = Some(trace_path.clone());
     server.config_mut().metrics_addr = Some("127.0.0.1:0".to_string());
     let addr = server.local_addr().expect("bound listener has an address");
     let metrics_probe = server.metrics_probe();
     let handle = std::thread::spawn(move || server.run());
-    println!("# smoke-trace: serving on {addr} ({workers} workers, reactor {reactor})");
+    println!("# smoke-trace: serving on {addr} ({workers} workers)");
 
     let result = (|| -> Result<(), String> {
         // Everything but the final shutdown line, so the metrics scrape
         // below sees a server that has actually handled requests.
         let script = smoke_script();
         let (body, _) = script.split_at(script.len() - 1);
-        let responses =
-            client_exchange(addr, body).map_err(|e| format!("smoke exchange failed: {e}"))?;
+        let responses = Client::default()
+            .exchange(addr, body)
+            .map_err(|e| format!("smoke exchange failed: {e}"))?;
         for (k, response) in responses.iter().enumerate() {
             let v = minijson::Json::parse(response)
                 .map_err(|e| format!("response {k} unparseable: {e} in {response}"))?;
@@ -975,8 +977,9 @@ fn serve_smoke_trace(workers: usize, reactor: ReactorMode) -> ExitCode {
         Ok(())
     })();
 
-    let shutdown =
-        client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).map_err(|e| e.to_string());
+    let shutdown = Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .map_err(|e| e.to_string());
     let run = handle.join();
     let trace_check = match (&result, &shutdown) {
         (Ok(()), Ok(_)) => validate_chrome_trace(&trace_path),
@@ -1365,8 +1368,8 @@ fn client_main(args: Vec<String>) -> ExitCode {
     if batch_op && !from_file {
         return usage("--batch requires --requests FILE");
     }
-    if stats && (!from_file || batch_op || frame != FrameMode::Json) {
-        return usage("--stats requires --requests FILE on the pipelined JSON path");
+    if stats && (!from_file || batch_op) {
+        return usage("--stats requires --requests FILE without --batch");
     }
     if let Some(path) = batch_file {
         if !requests.is_empty() {
@@ -1396,11 +1399,12 @@ fn client_main(args: Vec<String>) -> ExitCode {
             }
         }
     }
+    let client = Client { frame, retries };
     if batch_op {
-        return client_batch(&addr, &requests, retries, frame);
+        return client_batch(client, &addr, &requests);
     }
     if stats {
-        return client_stats(&addr, &requests, retries);
+        return client_stats(client, &addr, &requests);
     }
     // Connects retry with bounded exponential backoff (a restoring server
     // replaying its WAL is the expected cause of a refused connect);
@@ -1409,9 +1413,11 @@ fn client_main(args: Vec<String>) -> ExitCode {
     // negotiates the length-prefixed codec up front; the response lines
     // printed are byte-identical either way.
     let exchanged = if from_file {
-        pipelined_exchange_framed_with_retries(&addr, &requests, frame, retries)
+        client
+            .pipeline(&addr, &requests)
+            .map(|stats| stats.responses)
     } else {
-        client_exchange_framed_with_retries(&addr, &requests, frame, retries)
+        client.exchange(&addr, &requests)
     };
     match exchanged {
         Ok(responses) => {
@@ -1747,8 +1753,8 @@ fn exact_main(args: Vec<String>) -> ExitCode {
 /// byte), closed-loop sanity (every job completes, utilization ∈ (0, 1],
 /// ordered percentiles), and the serve replay (the op log fed through
 /// `cosched serve` at `--workers 1` and `--workers 4` must answer
-/// byte-identically) — exiting non-zero on any violation (the CI
-/// self-test).
+/// byte-identically to a transport-free `handle_line` replay) — exiting
+/// non-zero on any violation (the CI self-test).
 fn cluster_main(args: Vec<String>) -> ExitCode {
     use experiments::cluster::{render_metrics, request_trace, run, ClusterSpec};
     let mut spec = ClusterSpec::default();
@@ -1890,10 +1896,17 @@ fn cluster_main(args: Vec<String>) -> ExitCode {
     }
 
     // Closed-loop serve replay: the simulator's op log, fed through the
-    // real server. A deterministic registry solver must answer
-    // byte-identically at any worker count ("auto" learns per shard
-    // session, so only the per-response ok flags are checked for it).
+    // real server and compared with the transport-free oracle, a
+    // `handle_line` replay on one fresh state. A deterministic registry
+    // solver must match it at any worker count ("auto" learns per shard
+    // session, so at 4 workers only the per-response ok flags are
+    // checked for it).
     let lines = request_trace(&first.outcome);
+    let mut oracle_state = ServeState::new();
+    let oracle: Vec<String> = lines
+        .iter()
+        .map(|line| handle_line(&mut oracle_state, line))
+        .collect();
     match (
         cluster_serve_replay(&lines, 1),
         cluster_serve_replay(&lines, 4),
@@ -1911,10 +1924,12 @@ fn cluster_main(args: Vec<String>) -> ExitCode {
                 eprintln!("smoke failed: the serve replay rejected a request");
                 ok = false;
             }
-            if spec.solver != "auto" && solo != sharded {
-                eprintln!(
-                    "smoke failed: the sharded replay diverged from the single-worker replay"
-                );
+            if solo != oracle {
+                eprintln!("smoke failed: the 1-worker serve replay diverged from handle_line");
+                ok = false;
+            }
+            if spec.solver != "auto" && sharded != oracle {
+                eprintln!("smoke failed: the 4-worker serve replay diverged from handle_line");
                 ok = false;
             }
         }
@@ -1925,8 +1940,8 @@ fn cluster_main(args: Vec<String>) -> ExitCode {
     }
     if ok {
         println!(
-            "# cluster smoke ok: {} jobs, {} re-solves, serve replay byte-identical at \
-             --workers 1 and 4",
+            "# cluster smoke ok: {} jobs, {} re-solves, serve replay at --workers 1 and 4 \
+             byte-identical to handle_line",
             m.jobs, m.resolves
         );
         ExitCode::SUCCESS
@@ -1946,7 +1961,9 @@ fn cluster_serve_replay(lines: &[String], workers: usize) -> Result<Vec<String>,
     let handle = std::thread::spawn(move || server.run());
     let mut script = lines.to_vec();
     script.push(r#"{"op":"shutdown"}"#.to_string());
-    let mut responses = client_exchange(local, &script).map_err(|e| e.to_string())?;
+    let mut responses = Client::default()
+        .exchange(local, &script)
+        .map_err(|e| e.to_string())?;
     responses.pop();
     match handle.join() {
         Ok(Ok(())) => Ok(responses),
@@ -1958,7 +1975,7 @@ fn cluster_serve_replay(lines: &[String], workers: usize) -> Result<Vec<String>,
 /// Sends `requests` as one `batch` op and prints the unpacked
 /// sub-responses, one per line in request order — indistinguishable from
 /// the pipelined replay's output, but a single codec round-trip.
-fn client_batch(addr: &str, requests: &[String], retries: u32, frame: FrameMode) -> ExitCode {
+fn client_batch(client: Client, addr: &str, requests: &[String]) -> ExitCode {
     let mut subs = Vec::with_capacity(requests.len());
     for request in requests {
         match minijson::Json::parse(request) {
@@ -1974,7 +1991,7 @@ fn client_batch(addr: &str, requests: &[String], retries: u32, frame: FrameMode)
         ("requests", minijson::Json::Arr(subs)),
     ])
     .to_string();
-    let combined = match client_exchange_framed_with_retries(addr, &[envelope], frame, retries) {
+    let combined = match client.exchange(addr, &[envelope]) {
         Ok(mut responses) => responses.remove(0),
         Err(e) => {
             eprintln!("cannot exchange with {addr}: {e}");
@@ -2007,13 +2024,12 @@ fn client_batch(addr: &str, requests: &[String], retries: u32, frame: FrameMode)
 /// `cosched client --requests FILE --stats`: the pipelined replay, plus a
 /// client-observed latency/throughput report on stderr (responses still
 /// print to stdout, so piping the replay is unaffected).
-fn client_stats(addr: &str, requests: &[String], retries: u32) -> ExitCode {
+fn client_stats(client: Client, addr: &str, requests: &[String]) -> ExitCode {
     if requests.is_empty() {
         eprintln!("--stats: no requests to send");
         return ExitCode::FAILURE;
     }
-    let exchanged = pipelined_exchange_stats(addr, requests, retries);
-    let stats = match exchanged {
+    let stats = match client.pipeline(addr, requests) {
         Ok(stats) => stats,
         Err(e) => {
             eprintln!("cannot exchange with {addr}: {e}");

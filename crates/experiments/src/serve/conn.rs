@@ -1,512 +1,248 @@
-//! Connection plumbing: the multiplexing reader/writer pair on the server
-//! side, and the line-oriented clients (`cosched client` and the tests).
+//! The client side of a serve connection: [`Client`], the one driver
+//! behind `cosched client`, the loopback tests, and the benches.
 //!
-//! Each accepted connection gets **two** threads:
-//!
-//! * the **reader** (the connection's own thread) tags every request line
-//!   with a per-connection sequence number and hands it to the
-//!   [`Router`](super::router::Router) — it does *not* wait for the
-//!   response, so one connection can keep several shards busy at once
-//!   (in-flight requests are bounded only by the shard queues);
-//! * the **writer** thread receives `(seq, response)` pairs from whichever
-//!   shard finished and writes them back **in request order**, holding
-//!   out-of-order completions in a reorder buffer — the wire contract
-//!   stays "one response per line, in order", so lock-step clients like
-//!   [`client_exchange`] and pipelining clients like
-//!   [`pipelined_exchange`] both just work.
+//! A [`Client`] says how to speak (JSON lines or binary frames) and how
+//! many refused connects to ride out. [`Client::exchange`] runs a trace
+//! **lock-step** (each request is written only after the previous
+//! response arrived); [`Client::pipeline`] writes the whole trace from
+//! a sender thread while the calling thread collects responses, so many
+//! requests are in flight on one connection at once. Either way the
+//! server answers in request order, so the k-th response belongs to the
+//! k-th request.
 
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
 
-use super::frame::{self, FrameMode, Negotiation};
-use super::router::Router;
-use super::worker::{ResponseSink, TaggedResponse};
+use super::frame::{self, FrameMode};
 
-/// Connection attempts `cosched client` makes beyond the first
-/// (`--retries` overrides).
+/// Connection attempts a [`Client`] makes beyond the first by default
+/// (`cosched client --retries` overrides).
 pub const DEFAULT_CLIENT_RETRIES: u32 = 3;
 
-/// Serves one accepted connection against the sharded router; returns
-/// when the peer closes (or after a `shutdown` request is accepted).
-///
-/// The first line is the hello window (see [`frame`]): a well-formed
-/// hello is answered directly — before the writer thread has anything
-/// to write, so ordering is safe — and switches both directions to the
-/// negotiated mode; anything else is the first request.
-pub(super) fn serve_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
-    // Request/response lines are tiny; Nagle would hold them hostage to
-    // the peer's delayed-ACK timer (~40 ms per exchange on loopback).
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(()); // closed before a single line
-    }
-    let first = trim_line(&first);
-    let mut mode = FrameMode::Json;
-    let mut first_request = None;
-    match frame::negotiate(first) {
-        Negotiation::Hello(negotiated) => {
-            mode = negotiated;
-            let mut direct = stream.try_clone()?;
-            direct.write_all(format!("{}\n", frame::hello_ack(negotiated)).as_bytes())?;
-        }
-        Negotiation::Reject(error) => {
-            // Stay in JSON mode; the peer learns why on a normal line.
-            let mut direct = stream.try_clone()?;
-            direct.write_all(format!("{error}\n").as_bytes())?;
-        }
-        Negotiation::NotHello => first_request = Some(first.to_string()),
-    }
-
-    let writer_stream = stream.try_clone()?;
-    let (tx, rx) = channel::<TaggedResponse>();
-    let writer = std::thread::Builder::new()
-        .name("cosched-conn-writer".into())
-        .spawn(move || write_in_order(writer_stream, rx, mode))
-        .expect("spawn connection writer");
-
-    let out = ResponseSink::Channel(tx);
-    let mut seq = 0u64;
-    if let Some(line) = first_request {
-        // Every received line gets exactly one response — blank ones too
-        // (skipping them silently would desynchronise a client that pairs
-        // requests with responses, hanging it on a read).
-        router.dispatch(&line, seq, seq, &out);
-        seq += 1;
-    }
-    if !router.shutdown_requested() {
-        match mode {
-            FrameMode::Json => {
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    router.dispatch(&line, seq, seq, &out);
-                    seq += 1;
-                    if router.shutdown_requested() {
-                        break;
-                    }
-                }
-            }
-            FrameMode::Binary => {
-                while let Ok(Some(payload)) = frame::read_frame(&mut reader) {
-                    router.dispatch(&payload, seq, seq, &out);
-                    seq += 1;
-                    if router.shutdown_requested() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    // The reader's sender is gone; in-flight shard replies still hold
-    // clones, so the writer drains everything before its channel closes.
-    drop(out);
-    let _ = writer.join();
-    Ok(())
+/// A serve client: the wire mode and the connect retry budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Client {
+    /// [`FrameMode::Json`] sends plain lines; [`FrameMode::Binary`]
+    /// negotiates length-prefixed frames with a hello first. The
+    /// response payloads are byte-identical in both modes.
+    pub frame: FrameMode,
+    /// Connect attempts beyond the first. Only the *connect* is retried:
+    /// once any request has been written, a dead connection aborts the
+    /// exchange (re-sending a half-delivered trace would re-apply its
+    /// mutations).
+    pub retries: u32,
 }
 
-/// `BufRead::lines` semantics for a manually read line: strip the
-/// trailing `\n` and at most one `\r` before it.
-fn trim_line(line: &str) -> &str {
-    let line = line.strip_suffix('\n').unwrap_or(line);
-    line.strip_suffix('\r').unwrap_or(line)
-}
-
-/// Writes tagged responses back in sequence order, buffering completions
-/// that arrive early. Flushes once per drained batch: low latency when
-/// idle, syscall batching under pipelined load.
-fn write_in_order(stream: TcpStream, rx: Receiver<TaggedResponse>, mode: FrameMode) {
-    let mut out = BufWriter::new(stream);
-    let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-    let mut scratch = Vec::new();
-    let mut next = 0u64;
-    while let Ok((seq, response)) = rx.recv() {
-        pending.insert(seq, response);
-        while let Ok((seq, response)) = rx.try_recv() {
-            pending.insert(seq, response);
-        }
-        let mut wrote = false;
-        while let Some(response) = pending.remove(&next) {
-            let delivered = match mode {
-                FrameMode::Json => out
-                    .write_all(response.as_bytes())
-                    .and_then(|()| out.write_all(b"\n")),
-                FrameMode::Binary => frame::write_frame(&mut out, &response, &mut scratch),
-            };
-            if delivered.is_err() {
-                return; // peer gone; drop the rest
-            }
-            next += 1;
-            wrote = true;
-        }
-        if wrote && out.flush().is_err() {
-            return;
+impl Default for Client {
+    fn default() -> Self {
+        Self {
+            frame: FrameMode::Json,
+            retries: DEFAULT_CLIENT_RETRIES,
         }
     }
 }
 
-/// Connects to a serving `cosched serve`, sends each request line, and
-/// returns the response lines (one per request, in order) — the engine of
-/// `cosched client` and the loopback tests. **Lock-step**: each request
-/// is written only after the previous response arrived.
-pub fn client_exchange(
-    addr: impl ToSocketAddrs,
-    requests: &[String],
-) -> std::io::Result<Vec<String>> {
-    exchange_on(TcpStream::connect(addr)?, requests)
-}
-
-/// [`client_exchange`] with bounded-backoff connection retries — see
-/// [`connect_with_retries`]. Only the *connect* is retried: once any
-/// request has been written, a dead connection aborts the exchange
-/// (blindly re-sending a half-delivered trace would re-apply mutations).
-pub fn client_exchange_with_retries(
-    addr: impl ToSocketAddrs + Copy,
-    requests: &[String],
-    retries: u32,
-) -> std::io::Result<Vec<String>> {
-    exchange_on(connect_with_retries(addr, retries)?, requests)
-}
-
-/// Connects, retrying refused/reset/unreachable attempts up to `retries`
-/// times with exponential backoff (50 ms doubling, capped at 2 s) — a
-/// just-restarting server (`--restore` replaying a long WAL) is the
-/// expected cause. Non-transient errors and exhausted retries return a
-/// structured [`std::io::Error`] naming the attempt count; callers exit
-/// with it instead of panicking mid-trace.
-pub fn connect_with_retries(
-    addr: impl ToSocketAddrs + Copy,
-    retries: u32,
-) -> std::io::Result<TcpStream> {
-    let mut delay = Duration::from_millis(50);
-    let mut attempt = 0u32;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if attempt < retries && is_transient(&e) => {
-                attempt += 1;
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_secs(2));
-            }
-            Err(e) => {
-                return Err(std::io::Error::new(
-                    e.kind(),
-                    format!("connect failed after {} attempt(s): {e}", attempt + 1),
-                ));
-            }
-        }
-    }
-}
-
-/// Connect errors worth retrying: the server is down or mid-restart, not
-/// misaddressed.
-fn is_transient(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionRefused
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn exchange_on(stream: TcpStream, requests: &[String]) -> std::io::Result<Vec<String>> {
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut responses = Vec::with_capacity(requests.len());
-    let mut line = String::new();
-    for request in requests {
-        // One write per request: a split payload/newline write would
-        // interact with Nagle + delayed ACK into a ~40 ms stall each.
-        line.clear();
-        line.push_str(request);
-        line.push('\n');
-        writer.write_all(line.as_bytes())?;
-        let mut response = String::new();
-        if reader.read_line(&mut response)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-exchange",
-            ));
-        }
-        responses.push(response.trim_end().to_string());
-    }
-    Ok(responses)
-}
-
-/// [`client_exchange`] with a wire-mode choice: [`FrameMode::Json`]
-/// behaves exactly like [`client_exchange`] (no hello on the wire);
-/// [`FrameMode::Binary`] negotiates framing first and then runs the
-/// same lock-step exchange over `[u32 LE length][payload]` frames. The
-/// returned payload strings are identical in both modes — tests pin it.
-pub fn client_exchange_framed(
-    addr: impl ToSocketAddrs,
-    requests: &[String],
-    mode: FrameMode,
-) -> std::io::Result<Vec<String>> {
-    match mode {
-        FrameMode::Json => client_exchange(addr, requests),
-        FrameMode::Binary => framed_exchange_on(TcpStream::connect(addr)?, requests),
-    }
-}
-
-/// [`client_exchange_framed`] with the connect-only retry policy of
-/// [`client_exchange_with_retries`].
-pub fn client_exchange_framed_with_retries(
-    addr: impl ToSocketAddrs + Copy,
-    requests: &[String],
-    mode: FrameMode,
-    retries: u32,
-) -> std::io::Result<Vec<String>> {
-    match mode {
-        FrameMode::Json => client_exchange_with_retries(addr, requests, retries),
-        FrameMode::Binary => framed_exchange_on(connect_with_retries(addr, retries)?, requests),
-    }
-}
-
-/// Sends the binary hello on a fresh connection and checks the
-/// acknowledgement; returns the reader with framing active both ways.
-fn framed_handshake(stream: &TcpStream) -> std::io::Result<BufReader<TcpStream>> {
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(format!("{}\n", frame::hello_line(FrameMode::Binary)).as_bytes())?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut ack = String::new();
-    if reader.read_line(&mut ack)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed the connection during the hello",
-        ));
-    }
-    match frame::ack_mode(trim_line(&ack))? {
-        FrameMode::Binary => Ok(reader),
-        FrameMode::Json => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "server acknowledged json after a binary hello",
-        )),
-    }
-}
-
-fn framed_exchange_on(stream: TcpStream, requests: &[String]) -> std::io::Result<Vec<String>> {
-    let mut reader = framed_handshake(&stream)?;
-    let mut writer = stream;
-    let mut scratch = Vec::new();
-    let mut responses = Vec::with_capacity(requests.len());
-    for request in requests {
-        frame::write_frame(&mut writer, request, &mut scratch)?;
-        match frame::read_frame(&mut reader)? {
-            Some(response) => responses.push(response),
-            None => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-exchange",
-                ))
-            }
-        }
-    }
-    Ok(responses)
-}
-
-/// [`client_exchange`], pipelined: all requests are written by a side
-/// thread while responses are collected, so many requests are in flight
-/// on one connection at once — the batch engine of `cosched client
-/// --requests` and the multiplexing tests. Responses come back in request
-/// order (the server's writer guarantees it).
-pub fn pipelined_exchange(
-    addr: impl ToSocketAddrs,
-    requests: &[String],
-) -> std::io::Result<Vec<String>> {
-    pipeline_on(TcpStream::connect(addr)?, requests)
-}
-
-/// [`pipelined_exchange`] with the same connect-only retry policy as
-/// [`client_exchange_with_retries`].
-pub fn pipelined_exchange_with_retries(
-    addr: impl ToSocketAddrs + Copy,
-    requests: &[String],
-    retries: u32,
-) -> std::io::Result<Vec<String>> {
-    pipeline_on(connect_with_retries(addr, retries)?, requests)
-}
-
-/// [`pipelined_exchange`] with a wire-mode choice — the framed analogue
-/// of [`client_exchange_framed`].
-pub fn pipelined_exchange_framed(
-    addr: impl ToSocketAddrs,
-    requests: &[String],
-    mode: FrameMode,
-) -> std::io::Result<Vec<String>> {
-    match mode {
-        FrameMode::Json => pipelined_exchange(addr, requests),
-        FrameMode::Binary => framed_pipeline_on(TcpStream::connect(addr)?, requests),
-    }
-}
-
-/// [`pipelined_exchange_framed`] with the connect-only retry policy of
-/// [`client_exchange_with_retries`].
-pub fn pipelined_exchange_framed_with_retries(
-    addr: impl ToSocketAddrs + Copy,
-    requests: &[String],
-    mode: FrameMode,
-    retries: u32,
-) -> std::io::Result<Vec<String>> {
-    match mode {
-        FrameMode::Json => pipelined_exchange_with_retries(addr, requests, retries),
-        FrameMode::Binary => framed_pipeline_on(connect_with_retries(addr, retries)?, requests),
-    }
-}
-
-/// What [`pipelined_exchange_stats`] observed from the client's side of
-/// the wire: the responses plus per-request latency samples and the wall
+/// What [`Client::pipeline`] observed from the client's side of the
+/// wire: the responses plus per-request latency samples and the wall
 /// time of the whole exchange.
 pub struct ExchangeStats {
-    /// The responses, in request order (same as [`pipelined_exchange`]).
+    /// The responses, in request order.
     pub responses: Vec<String>,
-    /// Client-observed latency of each request, in request order:
-    /// from the moment the request line was flushed toward the socket to
-    /// the moment its response line was read. Pipelining makes these
-    /// overlap — they measure what a caller waits, not server work.
+    /// Client-observed latency of each request, in request order: from
+    /// the moment the request was written to the socket to the moment
+    /// its response was read. Pipelining makes these overlap — they
+    /// measure what a caller waits, not server work.
     pub latencies_ns: Vec<u64>,
     /// Wall time from first byte written to last response read.
     pub wall_ns: u64,
 }
 
-/// [`pipelined_exchange_with_retries`], also measuring client-observed
-/// per-request latency: the sender thread timestamps each request as it
-/// flushes it and hands the timestamp through a channel to the reader,
-/// which clocks the matching response (responses return in request
-/// order, so the k-th timestamp pairs with the k-th response).
-pub fn pipelined_exchange_stats(
-    addr: impl ToSocketAddrs + Copy,
-    requests: &[String],
-    retries: u32,
-) -> std::io::Result<ExchangeStats> {
-    let stream = connect_with_retries(addr, retries)?;
-    stream.set_nodelay(true)?;
-    let writer_stream = stream.try_clone()?;
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        let (sent_tx, sent_rx) = std::sync::mpsc::channel::<Instant>();
-        let sender = scope.spawn(move || -> std::io::Result<()> {
-            let mut out = BufWriter::new(writer_stream);
-            for request in requests {
-                out.write_all(request.as_bytes())?;
-                out.write_all(b"\n")?;
-                // Flush per request so the timestamp marks bytes actually
-                // on their way — a buffered-but-unsent request would bill
-                // its queueing delay to the server.
-                out.flush()?;
-                let _ = sent_tx.send(Instant::now());
-            }
-            Ok(())
-        });
-        let mut reader = BufReader::new(stream);
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut latencies_ns = Vec::with_capacity(requests.len());
-        for _ in 0..requests.len() {
-            let mut response = String::new();
-            if reader.read_line(&mut response)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-exchange",
-                ));
-            }
-            let sent = sent_rx
-                .recv()
-                .map_err(|_| std::io::Error::other("pipeline sender thread died"))?;
-            latencies_ns.push(u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            responses.push(response.trim_end().to_string());
-        }
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match sender.join() {
-            Ok(result) => result?,
-            Err(_) => return Err(std::io::Error::other("pipeline sender thread panicked")),
-        }
-        Ok(ExchangeStats {
-            responses,
-            latencies_ns,
-            wall_ns,
-        })
-    })
-}
-
-fn framed_pipeline_on(stream: TcpStream, requests: &[String]) -> std::io::Result<Vec<String>> {
-    // Handshake lock-step first: the ack must come back before framed
-    // requests are poured in, or a rejecting server would misparse them.
-    let mut reader = framed_handshake(&stream)?;
-    let writer_stream = stream;
-    std::thread::scope(|scope| {
-        let sender = scope.spawn(move || -> std::io::Result<()> {
-            let mut out = BufWriter::new(writer_stream);
-            let mut scratch = Vec::new();
-            for request in requests {
-                frame::write_frame(&mut out, request, &mut scratch)?;
-            }
-            out.flush()
-        });
-        let mut responses = Vec::with_capacity(requests.len());
-        for _ in 0..requests.len() {
-            match frame::read_frame(&mut reader)? {
-                Some(response) => responses.push(response),
-                None => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-exchange",
-                    ))
+impl Client {
+    /// Opens one connection: connects, retrying refused/reset/unreachable
+    /// attempts up to [`Client::retries`] times with exponential backoff
+    /// (50 ms doubling, capped at 2 s — a just-restarting server
+    /// replaying a long WAL is the expected cause), disables Nagle (tiny
+    /// lines plus the peer's delayed ACK would cost ~40 ms per exchange),
+    /// and in binary mode completes the hello. Non-transient errors and
+    /// exhausted retries return an error naming the attempt count.
+    pub fn connect(&self, addr: impl ToSocketAddrs + Copy) -> io::Result<TcpStream> {
+        let mut delay = Duration::from_millis(50);
+        let mut attempt = 0u32;
+        let stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(stream) => break stream,
+                Err(e) if attempt < self.retries && is_transient(&e) => {
+                    attempt += 1;
+                    std::thread::sleep(delay);
+                    delay = (delay * 2).min(Duration::from_secs(2));
+                }
+                Err(e) => {
+                    return Err(io::Error::new(
+                        e.kind(),
+                        format!("connect failed after {} attempt(s): {e}", attempt + 1),
+                    ));
                 }
             }
+        };
+        stream.set_nodelay(true)?;
+        match self.frame {
+            FrameMode::Json => Ok(stream),
+            FrameMode::Binary => binary_hello(stream),
         }
-        match sender.join() {
-            Ok(result) => result?,
-            Err(_) => return Err(std::io::Error::other("pipeline sender thread panicked")),
+    }
+
+    /// Connects and sends each request **lock-step**, returning the
+    /// responses in request order.
+    pub fn exchange(
+        &self,
+        addr: impl ToSocketAddrs + Copy,
+        requests: &[String],
+    ) -> io::Result<Vec<String>> {
+        let stream = self.connect(addr)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
+        let mut scratch = Vec::new();
+        let mut responses = Vec::with_capacity(requests.len());
+        for request in requests {
+            self.send(&mut writer, request, &mut scratch)?;
+            responses.push(self.recv(&mut reader)?);
         }
         Ok(responses)
-    })
+    }
+
+    /// Connects and **pipelines** the requests: a sender thread writes
+    /// them back to back, timestamping each as it leaves, while this
+    /// thread reads the responses and clocks each against its request's
+    /// timestamp.
+    pub fn pipeline(
+        &self,
+        addr: impl ToSocketAddrs + Copy,
+        requests: &[String],
+    ) -> io::Result<ExchangeStats> {
+        let stream = self.connect(addr)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            let (sent_tx, sent_rx) = std::sync::mpsc::channel::<Instant>();
+            let sender = scope.spawn(move || -> io::Result<()> {
+                let mut scratch = Vec::new();
+                for request in requests {
+                    self.send(&mut writer, request, &mut scratch)?;
+                    let _ = sent_tx.send(Instant::now());
+                }
+                Ok(())
+            });
+            let mut responses = Vec::with_capacity(requests.len());
+            let mut latencies_ns = Vec::with_capacity(requests.len());
+            for _ in 0..requests.len() {
+                responses.push(self.recv(&mut reader)?);
+                let sent = sent_rx
+                    .recv()
+                    .map_err(|_| io::Error::other("pipeline sender thread died"))?;
+                latencies_ns.push(nanos_since(sent));
+            }
+            let wall_ns = nanos_since(started);
+            // A structured error, not a panic: the sender dying (e.g.
+            // the server vanished mid-write) is an exchange failure the
+            // caller reports like any other I/O error.
+            match sender.join() {
+                Ok(result) => result?,
+                Err(_) => return Err(io::Error::other("pipeline sender thread panicked")),
+            }
+            Ok(ExchangeStats {
+                responses,
+                latencies_ns,
+                wall_ns,
+            })
+        })
+    }
+
+    /// Writes one request as a single `write_all`: a split
+    /// payload/newline write would interact with Nagle and delayed ACK
+    /// into a ~40 ms stall each.
+    fn send(&self, w: &mut impl Write, request: &str, scratch: &mut Vec<u8>) -> io::Result<()> {
+        match self.frame {
+            FrameMode::Json => {
+                scratch.clear();
+                scratch.extend_from_slice(request.as_bytes());
+                scratch.push(b'\n');
+                w.write_all(scratch)
+            }
+            FrameMode::Binary => frame::write_frame(w, request, scratch),
+        }
+    }
+
+    /// Reads one response; an EOF before it is an error.
+    fn recv(&self, r: &mut impl BufRead) -> io::Result<String> {
+        let response = match self.frame {
+            FrameMode::Json => {
+                let mut line = String::new();
+                (r.read_line(&mut line)? > 0).then(|| line.trim_end().to_string())
+            }
+            FrameMode::Binary => frame::read_frame(r)?,
+        };
+        response.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-exchange",
+            )
+        })
+    }
 }
 
-fn pipeline_on(stream: TcpStream, requests: &[String]) -> std::io::Result<Vec<String>> {
-    stream.set_nodelay(true)?;
-    let writer_stream = stream.try_clone()?;
-    std::thread::scope(|scope| {
-        let sender = scope.spawn(move || -> std::io::Result<()> {
-            let mut out = BufWriter::new(writer_stream);
-            for request in requests {
-                out.write_all(request.as_bytes())?;
-                out.write_all(b"\n")?;
-            }
-            out.flush()
-        });
-        let mut reader = BufReader::new(stream);
-        let mut responses = Vec::with_capacity(requests.len());
-        for _ in 0..requests.len() {
-            let mut response = String::new();
-            if reader.read_line(&mut response)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-exchange",
-                ));
-            }
-            responses.push(response.trim_end().to_string());
-        }
-        // A structured error, not a panic: the sender thread dying (e.g.
-        // the server vanished mid-write) is an exchange failure the
-        // caller reports like any other I/O error.
-        match sender.join() {
-            Ok(result) => result?,
-            Err(_) => return Err(std::io::Error::other("pipeline sender thread panicked")),
-        }
-        Ok(responses)
-    })
+/// Sends the binary hello and checks the acknowledgement. Lock-step on
+/// purpose: frames poured in before the ack would be misparsed by a
+/// server that rejects the hello. The server sends nothing unprompted
+/// after the ack, so the reader holds nothing past it and the bare
+/// stream can be handed back.
+fn binary_hello(stream: TcpStream) -> io::Result<TcpStream> {
+    (&stream).write_all(format!("{}\n", frame::hello_line(FrameMode::Binary)).as_bytes())?;
+    let mut reader = BufReader::new(stream);
+    let mut ack = String::new();
+    if reader.read_line(&mut ack)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed the connection during the hello",
+        ));
+    }
+    if frame::ack_mode(ack.trim_end())? != FrameMode::Binary || !reader.buffer().is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected answer to a binary hello: {}", ack.trim_end()),
+        ));
+    }
+    Ok(reader.into_inner())
+}
+
+/// Connect errors worth retrying: the server is down or mid-restart, not
+/// misaddressed.
+fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionRefused
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::TimedOut
+    )
+}
+
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    fn with_retries(retries: u32) -> Client {
+        Client {
+            retries,
+            ..Client::default()
+        }
+    }
 
     #[test]
     fn zero_retries_fails_fast_with_attempt_count() {
@@ -515,7 +251,7 @@ mod tests {
             .unwrap()
             .local_addr()
             .unwrap();
-        let e = connect_with_retries(addr, 0).unwrap_err();
+        let e = with_retries(0).connect(addr).unwrap_err();
         assert!(e.to_string().contains("after 1 attempt(s)"), "{e}");
     }
 
@@ -531,7 +267,9 @@ mod tests {
             let _ = listener.accept();
         });
         // First attempt refused, a retry lands after the server is up.
-        let stream = connect_with_retries(addr, 5).expect("retry until listening");
+        let stream = with_retries(5)
+            .connect(addr)
+            .expect("retry until listening");
         drop(stream);
         listener.join().unwrap();
     }
@@ -540,7 +278,9 @@ mod tests {
     fn misaddressed_connects_are_not_retried() {
         let started = std::time::Instant::now();
         // An invalid address errors in resolution — no backoff sleeps.
-        assert!(client_exchange_with_retries("definitely-not-a-host:1", &[], 3).is_err());
+        assert!(with_retries(3)
+            .exchange("definitely-not-a-host:1", &[])
+            .is_err());
         assert!(started.elapsed() < Duration::from_secs(10));
     }
 }

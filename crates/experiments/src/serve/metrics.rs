@@ -1,11 +1,12 @@
-//! Per-shard observability: queue counters shared between the router and
-//! the workers, and the `metrics` op response built from them.
+//! Per-shard observability: the counters behind the `metrics` op and the
+//! Prometheus exposition, and the renderers for both.
 //!
-//! Each shard owns one [`ShardMetrics`]: the router bumps `enqueued` when
-//! it queues a request, the worker bumps `completed` when it has answered
-//! one, so `enqueued - completed` is the shard's instantaneous queue
-//! depth (the backpressure signal). Solve-tier counters (memo /
-//! incremental / cold) and the aggregated
+//! Each shard counts its requests once, in [`ShardObs`] (bumped by
+//! `protocol::respond`, which every shard-routed request passes
+//! through). The router side keeps only a [`QueueDepth`] gauge — raised
+//! when it queues a request, lowered when the worker has answered it —
+//! for the instantaneous queue depth (the backpressure signal).
+//! Solve-tier counters (memo / incremental / cold) and the aggregated
 //! [`EvalStats`](coschedule::eval::EvalStats) come from the session's own
 //! [`SessionStats`](coschedule::session::SessionStats) snapshot, gathered
 //! through the shard queue so the numbers reflect a drained queue on a
@@ -22,54 +23,32 @@ use minijson::Json;
 
 use super::wal::WalStats;
 
-/// Lock-free request counters of one shard (see the module docs for who
-/// bumps what).
+/// One shard's queue-depth gauge (see the module docs for who moves it).
 #[derive(Debug, Default)]
-pub struct ShardMetrics {
-    enqueued: AtomicU64,
-    completed: AtomicU64,
-}
+pub struct QueueDepth(AtomicU64);
 
-impl ShardMetrics {
-    /// Counters resuming at `base` — a restored shard starts with both
-    /// `enqueued` and `completed` at the requests the crashed server had
-    /// already answered, so the `metrics` op's per-shard totals continue
-    /// seamlessly across a `--restore` (and queue depth starts at 0).
-    pub fn with_base(base: u64) -> Self {
-        Self {
-            enqueued: AtomicU64::new(base),
-            completed: AtomicU64::new(base),
-        }
-    }
-
+impl QueueDepth {
     /// The router queued one request for this shard.
-    pub fn record_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
+    pub fn enqueued(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The worker finished (answered) one request.
-    pub fn record_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests ever routed to this shard.
-    pub fn requests(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
+    /// The worker answered one queued request.
+    pub fn completed(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Requests queued but not yet answered.
-    pub fn queue_depth(&self) -> u64 {
-        self.enqueued
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.completed.load(Ordering::Relaxed))
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// Lock-free network counters of one reactor (= one shard's event
 /// loop). The reactor thread bumps them; the `metrics` op reads them.
-/// Threaded and sequential front-ends have no reactor, so they report
-/// no [`NetReport`] — the pre-reactor `metrics` payload stays
-/// byte-identical, the same opt-in pattern as the `wal_*` columns.
+/// A transport-free [`super::handle_line`] state has no reactor, so it
+/// reports no [`NetReport`] — the same opt-in pattern as the `wal_*`
+/// columns.
 #[derive(Debug, Default)]
 pub struct NetMetrics {
     open: AtomicU64,
@@ -324,8 +303,7 @@ impl AtomicHistogram {
 /// shard: the owning [`super::protocol::ServeState`] writes on every
 /// handled request; the `--metrics-addr` scrape thread (and restore
 /// seeding) read/seed it through a cloned [`std::sync::Arc`]. The
-/// histogram base carries across `--restore` exactly like
-/// [`ShardMetrics::with_base`] carries the request counter.
+/// request counter and histogram base carry across `--restore`.
 #[derive(Debug, Default)]
 pub struct ShardObs {
     requests: AtomicU64,
@@ -440,7 +418,7 @@ pub fn prometheus_body(
 pub struct ShardReport {
     /// Shard index (0-based).
     pub shard: usize,
-    /// Requests ever routed to the shard.
+    /// Requests the shard has handled ([`ShardObs::requests`]).
     pub requests: u64,
     /// Requests queued but not yet answered when the report was taken.
     pub queue_depth: u64,
@@ -452,9 +430,9 @@ pub struct ShardReport {
     /// none`, in which case no `wal_*` fields appear in the response (the
     /// pre-durability payload stays byte-identical).
     pub wal: Option<WalStats>,
-    /// Reactor network counters — `None` on the threaded and sequential
-    /// front-ends, in which case no net fields appear in the response
-    /// (same pattern as `wal`).
+    /// Reactor network counters — `None` for a transport-free state, in
+    /// which case no net fields appear in the response (same pattern as
+    /// `wal`).
     pub net: Option<NetReport>,
     /// Dispatch-latency histogram — `None` until the shard has answered
     /// at least one routed request, in which case no `latency_*` fields
@@ -464,7 +442,8 @@ pub struct ShardReport {
 }
 
 /// Serializes the `metrics` op response: per-shard rows plus the request
-/// total. The single-session server reports itself as one shard of one.
+/// total. A lone [`super::ServeState`] reports itself as one shard of
+/// one.
 pub(super) fn metrics_body(workers: usize, reports: &[ShardReport]) -> Json {
     let total: u64 = reports.iter().map(|r| r.requests).sum();
     // Per-shard histograms merge exactly, so the top-level percentiles
@@ -557,17 +536,15 @@ mod tests {
 
     #[test]
     fn queue_depth_is_enqueued_minus_completed() {
-        let m = ShardMetrics::default();
-        assert_eq!(m.queue_depth(), 0);
-        m.record_enqueued();
-        m.record_enqueued();
-        assert_eq!(m.requests(), 2);
-        assert_eq!(m.queue_depth(), 2);
-        m.record_completed();
-        assert_eq!(m.queue_depth(), 1);
-        m.record_completed();
-        assert_eq!(m.queue_depth(), 0);
-        assert_eq!(m.requests(), 2);
+        let depth = QueueDepth::default();
+        assert_eq!(depth.get(), 0);
+        depth.enqueued();
+        depth.enqueued();
+        assert_eq!(depth.get(), 2);
+        depth.completed();
+        assert_eq!(depth.get(), 1);
+        depth.completed();
+        assert_eq!(depth.get(), 0);
     }
 
     #[test]

@@ -36,22 +36,21 @@
 //! * [`protocol`] — request/response types and the minijson codec glue;
 //!   transport-free ([`handle_line`] maps a request string to a response
 //!   string against a [`ServeState`]), so the protocol is testable
-//!   without sockets;
+//!   without sockets — and it is the byte-identity oracle the socket
+//!   tests replay against;
 //! * [`router`] — deterministic `InstanceId → shard` mapping: round-robin
 //!   creates, instance pinning, snapshot fan-out for the global ops, and
 //!   queue backpressure;
 //! * [`worker`] — one single-threaded [`Session`] per shard on its own
-//!   thread (ids strided per shard, so the id sequence matches the
-//!   single-worker server), fed by a bounded mpsc channel;
-//! * [`conn`] — per-connection reader/writer threads multiplexing
-//!   in-flight requests by sequence number (responses return in request
-//!   order whichever shard finishes first), plus the lock-step and
-//!   pipelined clients;
-//! * [`reactor`] — the event-loop front-end (`--reactor on|auto`): one
-//!   reactor thread per shard owning all of the shard's connections
-//!   through the `miniepoll` shim — nonblocking readiness loop,
-//!   per-connection read/write buffers, the same sequence-number
-//!   reorder buffer as [`conn`];
+//!   thread (ids strided per shard, so the id sequence is 0, 1, 2, … at
+//!   any worker count), fed by a bounded mpsc channel;
+//! * [`reactor`] — the front-end: one event-loop thread per shard owning
+//!   all of the connections dealt to it, through the `miniepoll` shim —
+//!   nonblocking readiness loop, per-connection read/write buffers, and
+//!   a sequence-number reorder buffer (responses return in request order
+//!   whichever shard finishes first);
+//! * [`conn`] — the client side: [`Client`], with lock-step and
+//!   pipelined exchanges;
 //! * [`frame`] — the opt-in length-prefixed binary wire format,
 //!   negotiated by a `{"op":"hello","frame":"binary"}` first line
 //!   (JSON stays the reference protocol and byte-identity oracle);
@@ -64,23 +63,17 @@
 //!   through [`handle_line`], so a restored server answers the remainder
 //!   of a trace byte-identically to one that never crashed.
 //!
-//! [`Server::run`] picks the front-end by [`ServeConfig::workers`]:
-//!
-//! * `workers == 1` — the **single-worker server**: one [`ServeState`],
-//!   one sequential accept loop, connections served one at a time. Fully
-//!   deterministic, byte for byte; the reference the sharded mode is
-//!   pinned against.
-//! * `workers >= 2` — the **sharded server**: instances are distributed
-//!   across per-worker sessions, every connection multiplexes, and a slow
-//!   solve only stalls its own shard. [`ServeConfig::reactor`] picks how
-//!   connections are carried: `off` spends a reader + writer thread per
-//!   connection, `on` runs one [`reactor`] event loop per shard, and
-//!   `auto` (the default) uses the reactor wherever the platform has
-//!   epoll. For a fixed lock-step request trace the responses are
-//!   payload-identical to the single-worker server
-//!   (`tests/serve_concurrent.rs` pins this across all three fronts);
-//!   only the `metrics` op differs, reporting one row per shard by
-//!   design.
+//! [`Server::run`] serves every worker count the same way: instances are
+//! distributed across [`ServeConfig::workers`] per-shard sessions, a
+//! blocking accept loop deals connections round-robin to one reactor per
+//! shard, every connection multiplexes, and a slow solve only stalls its
+//! own shard. For a fixed lock-step request trace the responses are
+//! byte-identical to a [`handle_line`] replay on one fresh
+//! [`ServeState`], at any worker count (`tests/serve_concurrent.rs` pins
+//! this); only the `metrics` op differs by design, reporting one row per
+//! shard and the reactors' network counters, and so do `"auto"` solves
+//! at two or more workers, whose tuner learns per shard. Serving requires epoll, so
+//! it is Linux-only: elsewhere [`Server::run`] returns an error.
 //!
 //! [`Session`]: coschedule::session::Session
 
@@ -93,12 +86,7 @@ pub mod router;
 pub mod wal;
 pub mod worker;
 
-pub use conn::{
-    client_exchange, client_exchange_framed, client_exchange_framed_with_retries,
-    client_exchange_with_retries, connect_with_retries, pipelined_exchange,
-    pipelined_exchange_framed, pipelined_exchange_framed_with_retries, pipelined_exchange_stats,
-    pipelined_exchange_with_retries, ExchangeStats, DEFAULT_CLIENT_RETRIES,
-};
+pub use conn::{Client, ExchangeStats, DEFAULT_CLIENT_RETRIES};
 pub use frame::FrameMode;
 pub use protocol::{
     app_from_json, app_to_json, handle_line, platform_from_json, platform_overrides_from_json,
@@ -108,18 +96,19 @@ pub use wal::{Durability, Standby};
 
 use coschedule::session::Session;
 use minijson::Json;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Serve-level configuration, applied when [`Server::run`] starts.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard count: 1 = the sequential single-worker server, N ≥ 2 = the
-    /// sharded concurrent server with N sessions. The CLI defaults to
-    /// [`available_workers`]; the library default is 1 (deterministic).
+    /// Shard count: N sessions, each with its own worker thread and its
+    /// own reactor thread. The CLI defaults to [`available_workers`]; the
+    /// library default is 1. Lock-step responses do not depend on it,
+    /// except for the `metrics` op's per-shard rows and `"auto"` solves
+    /// (each shard's tuner learns on its own).
     pub workers: usize,
     /// Solver used when a `solve` request names none.
     pub default_solver: String,
@@ -141,10 +130,6 @@ pub struct ServeConfig {
     /// WAL records per shard between snapshot rotations
     /// (`--snapshot-every N`).
     pub snapshot_every: u64,
-    /// Which sharded front-end serves connections (`--reactor
-    /// on|off|auto`); irrelevant at `workers == 1` (the sequential
-    /// server has no per-connection threads either way).
-    pub reactor: ReactorMode,
     /// Observation window for each shard session's `"auto"` tuner
     /// (`--tuner-window N`): 0 keeps the default unbounded statistics,
     /// `N > 0` ranks leaders by exponentially-decayed observations with
@@ -171,41 +156,6 @@ pub struct ServeConfig {
     pub slow_ms: Option<u64>,
 }
 
-/// Choice of sharded front-end (see [`ServeConfig::reactor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorMode {
-    /// Reactor where supported (Linux), threaded elsewhere.
-    #[default]
-    Auto,
-    /// Reactor, or fail to start on a platform without epoll.
-    On,
-    /// Always thread-per-connection.
-    Off,
-}
-
-impl std::fmt::Display for ReactorMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReactorMode::Auto => "auto",
-            ReactorMode::On => "on",
-            ReactorMode::Off => "off",
-        })
-    }
-}
-
-impl std::str::FromStr for ReactorMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ReactorMode::Auto),
-            "on" => Ok(ReactorMode::On),
-            "off" => Ok(ReactorMode::Off),
-            other => Err(format!("unknown reactor mode {other:?} (on|off|auto)")),
-        }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
@@ -217,7 +167,6 @@ impl Default for ServeConfig {
             wal_dir: None,
             restore: false,
             snapshot_every: wal::DEFAULT_SNAPSHOT_EVERY,
-            reactor: ReactorMode::Auto,
             tuner_window: 0,
             trace: false,
             trace_out: None,
@@ -319,8 +268,7 @@ pub fn build_states(config: &mut ServeConfig) -> Result<Vec<ServeState>, String>
 }
 
 /// What `cosched serve` uses when `--workers` is not given: the machine's
-/// available parallelism (1 on a single-core box — i.e. the sequential
-/// server).
+/// available parallelism (1 on a single-core box).
 pub fn available_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -372,7 +320,8 @@ impl Server {
     /// Serves until a `shutdown` request is accepted (never, unless
     /// `allow_shutdown` is set). Per-request failures answer
     /// `"ok":false` and keep serving; I/O errors drop the affected
-    /// connection and keep accepting.
+    /// connection and keep accepting. Fails at startup where the platform
+    /// has no epoll (anything but Linux).
     ///
     /// Builds its shard states per the configuration — including recovery
     /// when [`ServeConfig::restore`] is set, in which case the worker
@@ -392,10 +341,9 @@ impl Server {
     }
 
     fn run_states(self, mut states: Vec<ServeState>) -> std::io::Result<()> {
-        // The metrics listener runs on its own thread for all three
-        // front-ends, reading each shard's atomic counters through
-        // `Arc<ShardObs>` handles cloned before the states move into
-        // their workers.
+        // The metrics listener runs on its own thread, reading each
+        // shard's atomic counters through `Arc<ShardObs>` handles cloned
+        // before the states move into their workers.
         if let Some(addr) = self.config.metrics_addr.clone() {
             let handles: Vec<_> = states.iter().map(ServeState::obs_handle).collect();
             spawn_metrics_listener(
@@ -405,19 +353,11 @@ impl Server {
                 handles,
             )?;
         }
+        if states.is_empty() {
+            states.push(ServeState::default());
+        }
         let trace_out = self.config.trace_out.clone();
-        let result = if states.len() <= 1 {
-            let mut state = states.pop().unwrap_or_default();
-            state.allow_shutdown = self.config.allow_shutdown;
-            self.run_sequential(state)
-        } else {
-            match self.config.reactor {
-                ReactorMode::Off => self.run_sharded(states),
-                ReactorMode::On => self.run_reactor(states),
-                ReactorMode::Auto if miniepoll::SUPPORTED => self.run_reactor(states),
-                ReactorMode::Auto => self.run_sharded(states),
-            }
-        };
+        let result = self.serve(states);
         if let Some(path) = trace_out {
             // All shard workers have joined by now, so their rings are
             // quiescent; drain every registered ring into one file.
@@ -433,91 +373,11 @@ impl Server {
         result
     }
 
-    /// The single-worker front-end: one state, one connection at a time.
-    fn run_sequential(self, mut state: ServeState) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            let stream = stream?;
-            // Best effort per connection: a broken pipe ends it, not the
-            // server.
-            let _ = serve_sequential_connection(&mut state, stream);
-            if state.shutdown_requested() {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    /// The sharded front-end: a router over per-shard sessions, one
-    /// reader/writer thread pair per connection.
-    fn run_sharded(self, states: Vec<ServeState>) -> std::io::Result<()> {
-        let wake = wake_addr(self.listener.local_addr()?);
-        let router = Arc::new(router::Router::new(&self.config, states));
-        // Live connections, so shutdown can unblock readers parked in a
-        // TCP read (each entry is removed by its own thread on exit).
-        let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let mut connections = Vec::new();
-        let mut result = Ok(());
-        for (token, stream) in self.listener.incoming().enumerate() {
-            let stream = match stream {
-                Ok(stream) => stream,
-                // Run the teardown below even on an accept failure —
-                // returning here would leave shard workers and open
-                // connections running detached.
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            if router.shutdown_requested() {
-                // The wake-up connection (below) lands here.
-                break;
-            }
-            let token = token as u64;
-            if let Ok(clone) = stream.try_clone() {
-                open.lock()
-                    .expect("open-connection map")
-                    .insert(token, clone);
-            }
-            let conn_router = Arc::clone(&router);
-            let conn_open = Arc::clone(&open);
-            connections.push(std::thread::spawn(move || {
-                let _ = conn::serve_connection(&conn_router, stream);
-                conn_open
-                    .lock()
-                    .expect("open-connection map")
-                    .remove(&token);
-                if conn_router.shutdown_requested() {
-                    // Unblock the accept loop so it can observe the flag.
-                    // Retried: shutdown was already acknowledged to the
-                    // client, so a transiently dropped SYN (full backlog
-                    // under a connection flood) must not hang the server.
-                    for backoff_ms in [0u64, 10, 50, 250, 1000] {
-                        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                        if TcpStream::connect(wake).is_ok() {
-                            break;
-                        }
-                    }
-                }
-            }));
-        }
-        // Unblock every reader still parked in a read (idle clients would
-        // otherwise stall the join below indefinitely).
-        for (_, stream) in open.lock().expect("open-connection map").drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
-        if let Ok(router) = Arc::try_unwrap(router) {
-            router.join();
-        }
-        result
-    }
-
-    /// The event-loop front-end (`--reactor on|auto`): one reactor
-    /// thread per shard owning all of its connections, dealt round-robin
-    /// by this (still blocking) accept loop — see [`reactor`].
-    fn run_reactor(self, states: Vec<ServeState>) -> std::io::Result<()> {
+    /// The front-end: a router over the shard workers, one reactor
+    /// thread per shard, and this blocking accept loop, which numbers
+    /// connections in accept order and deals them round-robin to the
+    /// reactors — see [`reactor`].
+    fn serve(self, states: Vec<ServeState>) -> std::io::Result<()> {
         let wake = wake_addr(self.listener.local_addr()?);
         let shards = states.len();
         let router = Arc::new(router::Router::new(&self.config, states));
@@ -548,8 +408,7 @@ impl Server {
         }
         router.attach_reactors(reactors.iter().map(reactor::Reactor::hook).collect());
         let mut result = Ok(());
-        let mut next = 0usize;
-        for stream in self.listener.incoming() {
+        for (id, stream) in self.listener.incoming().enumerate() {
             let stream = match stream {
                 Ok(stream) => stream,
                 Err(e) => {
@@ -566,8 +425,7 @@ impl Server {
                 // The reactors' wake-up connection lands here.
                 break;
             }
-            reactors[next].add_connection(stream);
-            next = (next + 1) % reactors.len();
+            reactors[id % shards].add_connection(id as u64, stream);
         }
         for r in reactors {
             r.join();
@@ -579,9 +437,9 @@ impl Server {
     }
 }
 
-/// Where a connection thread dials to wake the accept loop after a
-/// shutdown: the bound port, but always via loopback — connecting to a
-/// wildcard bind address (`0.0.0.0` / `::`) is platform-dependent.
+/// Where a reactor dials to wake the accept loop after a shutdown: the
+/// bound port, but always via loopback — connecting to a wildcard bind
+/// address (`0.0.0.0` / `::`) is platform-dependent.
 fn wake_addr(bound: SocketAddr) -> SocketAddr {
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
     let ip = match bound.ip() {
@@ -657,100 +515,6 @@ fn serve_metrics_scrape(
         body.len()
     );
     stream.write_all(response.as_bytes())
-}
-
-fn serve_sequential_connection(state: &mut ServeState, stream: TcpStream) -> std::io::Result<()> {
-    // Tiny lines + Nagle + the peer's delayed ACK = ~40 ms per exchange;
-    // disable Nagle and send each response as a single write.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    // The first line is the hello window (see [`frame`]): a well-formed
-    // hello is acknowledged at the transport level — never dispatched,
-    // logged, or counted — and may switch the connection to binary
-    // framing; anything else is the first request.
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(());
-    }
-    let first = first
-        .strip_suffix('\n')
-        .map(|l| l.strip_suffix('\r').unwrap_or(l))
-        .unwrap_or(&first);
-    let mut mode = FrameMode::Json;
-    let mut scratch = Vec::new();
-    // The per-connection request counter doubles as the trace id — the
-    // same numbering the concurrent fronts' reorder buffers use (the
-    // hello line is transport, not a request, and is not counted).
-    let mut seq = 0u64;
-    match frame::negotiate(first) {
-        frame::Negotiation::Hello(negotiated) => {
-            mode = negotiated;
-            writer.write_all(format!("{}\n", frame::hello_ack(negotiated)).as_bytes())?;
-        }
-        frame::Negotiation::Reject(error) => {
-            writer.write_all(format!("{error}\n").as_bytes())?;
-        }
-        frame::Negotiation::NotHello => {
-            coschedule::obs::set_trace_id(seq);
-            seq += 1;
-            answer_sequential(state, first, &mut writer, mode, &mut scratch)?;
-            if state.shutdown_requested() {
-                return Ok(());
-            }
-        }
-    }
-    match mode {
-        FrameMode::Json => {
-            for line in reader.lines() {
-                let line = line?;
-                coschedule::obs::set_trace_id(seq);
-                seq += 1;
-                answer_sequential(state, &line, &mut writer, mode, &mut scratch)?;
-                if state.shutdown_requested() {
-                    break;
-                }
-            }
-        }
-        FrameMode::Binary => {
-            while let Some(payload) = frame::read_frame(&mut reader)? {
-                coschedule::obs::set_trace_id(seq);
-                seq += 1;
-                answer_sequential(state, &payload, &mut writer, mode, &mut scratch)?;
-                if state.shutdown_requested() {
-                    break;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One request → one response on the sequential server, in either wire
-/// mode. Every received line/frame gets exactly one response — blank
-/// ones too (skipping them silently would desynchronise a client that
-/// pairs requests with responses, hanging it on a read).
-fn answer_sequential(
-    state: &mut ServeState,
-    request: &str,
-    writer: &mut TcpStream,
-    mode: FrameMode,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    let mut response = handle_line(state, request);
-    // Durability contract: the op is on disk before the reply can
-    // reach the client.
-    state.wal_commit();
-    match mode {
-        FrameMode::Json => {
-            response.push('\n');
-            writer.write_all(response.as_bytes())?;
-        }
-        FrameMode::Binary => frame::write_frame(writer, &response, scratch)?,
-    }
-    // Snapshot rotation after the reply — off the latency path.
-    state.wal_maybe_snapshot();
-    Ok(())
 }
 
 /// The canned create → mutate → solve → stats → list → metrics → shutdown

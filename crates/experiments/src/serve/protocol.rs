@@ -3,10 +3,10 @@
 //!
 //! Everything here is transport-free by construction — [`handle_line`]
 //! maps one request string to one response string, so the whole protocol
-//! is testable without sockets. The TCP layers (`--workers 1`'s
-//! sequential loop and the sharded [`Router`](super::router::Router))
-//! both funnel into [`respond`], so a sharded server answers every
-//! request with the same bytes the single-worker server would.
+//! is testable without sockets. The server's shard workers funnel into
+//! [`respond`] too (behind the [`Router`](super::router::Router)), so a
+//! server at any worker count answers every request with the same bytes
+//! a [`handle_line`] replay on one fresh state produces.
 //!
 //! Error responses echo the request's `"id"` field whenever the request
 //! parsed and carried a numeric one, so a client multiplexing several
@@ -61,9 +61,8 @@ pub struct ServeState {
     pub allow_shutdown: bool,
     shutdown_requested: bool,
     /// Shard-routed request counter + dispatch-latency histogram (what
-    /// the `metrics` op reports; global ops like `stats` are excluded so
-    /// the counter matches the per-shard queue counters of the sharded
-    /// server). Shared as an [`Arc`] so the `--metrics-addr` scrape
+    /// the `metrics` op reports; global ops like `stats` are excluded
+    /// because the router answers them without reaching a shard). Shared as an [`Arc`] so the `--metrics-addr` scrape
     /// thread reads it without going through the shard queue; the
     /// histogram base is persisted in WAL snapshots and carried across
     /// `--restore` like the request counter.
@@ -73,12 +72,12 @@ pub struct ServeState {
     /// *before* dispatching; the transport layer calls
     /// [`ServeState::wal_commit`] before the reply escapes.
     wal: Option<WalWriter>,
-    /// This state's shard index (0 on the sequential server) — the
+    /// This state's shard index (0 for a lone state) — the
     /// `trace` op's and slow-request log's shard label.
     pub shard: usize,
     /// When `true` (`cosched serve --trace`), every shard-routed response
-    /// carries the request's `trace_id` — the per-connection sequence
-    /// number minted at the transport. Off by default so the wire format
+    /// carries the request's `trace_id` — the server-wide request id
+    /// minted by the reactor, `(connection id << 32) | sequence`. Off by default so the wire format
     /// is unchanged for existing clients and golden suites.
     pub echo_trace: bool,
     /// Dispatch-time threshold for the slow-request log (`--slow-ms N`):
@@ -218,7 +217,7 @@ pub fn handle_line(state: &mut ServeState, line: &str) -> String {
 /// each **sub**-request, so only the sub-requests count). Single source
 /// of truth shared by the router's dispatch and the `requests` counting
 /// below — the two must agree, or the metrics op's per-shard request
-/// totals drift between `--workers 1` and `--workers N`.
+/// totals drift from a [`handle_line`] replay's.
 pub(super) fn is_global_op(op: &str) -> bool {
     matches!(
         op,
@@ -340,7 +339,7 @@ fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
                 instances: state.session.len(),
                 stats: state.session.stats(),
                 wal: state.wal_stats(),
-                // The sequential server has no reactor; no net columns.
+                // A transport-free state has no reactor; no net columns.
                 net: None,
                 latency: state.latency_snapshot(),
             }],
@@ -389,8 +388,8 @@ fn op_batch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
     Ok(batch_body(responses))
 }
 
-/// The combined `batch` response — shared with the sharded router, so
-/// both front-ends serialize the envelope identically.
+/// The combined `batch` response — shared with the router, so both
+/// paths serialize the envelope identically.
 pub(super) fn batch_body(responses: Vec<Json>) -> Json {
     Json::obj([
         ("ok", Json::from(true)),
@@ -448,10 +447,9 @@ pub(super) fn solvers_body() -> Json {
 }
 
 /// The `trace` op: drains the handling thread's span ring buffer. On the
-/// sharded server the op is routed like any other shard op (an optional
+/// server the op is routed like any other shard op (an optional
 /// `"shard"` field picks the target, default 0), so the drained timeline
-/// is that shard worker's; on the sequential server it is the serving
-/// thread's. Returns the events plus how many were lost to ring
+/// is that shard worker's; on a lone state it is the calling thread's. Returns the events plus how many were lost to ring
 /// overwrite since the previous drain, and whether tracing is even on.
 fn op_trace(state: &ServeState) -> Json {
     let chunk = obs::drain_local();

@@ -1,13 +1,10 @@
-//! The event-loop front-end: **one reactor thread per shard**, each
-//! owning all of its connections — `--reactor on|auto` (auto = on, on
-//! Linux, when `--workers >= 2`).
+//! The serve front-end: **one reactor thread per shard**, each owning
+//! all of the connections dealt to it, at every worker count.
 //!
-//! The threaded front-end ([`conn`](super::conn)) spends two OS threads
-//! per accepted connection; fine for eight bench clients, fatal at ten
-//! thousand. Here the accept loop stays blocking (it is one thread
-//! regardless of connection count) and deals accepted sockets
-//! round-robin to the reactors; each reactor runs a level-triggered
-//! [`miniepoll`] readiness loop over its connections:
+//! The accept loop stays blocking (it is one thread regardless of
+//! connection count), numbers connections in accept order, and deals
+//! them round-robin to the reactors; each reactor runs a
+//! level-triggered [`miniepoll`] readiness loop over its connections:
 //!
 //! * per-connection **read and write buffers**, with partial reads
 //!   reassembled into lines (or binary frames, after a hello — see
@@ -16,20 +13,24 @@
 //! * **write-interest toggling**: a connection is registered read-only
 //!   while its write buffer is empty and read+write while it is not, so
 //!   an idle connection costs no wakeups;
-//! * the same **sequence-number reorder buffer** as the threaded writer
-//!   — requests are tagged in arrival order and responses released in
-//!   that order, whichever shard finishes first;
+//! * a **sequence-number reorder buffer** per connection — requests are
+//!   tagged in arrival order and responses released in that order,
+//!   whichever shard finishes first;
 //! * an **eventfd completion mailbox** per reactor: shard workers
 //!   deposit finished responses via
 //!   [`ResponseSink::Reactor`](super::worker::ResponseSink) and signal
 //!   the eventfd, which the reactor polls like any other fd.
 //!
-//! Dispatching still happens on the reactor thread, so the two blocking
+//! Each request's trace id (the [`coschedule::obs`] tag its spans and
+//! `trace_id` echo carry) is `(connection id << 32) | seq`, unique
+//! across connections; the first connection's requests are simply
+//! 0, 1, 2, ….
+//!
+//! Dispatching happens on the reactor thread, so the two blocking
 //! points of the router are inherited knowingly: a `create` waits for
 //! the owning shard synchronously, and a send into a **full** shard
-//! queue blocks until the shard drains (the same backpressure the
-//! threaded reader applies, now stalling every connection of the
-//! reactor instead of one — bounded by [`QUEUE_CAPACITY`]).
+//! queue blocks until the shard drains (backpressure that stalls every
+//! connection of the reactor — bounded by [`QUEUE_CAPACITY`]).
 //!
 //! Shutdown: once the router accepts a `shutdown`, it signals every
 //! reactor's eventfd. Each reactor stops reading, delivers and flushes
@@ -116,10 +117,11 @@ impl Completions {
     }
 }
 
-/// New-connection handoff from the accept loop, plus the hard-stop
-/// flag for teardown on an accept failure.
+/// New-connection handoff from the accept loop (each stream with its
+/// connection id), plus the hard-stop flag for teardown on an accept
+/// failure.
 struct Inbox {
-    conns: Mutex<Vec<TcpStream>>,
+    conns: Mutex<Vec<(u64, TcpStream)>>,
     stop: AtomicBool,
 }
 
@@ -133,8 +135,7 @@ pub(super) struct Reactor {
 
 impl Reactor {
     /// Spawns shard `shard`'s reactor. Fails (cleanly, before spawning)
-    /// when the platform has no epoll — `--reactor auto` never gets
-    /// here, `--reactor on` surfaces the error.
+    /// when the platform has no epoll.
     pub fn spawn(shard: usize, router: Arc<Router>, wake_addr: SocketAddr) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
         let completions = Arc::new(Completions {
@@ -156,7 +157,6 @@ impl Reactor {
             net: Arc::clone(&net),
             wake_addr,
             conns: HashMap::new(),
-            next_token: 0,
             in_flight_total: 0,
             read_chunk: vec![0u8; READ_CHUNK],
             finished: Vec::new(),
@@ -174,10 +174,16 @@ impl Reactor {
         })
     }
 
-    /// Hands an accepted connection to this reactor (called from the
-    /// accept loop).
-    pub fn add_connection(&self, stream: TcpStream) {
-        self.inbox.conns.lock().expect("reactor inbox").push(stream);
+    /// Hands accepted connection `id` to this reactor (called from the
+    /// accept loop, which numbers connections server-wide — the id is
+    /// the connection's epoll token and the high half of its requests'
+    /// trace ids).
+    pub fn add_connection(&self, id: u64, stream: TcpStream) {
+        self.inbox
+            .conns
+            .lock()
+            .expect("reactor inbox")
+            .push((id, stream));
         self.completions.signal();
     }
 
@@ -205,6 +211,7 @@ impl Reactor {
 /// One connection owned by a reactor.
 struct Conn {
     stream: TcpStream,
+    /// The server-wide connection id, also the epoll token.
     token: u64,
     mode: FrameMode,
     /// Whether the first line was seen (the hello window is one line).
@@ -249,7 +256,6 @@ struct Loop {
     net: Arc<NetMetrics>,
     wake_addr: SocketAddr,
     conns: HashMap<u64, Conn>,
-    next_token: u64,
     /// Requests dispatched to workers whose responses have not yet been
     /// delivered, summed over every connection this loop owns. Lets the
     /// park path ask "is a response imminent?" without an O(conns) scan.
@@ -347,8 +353,9 @@ impl Loop {
         }
         // Deregister-then-close each connection (see the miniepoll
         // safety invariants), then nudge the accept loop so it can
-        // observe the shutdown flag. Retried like the threaded path: a
-        // transiently dropped SYN must not hang the server.
+        // observe the shutdown flag. Retried: shutdown was already
+        // acknowledged, so a transiently dropped SYN (full backlog under
+        // a connection flood) must not hang the server.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close(token);
@@ -365,14 +372,12 @@ impl Loop {
     /// Registers connections the accept loop handed over since the last
     /// wake.
     fn adopt_new_connections(&mut self) {
-        let fresh: Vec<TcpStream> =
+        let fresh: Vec<(u64, TcpStream)> =
             std::mem::take(&mut *self.inbox.conns.lock().expect("reactor inbox"));
-        for stream in fresh {
+        for (token, stream) in fresh {
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 continue; // the socket is already broken; drop it
             }
-            let token = self.next_token;
-            self.next_token += 1;
             if self
                 .epoll
                 .add(stream.as_raw_fd(), token, Interest::READABLE)
@@ -563,7 +568,8 @@ impl Loop {
     }
 
     /// Tags one message with the connection's next sequence number and
-    /// routes it. May block on shard backpressure (see module docs).
+    /// its server-wide trace id, and routes it. May block on shard
+    /// backpressure (see module docs).
     fn dispatch(&mut self, token: u64, line: &str) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -576,7 +582,10 @@ impl Loop {
             conn: token,
             completions: Arc::clone(&self.completions),
         };
-        self.router.dispatch(line, seq, seq, &sink);
+        // Trace ids stay unique while a connection has issued fewer
+        // than 2^32 requests.
+        let trace = (token << 32) | (seq & u64::from(u32::MAX));
+        self.router.dispatch(line, seq, trace, &sink);
     }
 
     /// Moves finished responses from the mailbox through each

@@ -7,13 +7,13 @@
 //!   router waits for the shard's reply while holding the create cursor,
 //!   so the new id is registered in the directory (and the cursor only
 //!   advances on success) before the client can see the response —
-//!   combined with [`Session::with_id_stride`] this reproduces the
-//!   single-worker id sequence 0, 1, 2, … for any worker count;
+//!   combined with [`Session::with_id_stride`] this reproduces a single
+//!   session's id sequence 0, 1, 2, … for any worker count;
 //! * requests that carry a live instance id **pin to the owning shard**,
 //!   so the session's incremental re-solve state stays warm;
 //! * requests with no routable id (unknown ids, missing ids, unknown
 //!   ops) go to shard 0, whose protocol layer produces exactly the error
-//!   the single-worker server would — error payloads stay identical by
+//!   a single session would — error payloads stay identical by
 //!   construction instead of by duplication;
 //! * `stats` / `list` are answered by **fanning a snapshot marker through
 //!   every shard queue** and merging: sums for the counters, an id-sorted
@@ -23,7 +23,7 @@
 //! * `solvers`, `metrics`, and `shutdown` are answered in place.
 //!
 //! Backpressure: shard queues are bounded, so routing to a saturated
-//! shard blocks that connection's reader (see
+//! shard blocks the dispatching reactor (see
 //! [`QUEUE_CAPACITY`](super::worker::QUEUE_CAPACITY)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,22 +36,22 @@ use super::protocol::{self, error_response};
 use super::worker::{Directory, ResponseSink, ShardMsg, ShardSnapshot, TaggedResponse, Worker};
 use super::ServeConfig;
 
-/// The shared routing core of a sharded server; one per [`Server`]
-/// (`Arc`-shared with every connection thread).
+/// The shared routing core of a server; one per [`Server`]
+/// (`Arc`-shared with every reactor).
 ///
 /// [`Server`]: super::Server
 pub(super) struct Router {
     workers: Vec<Worker>,
     directory: Directory,
     /// Round-robin cursor over *successful* creates (failed creates
-    /// consume neither an id nor a turn, matching the single worker).
+    /// consume neither an id nor a turn, matching a single session).
     create_cursor: Mutex<u64>,
     shutdown: AtomicBool,
     allow_shutdown: bool,
-    /// The reactor front-end's per-shard hooks (empty on the threaded
-    /// front-end): each shard's completion mailbox — signalled on
-    /// shutdown so parked reactors wake and drain — and its network
-    /// counters for the `metrics` op.
+    /// The reactors' per-shard hooks (registered once they are up):
+    /// each shard's completion mailbox — signalled on shutdown so parked
+    /// reactors wake and drain — and its network counters for the
+    /// `metrics` op.
     reactors: Mutex<Vec<ReactorHook>>,
 }
 
@@ -86,9 +86,9 @@ impl Router {
         }
     }
 
-    /// Registers the reactor front-end's hooks, one per shard in shard
-    /// order (the threaded front-end never calls this). Reactor `k`'s
-    /// network counters appear on shard `k`'s `metrics` row.
+    /// Registers the reactors' hooks, one per shard in shard order.
+    /// Reactor `k`'s network counters appear on shard `k`'s `metrics`
+    /// row.
     pub fn attach_reactors(&self, hooks: Vec<ReactorHook>) {
         *self.reactors.lock().expect("reactor hooks") = hooks;
     }
@@ -100,10 +100,9 @@ impl Router {
 
     /// Routes one raw request line; the response (tagged with `seq`) is
     /// delivered to `out` — immediately for router-answered ops, from the
-    /// owning shard's worker for instance ops. `trace` is the
-    /// connection-level request id propagated to the shard (normally the
-    /// same number as `seq`; the fronts mint both from the per-connection
-    /// line counter).
+    /// owning shard's worker for instance ops. `trace` is the server-wide
+    /// request id propagated to the shard (the reactor mints it from the
+    /// connection id and `seq`).
     pub fn dispatch(&self, line: &str, seq: u64, trace: u64, out: &ResponseSink) {
         let request = match Json::parse(line) {
             Ok(request) => request,
@@ -123,11 +122,13 @@ impl Router {
             Some("batch") => self.dispatch_batch(request, seq, trace, out),
             // `protocol::is_global_op` is the single definition of which
             // ops the router answers itself; the per-shard `requests`
-            // counting in `protocol::respond` keys off the same predicate.
+            // counting in `protocol::respond` keys off the same predicate,
+            // so `queue_depth` and `requests` agree on what a shard
+            // request is.
             Some(op) if protocol::is_global_op(op) => self.dispatch_global(op, &request, seq, out),
             // Instance ops (and anything unroutable — unknown ops,
             // missing or dead ids): the owning shard, or shard 0, whose
-            // dispatch reports the identical error a single worker would.
+            // dispatch reports the identical error a single session would.
             // The `trace` op is shard-addressed by an explicit `"shard"`
             // field (it drains the addressed worker thread's ring buffer),
             // not by instance id.
@@ -147,7 +148,7 @@ impl Router {
                     .unwrap_or(0)
                 };
                 let worker = &self.workers[shard];
-                worker.metrics.record_enqueued();
+                worker.queue.enqueued();
                 let sent = worker.tx.send(ShardMsg::Apply {
                     request,
                     seq,
@@ -158,7 +159,7 @@ impl Router {
                     // The shard worker is gone (it panicked mid-request).
                     // Every seq must still be answered, or the writer's
                     // reorder buffer stalls the connection forever.
-                    worker.metrics.record_completed();
+                    worker.queue.completed();
                     let body = error_response("shard worker died", id);
                     out.send(seq, body.to_string());
                 }
@@ -205,8 +206,8 @@ impl Router {
                     .enumerate()
                     .map(|(shard, ((snapshot, worker), net))| ShardReport {
                         shard,
-                        requests: worker.metrics.requests(),
-                        queue_depth: worker.metrics.queue_depth(),
+                        requests: snapshot.requests,
+                        queue_depth: worker.queue.get(),
                         instances: snapshot.live,
                         stats: snapshot.stats,
                         wal: snapshot.wal,
@@ -250,7 +251,7 @@ impl Router {
     /// byte-identical to the sequential exchanges — including the ordering
     /// a lock-step client would observe between mutations and the global
     /// snapshot ops. Nested batches answer an error at their slot, exactly
-    /// like the single-worker protocol layer.
+    /// like the transport-free protocol layer.
     fn dispatch_batch(&self, request: Json, seq: u64, trace: u64, out: &ResponseSink) {
         // Take the envelope apart by value — a batched trace replay can
         // carry the whole workload in one line, and deep-cloning every
@@ -308,7 +309,7 @@ impl Router {
         let shard = (*cursor % self.workers.len() as u64) as usize;
         let worker = &self.workers[shard];
         let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
-        worker.metrics.record_enqueued();
+        worker.queue.enqueued();
         let response = match worker.tx.send(ShardMsg::Create {
             request,
             trace,
@@ -326,12 +327,12 @@ impl Router {
                     response
                 }
                 Err(_) => {
-                    worker.metrics.record_completed();
+                    worker.queue.completed();
                     error_response("shard worker died", None).to_string()
                 }
             },
             Err(_) => {
-                worker.metrics.record_completed();
+                worker.queue.completed();
                 error_response("shard worker died", None).to_string()
             }
         };
@@ -357,6 +358,7 @@ impl Router {
             .map(|rx| {
                 rx.recv().unwrap_or(ShardSnapshot {
                     live: 0,
+                    requests: 0,
                     stats: Default::default(),
                     infos: Vec::new(),
                     wal: None,

@@ -2,17 +2,17 @@
 //! and fed by a bounded mpsc request channel.
 //!
 //! The session API is deliberately single-threaded (`&mut self`
-//! everywhere), so the concurrency unit of the sharded server is the
-//! whole session: worker `k` of `n` owns every instance whose id ≡ `k`
+//! everywhere), so the concurrency unit of the server is the whole
+//! session: worker `k` of `n` owns every instance whose id ≡ `k`
 //! (mod `n`) — ids come from [`Session::with_id_stride`], so the shards'
-//! sequences are disjoint and collectively reproduce the single-worker
+//! sequences are disjoint and collectively reproduce a single session's
 //! sequence. Pinning all requests for an instance to its owning shard
 //! keeps the session's incremental re-solve state (patched `EvalSet`
 //! columns, recycled scratch, resolve memo) warm across requests.
 //!
 //! The request channel is bounded ([`QUEUE_CAPACITY`]): when a shard
-//! falls behind, `send` blocks the connection reader that is routing to
-//! it — backpressure instead of unbounded buffering.
+//! falls behind, `send` blocks the reactor that is routing to it —
+//! backpressure instead of unbounded buffering.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -22,29 +22,28 @@ use std::thread::JoinHandle;
 use coschedule::session::{InstanceInfo, SessionStats};
 use minijson::Json;
 
-use super::metrics::{LatencyHistogram, ShardMetrics};
+use super::metrics::{LatencyHistogram, QueueDepth};
 use super::protocol::{self, ServeState};
 use super::wal::WalStats;
 
 /// Bound of each shard's request queue; a full queue blocks the routing
-/// reader (backpressure) rather than buffering without limit.
+/// reactor (backpressure) rather than buffering without limit.
 pub(super) const QUEUE_CAPACITY: usize = 128;
 
 /// The shared instance directory: global instance id → owning shard.
 pub(super) type Directory = Arc<Mutex<HashMap<u64, usize>>>;
 
 /// A response tagged with the per-connection sequence number of its
-/// request, on its way to that connection's writer thread.
+/// request.
 pub(super) type TaggedResponse = (u64, String);
 
-/// Where a finished response goes — the seam that lets the same router
-/// and workers serve both front-ends:
+/// Where a finished response goes:
 ///
-/// * **threaded** — an unbounded mpsc sender to the connection's writer
-///   thread (one channel per connection);
 /// * **reactor** — the owning reactor's completion mailbox, tagged with
 ///   the connection token so the reactor can route the line to the
-///   right write buffer. Pushing also signals the reactor's eventfd.
+///   right write buffer. Pushing also signals the reactor's eventfd;
+/// * **channel** — an mpsc sender the router itself waits on while it
+///   answers a `batch` sub-request by sub-request.
 ///
 /// Both are unbounded, which is what makes the bounded shard queues
 /// deadlock-free: a worker can always deposit its response and move on,
@@ -52,10 +51,9 @@ pub(super) type TaggedResponse = (u64, String);
 /// side) never waits on a worker that is itself waiting to deliver.
 #[derive(Clone)]
 pub(super) enum ResponseSink {
-    /// To a connection writer thread (threaded front-end, and the
-    /// router's internal lock-step sub-dispatches).
+    /// To the router's internal lock-step sub-dispatches.
     Channel(Sender<TaggedResponse>),
-    /// To a reactor's completion mailbox (reactor front-end).
+    /// To a reactor's completion mailbox.
     Reactor {
         conn: u64,
         completions: Arc<super::reactor::Completions>,
@@ -81,8 +79,8 @@ impl ResponseSink {
 /// One message on a shard's request queue.
 pub(super) enum ShardMsg {
     /// An instance-routed request; the response goes straight to the
-    /// connection's writer (the reader does not wait — this is what lets
-    /// one connection keep several shards busy at once).
+    /// connection's reactor (which does not wait — this is what lets one
+    /// connection keep several shards busy at once).
     Apply {
         request: Json,
         seq: u64,
@@ -112,38 +110,35 @@ pub(super) enum ShardMsg {
 /// response.
 pub(super) struct ShardSnapshot {
     pub live: usize,
+    /// Requests the shard has handled ([`ServeState::requests`]).
+    pub requests: u64,
     pub stats: SessionStats,
     pub infos: Vec<InstanceInfo>,
     pub wal: Option<WalStats>,
     pub latency: Option<LatencyHistogram>,
 }
 
-/// A running shard: its queue sender, its counters, and its thread.
+/// A running shard: its queue sender, its queue-depth gauge, and its
+/// thread.
 pub(super) struct Worker {
     pub tx: SyncSender<ShardMsg>,
-    pub metrics: Arc<ShardMetrics>,
+    pub queue: Arc<QueueDepth>,
     handle: JoinHandle<()>,
 }
 
 impl Worker {
     /// Spawns shard `shard` around a pre-built state — fresh (a strided
     /// session plus the serve defaults), or recovered from a durability
-    /// directory, possibly with a WAL attached. The worker's queue
-    /// counters resume at the state's request count, so the `metrics` op's
-    /// per-shard totals continue seamlessly across a restore.
+    /// directory, possibly with a WAL attached.
     pub fn spawn(shard: usize, state: ServeState, directory: Directory) -> Worker {
         let (tx, rx) = std::sync::mpsc::sync_channel(QUEUE_CAPACITY);
-        let metrics = Arc::new(ShardMetrics::with_base(state.requests()));
-        let worker_metrics = Arc::clone(&metrics);
+        let queue = Arc::new(QueueDepth::default());
+        let worker_queue = Arc::clone(&queue);
         let handle = std::thread::Builder::new()
             .name(format!("cosched-shard-{shard}"))
-            .spawn(move || run(state, directory, rx, &worker_metrics))
+            .spawn(move || run(state, directory, rx, &worker_queue))
             .expect("spawn shard worker");
-        Worker {
-            tx,
-            metrics,
-            handle,
-        }
+        Worker { tx, queue, handle }
     }
 
     /// Stops the worker: drops the queue sender and joins the thread.
@@ -154,12 +149,7 @@ impl Worker {
     }
 }
 
-fn run(
-    mut state: ServeState,
-    directory: Directory,
-    rx: Receiver<ShardMsg>,
-    metrics: &ShardMetrics,
-) {
+fn run(mut state: ServeState, directory: Directory, rx: Receiver<ShardMsg>, queue: &QueueDepth) {
     // `shutdown` never reaches a shard (the router intercepts it), so the
     // per-shard flag stays false; `allow_shutdown` is router state.
 
@@ -189,7 +179,7 @@ fn run(
                     }
                 }
                 out.send(seq, response.to_string());
-                metrics.record_completed();
+                queue.completed();
                 // Snapshot rotation happens after the reply is on its way
                 // — off the request latency path.
                 state.wal_maybe_snapshot();
@@ -208,14 +198,15 @@ fn run(
                     None
                 };
                 let _ = done.send((response.to_string(), created));
-                metrics.record_completed();
+                queue.completed();
                 state.wal_maybe_snapshot();
             }
             ShardMsg::Snapshot { done } => {
-                // Not a routed request: no completed tick (the router did
-                // not tick enqueued for it either).
+                // Not a routed request: the router did not count it as
+                // queued either.
                 let _ = done.send(ShardSnapshot {
                     live: state.session().len(),
+                    requests: state.requests(),
                     stats: state.session().stats(),
                     infos: state.session().list(),
                     wal: state.wal_stats(),

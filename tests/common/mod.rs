@@ -1,11 +1,12 @@
-//! Shared support for the serve integration tests: loopback servers and
+//! Shared support for the serve integration tests: loopback servers, the
+//! transport-free `handle_line` oracle they are compared against, and
 //! the perturbed-NPB trace generators used by the concurrency, loopback,
 //! and recovery suites.
 
 // Each integration test binary compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
-use experiments::serve::{app_to_json, client_exchange, ServeConfig, Server};
+use experiments::serve::{app_to_json, handle_line, Client, ServeConfig, ServeState, Server};
 use minijson::Json;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -33,8 +34,46 @@ pub fn spawn_server(workers: usize) -> (SocketAddr, ServerHandle) {
 /// Sends `shutdown` and joins the server thread, asserting it exits
 /// cleanly.
 pub fn shutdown(addr: SocketAddr, handle: ServerHandle) {
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
     handle.join().expect("server thread").expect("server run");
+}
+
+/// Lock-step exchange with the default [`Client`] (JSON lines).
+pub fn exchange(addr: SocketAddr, requests: &[String]) -> std::io::Result<Vec<String>> {
+    Client::default().exchange(addr, requests)
+}
+
+/// The byte-identity oracle: `requests` answered in order by
+/// [`handle_line`] on one fresh [`ServeState`] that honours `shutdown`
+/// — no sockets, no router, no shards.
+pub fn handle_line_replay(requests: &[String]) -> Vec<String> {
+    let mut state = ServeState::new();
+    state.allow_shutdown = true;
+    requests
+        .iter()
+        .map(|line| handle_line(&mut state, line))
+        .collect()
+}
+
+/// `true` for the `metrics` op, whose per-shard rows and reactor
+/// network counters differ from the oracle's by design.
+pub fn is_metrics(request: &str) -> bool {
+    Json::parse(request)
+        .ok()
+        .and_then(|v| v.get("op").and_then(Json::as_str).map(|op| op == "metrics"))
+        .unwrap_or(false)
+}
+
+/// Asserts that every non-`metrics` response equals the oracle's,
+/// naming the request on a mismatch.
+pub fn assert_matches_oracle(requests: &[String], responses: &[String], label: &str) {
+    let oracle = handle_line_replay(requests);
+    assert_eq!(responses.len(), oracle.len(), "{label}: response count");
+    for ((request, got), want) in requests.iter().zip(responses).zip(&oracle) {
+        if !is_metrics(request) {
+            assert_eq!(got, want, "{label}: diverged from handle_line on {request}");
+        }
+    }
 }
 
 /// Runs `script` lock-step against a fresh `workers`-shard server and
@@ -42,7 +81,7 @@ pub fn shutdown(addr: SocketAddr, handle: ServerHandle) {
 /// server thread is joined).
 pub fn run_script(workers: usize, script: &[String]) -> Vec<String> {
     let (addr, handle) = spawn_server(workers);
-    let responses = client_exchange(addr, script).expect("loopback exchange");
+    let responses = exchange(addr, script).expect("loopback exchange");
     handle
         .join()
         .expect("server thread")

@@ -9,12 +9,12 @@
 
 mod common;
 
-use common::{mask_reactor_wakeups, spawn_server_with};
+use common::{exchange, mask_reactor_wakeups, spawn_server_with};
 use coschedule::obs;
 use coschedule::session::Session;
 use experiments::serve::metrics::{prometheus_body, LatencyHistogram, PromShard};
 use experiments::serve::wal::{recover_shard, WalWriter};
-use experiments::serve::{client_exchange, handle_line, smoke_script, Durability, ServeState};
+use experiments::serve::{handle_line, smoke_script, Durability, ServeState};
 use minijson::Json;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -245,7 +245,7 @@ fn latency_histogram_survives_restore() {
 }
 
 /// With tracing ON the smoke script still answers byte-identically
-/// between the single-worker and the 4-shard server (all responses but
+/// between the 1-shard and the 4-shard server (all responses but
 /// the per-shard `metrics` row), and run-to-run — recording spans must
 /// never perturb results.
 #[test]
@@ -255,7 +255,7 @@ fn tracing_enabled_preserves_response_bytes() {
     let script = smoke_script();
     let run = |workers: usize| -> Vec<String> {
         let (addr, handle) = spawn_server_with(|config| config.workers = workers);
-        let responses = client_exchange(addr, &script).expect("loopback exchange");
+        let responses = exchange(addr, &script).expect("loopback exchange");
         handle.join().expect("server thread").expect("server run");
         responses
     };
@@ -301,7 +301,7 @@ fn trace_op_drains_the_addressed_shard() {
         r#"{"op":"trace","shard":1}"#.to_string(),
         r#"{"op":"shutdown"}"#.to_string(),
     ];
-    let responses = client_exchange(addr, &script).expect("loopback exchange");
+    let responses = exchange(addr, &script).expect("loopback exchange");
     handle.join().expect("server thread").expect("server run");
     obs::set_enabled(false);
     let _ = obs::drain();
@@ -360,6 +360,45 @@ fn trace_op_drains_the_addressed_shard() {
         empty.is_empty(),
         "shard 1 handled no requests, saw {} events",
         empty.len()
+    );
+}
+
+/// Request ids are server-wide: two connections' `trace_id` echoes never
+/// collide (each is `(connection id << 32) | sequence`), while the first
+/// connection keeps the plain 0, 1, 2, … numbering.
+#[test]
+fn trace_ids_are_unique_across_connections() {
+    let (addr, handle) = spawn_server_with(|config| {
+        config.workers = 2;
+        config.trace = true;
+    });
+    let create = r#"{"op":"create","apps":[{"name":"A","work":1e10,"seq_fraction":0.1,"access_freq":0.5,"miss_rate_ref":1e-3}]}"#;
+    let script = vec![
+        create.to_string(),
+        r#"{"op":"solve","id":0,"seed":7}"#.to_string(),
+        r#"{"op":"solve","id":0,"seed":8}"#.to_string(),
+    ];
+    let trace_ids = |responses: Vec<String>| -> Vec<u64> {
+        responses
+            .iter()
+            .map(|r| {
+                Json::parse(r)
+                    .expect("parse")
+                    .get("trace_id")
+                    .and_then(Json::as_u64)
+                    .unwrap_or_else(|| panic!("no trace_id echoed: {r}"))
+            })
+            .collect()
+    };
+    let first = trace_ids(exchange(addr, &script).expect("first connection"));
+    let second = trace_ids(exchange(addr, &script[1..]).expect("second connection"));
+    common::shutdown(addr, handle);
+
+    assert_eq!(first, vec![0, 1, 2], "the first connection numbers from 0");
+    assert_eq!(second, vec![1 << 32, (1 << 32) | 1]);
+    assert!(
+        second.iter().all(|id| !first.contains(id)),
+        "trace ids collide across connections: {first:?} vs {second:?}"
     );
 }
 

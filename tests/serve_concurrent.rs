@@ -1,8 +1,9 @@
-//! The sharded server's identity contract under real concurrency:
-//! several client threads issue interleaved create/mutate/solve traffic
-//! on distinct instances against a `--workers 4` server, and every
-//! client's per-instance response stream must be **byte-identical** to a
-//! single-worker replay of the same per-instance subtrace.
+//! The server's identity contract under real concurrency: several client
+//! threads issue interleaved create/mutate/solve traffic on distinct
+//! instances against a `--workers 4` server, and every client's
+//! per-instance response stream must be **byte-identical** to a
+//! transport-free `handle_line` replay of the same per-instance subtrace
+//! on one fresh session.
 //!
 //! Why this holds: instances pin to their owning shard, each shard is one
 //! single-threaded `Session` (so per-instance request order is preserved
@@ -12,11 +13,11 @@
 
 mod common;
 
-use common::{create_request, shutdown, spawn_server, spawn_server_with, subtrace};
-use experiments::serve::{
-    client_exchange, client_exchange_framed, pipelined_exchange_framed, FrameMode, ReactorMode,
-};
+use common::{assert_matches_oracle, create_request, exchange, shutdown, spawn_server, subtrace};
+use experiments::serve::{handle_line, Client, FrameMode, ServeState};
 use minijson::Json;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 #[test]
 fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
@@ -35,8 +36,7 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
             .map(|k| {
                 scope.spawn(move || {
                     let create = create_request(k);
-                    let created =
-                        client_exchange(addr, std::slice::from_ref(&create)).expect("create");
+                    let created = exchange(addr, std::slice::from_ref(&create)).expect("create");
                     let v = Json::parse(&created[0]).expect("create response");
                     assert_eq!(
                         v.get("ok").and_then(Json::as_bool),
@@ -50,10 +50,17 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
                     } else {
                         FrameMode::Json
                     };
+                    let client = Client {
+                        frame,
+                        ..Client::default()
+                    };
                     let responses = if k % 2 == 0 {
-                        pipelined_exchange_framed(addr, &trace, frame).expect("pipelined subtrace")
+                        client
+                            .pipeline(addr, &trace)
+                            .expect("pipelined subtrace")
+                            .responses
                     } else {
-                        client_exchange_framed(addr, &trace, frame).expect("lock-step subtrace")
+                        client.exchange(addr, &trace).expect("lock-step subtrace")
                     };
                     let mut requests = vec![create];
                     requests.extend(trace);
@@ -67,7 +74,7 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
     });
 
     // Distinct ids 0..CLIENTS were handed out (round-robin creates with
-    // strided per-shard sessions reproduce the single-worker sequence).
+    // strided per-shard sessions reproduce a single session's sequence).
     let mut ids: Vec<u64> = clients.iter().map(|(id, _, _)| *id).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..CLIENTS as u64).collect::<Vec<_>>());
@@ -77,36 +84,40 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
         r#"{"op":"stats"}"#.to_string(),
         r#"{"op":"list"}"#.to_string(),
     ];
-    let live_globals = client_exchange(addr, &globals).expect("stats+list");
+    let live_globals = exchange(addr, &globals).expect("stats+list");
     shutdown(addr, server);
 
-    // Phase 2 — replay: one single-worker server, the same per-instance
-    // subtraces, clients ordered by their live id so the creates hand out
-    // the same ids. Every response line must match the live run exactly.
+    // Phase 2 — replay: `handle_line` on one fresh session, the same
+    // per-instance subtraces, clients ordered by their live id so the
+    // creates hand out the same ids. Every response line must match the
+    // live run exactly.
     clients.sort_by_key(|(id, _, _)| *id);
-    let (addr, server) = spawn_server(1);
+    let mut oracle = ServeState::new();
+    let mut replay = |requests: &[String]| -> Vec<String> {
+        requests
+            .iter()
+            .map(|line| handle_line(&mut oracle, line))
+            .collect()
+    };
     for (id, requests, live_responses) in &clients {
-        let replayed = client_exchange(addr, requests).expect("replay");
         assert_eq!(
-            &replayed, live_responses,
-            "instance {id}: single-worker replay diverged from the sharded live run"
+            &replay(requests),
+            live_responses,
+            "instance {id}: handle_line replay diverged from the sharded live run"
         );
     }
     // Totals are conserved too: the merged stats/list of the sharded
-    // server equal the single worker's, byte for byte.
-    let replay_globals = client_exchange(addr, &globals).expect("stats+list");
-    assert_eq!(replay_globals, live_globals);
-    shutdown(addr, server);
+    // server equal the lone session's, byte for byte.
+    assert_eq!(replay(&globals), live_globals);
 }
 
 #[test]
 fn sharded_shutdown_completes_while_other_connections_sit_idle() {
-    // Regression: `run_sharded` joins every connection thread; an idle
-    // client parked in a TCP read must not stall the shutdown — the
-    // server shuts the socket down to unblock its reader.
+    // Regression: an idle client that never sends a byte must not stall
+    // the shutdown — its reactor closes the connection once it drains.
     let (addr, server) = spawn_server(2);
-    let idle = std::net::TcpStream::connect(addr).expect("idle connect");
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    let idle = TcpStream::connect(addr).expect("idle connect");
+    exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
     server
         .join()
         .expect("server must exit despite the idle client")
@@ -119,8 +130,8 @@ fn lock_step_trace_with_closes_is_identical_at_any_worker_count() {
     // One connection, lock-step, exercising the cross-shard directory:
     // eight instances dealt round-robin, closes, a re-create (ids are
     // never reused), global stats/list, and dead-id errors. Everything —
-    // including the error payloads — must be byte-identical between the
-    // sharded and the single-worker server.
+    // including the error payloads — must be byte-identical at one and
+    // four workers, and to the transport-free oracle.
     let mut trace: Vec<String> = (0..8).map(create_request).collect();
     for id in [2u64, 5] {
         trace.push(format!(r#"{{"op":"close","id":{id}}}"#));
@@ -139,14 +150,11 @@ fn lock_step_trace_with_closes_is_identical_at_any_worker_count() {
     let mut by_workers = Vec::new();
     for workers in [1usize, 4] {
         let (addr, server) = spawn_server(workers);
-        let responses = client_exchange(addr, &trace).expect("trace");
+        let responses = exchange(addr, &trace).expect("trace");
         shutdown(addr, server);
+        assert_matches_oracle(&trace, &responses, &format!("workers={workers}"));
         by_workers.push(responses);
     }
-    assert_eq!(
-        by_workers[0], by_workers[1],
-        "workers=4 diverged from workers=1"
-    );
     let responses = &by_workers[0];
     // Sanity on the shape: the re-create got a fresh id…
     let recreated = Json::parse(&responses[10]).unwrap();
@@ -166,12 +174,10 @@ fn lock_step_trace_with_closes_is_identical_at_any_worker_count() {
 }
 
 #[test]
-fn reactor_and_threaded_front_ends_serve_identical_bytes() {
-    // The explicit front-end pin: the same lock-step trace against the
-    // sequential server, the thread-per-connection front-end
-    // (`--reactor off`), and the epoll reactor (`--reactor on`) must be
-    // answered with the same bytes (metrics exempt as always — the
-    // reactor adds net columns and the fronts shard differently).
+fn every_worker_count_serves_the_handle_line_bytes() {
+    // The front-end pin: the same lock-step trace against one, two, and
+    // four reactors must be answered with exactly the bytes a
+    // `handle_line` replay on one fresh session produces.
     let mut trace: Vec<String> = (0..4).map(create_request).collect();
     for id in [0u64, 2, 3] {
         trace.push(format!(
@@ -182,24 +188,41 @@ fn reactor_and_threaded_front_ends_serve_identical_bytes() {
     trace.push(r#"{"op":"list"}"#.into());
     trace.push(r#"{"op":"stats"}"#.into());
 
-    let run = |workers: usize, reactor: ReactorMode| -> Vec<String> {
-        let (addr, server) = spawn_server_with(|config| {
-            config.workers = workers;
-            config.reactor = reactor;
-        });
-        let responses = client_exchange(addr, &trace).expect("trace");
+    for workers in [1usize, 2, 4] {
+        let (addr, server) = spawn_server(workers);
+        let responses = exchange(addr, &trace).expect("trace");
         shutdown(addr, server);
-        responses
-    };
-    let sequential = run(1, ReactorMode::Auto);
-    let threaded = run(4, ReactorMode::Off);
-    let reactor = run(4, ReactorMode::On);
-    assert_eq!(
-        sequential, threaded,
-        "threaded front-end diverged from the sequential server"
-    );
-    assert_eq!(
-        sequential, reactor,
-        "reactor front-end diverged from the sequential server"
-    );
+        assert_matches_oracle(&trace, &responses, &format!("workers={workers}"));
+    }
+}
+
+#[test]
+fn single_worker_answers_a_second_connection_while_the_first_is_open() {
+    // One shard still multiplexes: a connection that stays open (here,
+    // mid-conversation) must not keep a second one waiting.
+    let (addr, server) = spawn_server(1);
+    let first = TcpStream::connect(addr).expect("first connect");
+    let mut first_reader = BufReader::new(first.try_clone().expect("clone"));
+    (&first)
+        .write_all(b"{\"op\":\"solvers\"}\n")
+        .expect("first request");
+    let mut line = String::new();
+    first_reader.read_line(&mut line).expect("first response");
+    assert!(line.contains("\"ok\":true"), "{line}");
+
+    // The second connection is served while the first is still open.
+    let second = exchange(addr, &[r#"{"op":"list"}"#.to_string()]).expect("second connection");
+    assert!(second[0].contains("\"ok\":true"), "{second:?}");
+
+    // And the first keeps working afterwards.
+    (&first)
+        .write_all(b"{\"op\":\"stats\"}\n")
+        .expect("first again");
+    line.clear();
+    first_reader
+        .read_line(&mut line)
+        .expect("first again response");
+    assert!(line.contains("\"ok\":true"), "{line}");
+    drop((first, first_reader));
+    shutdown(addr, server);
 }

@@ -6,15 +6,21 @@
 
 mod common;
 
-use common::{shutdown, spawn_server};
+use common::{exchange, shutdown, spawn_server};
 use experiments::serve::frame::{
     encode_frame, hello_line, negotiate, FrameDecoder, Negotiation, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
-use experiments::serve::{client_exchange, client_exchange_framed, smoke_script, FrameMode};
+use experiments::serve::{smoke_script, Client, FrameMode};
 use minijson::Json;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+
+/// A client that negotiates binary frames.
+const BINARY: Client = Client {
+    frame: FrameMode::Binary,
+    retries: experiments::serve::DEFAULT_CLIENT_RETRIES,
+};
 
 /// Arbitrary unicode payload: random scalar values (surrogates are
 /// filtered by `char::from_u32`), so multi-byte UTF-8 crosses every torn
@@ -145,8 +151,8 @@ fn hello_negotiation_is_transport_level_not_an_op() {
     // response is byte-identical to what a plain JSON connection answers.
     let (addr, handle) = spawn_server(1);
     let script = [r#"{"op":"stats"}"#.to_string()];
-    let framed = client_exchange_framed(addr, &script, FrameMode::Binary).expect("framed stats");
-    let json = client_exchange(addr, &script).expect("json stats");
+    let framed = BINARY.exchange(addr, &script).expect("framed stats");
+    let json = exchange(addr, &script).expect("json stats");
     assert_eq!(framed.len(), 1, "hello must not produce an extra response");
     assert_eq!(
         framed, json,
@@ -167,16 +173,15 @@ fn hello_negotiation_is_transport_level_not_an_op() {
 fn binary_frames_decode_to_the_exact_json_reference_bytes() {
     // The byte-identity oracle: the same script over the binary codec
     // must decode to exactly the payloads the JSON protocol answers —
-    // at both the sequential and the reactor front-end.
+    // at one and at four workers.
     let script = smoke_script();
     for workers in [1, 4] {
         let (addr, handle) = spawn_server(workers);
-        let json = client_exchange(addr, &script).expect("json exchange");
+        let json = exchange(addr, &script).expect("json exchange");
         handle.join().expect("server thread").expect("server run");
 
         let (addr, handle) = spawn_server(workers);
-        let framed =
-            client_exchange_framed(addr, &script, FrameMode::Binary).expect("framed exchange");
+        let framed = BINARY.exchange(addr, &script).expect("framed exchange");
         handle.join().expect("server thread").expect("server run");
 
         for ((request, j), f) in script.iter().zip(&json).zip(&framed) {

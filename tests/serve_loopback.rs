@@ -4,13 +4,13 @@
 //! same request lines must produce byte-identical response lines (the
 //! solve responses carry round-trip-exact makespans, so this pins
 //! numerical determinism end to end, through the wire format), and the
-//! sharded server (`workers = 4`) must answer every non-`metrics` request
-//! with the same bytes as the single-worker server.
+//! server at any worker count must answer every non-`metrics` request
+//! with the same bytes as a transport-free `handle_line` replay.
 
 mod common;
 
-use common::{mask_reactor_wakeups, run_script};
-use experiments::serve::{pipelined_exchange, smoke_script, Server};
+use common::{assert_matches_oracle, handle_line_replay, mask_reactor_wakeups, run_script};
+use experiments::serve::{smoke_script, Client, Server};
 use minijson::Json;
 
 #[test]
@@ -66,12 +66,15 @@ fn loopback_round_trip_is_ok_and_deterministic() {
 
 #[test]
 fn sharded_smoke_matches_single_worker_byte_for_byte() {
-    // The identity contract of the sharded front-end: a fixed lock-step
-    // trace gets payload-identical responses at any worker count. Only
-    // `metrics` is exempt — it reports one row per shard by design.
+    // The identity contract of the server: a fixed lock-step trace gets
+    // the responses of one session's `handle_line` replay at any worker
+    // count. Only `metrics` is exempt — it reports one row per shard and
+    // the reactors' network counters by design.
     let script = smoke_script();
     let single = run_script(1, &script);
     let sharded = run_script(4, &script);
+    assert_matches_oracle(&script, &single, "workers=1");
+    assert_matches_oracle(&script, &sharded, "workers=4");
     // And the sharded server is deterministic across restarts too — up
     // to the one timing-dependent counter the reactor reports
     // (`reactor_wakeups`; see `mask_reactor_wakeups`).
@@ -83,13 +86,8 @@ fn sharded_smoke_matches_single_worker_byte_for_byte() {
         masked(&run_script(4, &script)),
         "sharded restarts differ"
     );
-    for ((request, one), four) in script.iter().zip(&single).zip(&sharded) {
-        let is_metrics = Json::parse(request)
-            .unwrap()
-            .get("op")
-            .and_then(Json::as_str)
-            == Some("metrics");
-        if is_metrics {
+    for (request, four) in script.iter().zip(&sharded) {
+        if common::is_metrics(request) {
             let v = Json::parse(four).unwrap();
             assert_eq!(v.get("workers").and_then(Json::as_u64), Some(4), "{four}");
             assert_eq!(
@@ -97,9 +95,7 @@ fn sharded_smoke_matches_single_worker_byte_for_byte() {
                 4,
                 "{four}"
             );
-            continue;
         }
-        assert_eq!(one, four, "workers=4 diverged from workers=1 on {request}");
     }
 }
 
@@ -108,16 +104,19 @@ fn pipelined_client_gets_in_order_responses_from_the_sharded_server() {
     // The multiplexing path: every request of the script is in flight on
     // one connection at once; the server's per-connection writer must
     // still deliver responses in request order, byte-identical to the
-    // lock-step exchange.
+    // lock-step oracle.
     let script = smoke_script();
-    let lock_step = run_script(4, &script);
+    let lock_step = handle_line_replay(&script);
 
     let mut server = Server::bind("127.0.0.1:0").expect("bind 127.0.0.1:0");
     server.config_mut().allow_shutdown = true;
     server.config_mut().workers = 4;
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run());
-    let piped = pipelined_exchange(addr, &script).expect("pipelined exchange");
+    let piped = Client::default()
+        .pipeline(addr, &script)
+        .expect("pipelined exchange")
+        .responses;
     handle.join().expect("server thread").expect("server run");
 
     assert_eq!(piped.len(), script.len());
@@ -195,8 +194,8 @@ fn batch_op_is_byte_identical_to_sequential_exchanges_at_any_worker_count() {
     // The same requests, once as individual lines and once wrapped in a
     // single `batch` envelope: the combined response must embed exactly
     // the bytes the sequential exchange produced — through real sockets,
-    // against both front-ends (the sharded router flattens the batch by
-    // routing each sub-request lock-step).
+    // at one and four workers (the router flattens the batch by routing
+    // each sub-request lock-step).
     let script: Vec<String> = smoke_script()
         .into_iter()
         .filter(|line| {
@@ -244,12 +243,15 @@ fn batch_op_is_byte_identical_to_sequential_exchanges_at_any_worker_count() {
         }
     }
 
-    // And the two front-ends agree with each other on the whole batch.
-    assert_eq!(
-        run_script(1, &batch_script)[0],
-        run_script(4, &batch_script)[0],
-        "sharded batch diverged from single-worker batch"
-    );
+    // And both agree with the transport-free oracle on the whole batch.
+    let oracle = handle_line_replay(&batch_script);
+    for workers in [1, 4] {
+        assert_eq!(
+            run_script(workers, &batch_script)[0],
+            oracle[0],
+            "workers={workers}: batch diverged from handle_line"
+        );
+    }
 }
 
 #[test]

@@ -10,11 +10,9 @@
 
 mod common;
 
-use common::{create_request, shutdown, spawn_server_with, subtrace};
+use common::{create_request, exchange, shutdown, spawn_server_with, subtrace};
 use experiments::serve::wal::recover_shard;
-use experiments::serve::{
-    build_states, client_exchange, handle_line, Durability, ServeConfig, Server, Standby,
-};
+use experiments::serve::{build_states, handle_line, Durability, ServeConfig, Server, Standby};
 use minijson::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,7 +138,7 @@ fn sharded_restore_over_sockets_is_byte_identical_and_adopts_the_layout() {
 
     // Reference: one uninterrupted 4-worker server, no durability.
     let (addr, server) = spawn_server_with(|c| c.workers = 4);
-    let reference = client_exchange(addr, &full).expect("reference run");
+    let reference = exchange(addr, &full).expect("reference run");
     shutdown(addr, server);
 
     // Durable run, part 1, then a restart with `--restore`. The restart
@@ -152,7 +150,7 @@ fn sharded_restore_over_sockets_is_byte_identical_and_adopts_the_layout() {
         c.durability = Durability::Log;
         c.wal_dir = Some(wal_dir);
     });
-    let part1 = client_exchange(addr, &full[..split]).expect("part 1");
+    let part1 = exchange(addr, &full[..split]).expect("part 1");
     shutdown(addr, server);
 
     let wal_dir = dir.clone();
@@ -162,8 +160,8 @@ fn sharded_restore_over_sockets_is_byte_identical_and_adopts_the_layout() {
         c.durability = Durability::Log;
         c.wal_dir = Some(wal_dir);
     });
-    let part2 = client_exchange(addr, &full[split..]).expect("part 2");
-    let metrics = client_exchange(addr, &[r#"{"op":"metrics"}"#.to_string()]).expect("metrics");
+    let part2 = exchange(addr, &full[split..]).expect("part 2");
+    let metrics = exchange(addr, &[r#"{"op":"metrics"}"#.to_string()]).expect("metrics");
     shutdown(addr, server);
 
     let mut rejoined = part1;
@@ -195,7 +193,7 @@ fn promoted_standby_serves_the_remainder_byte_identically() {
     let split = full.len() / 2;
 
     let (addr, server) = spawn_server_with(|c| c.workers = 2);
-    let reference = client_exchange(addr, &full).expect("reference run");
+    let reference = exchange(addr, &full).expect("reference run");
     shutdown(addr, server);
 
     let wal_dir = dir.clone();
@@ -204,7 +202,7 @@ fn promoted_standby_serves_the_remainder_byte_identically() {
         c.durability = Durability::Log;
         c.wal_dir = Some(wal_dir);
     });
-    let part1 = client_exchange(addr, &full[..split]).expect("part 1");
+    let part1 = exchange(addr, &full[..split]).expect("part 1");
     shutdown(addr, server);
 
     // The warm replica tails the directory, then takes over serving.
@@ -218,8 +216,8 @@ fn promoted_standby_serves_the_remainder_byte_identically() {
     let addr = promoted.local_addr().unwrap();
     let states = standby.promote();
     let handle = std::thread::spawn(move || promoted.run_with_states(states));
-    let part2 = client_exchange(addr, &full[split..]).expect("part 2 on the standby");
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    let part2 = exchange(addr, &full[split..]).expect("part 2 on the standby");
+    exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
     handle.join().expect("standby thread").expect("standby run");
 
     let mut rejoined = part1;
