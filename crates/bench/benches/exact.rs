@@ -14,8 +14,6 @@
 //!   registered heuristic at `n = 200` (gaps certified against the
 //!   *proven* optimum, something the enumerators could never supply).
 
-#![allow(deprecated)] // the enumerator is the oracle the gates compare against
-
 use coschedule::algo::exact::exact_perfectly_parallel;
 use coschedule::algo::{branch_and_bound, BnbConfig};
 use coschedule::model::{Application, Platform};

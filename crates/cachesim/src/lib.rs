@@ -11,8 +11,6 @@
 //!   Allocation Technology: capacity bitmasks restrict which ways each
 //!   co-scheduled application may fill, giving the exclusive-fraction
 //!   semantics the paper's model assumes;
-//! * [`hierarchy`] — a private-L1 + shared-LLC two-level hierarchy with a
-//!   latency model matching the paper's `ls`/`ll` accounting;
 //! * [`trace`] — synthetic memory-reference generators, including a
 //!   Pareto reuse-distance generator whose miss-rate curve follows the
 //!   power law of cache misses by construction;
@@ -43,23 +41,17 @@
 
 pub mod cache;
 pub mod clos;
-pub mod hierarchy;
 pub mod kernels;
 pub mod partition;
 pub mod policy;
 pub mod powerlaw;
-pub mod prefetch;
 pub mod stats;
 pub mod trace;
-pub mod writeback;
 
 pub use cache::{AccessOutcome, CacheConfig, SetAssocCache};
 pub use clos::{ClosConfig, ClosError, ClosTable};
-pub use hierarchy::{Hierarchy, HierarchyConfig, LatencyModel};
 pub use partition::{PartitionId, PartitionedCache, WayMask};
 pub use policy::Policy;
 pub use powerlaw::{measure_miss_curve, MissCurve, PowerLawFit};
-pub use prefetch::{PrefetchStats, Prefetcher, PrefetchingCache};
 pub use stats::AccessStats;
 pub use trace::{Pattern, TraceGenerator};
-pub use writeback::{Access, WritebackCache, WritebackStats};

@@ -950,7 +950,6 @@ impl Solver for BnbSolver {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::algo::exact::{best_partition, exact_perfectly_parallel};

@@ -7,10 +7,11 @@
 //! This gives the test-suite a ground truth to certify heuristic gaps
 //! against, and an upper bound (`best_partition`) for Amdahl profiles.
 //!
-//! Both enumerators are **deprecated** in favour of
+//! Both enumerators are the **reference oracle, n ≤ 24** ([`MAX_EXACT_APPS`]):
+//! production code solves through
 //! [`bnb::branch_and_bound`](super::bnb::branch_and_bound), which returns
-//! the bit-identical optimum without scanning `2^n` subsets; they remain
-//! as the independent oracle the branch-and-bound tests certify against.
+//! the bit-identical optimum without scanning `2^n` subsets, and the
+//! branch-and-bound tests and benches certify it against these scans.
 
 use crate::error::{CoschedError, Result};
 use crate::eval::{EvalScratch, EvalSet};
@@ -56,11 +57,6 @@ fn subsets(n: usize) -> impl Iterator<Item = Partition> {
 ///
 /// Returns an error if some application is not perfectly parallel, or
 /// [`CoschedError::InstanceTooLarge`] if `n >` [`MAX_EXACT_APPS`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `algo::bnb::branch_and_bound`, which finds the same optimum \
-            without scanning 2^n subsets and scales to n in the hundreds"
-)]
 pub fn exact_perfectly_parallel(
     apps: &[Application],
     platform: &Platform,
@@ -102,11 +98,6 @@ pub fn exact_perfectly_parallel(
 ///
 /// # Errors
 /// [`CoschedError::InstanceTooLarge`] if `n >` [`MAX_EXACT_APPS`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `algo::bnb::branch_and_bound`, which reaches the same \
-            reference value without scanning 2^n subsets"
-)]
 pub fn best_partition(apps: &[Application], platform: &Platform) -> Result<ExactSolution> {
     check_size(apps)?;
     let models = ExecModel::of_all(apps, platform);
@@ -134,7 +125,6 @@ pub fn best_partition(apps: &[Application], platform: &Platform) -> Result<Exact
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::algo::{BuildOrder, Choice, Strategy};

@@ -3,18 +3,13 @@
 //!
 //! `Strategy` is a thin value type — the algorithm bodies live in its
 //! [`Solver`](crate::solver::Solver) implementation
-//! (see [`crate::solver`]), and [`Strategy::run`] is a convenience wrapper
-//! that builds the [`Instance`](crate::solver::Instance) on the fly.
-//! Figure drivers keep using the enum for its paper legend names; new code
-//! should build an `Instance` once and go through the solver API.
+//! (see [`crate::solver`]). Figure drivers use the enum for its paper
+//! legend names and solve through an [`Instance`](crate::solver::Instance)
+//! built once.
 
 use crate::algo::choice::Choice;
 use crate::algo::dominant::BuildOrder;
-use crate::algo::outcome::Outcome;
-use crate::error::Result;
-use crate::model::{Application, Platform};
-use crate::solver::{Instance, SolveCtx, Solver};
-use rand::Rng;
+use crate::solver::Solver;
 
 /// A complete co-scheduling strategy: decides both the cache partition and
 /// the processor split.
@@ -107,43 +102,14 @@ impl Strategy {
     pub fn to_solver(&self) -> Box<dyn Solver> {
         Box::new(*self)
     }
-
-    /// Runs the strategy on a raw instance and returns the resulting
-    /// [`Outcome`].
-    ///
-    /// Convenience wrapper over the [`Solver`] API: validates the
-    /// instance, derives a [`SolveCtx`] seed from `rng`, and solves.
-    /// Deterministic strategies leave `rng` untouched (and return the same
-    /// outcome for any seed); callers that solve the same instance
-    /// repeatedly should build an [`Instance`] once and call
-    /// [`Solver::solve`] instead, which skips the per-call validation,
-    /// model derivation, and cloning done here.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build an `Instance` once and call `Solver::solve` (or hold it in a \
-                `coschedule::session::Session` for repeated re-solves); this wrapper \
-                re-validates and re-derives models on every call"
-    )]
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        apps: &[Application],
-        platform: &Platform,
-        rng: &mut R,
-    ) -> Result<Outcome> {
-        let instance = Instance::new(apps.to_vec(), platform.clone())?;
-        let seed = if self.is_randomized() {
-            rng.next_u64()
-        } else {
-            0
-        };
-        let mut ctx = SolveCtx::seeded(seed);
-        self.solve(&instance, &mut ctx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::outcome::Outcome;
+    use crate::model::{Application, Platform};
+    use crate::solver::{Instance, SolveCtx};
 
     fn apps() -> Vec<Application> {
         vec![

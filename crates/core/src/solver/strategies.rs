@@ -87,8 +87,6 @@ impl Solver for Strategy {
 mod tests {
     use super::*;
     use crate::model::{Application, Platform};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn instance() -> Instance {
         let apps = vec![
@@ -98,30 +96,6 @@ mod tests {
             Application::new("MG", 1.23e10, 0.12, 0.540, 2.62e-2),
         ];
         Instance::new(apps, Platform::taihulight()).unwrap()
-    }
-
-    /// The **only** caller of the deprecated [`Strategy::run`] compat
-    /// wrapper left in the workspace: it pins the wrapper's contract
-    /// (validate + derive + solve ≡ the Solver API) so the deprecation can
-    /// never silently change behaviour.
-    #[test]
-    #[allow(deprecated)]
-    fn solver_and_legacy_run_agree_for_deterministic_strategies() {
-        let inst = instance();
-        for s in [
-            Strategy::dominant(BuildOrder::Forward, Choice::MinRatio),
-            Strategy::dominant(BuildOrder::Reverse, Choice::MaxRatio),
-            Strategy::refined(),
-            Strategy::Fair,
-            Strategy::ZeroCache,
-            Strategy::AllProcCache,
-        ] {
-            let via_solver = s.solve(&inst, &mut SolveCtx::seeded(0)).unwrap();
-            let via_run = s
-                .run(inst.apps(), inst.platform(), &mut StdRng::seed_from_u64(1))
-                .unwrap();
-            assert_eq!(via_solver, via_run, "{}", Solver::name(&s));
-        }
     }
 
     #[test]

@@ -271,6 +271,14 @@ mod tests {
         })
         .unwrap();
         assert_ne!(a.outcome.trace, c.outcome.trace);
+        // The windowed "auto" tuner on the bursty profile replays too.
+        let bursty = ClusterSpec {
+            profile: ProfileKind::Bursty,
+            solver: "auto".to_string(),
+            window: 8,
+            ..small_spec()
+        };
+        assert_eq!(run(&bursty).unwrap(), run(&bursty).unwrap());
     }
 
     #[test]
@@ -282,6 +290,7 @@ mod tests {
             };
             let r = run(&spec).unwrap();
             let m = r.outcome.metrics;
+            assert!(m.jobs > 0, "{}", kind.name());
             assert_eq!(m.completed, m.jobs, "{}", kind.name());
             assert!(m.utilization > 0.0 && m.utilization <= 1.0 + 1e-12);
             assert!(m.p50_response <= m.p95_response && m.p95_response <= m.p99_response);

@@ -15,7 +15,7 @@ impl Default for ExpConfig {
     fn default() -> Self {
         Self {
             reps: 50,
-            threads: cosim::default_threads(),
+            threads: coschedule::parallel::default_threads(),
             seed: 0xC0FF_EE00,
         }
     }

@@ -518,26 +518,17 @@ fn serve_metrics_scrape(
 }
 
 /// The canned create → mutate → solve → stats → list → metrics → shutdown
-/// script used by `cosched serve --smoke`, the CI loopback test, and the
-/// README transcript. Ends with `shutdown`, so the serving side must
-/// allow it.
+/// script used by the loopback tests and the README transcript:
+/// `DominantMinRatio` for the incremental solves, `Portfolio` for the
+/// final one. Ends with `shutdown`, so the serving side must allow it.
 pub fn smoke_script() -> Vec<String> {
-    smoke_script_for("DominantMinRatio", "Portfolio")
-}
-
-/// [`smoke_script`] with the solver names substituted — `cosched serve
-/// --smoke --strategy NAME` runs the script entirely through `NAME`
-/// (e.g. `auto`, which CI smokes through the sharded server), the default
-/// script uses `DominantMinRatio` for the incremental solves and
-/// `Portfolio` for the final one.
-pub fn smoke_script_for(solver: &str, final_solver: &str) -> Vec<String> {
     let apps = Json::arr(workloads::npb::npb6(&[0.05]).iter().map(app_to_json));
     [
         Json::obj([("op", Json::from("create")), ("apps", apps)]),
         Json::obj([
             ("op", Json::from("solve")),
             ("id", Json::from(0u64)),
-            ("solver", Json::from(solver)),
+            ("solver", Json::from("DominantMinRatio")),
             ("seed", Json::from(42u64)),
         ]),
         Json::obj([
@@ -549,7 +540,7 @@ pub fn smoke_script_for(solver: &str, final_solver: &str) -> Vec<String> {
         Json::obj([
             ("op", Json::from("solve")),
             ("id", Json::from(0u64)),
-            ("solver", Json::from(solver)),
+            ("solver", Json::from("DominantMinRatio")),
             ("seed", Json::from(42u64)),
         ]),
         Json::obj([
@@ -570,7 +561,7 @@ pub fn smoke_script_for(solver: &str, final_solver: &str) -> Vec<String> {
         Json::obj([
             ("op", Json::from("solve")),
             ("id", Json::from(0u64)),
-            ("solver", Json::from(final_solver)),
+            ("solver", Json::from("Portfolio")),
             ("seed", Json::from(42u64)),
             ("schedule", Json::from(false)),
         ]),

@@ -8,14 +8,10 @@
 //! LLC — and compares the measured makespan with the analytic prediction.
 //!
 //! * [`engine`] — the co-execution loop;
-//! * [`validate`] — model-vs-simulation reports;
-//! * [`parallel`] — a scoped-thread `parallel_map` used by the experiment
-//!   harness for its 50-repetition sweeps.
+//! * [`validate`] — model-vs-simulation reports.
 
 pub mod engine;
-pub mod parallel;
 pub mod validate;
 
 pub use engine::{CoSimConfig, CoSimulator, SimOutcome};
-pub use parallel::{default_threads, parallel_map};
 pub use validate::{validate_schedule, ValidationReport};

@@ -3,8 +3,6 @@
 //! admissibility, budget degradation, and proven optimality at a scale
 //! the enumerators cannot touch.
 
-#![allow(deprecated)] // the enumerators are the oracle being certified against
-
 use coschedule::algo::exact::{best_partition, exact_perfectly_parallel};
 use coschedule::algo::{branch_and_bound, BnbConfig};
 use coschedule::model::{Application, Platform};
@@ -164,4 +162,32 @@ fn proves_optimality_at_n_200() {
         branch_and_bound(&apps, &platform, &BnbConfig::default().with_threads(4)).unwrap();
     assert_eq!(sol.makespan.to_bits(), parallel.makespan.to_bits());
     assert_eq!(sol.partition, parallel.partition);
+}
+
+/// A fixed case: the perfectly-parallel NPB-6 instance. The search must
+/// return the enumerator's optimum bit for bit, with fewer nodes than
+/// the `2^6 = 64` subsets plain enumeration scans; the 4-thread search
+/// must agree; and a zero-node budget degrades to a finite incumbent
+/// flagged `optimal = false` instead of erroring.
+#[test]
+fn npb6_matches_the_enumerator_in_at_most_64_nodes() {
+    let apps = workloads::npb::npb6(&[0.0]);
+    let platform = Platform::taihulight();
+    let reference = exact_perfectly_parallel(&apps, &platform).unwrap();
+    let serial = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+    assert!(serial.optimal);
+    assert_eq!(serial.makespan.to_bits(), reference.makespan.to_bits());
+    assert_eq!(serial.partition, reference.partition);
+    assert_eq!(serial.cache, reference.cache);
+    assert!(serial.stats.nodes_expanded <= 64, "{:?}", serial.stats);
+    let parallel =
+        branch_and_bound(&apps, &platform, &BnbConfig::default().with_threads(4)).unwrap();
+    assert!(parallel.optimal);
+    assert_eq!(parallel.makespan.to_bits(), serial.makespan.to_bits());
+    assert_eq!(
+        (parallel.partition, parallel.cache),
+        (serial.partition, serial.cache)
+    );
+    let cut = branch_and_bound(&apps, &platform, &BnbConfig::default().with_max_nodes(0)).unwrap();
+    assert!(!cut.optimal && cut.makespan.is_finite());
 }

@@ -14,7 +14,7 @@ use coschedule::obs;
 use coschedule::session::Session;
 use experiments::serve::metrics::{prometheus_body, LatencyHistogram, PromShard};
 use experiments::serve::wal::{recover_shard, WalWriter};
-use experiments::serve::{handle_line, smoke_script, Durability, ServeState};
+use experiments::serve::{handle_line, smoke_script, Durability, ServeState, Server};
 use minijson::Json;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -121,6 +121,31 @@ fn sample_line(line: &str) -> Option<(&str, f64)> {
     Some((metric, value.parse().ok()?))
 }
 
+/// Asserts every exposition line is a HELP/TYPE comment or a parseable
+/// sample of a valid `cosched_` metric name; returns the sample count.
+fn lint_exposition(body: &str) -> usize {
+    let mut samples = 0usize;
+    for line in body.lines().filter(|l| !l.is_empty()) {
+        if let Some(comment) = line.strip_prefix("# ") {
+            assert!(
+                comment.starts_with("HELP ") || comment.starts_with("TYPE "),
+                "unexpected comment: {line}"
+            );
+            continue;
+        }
+        let (metric, _value) = sample_line(line).unwrap_or_else(|| panic!("bad sample: {line}"));
+        let name = metric.split('{').next().unwrap_or_default();
+        assert!(name.starts_with("cosched_"), "unprefixed metric: {metric}");
+        assert!(
+            name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
+            "invalid metric name: {metric}"
+        );
+        assert_eq!(metric.contains('{'), metric.ends_with('}'), "{line}");
+        samples += 1;
+    }
+    samples
+}
+
 #[test]
 fn prometheus_body_is_well_formed() {
     let mut latency = LatencyHistogram::default();
@@ -142,23 +167,7 @@ fn prometheus_body_is_well_formed() {
     let body = prometheus_body(12.5, 2, &shards, 3);
 
     // Every line is a HELP/TYPE comment or a parseable sample.
-    let mut samples = 0usize;
-    for line in body.lines().filter(|l| !l.is_empty()) {
-        if let Some(comment) = line.strip_prefix("# ") {
-            assert!(
-                comment.starts_with("HELP ") || comment.starts_with("TYPE "),
-                "unexpected comment: {line}"
-            );
-            continue;
-        }
-        let (metric, _value) = sample_line(line).unwrap_or_else(|| panic!("bad sample: {line}"));
-        assert!(
-            metric.starts_with("cosched_"),
-            "unprefixed metric: {metric}"
-        );
-        samples += 1;
-    }
-    assert!(samples > 0);
+    assert!(lint_exposition(&body) > 0);
 
     // Shard 0's histogram: 64 nondecreasing `le` buckets ending at +Inf
     // with the total count, and a matching `_count` sample.
@@ -422,4 +431,91 @@ fn disabled_tracing_is_inert_through_the_serve_stack() {
     let chunk = obs::drain();
     assert!(chunk.events.is_empty(), "disabled tracing recorded spans");
     assert_eq!(chunk.dropped, 0);
+}
+
+/// The operator surfaces end to end: a 4-worker server with tracing, a
+/// `trace_out` file and a Prometheus listener on `127.0.0.1:0` runs the
+/// smoke script; `GET /metrics` over real HTTP must be a well-formed
+/// exposition, and the Chrome trace written on shutdown must hold the
+/// request spans as complete events.
+#[test]
+fn metrics_scrape_and_chrome_trace_file_are_well_formed() {
+    use std::io::{Read as _, Write as _};
+    let _gate = OBS_GATE.lock().expect("obs gate");
+    obs::set_enabled(true);
+    let trace_path = std::env::temp_dir().join(format!("cosched-obs-{}.json", std::process::id()));
+    let mut server = Server::bind("127.0.0.1:0").expect("bind");
+    let config = server.config_mut();
+    config.workers = 4;
+    config.allow_shutdown = true;
+    config.trace = true;
+    config.trace_out = Some(trace_path.clone());
+    config.metrics_addr = Some("127.0.0.1:0".to_string());
+    let addr = server.local_addr().expect("local addr");
+    let metrics_probe = server.metrics_probe();
+    let handle = std::thread::spawn(move || server.run());
+
+    let script = smoke_script();
+    let (body, shutdown) = script.split_at(script.len() - 1);
+    let responses = exchange(addr, body).expect("smoke script");
+    for (k, response) in responses.iter().enumerate() {
+        assert!(response.starts_with(r#"{"ok":true"#), "{response}");
+        // Shard-routed ops echo their request id; stats/list/metrics are
+        // global and untagged.
+        let echoed = Json::parse(response)
+            .unwrap()
+            .get("trace_id")
+            .and_then(Json::as_u64);
+        assert_eq!(
+            echoed,
+            (!(6..=8).contains(&k)).then_some(k as u64),
+            "{response}"
+        );
+    }
+
+    // The listener starts before the accept loop, so it is already up.
+    let metrics_at = *metrics_probe.get().expect("metrics listener address");
+    let mut stream = std::net::TcpStream::connect(metrics_at).expect("metrics connect");
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\nHost: cosched\r\n\r\n")
+        .expect("GET");
+    let mut http = String::new();
+    stream.read_to_string(&mut http).expect("metrics response");
+    let (head, exposition) = http.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+    assert!(lint_exposition(exposition) > 0);
+    for family in [
+        "cosched_uptime_seconds",
+        "cosched_requests_total",
+        "cosched_request_latency_seconds_bucket",
+        "cosched_request_latency_seconds_count",
+    ] {
+        assert!(exposition.contains(family), "missing {family}");
+    }
+
+    exchange(addr, shutdown).expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+    obs::set_enabled(false);
+    let _ = obs::drain();
+    let text = std::fs::read_to_string(&trace_path).expect("trace file");
+    let _ = std::fs::remove_file(&trace_path);
+    let trace = Json::parse(&text).expect("trace JSON");
+    let events = trace
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents");
+    let mut complete = std::collections::BTreeSet::new();
+    for event in events {
+        let name = event.get("name").and_then(Json::as_str).expect("name");
+        let ph = event.get("ph").and_then(Json::as_str).expect("ph");
+        assert!(event.get("ts").is_some(), "{name} has no ts");
+        assert!(ph == "X" || ph == "i", "{name} has ph {ph}");
+        if ph == "X" {
+            assert!(event.get("dur").is_some(), "{name} has no dur");
+            complete.insert(name);
+        }
+    }
+    for span in ["op_create", "op_solve", "op_mutate"] {
+        assert!(complete.contains(span), "no {span} in {complete:?}");
+    }
 }

@@ -14,6 +14,7 @@
 mod common;
 
 use common::{assert_matches_oracle, create_request, exchange, shutdown, spawn_server, subtrace};
+use experiments::cluster::{request_trace, run, ClusterSpec, ProfileKind};
 use experiments::serve::{handle_line, Client, FrameMode, ServeState};
 use minijson::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -187,13 +188,80 @@ fn every_worker_count_serves_the_handle_line_bytes() {
     trace.push(r#"{"op":"close","id":1}"#.into());
     trace.push(r#"{"op":"list"}"#.into());
     trace.push(r#"{"op":"stats"}"#.into());
+    // The cluster simulator's op log: arrivals and departures as
+    // add_app/remove_app, a re-solve after each.
+    let spec = ClusterSpec {
+        rate: 2.0,
+        horizon: 4.0,
+        ..ClusterSpec::default()
+    };
+    let cluster_trace = request_trace(&run(&spec).expect("cluster run").outcome);
+    // "auto" learns per shard session, so only one worker reproduces the
+    // lone session's tuner.
+    let auto = ClusterSpec {
+        profile: ProfileKind::Bursty,
+        solver: "auto".to_string(),
+        window: 8,
+        ..spec
+    };
+    let auto_trace = request_trace(&run(&auto).expect("cluster run").outcome);
 
-    for workers in [1usize, 2, 4] {
-        let (addr, server) = spawn_server(workers);
-        let responses = exchange(addr, &trace).expect("trace");
-        shutdown(addr, server);
-        assert_matches_oracle(&trace, &responses, &format!("workers={workers}"));
+    let all = &[1usize, 2, 4][..];
+    for (trace, worker_counts) in [(&trace, all), (&cluster_trace, all), (&auto_trace, &[1])] {
+        for &workers in worker_counts {
+            let (addr, server) = spawn_server(workers);
+            let responses = exchange(addr, trace).expect("trace");
+            shutdown(addr, server);
+            assert_matches_oracle(trace, &responses, &format!("workers={workers}"));
+        }
     }
+}
+
+#[test]
+fn hundreds_of_connections_are_served_concurrently() {
+    // High fan-in: 300 mostly idle connections held open at once across
+    // four reactors, every 16th doing a real round trip; the per-shard
+    // `open_connections` gauges must count all of them at the same time.
+    const CONNECTIONS: u64 = 300;
+    let (addr, server) = spawn_server(4);
+    let mut idle = Vec::new();
+    for k in 0..CONNECTIONS {
+        // The listener backlog is finite: `connect` retries with backoff.
+        let stream = Client::default().connect(addr).expect("connect");
+        if k % 16 == 0 {
+            (&stream).write_all(b"{\"op\":\"list\"}\n").expect("write");
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).expect("read");
+            assert!(line.contains("\"ok\":true"), "list on #{k}: {line}");
+        }
+        idle.push(stream);
+    }
+    // Reactors adopt accepted sockets asynchronously: poll the gauges
+    // (for at most ~2 s) from one more connection.
+    let control = Client::default().connect(addr).expect("control connect");
+    let mut reader = BufReader::new(&control);
+    let mut open = 0;
+    for _ in 0..100 {
+        (&control)
+            .write_all(b"{\"op\":\"metrics\"}\n")
+            .expect("metrics");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("metrics response");
+        let v = Json::parse(&line).expect("metrics json");
+        let shards = v.get("shards").and_then(Json::as_array).expect("shards");
+        open = shards
+            .iter()
+            .filter_map(|row| row.get("open_connections").and_then(Json::as_u64))
+            .sum();
+        if open > CONNECTIONS {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert!(open > CONNECTIONS, "only {open} connections open at once");
+    drop(reader);
+    drop((idle, control));
+    shutdown(addr, server);
 }
 
 #[test]

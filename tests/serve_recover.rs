@@ -3,10 +3,11 @@
 //! to a server that never crashed — at every cut point, through snapshot
 //! rotations, at any worker count, and across a warm-standby promotion.
 //!
-//! The process-level version of this (a real `kill -9` of a loaded
-//! 4-worker server) is `cosched serve --smoke-recover`; these tests pin
-//! the same contract at the library and socket layers, where every cut
-//! point is cheap to sweep.
+//! The process-level version of this (a real `kill -9` of a durable
+//! 4-worker `cosched serve`, restarted with `--restore`) is
+//! `crates/experiments/tests/cli.rs`; these tests pin the same contract
+//! at the library and socket layers, where every cut point is cheap to
+//! sweep.
 
 mod common;
 
