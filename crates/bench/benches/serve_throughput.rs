@@ -10,8 +10,9 @@
 //! issues a comparable total request volume.
 //!
 //! Every cell runs the one front-end there is: one reactor thread per
-//! shard owns all of its connections via `epoll`, so the thread count
-//! stays `2 × workers` no matter how many clients connect. `workers = 1`
+//! shard owns all of its connections via `epoll` and answers their
+//! requests inline, so the server runs `workers` reactor threads plus
+//! the accept loop no matter how many clients connect. `workers = 1`
 //! is one shard — one session, one reactor — serving all clients
 //! concurrently; `workers = 4` spreads the instances over four.
 //!

@@ -17,6 +17,10 @@
 //!   per-slot sequence word, seqlock style); a full ring overwrites its
 //!   oldest slot and the loss is surfaced through a drop counter — the
 //!   hot path never blocks and never allocates after the first event.
+//! * **Owned rings.** A [`RingHandle`] is a ring owned by a piece of
+//!   state rather than a thread (a server shard, which any thread may
+//!   serve while it holds the shard's lock). [`RingHandle::install`]
+//!   makes it the calling thread's ring until the returned guard drops.
 //! * **Draining** ([`drain`], [`drain_local`]) walks the registered rings
 //!   under a registry lock (contention-free for producers), discarding
 //!   torn slots (counted as dropped) via the sequence-word double check.
@@ -182,9 +186,11 @@ struct Slot {
     words: [AtomicU64; WORDS],
 }
 
-/// One thread's bounded event ring. Written only by the owning thread;
-/// drained by anyone holding the registry lock. Overwrite-on-full with
-/// torn reads detected (and counted as drops) through per-slot seqlocks.
+/// One bounded event ring. Written by one thread at a time — its owning
+/// thread, or whoever holds the lock guarding an installed
+/// [`RingHandle`]; drained by anyone holding the registry lock.
+/// Overwrite-on-full with torn reads detected (and counted as drops)
+/// through per-slot seqlocks.
 struct Ring {
     tid: u64,
     /// Next event ordinal (monotonic; slot = `head % RING_CAPACITY`).
@@ -214,7 +220,7 @@ impl Ring {
         }
     }
 
-    /// Owning-thread-only publication: mark the slot in-progress (odd
+    /// Single-writer publication: mark the slot in-progress (odd
     /// seq), store the payload, mark it valid for this ordinal (even
     /// seq), then advance `head`.
     fn push(&self, event: &SpanEvent) {
@@ -302,17 +308,58 @@ fn with_ctx<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> R {
     TLS.with(|tls| f(&mut tls.borrow_mut()))
 }
 
+/// Allocates a ring and registers it for [`drain`].
+fn register_ring() -> Arc<Ring> {
+    let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
+    REGISTRY.lock().unwrap().push(Arc::clone(&ring));
+    ring
+}
+
 fn record(event: &SpanEvent) {
     with_ctx(|ctx| {
-        let ring = ctx.ring.get_or_insert_with(|| {
-            let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
-            REGISTRY.lock().unwrap().push(Arc::clone(&ring));
-            ring
-        });
+        let ring = ctx.ring.get_or_insert_with(register_ring);
         let mut ev = *event;
         ev.tid = ring.tid;
         ring.push(&ev);
     });
+}
+
+/// A ring owned by a piece of state instead of a thread. The owner must
+/// serialize its users (a mutex around the owning state): a ring has one
+/// writer at a time. The ring is allocated on the first
+/// [`install`](Self::install) with tracing enabled, so an owner that is
+/// never traced costs nothing.
+#[derive(Default)]
+pub struct RingHandle(OnceLock<Arc<Ring>>);
+
+/// Restores the thread's own ring when dropped; see [`RingHandle::install`].
+#[must_use = "the ring is uninstalled when the guard drops"]
+pub struct RingGuard {
+    previous: Option<Arc<Ring>>,
+}
+
+impl RingHandle {
+    /// Makes this ring the calling thread's ring — what spans record into
+    /// and what [`drain_local`] drains — until the guard drops. While
+    /// tracing is off and the ring was never allocated, the thread has no
+    /// ring at all for the duration, so `drain_local` answers empty.
+    pub fn install(&self) -> RingGuard {
+        let ring = if enabled() {
+            Some(Arc::clone(self.0.get_or_init(register_ring)))
+        } else {
+            self.0.get().cloned()
+        };
+        RingGuard {
+            previous: with_ctx(|ctx| std::mem::replace(&mut ctx.ring, ring)),
+        }
+    }
+}
+
+impl Drop for RingGuard {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        with_ctx(|ctx| ctx.ring = previous);
+    }
 }
 
 /// Sets this thread's ambient trace id (echoed into every event) and
@@ -486,8 +533,9 @@ pub fn drain() -> TraceChunk {
     chunk
 }
 
-/// Drains only the calling thread's ring (the `trace` protocol op: each
-/// shard worker drains its own timeline).
+/// Drains only the calling thread's ring — its own, or the
+/// [`RingHandle`] installed on it (the `trace` protocol op drains the
+/// addressed shard's ring this way).
 pub fn drain_local() -> TraceChunk {
     let ring = with_ctx(|ctx| ctx.ring.clone());
     let mut chunk = TraceChunk::default();
@@ -638,6 +686,32 @@ mod tests {
             events.last().unwrap().arg0,
             RING_CAPACITY as u64 + extra - 1
         );
+    }
+
+    #[test]
+    fn installed_ring_follows_its_owner_across_threads() {
+        let _gate = GATE.lock().unwrap();
+        set_enabled(true);
+        let handle = RingHandle::default();
+        for k in 0..2 {
+            on_fresh_thread(|| {
+                let _ring = handle.install();
+                instant("t", "owned", k, 0);
+            });
+        }
+        let (owned, own) = on_fresh_thread(|| {
+            instant("t", "own", 7, 0);
+            let owned = {
+                let _ring = handle.install();
+                drain_local()
+            };
+            (owned, drain_local())
+        });
+        set_enabled(false);
+        let args: Vec<u64> = owned.events.iter().map(|e| e.arg0).collect();
+        assert_eq!(args, [0, 1], "both threads recorded into the handle's ring");
+        assert_eq!(own.events.len(), 1, "the thread's own ring is restored");
+        assert_eq!(own.events[0].arg0, 7);
     }
 
     #[test]

@@ -197,10 +197,11 @@ impl Entry {
 ///
 /// A session is single-threaded by design (one `&mut self` at a time); a
 /// server wanting concurrency shards instances across sessions — one
-/// session per worker thread, each built with [`Session::with_id_stride`]
-/// so the shards draw from disjoint id sequences. `Session` is `Send`
-/// (asserted at compile time below), so moving one onto a worker thread is
-/// safe; it is deliberately not `Sync`-oriented — nothing here locks.
+/// session per shard, each built with [`Session::with_id_stride`] so the
+/// shards draw from disjoint id sequences. `Session` is `Send` (asserted
+/// at compile time below), so a shard can sit behind a `Mutex` that any
+/// serving thread locks; it is deliberately not `Sync`-oriented — nothing
+/// here locks.
 ///
 /// [`Session::stats`] is a cheap `Copy` snapshot (a handful of counters),
 /// so a metrics layer can sample it per request without touching the
@@ -236,8 +237,8 @@ impl Default for Session {
     }
 }
 
-// Sharded servers move whole sessions onto worker threads; keep that a
-// compile-time guarantee rather than a per-refactor audit.
+// Sharded servers share whole sessions across threads behind a mutex;
+// keep that a compile-time guarantee rather than a per-refactor audit.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Session>();

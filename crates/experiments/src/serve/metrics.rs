@@ -3,14 +3,10 @@
 //!
 //! Each shard counts its requests once, in [`ShardObs`] (bumped by
 //! `protocol::respond`, which every shard-routed request passes
-//! through). The router side keeps only a [`QueueDepth`] gauge — raised
-//! when it queues a request, lowered when the worker has answered it —
-//! for the instantaneous queue depth (the backpressure signal).
-//! Solve-tier counters (memo / incremental / cold) and the aggregated
-//! [`EvalStats`](coschedule::eval::EvalStats) come from the session's own
-//! [`SessionStats`](coschedule::session::SessionStats) snapshot, gathered
-//! through the shard queue so the numbers reflect a drained queue on a
-//! quiet server.
+//! through). Solve-tier counters (memo / incremental / cold) and the
+//! aggregated [`EvalStats`](coschedule::eval::EvalStats) come from the
+//! session's own [`SessionStats`](coschedule::session::SessionStats)
+//! snapshot, read under the shard's lock between requests.
 //!
 //! Unlike every other op, the `metrics` response is **not** required to be
 //! payload-identical across worker counts — its `shards` array has one
@@ -22,27 +18,6 @@ use coschedule::session::SessionStats;
 use minijson::Json;
 
 use super::wal::WalStats;
-
-/// One shard's queue-depth gauge (see the module docs for who moves it).
-#[derive(Debug, Default)]
-pub struct QueueDepth(AtomicU64);
-
-impl QueueDepth {
-    /// The router queued one request for this shard.
-    pub fn enqueued(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The worker answered one queued request.
-    pub fn completed(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests queued but not yet answered.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Lock-free network counters of one reactor (= one shard's event
 /// loop). The reactor thread bumps them; the `metrics` op reads them.
@@ -251,7 +226,7 @@ pub struct LatencyReport {
 
 /// [`LatencyHistogram`] with atomic buckets: recorded from the request
 /// path, readable concurrently by the Prometheus endpoint and the
-/// `metrics` op without going through the shard queue. Relaxed ordering
+/// `metrics` op without taking the shard's lock. Relaxed ordering
 /// throughout — scrapes see a consistent-enough point-in-time view, and
 /// recording stays two `fetch_add`s.
 #[derive(Debug)]
@@ -420,8 +395,6 @@ pub struct ShardReport {
     pub shard: usize,
     /// Requests the shard has handled ([`ShardObs::requests`]).
     pub requests: u64,
-    /// Requests queued but not yet answered when the report was taken.
-    pub queue_depth: u64,
     /// Live instances owned by the shard.
     pub instances: usize,
     /// The shard session's lifetime counters.
@@ -462,7 +435,6 @@ pub(super) fn metrics_body(workers: usize, reports: &[ShardReport]) -> Json {
                 let mut row = Json::obj([
                     ("shard", Json::from(r.shard)),
                     ("requests", Json::from(r.requests)),
-                    ("queue_depth", Json::from(r.queue_depth)),
                     ("instances", Json::from(r.instances)),
                     ("mutations", Json::from(r.stats.mutations)),
                     ("solves", Json::from(r.stats.solves)),
@@ -535,25 +507,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_depth_is_enqueued_minus_completed() {
-        let depth = QueueDepth::default();
-        assert_eq!(depth.get(), 0);
-        depth.enqueued();
-        depth.enqueued();
-        assert_eq!(depth.get(), 2);
-        depth.completed();
-        assert_eq!(depth.get(), 1);
-        depth.completed();
-        assert_eq!(depth.get(), 0);
-    }
-
-    #[test]
     fn body_sums_requests_across_shards() {
         let rows = [
             ShardReport {
                 shard: 0,
                 requests: 3,
-                queue_depth: 1,
                 instances: 2,
                 stats: SessionStats::default(),
                 wal: None,
@@ -563,7 +521,6 @@ mod tests {
             ShardReport {
                 shard: 1,
                 requests: 4,
-                queue_depth: 0,
                 instances: 1,
                 stats: SessionStats::default(),
                 wal: None,
@@ -577,7 +534,7 @@ mod tests {
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[1].get("shard").and_then(Json::as_u64), Some(1));
-        assert_eq!(shards[0].get("queue_depth").and_then(Json::as_u64), Some(1));
+        assert!(shards[0].get("queue_depth").is_none());
         // No durability → no wal_* columns (payload unchanged from the
         // pre-durability protocol); no reactor → no net columns.
         assert!(shards[0].get("wal_records").is_none());
@@ -589,7 +546,6 @@ mod tests {
         let row = ShardReport {
             shard: 0,
             requests: 9,
-            queue_depth: 0,
             instances: 1,
             stats: SessionStats::default(),
             wal: Some(WalStats {
@@ -631,7 +587,6 @@ mod tests {
         let row = ShardReport {
             shard: 0,
             requests: 1,
-            queue_depth: 0,
             instances: 0,
             stats: SessionStats::default(),
             wal: None,
@@ -703,7 +658,6 @@ mod tests {
         let base = ShardReport {
             shard: 0,
             requests: 1,
-            queue_depth: 0,
             instances: 0,
             stats: SessionStats::default(),
             wal: None,

@@ -38,25 +38,25 @@
 //!   string against a [`ServeState`]), so the protocol is testable
 //!   without sockets — and it is the byte-identity oracle the socket
 //!   tests replay against;
-//! * [`router`] — deterministic `InstanceId → shard` mapping: round-robin
-//!   creates, instance pinning, snapshot fan-out for the global ops, and
-//!   queue backpressure;
-//! * [`worker`] — one single-threaded [`Session`] per shard on its own
-//!   thread (ids strided per shard, so the id sequence is 0, 1, 2, … at
-//!   any worker count), fed by a bounded mpsc channel;
+//! * [`router`] — the shards, one single-threaded [`Session`] each behind
+//!   a mutex (ids strided per shard, so the id sequence is 0, 1, 2, … at
+//!   any worker count), and the deterministic `InstanceId → shard`
+//!   mapping: round-robin creates, instance pinning, and one-at-a-time
+//!   shard snapshots for the global ops;
 //! * [`reactor`] — the front-end: one event-loop thread per shard owning
 //!   all of the connections dealt to it, through the `miniepoll` shim —
-//!   nonblocking readiness loop, per-connection read/write buffers, and
-//!   a sequence-number reorder buffer (responses return in request order
-//!   whichever shard finishes first);
+//!   nonblocking readiness loop and per-connection read/write buffers.
+//!   Each request runs to completion on the reactor thread that read it
+//!   (lock the owning shard, respond, commit the WAL, unlock), so replies
+//!   leave in request order with no thread hop;
 //! * [`conn`] — the client side: [`Client`], with lock-step and
 //!   pipelined exchanges;
 //! * [`frame`] — the opt-in length-prefixed binary wire format,
 //!   negotiated by a `{"op":"hello","frame":"binary"}` first line
 //!   (JSON stays the reference protocol and byte-identity oracle);
 //! * [`metrics`] — per-shard counters behind the `metrics` op: requests,
-//!   queue depth, solves by tier (memo / incremental / cold), aggregated
-//!   eval-engine work;
+//!   solves by tier (memo / incremental / cold), aggregated eval-engine
+//!   work, WAL and network columns;
 //! * [`wal`] — durability: per-shard snapshots + write-ahead logs
 //!   (`--durability log|fsync`), crash recovery (`--restore DIR`), and
 //!   the warm standby (`cosched standby`). Recovery replays the log
@@ -66,14 +66,18 @@
 //! [`Server::run`] serves every worker count the same way: instances are
 //! distributed across [`ServeConfig::workers`] per-shard sessions, a
 //! blocking accept loop deals connections round-robin to one reactor per
-//! shard, every connection multiplexes, and a slow solve only stalls its
-//! own shard. For a fixed lock-step request trace the responses are
-//! byte-identical to a [`handle_line`] replay on one fresh
-//! [`ServeState`], at any worker count (`tests/serve_concurrent.rs` pins
-//! this); only the `metrics` op differs by design, reporting one row per
-//! shard and the reactors' network counters, and so do `"auto"` solves
-//! at two or more workers, whose tuner learns per shard. Serving requires epoll, so
-//! it is Linux-only: elsewhere [`Server::run`] returns an error.
+//! shard, and every connection multiplexes — `N + 1` threads for `N`
+//! workers (plus the metrics listener when one is configured). The price
+//! of answering on the reactor thread: a long solve stalls the other
+//! connections of the reactor running it, and a reactor that needs a
+//! shard another reactor is solving on waits for its lock. For a fixed
+//! lock-step request trace the responses are byte-identical to a
+//! [`handle_line`] replay on one fresh [`ServeState`], at any worker count
+//! (`tests/serve_concurrent.rs` pins this); only the `metrics` op differs
+//! by design, reporting one row per shard and the reactors' network
+//! counters, and so do `"auto"` solves at two or more workers, whose tuner
+//! learns per shard. Serving requires epoll, so it is Linux-only:
+//! elsewhere [`Server::run`] returns an error.
 //!
 //! [`Session`]: coschedule::session::Session
 
@@ -84,7 +88,6 @@ pub mod protocol;
 pub mod reactor;
 pub mod router;
 pub mod wal;
-pub mod worker;
 
 pub use conn::{Client, ExchangeStats, DEFAULT_CLIENT_RETRIES};
 pub use frame::FrameMode;
@@ -104,8 +107,8 @@ use std::sync::{Arc, OnceLock};
 /// Serve-level configuration, applied when [`Server::run`] starts.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard count: N sessions, each with its own worker thread and its
-    /// own reactor thread. The CLI defaults to [`available_workers`]; the
+    /// Shard count: N sessions, each behind its own lock, served by N
+    /// reactor threads. The CLI defaults to [`available_workers`]; the
     /// library default is 1. Lock-step responses do not depend on it,
     /// except for the `metrics` op's per-shard rows and `"auto"` solves
     /// (each shard's tuner learns on its own).
@@ -343,7 +346,7 @@ impl Server {
     fn run_states(self, mut states: Vec<ServeState>) -> std::io::Result<()> {
         // The metrics listener runs on its own thread, reading each
         // shard's atomic counters through `Arc<ShardObs>` handles cloned
-        // before the states move into their workers.
+        // before the states move behind their shard locks.
         if let Some(addr) = self.config.metrics_addr.clone() {
             let handles: Vec<_> = states.iter().map(ServeState::obs_handle).collect();
             spawn_metrics_listener(
@@ -359,7 +362,7 @@ impl Server {
         let trace_out = self.config.trace_out.clone();
         let result = self.serve(states);
         if let Some(path) = trace_out {
-            // All shard workers have joined by now, so their rings are
+            // All reactors have joined by now, so the shard rings are
             // quiescent; drain every registered ring into one file.
             let chunk = coschedule::obs::drain();
             std::fs::write(&path, coschedule::obs::chrome_trace_json(&chunk.events))?;
@@ -373,8 +376,8 @@ impl Server {
         result
     }
 
-    /// The front-end: a router over the shard workers, one reactor
-    /// thread per shard, and this blocking accept loop, which numbers
+    /// The front-end: a router over the shards, one reactor thread per
+    /// shard, and this blocking accept loop, which numbers
     /// connections in accept order and deals them round-robin to the
     /// reactors — see [`reactor`].
     fn serve(self, states: Vec<ServeState>) -> std::io::Result<()> {
@@ -394,15 +397,12 @@ impl Server {
         }
         if let Some(e) = spawn_error {
             // Tear down what did start (no epoll on this platform, or
-            // fd exhaustion) instead of leaking parked threads.
+            // fd exhaustion) instead of leaking idle threads.
             for r in &reactors {
                 r.stop();
             }
             for r in reactors {
                 r.join();
-            }
-            if let Ok(router) = Arc::try_unwrap(router) {
-                router.join();
             }
             return Err(e);
         }
@@ -430,9 +430,6 @@ impl Server {
         for r in reactors {
             r.join();
         }
-        if let Ok(router) = Arc::try_unwrap(router) {
-            router.join();
-        }
         result
     }
 }
@@ -453,7 +450,7 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
 /// Binds the Prometheus exposition listener and spawns its accept loop.
 /// Deliberately a plain thread (not a reactor token): the scrape path
 /// must stay responsive while every shard is busy solving, and one
-/// thread parked in `accept` costs nothing. The thread is never joined —
+/// thread blocked in `accept` costs nothing. The thread is never joined —
 /// it lives until the process exits.
 fn spawn_metrics_listener(
     addr: &str,

@@ -3,7 +3,7 @@
 //!
 //! Everything here is transport-free by construction — [`handle_line`]
 //! maps one request string to one response string, so the whole protocol
-//! is testable without sockets. The server's shard workers funnel into
+//! is testable without sockets. The server's shards funnel into
 //! [`respond`] too (behind the [`Router`](super::router::Router)), so a
 //! server at any worker count answers every request with the same bytes
 //! a [`handle_line`] replay on one fresh state produces.
@@ -62,11 +62,15 @@ pub struct ServeState {
     shutdown_requested: bool,
     /// Shard-routed request counter + dispatch-latency histogram (what
     /// the `metrics` op reports; global ops like `stats` are excluded
-    /// because the router answers them without reaching a shard). Shared as an [`Arc`] so the `--metrics-addr` scrape
-    /// thread reads it without going through the shard queue; the
-    /// histogram base is persisted in WAL snapshots and carried across
-    /// `--restore` like the request counter.
+    /// because the router answers them without reaching a shard). Shared
+    /// as an [`Arc`] so the `--metrics-addr` scrape thread reads it
+    /// without taking the shard's lock; the histogram base is persisted in
+    /// WAL snapshots and carried across `--restore` like the request
+    /// counter.
     obs: Arc<ShardObs>,
+    /// This shard's span ring: installed on whichever reactor thread
+    /// serves the shard, so the `trace` op drains this shard's timeline.
+    trace_ring: obs::RingHandle,
     /// Write-ahead log, attached when the server runs with `--durability
     /// log|fsync`. [`respond`] appends every shard-routed request to it
     /// *before* dispatching; the transport layer calls
@@ -99,7 +103,7 @@ impl ServeState {
     }
 
     /// Fresh state around an existing session (the sharded server builds
-    /// per-worker sessions with [`Session::with_id_stride`]).
+    /// per-shard sessions with [`Session::with_id_stride`]).
     pub fn with_session(session: Session) -> Self {
         Self {
             session,
@@ -108,6 +112,7 @@ impl ServeState {
             allow_shutdown: false,
             shutdown_requested: false,
             obs: Arc::new(ShardObs::default()),
+            trace_ring: obs::RingHandle::default(),
             wal: None,
             shard: 0,
             echo_trace: false,
@@ -132,6 +137,12 @@ impl ServeState {
         Arc::clone(&self.obs)
     }
 
+    /// Makes this shard's span ring the calling thread's until the guard
+    /// drops (the router holds the shard's lock meanwhile).
+    pub(super) fn install_trace_ring(&self) -> obs::RingGuard {
+        self.trace_ring.install()
+    }
+
     /// Starts logging every shard-routed op to `writer`. Attached *after*
     /// any WAL replay, so recovery never re-logs what it replays.
     pub fn attach_wal(&mut self, writer: WalWriter) {
@@ -150,6 +161,11 @@ impl ServeState {
         if let Some(wal) = &mut self.wal {
             wal.commit().expect("write-ahead log commit failed");
         }
+    }
+
+    /// Whether [`Self::wal_maybe_snapshot`] would rotate now.
+    pub(super) fn wal_rotation_due(&self) -> bool {
+        self.wal.as_ref().is_some_and(WalWriter::should_rotate)
     }
 
     /// Rotates to a fresh snapshot + empty log once enough records have
@@ -226,7 +242,7 @@ pub(super) fn is_global_op(op: &str) -> bool {
 }
 
 /// Answers one parsed request: [`dispatch`] plus the error envelope. The
-/// sharded worker calls this directly (the router already parsed the line
+/// router calls this directly (it already parsed the line
 /// to route it), `handle_line` after parsing.
 pub fn respond(state: &mut ServeState, request: &Json) -> Json {
     if !request
@@ -253,8 +269,8 @@ pub fn respond(state: &mut ServeState, request: &Json) -> Json {
         let started = std::time::Instant::now();
         let result = dispatch(state, request);
         let dispatch_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // Count what a shard queue would carry; global ops are answered
-        // by the router in the sharded server and never reach a shard.
+        // Count shard-routed requests only; global ops are answered by
+        // the router in the sharded server and never reach a shard.
         state.obs.record_request(dispatch_ns);
         if let Some(slow_ms) = state.slow_ms {
             if dispatch_ns / 1_000_000 >= slow_ms {
@@ -335,7 +351,6 @@ fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
             &[ShardReport {
                 shard: 0,
                 requests: state.obs.requests(),
-                queue_depth: 0,
                 instances: state.session.len(),
                 stats: state.session.stats(),
                 wal: state.wal_stats(),
@@ -448,9 +463,11 @@ pub(super) fn solvers_body() -> Json {
 
 /// The `trace` op: drains the handling thread's span ring buffer. On the
 /// server the op is routed like any other shard op (an optional
-/// `"shard"` field picks the target, default 0), so the drained timeline
-/// is that shard worker's; on a lone state it is the calling thread's. Returns the events plus how many were lost to ring
-/// overwrite since the previous drain, and whether tracing is even on.
+/// `"shard"` field picks the target, default 0) and the shard's own ring
+/// is installed while it is served, so the drained timeline is that
+/// shard's; on a lone state it is the calling thread's. Returns the
+/// events plus how many were lost to ring overwrite since the previous
+/// drain, and whether tracing is even on.
 fn op_trace(state: &ServeState) -> Json {
     let chunk = obs::drain_local();
     Json::obj([
@@ -950,7 +967,10 @@ mod tests {
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].get("shard").and_then(Json::as_u64), Some(0));
         assert_eq!(shards[0].get("requests").and_then(Json::as_u64), Some(2));
-        assert_eq!(shards[0].get("queue_depth").and_then(Json::as_u64), Some(0));
+        assert!(
+            shards[0].get("queue_depth").is_none(),
+            "no queue, no column"
+        );
         assert_eq!(shards[0].get("cold_solves").and_then(Json::as_u64), Some(1));
         assert!(
             shards[0]

@@ -9,37 +9,42 @@
 //! * per-connection **read and write buffers**, with partial reads
 //!   reassembled into lines (or binary frames, after a hello — see
 //!   [`frame`](super::frame)) and partial writes resumed where they
-//!   left off;
+//!   left off. The `\n` search resumes where the previous read stopped,
+//!   so a line torn across many reads costs linear time;
 //! * **write-interest toggling**: a connection is registered read-only
 //!   while its write buffer is empty and read+write while it is not, so
 //!   an idle connection costs no wakeups;
-//! * a **sequence-number reorder buffer** per connection — requests are
-//!   tagged in arrival order and responses released in that order,
-//!   whichever shard finishes first;
-//! * an **eventfd completion mailbox** per reactor: shard workers
-//!   deposit finished responses via
-//!   [`ResponseSink::Reactor`](super::worker::ResponseSink) and signal
-//!   the eventfd, which the reactor polls like any other fd.
+//! * **run to completion**: every complete request is answered inline on
+//!   this thread by the [`Router`], which locks the owning shard, solves,
+//!   commits the WAL and returns the reply. The reply goes straight onto
+//!   the connection's write buffer, so replies leave in request order by
+//!   construction.
+//!
+//! One eventfd per reactor remains, for the accept loop's connection
+//! hand-off and for shutdown.
 //!
 //! Each request's trace id (the [`coschedule::obs`] tag its spans and
 //! `trace_id` echo carry) is `(connection id << 32) | seq`, unique
 //! across connections; the first connection's requests are simply
 //! 0, 1, 2, ….
 //!
-//! Dispatching happens on the reactor thread, so the two blocking
-//! points of the router are inherited knowingly: a `create` waits for
-//! the owning shard synchronously, and a send into a **full** shard
-//! queue blocks until the shard drains (backpressure that stalls every
-//! connection of the reactor — bounded by [`QUEUE_CAPACITY`]).
+//! Solving on the reactor thread has two costs, taken knowingly (see
+//! [`router`](super::router)): a long solve — a 4096-app `"auto"`, or
+//! `exact` under its time budget — stalls every other connection of
+//! this reactor until it finishes, and a request for a shard another
+//! reactor is solving on waits for that shard's lock.
+//!
+//! When a reply leaves a shard's WAL due for a snapshot, the reactor
+//! flushes the reply to the socket first and only then has the router
+//! rotate the log, keeping the snapshot write off that request's
+//! latency path.
 //!
 //! Shutdown: once the router accepts a `shutdown`, it signals every
-//! reactor's eventfd. Each reactor stops reading, delivers and flushes
-//! what is in flight (bounded by [`DRAIN_GRACE`]), closes its
-//! connections, dials the accept loop awake, and exits.
-//!
-//! [`QUEUE_CAPACITY`]: super::worker::QUEUE_CAPACITY
+//! reactor's eventfd. Each reactor stops reading, flushes what it has
+//! buffered (bounded by [`DRAIN_GRACE`]), closes its connections, dials
+//! the accept loop awake, and exits.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -53,7 +58,6 @@ use miniepoll::{Epoll, Event, EventFd, Interest};
 use super::frame::{self, FrameDecoder, FrameMode, Negotiation};
 use super::metrics::NetMetrics;
 use super::router::Router;
-use super::worker::ResponseSink;
 
 /// Registration token reserved for the reactor's own wake eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -61,73 +65,29 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Read granularity; also the flush-compaction threshold.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// How long a draining reactor keeps trying to deliver in-flight
-/// responses to peers that have stopped reading before force-closing.
+/// How long a draining reactor keeps trying to flush buffered replies to
+/// peers that have stopped reading before force-closing.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// One reactor's cross-thread mailbox: finished responses from the
-/// shard workers (any shard — a connection's requests fan out), plus
-/// the eventfd that wakes the reactor's `epoll_wait`. Unbounded by
-/// design; see [`ResponseSink`].
-pub(super) struct Completions {
-    queue: Mutex<Vec<(u64, u64, String)>>,
+/// A reactor's cross-thread inbox: new connections from the accept loop
+/// (each with its connection id), the hard-stop flag for teardown on an
+/// accept failure, and the eventfd that wakes the reactor's
+/// `epoll_wait` for either — or for a shutdown.
+pub(super) struct Inbox {
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+    stop: AtomicBool,
     wake: EventFd,
-    /// Whether the reactor is (about to be) asleep in `epoll_wait`. Set
-    /// by the reactor just before it commits to sleeping and cleared on
-    /// wake; pushes only pay the eventfd wake syscall when they might
-    /// have a sleeper to wake. The reactor re-checks the queue *after*
-    /// publishing `parked` (both sides SeqCst), so a push that saw
-    /// `parked == false` is always found by that re-check — the classic
-    /// two-phase park; a missed wakeup is impossible.
-    parked: AtomicBool,
 }
 
-impl Completions {
-    /// Deposits `(connection token, request seq, response)` and wakes
-    /// the owning reactor if it is parked. A non-empty queue means an
-    /// undrained signal (or a pre-sleep re-check) already covers us, so
-    /// back-to-back pushes skip the wake syscall too.
-    pub fn push(&self, conn: u64, seq: u64, response: String) {
-        let first = {
-            let mut queue = self.queue.lock().expect("completions lock");
-            queue.push((conn, seq, response));
-            queue.len() == 1
-        };
-        if first && self.parked.load(Ordering::SeqCst) {
-            self.wake.signal();
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.lock().expect("completions lock").is_empty()
-    }
-
-    /// Wakes the reactor without a payload (new connection handoff,
-    /// shutdown, stop).
+impl Inbox {
+    /// Wakes the reactor (connection hand-off, shutdown, stop).
     pub fn signal(&self) {
         self.wake.signal();
     }
-
-    /// Swaps the queue's contents into `out` (which must be empty).
-    /// Swapping instead of taking keeps one buffer's capacity inside
-    /// the mutex, so steady-state pushes never reallocate.
-    fn drain_into(&self, out: &mut Vec<(u64, u64, String)>) {
-        debug_assert!(out.is_empty());
-        std::mem::swap(&mut *self.queue.lock().expect("completions lock"), out);
-    }
-}
-
-/// New-connection handoff from the accept loop (each stream with its
-/// connection id), plus the hard-stop flag for teardown on an accept
-/// failure.
-struct Inbox {
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    stop: AtomicBool,
 }
 
 /// A running reactor thread (see the module docs).
 pub(super) struct Reactor {
-    completions: Arc<Completions>,
     inbox: Arc<Inbox>,
     net: Arc<NetMetrics>,
     handle: JoinHandle<()>,
@@ -138,40 +98,28 @@ impl Reactor {
     /// when the platform has no epoll.
     pub fn spawn(shard: usize, router: Arc<Router>, wake_addr: SocketAddr) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            wake: EventFd::new()?,
-            parked: AtomicBool::new(false),
-        });
-        epoll.add(completions.wake.fd(), WAKE_TOKEN, Interest::READABLE)?;
         let inbox = Arc::new(Inbox {
             conns: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
+            wake: EventFd::new()?,
         });
+        epoll.add(inbox.wake.fd(), WAKE_TOKEN, Interest::READABLE)?;
         let net = Arc::new(NetMetrics::default());
         let loop_state = Loop {
             epoll,
             router,
-            completions: Arc::clone(&completions),
             inbox: Arc::clone(&inbox),
             net: Arc::clone(&net),
             wake_addr,
             conns: HashMap::new(),
-            in_flight_total: 0,
             read_chunk: vec![0u8; READ_CHUNK],
-            finished: Vec::new(),
-            touched: Vec::new(),
+            rotations: Vec::new(),
         };
         let handle = std::thread::Builder::new()
             .name(format!("cosched-reactor-{shard}"))
             .spawn(move || loop_state.run())
             .expect("spawn reactor");
-        Ok(Reactor {
-            completions,
-            inbox,
-            net,
-            handle,
-        })
+        Ok(Reactor { inbox, net, handle })
     }
 
     /// Hands accepted connection `id` to this reactor (called from the
@@ -184,21 +132,20 @@ impl Reactor {
             .lock()
             .expect("reactor inbox")
             .push((id, stream));
-        self.completions.signal();
+        self.inbox.signal();
     }
 
-    /// The mailbox/metrics pair the router needs: the mailbox to build
-    /// [`ResponseSink`]s and signal shutdown, the metrics for the
-    /// `metrics` op.
-    pub fn hook(&self) -> (Arc<Completions>, Arc<NetMetrics>) {
-        (Arc::clone(&self.completions), Arc::clone(&self.net))
+    /// The inbox/metrics pair the router needs: the inbox to signal
+    /// shutdown, the metrics for the `metrics` op.
+    pub fn hook(&self) -> (Arc<Inbox>, Arc<NetMetrics>) {
+        (Arc::clone(&self.inbox), Arc::clone(&self.net))
     }
 
     /// Hard stop (accept-loop failure): drop everything without the
     /// shutdown drain.
     pub fn stop(&self) {
         self.inbox.stop.store(true, Ordering::SeqCst);
-        self.completions.signal();
+        self.inbox.signal();
     }
 
     /// Waits for the reactor thread to exit (it does so after a
@@ -216,9 +163,12 @@ struct Conn {
     mode: FrameMode,
     /// Whether the first line was seen (the hello window is one line).
     saw_first: bool,
-    /// Line reassembly buffer (JSON mode) with its consumed prefix.
+    /// Line reassembly buffer (JSON mode) with its consumed prefix, and
+    /// how far it has been searched for `\n` (the next search starts at
+    /// the larger of `scanned` and `read_at`).
     read_buf: Vec<u8>,
     read_at: usize,
+    scanned: usize,
     /// Frame reassembly (binary mode, after a hello).
     decoder: FrameDecoder,
     /// Bytes queued to the peer, `written` of them already sent.
@@ -229,12 +179,6 @@ struct Conn {
     armed: Interest,
     /// Next request sequence number to assign.
     next_seq: u64,
-    /// Next response sequence to release to the write buffer, and the
-    /// out-of-order completions waiting behind it.
-    next_write: u64,
-    reorder: BTreeMap<u64, String>,
-    /// Dispatched requests whose responses have not reached `reorder`.
-    in_flight: u64,
     /// Peer half-closed (EOF read); the connection closes once drained.
     read_closed: bool,
     /// I/O error; the connection closes immediately.
@@ -243,7 +187,7 @@ struct Conn {
 
 impl Conn {
     fn drained(&self) -> bool {
-        self.in_flight == 0 && self.reorder.is_empty() && self.write_buf.len() == self.written
+        self.write_buf.len() == self.written
     }
 }
 
@@ -251,22 +195,15 @@ impl Conn {
 struct Loop {
     epoll: Epoll,
     router: Arc<Router>,
-    completions: Arc<Completions>,
     inbox: Arc<Inbox>,
     net: Arc<NetMetrics>,
     wake_addr: SocketAddr,
     conns: HashMap<u64, Conn>,
-    /// Requests dispatched to workers whose responses have not yet been
-    /// delivered, summed over every connection this loop owns. Lets the
-    /// park path ask "is a response imminent?" without an O(conns) scan.
-    in_flight_total: u64,
     /// Reusable scratch for socket reads — allocated (and zeroed) once,
     /// not 16 KiB re-zeroed per readable event.
     read_chunk: Vec<u8>,
-    /// Reusable scratch for [`Loop::deliver_completions`] — the drained
-    /// batch and the set of connections it touched.
-    finished: Vec<(u64, u64, String)>,
-    touched: Vec<u64>,
+    /// Reusable scratch: the shards a reply left due for a WAL snapshot.
+    rotations: Vec<usize>,
 }
 
 impl Loop {
@@ -282,43 +219,15 @@ impl Loop {
                 draining_since = Some(Instant::now());
             }
             // While draining, poll with a timeout so the grace period
-            // advances even if no completion ever arrives.
+            // advances even if a peer never reads.
             let timeout = if draining { 50 } else { -1 };
-            // Parking is two-phase: publish `parked`, re-check the
-            // completions queue, and only then sleep. A worker that
-            // pushed before seeing `parked == true` skipped its wake
-            // syscall — the re-check is what finds that push (SeqCst on
-            // both sides makes missing it impossible). With responses in
-            // flight, one yield first often lets the worker finish, so
-            // the whole park/wake round trip (eventfd write + epoll
-            // sleep + eventfd drain) is skipped at lock-step.
-            let mut skip_wait = false;
-            if !draining && self.in_flight_total > 0 {
-                skip_wait = !self.completions.is_empty();
-                if !skip_wait {
-                    std::thread::yield_now();
-                    skip_wait = !self.completions.is_empty();
-                }
+            if self.epoll.wait(&mut events, timeout).is_err() {
+                break;
             }
-            if skip_wait {
-                events.clear();
-            } else {
-                self.completions.parked.store(true, Ordering::SeqCst);
-                if self.completions.is_empty() {
-                    let waited = self.epoll.wait(&mut events, timeout);
-                    self.completions.parked.store(false, Ordering::SeqCst);
-                    if waited.is_err() {
-                        break;
-                    }
-                    self.net.record_wakeup();
-                } else {
-                    self.completions.parked.store(false, Ordering::SeqCst);
-                    events.clear();
-                }
-            }
+            self.net.record_wakeup();
             for event in &events {
                 if event.token == WAKE_TOKEN {
-                    self.completions.wake.drain();
+                    self.inbox.wake.drain();
                     continue;
                 }
                 if event.closed() {
@@ -332,14 +241,14 @@ impl Loop {
                 if event.readable() && !draining {
                     self.handle_readable(event.token);
                 }
-                // Always re-pump: flushes on writable, and re-arms the
-                // interest set after an EOF dropped read interest.
+                // Always re-pump: flushes the replies just produced and
+                // on writable, and re-arms the interest set after an EOF
+                // dropped read interest.
                 self.pump(event.token);
             }
             if !draining {
                 self.adopt_new_connections();
             }
-            self.deliver_completions();
             self.reap();
             if draining {
                 let grace_over = draining_since
@@ -395,14 +304,12 @@ impl Loop {
                     saw_first: false,
                     read_buf: Vec::new(),
                     read_at: 0,
+                    scanned: 0,
                     decoder: FrameDecoder::default(),
                     write_buf: Vec::new(),
                     written: 0,
                     armed: Interest::READABLE,
                     next_seq: 0,
-                    next_write: 0,
-                    reorder: BTreeMap::new(),
-                    in_flight: 0,
                     read_closed: false,
                     dead: false,
                 },
@@ -485,18 +392,20 @@ impl Loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let Some(nl) = conn.read_buf[conn.read_at..]
-                .iter()
-                .position(|&b| b == b'\n')
-            else {
+            // Resume the search where the previous read left it: bytes
+            // before `scanned` hold no `\n`.
+            let from = conn.scanned.max(conn.read_at);
+            let Some(nl) = conn.read_buf[from..].iter().position(|&b| b == b'\n') else {
+                conn.scanned = conn.read_buf.len();
                 // Compact the consumed prefix once it dominates.
                 if conn.read_at > 0 && conn.read_at >= conn.read_buf.len() / 2 {
                     conn.read_buf.drain(..conn.read_at);
+                    conn.scanned -= conn.read_at;
                     conn.read_at = 0;
                 }
                 return;
             };
-            let end = conn.read_at + nl;
+            let end = from + nl;
             // `BufRead::lines` semantics: strip the `\n` and one `\r`.
             let mut line_end = end;
             if line_end > conn.read_at && conn.read_buf[line_end - 1] == b'\r' {
@@ -519,6 +428,7 @@ impl Loop {
                             conn.decoder.push(&tail);
                             conn.read_buf.clear();
                             conn.read_at = 0;
+                            conn.scanned = 0;
                             self.pump(token);
                             self.dispatch_frames(token);
                             return;
@@ -567,72 +477,38 @@ impl Loop {
         }
     }
 
-    /// Tags one message with the connection's next sequence number and
-    /// its server-wide trace id, and routes it. May block on shard
-    /// backpressure (see module docs).
+    /// Answers one message inline (see the module docs) under the
+    /// connection's next sequence number and its server-wide trace id,
+    /// and queues the reply on the connection's write buffer. May wait
+    /// for a shard another reactor is solving on.
     fn dispatch(&mut self, token: u64, line: &str) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        conn.in_flight += 1;
-        self.in_flight_total += 1;
-        let sink = ResponseSink::Reactor {
-            conn: token,
-            completions: Arc::clone(&self.completions),
-        };
         // Trace ids stay unique while a connection has issued fewer
         // than 2^32 requests.
         let trace = (token << 32) | (seq & u64::from(u32::MAX));
-        self.router.dispatch(line, seq, trace, &sink);
-    }
-
-    /// Moves finished responses from the mailbox through each
-    /// connection's reorder buffer into its write buffer, in request
-    /// order, then pumps the touched connections.
-    fn deliver_completions(&mut self) {
-        let mut finished = std::mem::take(&mut self.finished);
-        self.completions.drain_into(&mut finished);
-        if finished.is_empty() {
-            self.finished = finished;
-            return;
-        }
-        let mut touched = std::mem::take(&mut self.touched);
-        for (token, seq, response) in finished.drain(..) {
-            // Counts dispatches, so every drained item decrements it —
-            // including responses for connections that died meanwhile.
-            self.in_flight_total = self.in_flight_total.saturating_sub(1);
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue; // the connection died before its response
-            };
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            conn.reorder.insert(seq, response);
-            while let Some(response) = conn.reorder.remove(&conn.next_write) {
-                match conn.mode {
-                    FrameMode::Json => {
-                        conn.write_buf.extend_from_slice(response.as_bytes());
-                        conn.write_buf.push(b'\n');
-                    }
-                    FrameMode::Binary => {
-                        if frame::encode_frame(&response, &mut conn.write_buf).is_err() {
-                            conn.dead = true;
-                            break;
-                        }
-                    }
+        let reply = self.router.dispatch(line, trace, &mut self.rotations);
+        match conn.mode {
+            FrameMode::Json => {
+                conn.write_buf.extend_from_slice(reply.as_bytes());
+                conn.write_buf.push(b'\n');
+            }
+            FrameMode::Binary => {
+                if frame::encode_frame(&reply, &mut conn.write_buf).is_err() {
+                    conn.dead = true;
                 }
-                conn.next_write += 1;
-            }
-            if !touched.contains(&token) {
-                touched.push(token);
             }
         }
-        for &token in &touched {
+        if !self.rotations.is_empty() {
+            // The reply goes out before the snapshot is written.
             self.pump(token);
+            for shard in self.rotations.drain(..) {
+                self.router.rotate(shard);
+            }
         }
-        touched.clear();
-        self.touched = touched;
-        self.finished = finished;
     }
 
     /// Writes as much buffered output as the socket accepts and re-arms
@@ -688,7 +564,7 @@ impl Loop {
     }
 
     /// Closes connections that are dead (I/O error) or finished (peer
-    /// half-closed and everything in flight delivered).
+    /// half-closed and every reply flushed).
     fn reap(&mut self) {
         let finished: Vec<u64> = self
             .conns

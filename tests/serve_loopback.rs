@@ -9,9 +9,14 @@
 
 mod common;
 
-use common::{assert_matches_oracle, handle_line_replay, mask_reactor_wakeups, run_script};
-use experiments::serve::{smoke_script, Client, Server};
+use common::{
+    assert_matches_oracle, handle_line_replay, mask_reactor_wakeups, run_script, spawn_server,
+};
+use experiments::serve::{app_to_json, smoke_script, Client, Server};
 use minijson::Json;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 #[test]
 fn loopback_round_trip_is_ok_and_deterministic() {
@@ -293,5 +298,87 @@ fn errors_do_not_poison_the_connection() {
         let solvers = Json::parse(&responses[3]).unwrap();
         assert_eq!(solvers.get("ok").and_then(Json::as_bool), Some(true));
         assert!(solvers.get("solvers").unwrap().as_array().unwrap().len() >= 11);
+    }
+}
+
+/// The reactor's socket read granularity (16 KiB per `read`).
+const READ_CHUNK: usize = 16 * 1024;
+
+/// JSON lines torn at arbitrary byte boundaries reassemble exactly: a
+/// `create` spanning more than four socket reads, pieces of one to many
+/// KiB, a `\r\n` terminator split across two writes, and several lines in
+/// one write all answer byte-identically to a `handle_line` replay.
+#[test]
+fn torn_json_lines_reassemble_byte_identically() {
+    let npb = workloads::npb::npb6(&[0.05]);
+    let apps = (0..800).map(|k| {
+        let mut app = npb[k % npb.len()].clone();
+        app.name = format!("{}-{k}", app.name);
+        app.work *= 1.0 + 1e-3 * k as f64;
+        app_to_json(&app)
+    });
+    let create = Json::obj([("op", Json::from("create")), ("apps", Json::arr(apps))]).to_string();
+    assert!(
+        create.len() > 4 * READ_CHUNK,
+        "create is {} bytes",
+        create.len()
+    );
+    let requests: Vec<String> = vec![
+        create,
+        r#"{"op":"solve","id":0,"seed":3,"schedule":false}"#.into(),
+        r#"{"op":"update_app","id":0,"index":5,"app":{"name":"X","work":3e10,"seq_fraction":0.04,"access_freq":0.61,"miss_rate_ref":4.2e-3}}"#.into(),
+        r#"{"op":"solve","id":0,"seed":3}"#.into(),
+        r#"{"op":"stats"}"#.into(),
+        r#"{"op":"list"}"#.into(),
+        r#"{"op":"shutdown"}"#.into(),
+    ];
+    let oracle = handle_line_replay(&requests);
+
+    // Write 1..n: the create and the first solve, torn at pseudo-random
+    // boundaries, ending on the solve's `\r`. Write n+1: that `\n` and
+    // the next four lines whole. Then the shutdown line in two pieces.
+    let head = format!("{}\n{}\r", requests[0], requests[1]);
+    let middle = format!("\n{}\n", requests[2..6].join("\n"));
+    let tail = format!("{}\n", requests[6]);
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |bound: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % bound as u64) as usize + 1
+    };
+    let mut writes: Vec<&[u8]> = Vec::new();
+    let mut rest = head.as_bytes();
+    while !rest.is_empty() {
+        // Mostly sub-chunk pieces, now and then one larger than a read.
+        let bound = if next(4) == 1 { 2 * READ_CHUNK } else { 4096 };
+        let (piece, tail) = rest.split_at(next(bound).min(rest.len()));
+        writes.push(piece);
+        rest = tail;
+    }
+    writes.push(middle.as_bytes());
+    let cut = next(tail.len() - 1);
+    writes.push(&tail.as_bytes()[..cut]);
+    writes.push(&tail.as_bytes()[cut..]);
+
+    for workers in [1, 2] {
+        let (addr, handle) = spawn_server(workers);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        for piece in &writes {
+            stream.write_all(piece).expect("write piece");
+            // Let each piece arrive as its own read.
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        let mut reader = BufReader::new(stream);
+        let replies: Vec<String> = (0..requests.len())
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read reply");
+                line.trim_end_matches('\n').to_string()
+            })
+            .collect();
+        handle.join().expect("server thread").expect("server run");
+        assert_eq!(replies, oracle, "workers={workers}");
     }
 }
