@@ -77,7 +77,7 @@
 //! the per-application deltas are precomputed once per search, so the
 //! node bound is an O(1) add on top of the running excluded-delta — and
 //! the final bound is the max of the two bounds. Both are admissible, so
-//! the max is too. Bounds are shaved by [`BOUND_SHAVE`] before pruning so
+//! the max is too. Bounds are shaved by `BOUND_SHAVE` before pruning so
 //! floating-point noise can never prune a true optimum.
 //!
 //! # Determinism and parallel search

@@ -25,7 +25,7 @@ pub enum Strategy {
     },
     /// Extension (paper §7 future work): start from
     /// `Dominant`+`MinRatio`, then refine the cache split for the actual
-    /// Amdahl profiles by coordinate descent (see [`crate::algo::refine`]).
+    /// Amdahl profiles by coordinate descent (see [`crate::algo::refine()`]).
     DominantRefined {
         /// Maximum refinement iterations (the loop stops at the first
         /// non-improving step; 50 is plenty).

@@ -3,7 +3,7 @@
 //! Every heuristic in the paper is a loop around the same evaluation:
 //! per-application execution time (Amdahl flops × per-operation cost under
 //! the power law of cache misses), then a max for the makespan. The scalar
-//! reference implementation lives in [`crate::model::exec`]; it walks one
+//! reference implementation lives in `model::exec`; it walks one
 //! [`Application`] struct at a time, which is convenient for the theory but
 //! hostile to large-`n` sweeps — every evaluation gathers fields scattered
 //! across heap-allocated structs (each carries a `String` name) and

@@ -11,8 +11,8 @@
 //! * [`Schedule`] — a vector of per-application [`Assignment`]s
 //!   `(p_i, x_i)`, with validation and makespan evaluation.
 //!
-//! The cost model itself (Eq. 1 and Eq. 2 of the paper) is in [`exec`] and
-//! [`powerlaw`].
+//! The cost model itself (Eq. 1 and Eq. 2 of the paper) is in `exec` and
+//! `powerlaw`.
 
 mod application;
 mod exec;

@@ -10,9 +10,7 @@ use crate::model::{Application, ExecModel, Platform};
 /// precomputes the per-application [`ExecModel`]s, so an `Instance` can be
 /// handed to any number of [`Solver`](super::Solver)s (or to a
 /// [`Portfolio`](super::Portfolio), or across a
-/// [`solve_batch`](super::solve_batch) fan-out) without re-deriving them —
-/// the `Strategy::run` entry point of earlier revisions re-ran both on
-/// every call.
+/// [`solve_batch`](super::solve_batch) fan-out) without re-deriving them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     apps: Vec<Application>,

@@ -8,7 +8,7 @@
 //!   per-application execution models precomputed and cached;
 //! * [`Solver`] — anything that maps an instance to an [`Outcome`]; the
 //!   ten paper strategies implement it (via the thin
-//!   [`Strategy`](crate::algo::Strategy) enum), and downstream crates can
+//!   [`Strategy`] enum), and downstream crates can
 //!   add their own without touching this crate;
 //! * [`SolveCtx`] — the RNG and per-solve knobs, bundled so the `solve`
 //!   signature never has to change again;

@@ -1,9 +1,7 @@
 //! [`Solver`] implementations for the paper's strategies.
 //!
 //! The algorithm bodies live here, operating on a pre-validated
-//! [`Instance`] with cached execution models; the legacy
-//! [`Strategy::run`](crate::algo::Strategy::run) entry point is now a thin
-//! wrapper that builds the `Instance` and delegates.
+//! [`Instance`] with cached execution models.
 
 use crate::algo::baselines::{all_proc_cache_core, fair_core, random_part_core, zero_cache_core};
 use crate::algo::{dominant_partition, BuildOrder, Choice, Outcome, Strategy};

@@ -19,7 +19,6 @@
 //! cosched client --addr 127.0.0.1:7878      # requests from stdin
 //! cosched client --requests trace.jsonl     # replay a file, pipelined
 //! cosched client --requests trace.jsonl --batch  # …as one batch op
-//! cosched client --frame binary             # length-prefixed frame codec
 //! cosched client --retries N                # backoff on refused connects
 //!
 //! cosched tune [--solves N] [--seed S]      # replay a workload, print the
@@ -55,7 +54,7 @@ use coschedule::obs;
 use coschedule::solver::{self, Instance, Portfolio, SolveCtx};
 use experiments::appcsv::parse_applications;
 use experiments::serve::{
-    available_workers, wal, Client, Durability, FrameMode, Server, Standby, DEFAULT_CLIENT_RETRIES,
+    available_workers, wal, Client, Durability, Server, Standby, DEFAULT_CLIENT_RETRIES,
 };
 use std::fmt::Display;
 use std::io::BufRead;
@@ -331,7 +330,7 @@ fn usage(msg: &str) -> ExitCode {
          \x20      cosched standby --dir DIR [--interval-ms N] [--once] [--promote HOST:PORT] \
          [--primary HOST:PORT --probe-fails N] [--strategy NAME]\n\
          \x20      cosched client [--addr HOST:PORT] [--send JSON]... [--requests FILE] \
-         [--batch] [--stats] [--retries N] [--frame json|binary]\n\
+         [--batch] [--stats] [--retries N]\n\
          \x20      cosched tune [--solves N] [--seed S] [--window N]\n\
          \x20      cosched exact [--n N] [--seed S] [--nodes N] [--millis MS] [--threads T] \
          [--procs P] [--cache-gb G]\n\
@@ -640,13 +639,11 @@ fn client_main(mut args: Args) -> CliResult {
     let mut batch_file: Option<String> = None;
     let mut batch_op = false;
     let mut retries = DEFAULT_CLIENT_RETRIES;
-    let mut frame = FrameMode::Json;
     let mut stats = false;
     while let Some(flag) = args.flag() {
         match flag.as_str() {
             "--addr" => addr = args.value(&flag, "HOST:PORT")?,
             "--retries" => retries = args.value(&flag, "an integer")?,
-            "--frame" => frame = args.choice(&flag, "json or binary")?,
             "--send" => requests.push(args.value(&flag, "a JSON request line")?),
             "--requests" => {
                 batch_file = Some(args.value(&flag, "a file of JSON request lines")?);
@@ -685,7 +682,7 @@ fn client_main(mut args: Args) -> CliResult {
             }
         }
     }
-    let client = Client { frame, retries };
+    let client = Client { retries };
     if batch_op {
         return Ok(client_batch(client, &addr, &requests));
     }
@@ -695,9 +692,7 @@ fn client_main(mut args: Args) -> CliResult {
     // Connects retry with bounded exponential backoff (a restoring server
     // replaying its WAL is the expected cause of a refused connect);
     // failures after the trace started are never retried — re-sending a
-    // half-delivered trace would re-apply its mutations. `--frame binary`
-    // negotiates the length-prefixed codec up front; the response lines
-    // printed are byte-identical either way.
+    // half-delivered trace would re-apply its mutations.
     let exchanged = if from_file {
         client
             .pipeline(&addr, &requests)

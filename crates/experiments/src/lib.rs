@@ -1,7 +1,7 @@
 //! Figure/table regeneration harness.
 //!
 //! One driver per figure and table of the paper's evaluation (§6 and
-//! Appendix A), all reachable through the [`registry`] and the
+//! Appendix A), all reachable through the [`registry`](mod@registry) and the
 //! `run_experiments` binary:
 //!
 //! ```text

@@ -1,32 +1,26 @@
 //! The client side of a serve connection: [`Client`], the one driver
 //! behind `cosched client`, the loopback tests, and the benches.
 //!
-//! A [`Client`] says how to speak (JSON lines or binary frames) and how
-//! many refused connects to ride out. [`Client::exchange`] runs a trace
-//! **lock-step** (each request is written only after the previous
-//! response arrived); [`Client::pipeline`] writes the whole trace from
-//! a sender thread while the calling thread collects responses, so many
-//! requests are in flight on one connection at once. Either way the
-//! server answers in request order, so the k-th response belongs to the
-//! k-th request.
+//! A [`Client`] says how many refused connects to ride out.
+//! [`Client::exchange`] runs a trace **lock-step** (each request is
+//! written only after the previous response arrived);
+//! [`Client::pipeline`] writes the whole trace from a sender thread
+//! while the calling thread collects responses, so many requests are in
+//! flight on one connection at once. Either way the server answers in
+//! request order, so the k-th response belongs to the k-th request.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use super::frame::{self, FrameMode};
-
 /// Connection attempts a [`Client`] makes beyond the first by default
 /// (`cosched client --retries` overrides).
 pub const DEFAULT_CLIENT_RETRIES: u32 = 3;
 
-/// A serve client: the wire mode and the connect retry budget.
+/// A serve client: the connect retry budget. Requests and responses are
+/// `\n`-terminated JSON lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Client {
-    /// [`FrameMode::Json`] sends plain lines; [`FrameMode::Binary`]
-    /// negotiates length-prefixed frames with a hello first. The
-    /// response payloads are byte-identical in both modes.
-    pub frame: FrameMode,
     /// Connect attempts beyond the first. Only the *connect* is retried:
     /// once any request has been written, a dead connection aborts the
     /// exchange (re-sending a half-delivered trace would re-apply its
@@ -37,7 +31,6 @@ pub struct Client {
 impl Default for Client {
     fn default() -> Self {
         Self {
-            frame: FrameMode::Json,
             retries: DEFAULT_CLIENT_RETRIES,
         }
     }
@@ -63,9 +56,9 @@ impl Client {
     /// attempts up to [`Client::retries`] times with exponential backoff
     /// (50 ms doubling, capped at 2 s — a just-restarting server
     /// replaying a long WAL is the expected cause), disables Nagle (tiny
-    /// lines plus the peer's delayed ACK would cost ~40 ms per exchange),
-    /// and in binary mode completes the hello. Non-transient errors and
-    /// exhausted retries return an error naming the attempt count.
+    /// lines plus the peer's delayed ACK would cost ~40 ms per exchange).
+    /// Non-transient errors and exhausted retries return an error naming
+    /// the attempt count.
     pub fn connect(&self, addr: impl ToSocketAddrs + Copy) -> io::Result<TcpStream> {
         let mut delay = Duration::from_millis(50);
         let mut attempt = 0u32;
@@ -86,10 +79,7 @@ impl Client {
             }
         };
         stream.set_nodelay(true)?;
-        match self.frame {
-            FrameMode::Json => Ok(stream),
-            FrameMode::Binary => binary_hello(stream),
-        }
+        Ok(stream)
     }
 
     /// Connects and sends each request **lock-step**, returning the
@@ -163,57 +153,23 @@ impl Client {
     /// payload/newline write would interact with Nagle and delayed ACK
     /// into a ~40 ms stall each.
     fn send(&self, w: &mut impl Write, request: &str, scratch: &mut Vec<u8>) -> io::Result<()> {
-        match self.frame {
-            FrameMode::Json => {
-                scratch.clear();
-                scratch.extend_from_slice(request.as_bytes());
-                scratch.push(b'\n');
-                w.write_all(scratch)
-            }
-            FrameMode::Binary => frame::write_frame(w, request, scratch),
-        }
+        scratch.clear();
+        scratch.extend_from_slice(request.as_bytes());
+        scratch.push(b'\n');
+        w.write_all(scratch)
     }
 
     /// Reads one response; an EOF before it is an error.
     fn recv(&self, r: &mut impl BufRead) -> io::Result<String> {
-        let response = match self.frame {
-            FrameMode::Json => {
-                let mut line = String::new();
-                (r.read_line(&mut line)? > 0).then(|| line.trim_end().to_string())
-            }
-            FrameMode::Binary => frame::read_frame(r)?,
-        };
-        response.ok_or_else(|| {
-            io::Error::new(
+        let mut line = String::new();
+        if r.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection mid-exchange",
-            )
-        })
+            ));
+        }
+        Ok(line.trim_end().to_string())
     }
-}
-
-/// Sends the binary hello and checks the acknowledgement. Lock-step on
-/// purpose: frames poured in before the ack would be misparsed by a
-/// server that rejects the hello. The server sends nothing unprompted
-/// after the ack, so the reader holds nothing past it and the bare
-/// stream can be handed back.
-fn binary_hello(stream: TcpStream) -> io::Result<TcpStream> {
-    (&stream).write_all(format!("{}\n", frame::hello_line(FrameMode::Binary)).as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut ack = String::new();
-    if reader.read_line(&mut ack)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection during the hello",
-        ));
-    }
-    if frame::ack_mode(ack.trim_end())? != FrameMode::Binary || !reader.buffer().is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected answer to a binary hello: {}", ack.trim_end()),
-        ));
-    }
-    Ok(reader.into_inner())
 }
 
 /// Connect errors worth retrying: the server is down or mid-restart, not
@@ -237,13 +193,6 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn with_retries(retries: u32) -> Client {
-        Client {
-            retries,
-            ..Client::default()
-        }
-    }
-
     #[test]
     fn zero_retries_fails_fast_with_attempt_count() {
         // Bind-then-drop yields a port with (very likely) no listener.
@@ -251,7 +200,7 @@ mod tests {
             .unwrap()
             .local_addr()
             .unwrap();
-        let e = with_retries(0).connect(addr).unwrap_err();
+        let e = Client { retries: 0 }.connect(addr).unwrap_err();
         assert!(e.to_string().contains("after 1 attempt(s)"), "{e}");
     }
 
@@ -267,7 +216,7 @@ mod tests {
             let _ = listener.accept();
         });
         // First attempt refused, a retry lands after the server is up.
-        let stream = with_retries(5)
+        let stream = Client { retries: 5 }
             .connect(addr)
             .expect("retry until listening");
         drop(stream);
@@ -278,7 +227,7 @@ mod tests {
     fn misaddressed_connects_are_not_retried() {
         let started = std::time::Instant::now();
         // An invalid address errors in resolution — no backoff sleeps.
-        assert!(with_retries(3)
+        assert!(Client { retries: 3 }
             .exchange("definitely-not-a-host:1", &[])
             .is_err());
         assert!(started.elapsed() < Duration::from_secs(10));

@@ -5,7 +5,7 @@
 //! `protocol::respond`, which every shard-routed request passes
 //! through). Solve-tier counters (memo / incremental / cold) and the
 //! aggregated [`EvalStats`](coschedule::eval::EvalStats) come from the
-//! session's own [`SessionStats`](coschedule::session::SessionStats)
+//! session's own [`SessionStats`]
 //! snapshot, read under the shard's lock between requests.
 //!
 //! Unlike every other op, the `metrics` response is **not** required to be

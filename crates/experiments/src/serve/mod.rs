@@ -27,7 +27,9 @@
 //! exchanges), `stats`, `list`, `solvers`, `metrics`, `close`, and (when
 //! enabled) `shutdown`. Failures answer `{"ok":false,…,"error":…}` —
 //! echoing the request's instance id when it carried one — and keep the
-//! connection open.
+//! connection open. The one exception is a line longer than
+//! [`reactor::MAX_LINE_LEN`]: it is refused with one error line, and the
+//! connection closes.
 //!
 //! # Architecture
 //!
@@ -51,9 +53,6 @@
 //!   leave in request order with no thread hop;
 //! * [`conn`] — the client side: [`Client`], with lock-step and
 //!   pipelined exchanges;
-//! * [`frame`] — the opt-in length-prefixed binary wire format,
-//!   negotiated by a `{"op":"hello","frame":"binary"}` first line
-//!   (JSON stays the reference protocol and byte-identity oracle);
 //! * [`metrics`] — per-shard counters behind the `metrics` op: requests,
 //!   solves by tier (memo / incremental / cold), aggregated eval-engine
 //!   work, WAL and network columns;
@@ -82,7 +81,6 @@
 //! [`Session`]: coschedule::session::Session
 
 pub mod conn;
-pub mod frame;
 pub mod metrics;
 pub mod protocol;
 pub mod reactor;
@@ -90,7 +88,6 @@ pub mod router;
 pub mod wal;
 
 pub use conn::{Client, ExchangeStats, DEFAULT_CLIENT_RETRIES};
-pub use frame::FrameMode;
 pub use protocol::{
     app_from_json, app_to_json, handle_line, platform_from_json, platform_overrides_from_json,
     ServeState,

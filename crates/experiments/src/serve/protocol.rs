@@ -4,7 +4,7 @@
 //! Everything here is transport-free by construction — [`handle_line`]
 //! maps one request string to one response string, so the whole protocol
 //! is testable without sockets. The server's shards funnel into
-//! [`respond`] too (behind the [`Router`](super::router::Router)), so a
+//! [`respond`] too (behind the [`router`](super::router)), so a
 //! server at any worker count answers every request with the same bytes
 //! a [`handle_line`] replay on one fresh state produces.
 //!
@@ -241,7 +241,7 @@ pub(super) fn is_global_op(op: &str) -> bool {
     )
 }
 
-/// Answers one parsed request: [`dispatch`] plus the error envelope. The
+/// Answers one parsed request: `dispatch` plus the error envelope. The
 /// router calls this directly (it already parsed the line
 /// to route it), `handle_line` after parsing.
 pub fn respond(state: &mut ServeState, request: &Json) -> Json {

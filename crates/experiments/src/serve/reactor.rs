@@ -7,18 +7,20 @@
 //! level-triggered [`miniepoll`] readiness loop over its connections:
 //!
 //! * per-connection **read and write buffers**, with partial reads
-//!   reassembled into lines (or binary frames, after a hello — see
-//!   [`frame`](super::frame)) and partial writes resumed where they
-//!   left off. The `\n` search resumes where the previous read stopped,
-//!   so a line torn across many reads costs linear time;
+//!   reassembled into `\n`-terminated lines and partial writes resumed
+//!   where they left off. The `\n` search resumes where the previous
+//!   read stopped, so a line torn across many reads costs linear time.
+//!   A line longer than [`MAX_LINE_LEN`] is refused with one error line
+//!   and the connection closes once that reply drains, so a peer that
+//!   never sends `\n` cannot grow the buffer without bound;
 //! * **write-interest toggling**: a connection is registered read-only
 //!   while its write buffer is empty and read+write while it is not, so
 //!   an idle connection costs no wakeups;
 //! * **run to completion**: every complete request is answered inline on
-//!   this thread by the [`Router`], which locks the owning shard, solves,
-//!   commits the WAL and returns the reply. The reply goes straight onto
-//!   the connection's write buffer, so replies leave in request order by
-//!   construction.
+//!   this thread by the [`router`](super::router), which locks the owning
+//!   shard, solves, commits the WAL and returns the reply. The reply goes
+//!   straight onto the connection's write buffer, so replies leave in
+//!   request order by construction.
 //!
 //! One eventfd per reactor remains, for the accept loop's connection
 //! hand-off and for shutdown.
@@ -41,7 +43,7 @@
 //!
 //! Shutdown: once the router accepts a `shutdown`, it signals every
 //! reactor's eventfd. Each reactor stops reading, flushes what it has
-//! buffered (bounded by [`DRAIN_GRACE`]), closes its connections, dials
+//! buffered (bounded by `DRAIN_GRACE`), closes its connections, dials
 //! the accept loop awake, and exits.
 
 use std::collections::HashMap;
@@ -55,8 +57,8 @@ use std::time::{Duration, Instant};
 
 use miniepoll::{Epoll, Event, EventFd, Interest};
 
-use super::frame::{self, FrameDecoder, FrameMode, Negotiation};
 use super::metrics::NetMetrics;
+use super::protocol::error_response;
 use super::router::Router;
 
 /// Registration token reserved for the reactor's own wake eventfd.
@@ -64,6 +66,10 @@ const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Read granularity; also the flush-compaction threshold.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// The longest request line a connection may send, `\n` excluded. The
+/// largest real request, a 4096-app `create`, is ~456 KB.
+pub const MAX_LINE_LEN: usize = 16 * 1024 * 1024;
 
 /// How long a draining reactor keeps trying to flush buffered replies to
 /// peers that have stopped reading before force-closing.
@@ -160,17 +166,8 @@ struct Conn {
     stream: TcpStream,
     /// The server-wide connection id, also the epoll token.
     token: u64,
-    mode: FrameMode,
-    /// Whether the first line was seen (the hello window is one line).
-    saw_first: bool,
-    /// Line reassembly buffer (JSON mode) with its consumed prefix, and
-    /// how far it has been searched for `\n` (the next search starts at
-    /// the larger of `scanned` and `read_at`).
-    read_buf: Vec<u8>,
-    read_at: usize,
-    scanned: usize,
-    /// Frame reassembly (binary mode, after a hello).
-    decoder: FrameDecoder,
+    /// Bytes read but not yet dispatched as lines.
+    lines: LineBuf,
     /// Bytes queued to the peer, `written` of them already sent.
     write_buf: Vec<u8>,
     written: usize,
@@ -183,6 +180,66 @@ struct Conn {
     read_closed: bool,
     /// I/O error; the connection closes immediately.
     dead: bool,
+}
+
+/// A connection's line reassembly buffer: the bytes read so far, the
+/// consumed prefix (`read_at`), and how far the rest has been searched
+/// for `\n` (the next search starts at the larger of `scanned` and
+/// `read_at`, so a line torn across many reads costs linear time).
+#[derive(Default)]
+struct LineBuf {
+    buf: Vec<u8>,
+    read_at: usize,
+    scanned: usize,
+}
+
+/// What [`LineBuf::next_line`] found.
+#[derive(Debug, PartialEq)]
+enum NextLine {
+    /// A complete line, its `\n` and one trailing `\r` stripped
+    /// (`BufRead::lines` semantics), decoded lossily as UTF-8.
+    Line(String),
+    /// No complete line yet.
+    Pending,
+    /// The line in progress is longer than [`MAX_LINE_LEN`]; the buffer
+    /// has been freed.
+    TooLong,
+}
+
+impl LineBuf {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn next_line(&mut self) -> NextLine {
+        // Resume the search where the previous call left it: bytes
+        // before `scanned` hold no `\n`.
+        let from = self.scanned.max(self.read_at);
+        let newline = self.buf[from..].iter().position(|&b| b == b'\n');
+        let line_len = newline.map_or(self.buf.len(), |nl| from + nl) - self.read_at;
+        if line_len > MAX_LINE_LEN {
+            *self = LineBuf::default();
+            return NextLine::TooLong;
+        }
+        let Some(nl) = newline else {
+            self.scanned = self.buf.len();
+            // Compact the consumed prefix once it dominates.
+            if self.read_at > 0 && self.read_at >= self.buf.len() / 2 {
+                self.buf.drain(..self.read_at);
+                self.scanned -= self.read_at;
+                self.read_at = 0;
+            }
+            return NextLine::Pending;
+        };
+        let end = from + nl;
+        let mut line_end = end;
+        if line_end > self.read_at && self.buf[line_end - 1] == b'\r' {
+            line_end -= 1;
+        }
+        let line = String::from_utf8_lossy(&self.buf[self.read_at..line_end]).into_owned();
+        self.read_at = end + 1;
+        NextLine::Line(line)
+    }
 }
 
 impl Conn {
@@ -300,12 +357,7 @@ impl Loop {
                 Conn {
                     stream,
                     token,
-                    mode: FrameMode::Json,
-                    saw_first: false,
-                    read_buf: Vec::new(),
-                    read_at: 0,
-                    scanned: 0,
-                    decoder: FrameDecoder::default(),
+                    lines: LineBuf::default(),
                     write_buf: Vec::new(),
                     written: 0,
                     armed: Interest::READABLE,
@@ -318,10 +370,10 @@ impl Loop {
     }
 
     /// Reads everything currently available on `token` and dispatches
-    /// every complete message.
+    /// every complete line.
     fn handle_readable(&mut self, token: u64) {
         // The scratch buffer is swapped out of `self` for the duration
-        // so `ingest` can borrow `self` mutably between reads.
+        // so `dispatch_lines` can borrow `self` mutably between reads.
         let mut chunk = std::mem::take(&mut self.read_chunk);
         self.read_into(token, &mut chunk);
         self.read_chunk = chunk;
@@ -342,7 +394,8 @@ impl Loop {
                 }
                 Ok(n) => {
                     self.net.add_bytes_in(n as u64);
-                    self.ingest(token, &chunk[..n]);
+                    conn.lines.push(&chunk[..n]);
+                    self.dispatch_lines(token);
                     // A short read already proves the kernel buffer is
                     // drained — skip the extra read() that would only
                     // return EAGAIN. Level-triggered registration makes
@@ -365,86 +418,27 @@ impl Loop {
         }
     }
 
-    /// Buffers freshly read bytes and dispatches the complete lines (or
-    /// frames) they finish.
-    fn ingest(&mut self, token: u64, bytes: &[u8]) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        match conn.mode {
-            FrameMode::Json => {
-                conn.read_buf.extend_from_slice(bytes);
-                self.dispatch_lines(token);
-            }
-            FrameMode::Binary => {
-                conn.decoder.push(bytes);
-                self.dispatch_frames(token);
-            }
-        }
-    }
-
-    /// Extracts and dispatches complete `\n`-terminated lines; handles
-    /// the hello window on the very first one. A mid-stream hello
-    /// switch moves the unconsumed tail of the line buffer into the
-    /// frame decoder.
+    /// Extracts and dispatches complete `\n`-terminated lines. A line
+    /// longer than [`MAX_LINE_LEN`] is not dispatched: the connection
+    /// gets one error line and stops reading.
     fn dispatch_lines(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            // Resume the search where the previous read left it: bytes
-            // before `scanned` hold no `\n`.
-            let from = conn.scanned.max(conn.read_at);
-            let Some(nl) = conn.read_buf[from..].iter().position(|&b| b == b'\n') else {
-                conn.scanned = conn.read_buf.len();
-                // Compact the consumed prefix once it dominates.
-                if conn.read_at > 0 && conn.read_at >= conn.read_buf.len() / 2 {
-                    conn.read_buf.drain(..conn.read_at);
-                    conn.scanned -= conn.read_at;
-                    conn.read_at = 0;
+            let line = match conn.lines.next_line() {
+                NextLine::Line(line) => line,
+                NextLine::Pending => return,
+                NextLine::TooLong => {
+                    let error =
+                        error_response(&format!("request line exceeds {MAX_LINE_LEN} bytes"), None);
+                    conn.write_buf
+                        .extend_from_slice(error.to_string().as_bytes());
+                    conn.write_buf.push(b'\n');
+                    conn.read_closed = true;
+                    return;
                 }
-                return;
             };
-            let end = from + nl;
-            // `BufRead::lines` semantics: strip the `\n` and one `\r`.
-            let mut line_end = end;
-            if line_end > conn.read_at && conn.read_buf[line_end - 1] == b'\r' {
-                line_end -= 1;
-            }
-            let line = String::from_utf8_lossy(&conn.read_buf[conn.read_at..line_end]).into_owned();
-            conn.read_at = end + 1;
-            if !conn.saw_first {
-                conn.saw_first = true;
-                match frame::negotiate(&line) {
-                    Negotiation::Hello(mode) => {
-                        // The ack is a line; the switch applies after it.
-                        let ack = frame::hello_ack(mode);
-                        conn.write_buf.extend_from_slice(ack.as_bytes());
-                        conn.write_buf.push(b'\n');
-                        conn.mode = mode;
-                        if mode == FrameMode::Binary {
-                            // Any bytes after the hello are frames.
-                            let tail = conn.read_buf.split_off(conn.read_at);
-                            conn.decoder.push(&tail);
-                            conn.read_buf.clear();
-                            conn.read_at = 0;
-                            conn.scanned = 0;
-                            self.pump(token);
-                            self.dispatch_frames(token);
-                            return;
-                        }
-                        self.pump(token);
-                        continue;
-                    }
-                    Negotiation::Reject(error) => {
-                        conn.write_buf.extend_from_slice(error.as_bytes());
-                        conn.write_buf.push(b'\n');
-                        self.pump(token);
-                        continue; // stay in JSON mode
-                    }
-                    Negotiation::NotHello => {} // the first request
-                }
-            }
             self.dispatch(token, &line);
             if self.router.shutdown_requested() {
                 return;
@@ -452,32 +446,7 @@ impl Loop {
         }
     }
 
-    /// Extracts and dispatches complete binary frames. Framing errors
-    /// (over-long length prefix, non-UTF-8 payload) kill the
-    /// connection: inside a corrupt stream there is no next frame
-    /// boundary to resynchronize on.
-    fn dispatch_frames(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            match conn.decoder.next_payload() {
-                Ok(Some(payload)) => {
-                    self.dispatch(token, &payload);
-                    if self.router.shutdown_requested() {
-                        return;
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    conn.dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Answers one message inline (see the module docs) under the
+    /// Answers one line inline (see the module docs) under the
     /// connection's next sequence number and its server-wide trace id,
     /// and queues the reply on the connection's write buffer. May wait
     /// for a shard another reactor is solving on.
@@ -491,17 +460,8 @@ impl Loop {
         // than 2^32 requests.
         let trace = (token << 32) | (seq & u64::from(u32::MAX));
         let reply = self.router.dispatch(line, trace, &mut self.rotations);
-        match conn.mode {
-            FrameMode::Json => {
-                conn.write_buf.extend_from_slice(reply.as_bytes());
-                conn.write_buf.push(b'\n');
-            }
-            FrameMode::Binary => {
-                if frame::encode_frame(&reply, &mut conn.write_buf).is_err() {
-                    conn.dead = true;
-                }
-            }
-        }
+        conn.write_buf.extend_from_slice(reply.as_bytes());
+        conn.write_buf.push(b'\n');
         if !self.rotations.is_empty() {
             // The reply goes out before the snapshot is written.
             self.pump(token);
@@ -583,6 +543,112 @@ impl Loop {
             self.net.record_close();
             // `conn.stream` drops here, closing the fd after the
             // registration is gone (miniepoll safety invariant).
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Drains every complete line `lines` holds.
+    fn drain(lines: &mut LineBuf) -> Vec<String> {
+        let mut out = Vec::new();
+        loop {
+            match lines.next_line() {
+                NextLine::Line(line) => out.push(line),
+                NextLine::Pending => return out,
+                NextLine::TooLong => panic!("unexpected oversized line"),
+            }
+        }
+    }
+
+    #[test]
+    fn lines_torn_at_every_byte_reassemble() {
+        let payloads = ["", "x", "{\"op\":\"stats\"}", "π ≠ 3 🚀", "crlf"];
+        let wire = "\nx\n{\"op\":\"stats\"}\nπ ≠ 3 🚀\ncrlf\r\n";
+        // Feed the stream one byte at a time: every line is torn at every
+        // possible boundary, inside multi-byte code points included.
+        let mut lines = LineBuf::default();
+        let mut decoded = Vec::new();
+        for byte in wire.as_bytes() {
+            lines.push(std::slice::from_ref(byte));
+            decoded.extend(drain(&mut lines));
+        }
+        assert_eq!(decoded, payloads);
+        assert_eq!(lines.read_at, lines.buf.len(), "no bytes may linger");
+    }
+
+    #[test]
+    fn oversized_line_is_rejected_not_buffered() {
+        let mut lines = LineBuf::default();
+        // A line of exactly the cap is accepted.
+        lines.push(&vec![b'x'; MAX_LINE_LEN]);
+        assert_eq!(lines.next_line(), NextLine::Pending);
+        lines.push(b"\n");
+        assert_eq!(lines.next_line(), NextLine::Line("x".repeat(MAX_LINE_LEN)));
+        // One byte more, with no `\n` yet, is refused and freed.
+        lines.push(&vec![b'y'; MAX_LINE_LEN + 1]);
+        assert_eq!(lines.next_line(), NextLine::TooLong);
+        assert_eq!(lines.buf.capacity(), 0);
+        assert_eq!((lines.read_at, lines.scanned), (0, 0));
+    }
+
+    #[test]
+    fn compaction_keeps_the_line_buffer_bounded() {
+        let line = format!("{}\n", "y".repeat(1000));
+        let mut lines = LineBuf::default();
+        for _ in 0..1000 {
+            lines.push(line.as_bytes());
+            assert!(matches!(lines.next_line(), NextLine::Line(_)));
+            assert_eq!(lines.next_line(), NextLine::Pending);
+        }
+        // Without compaction this would be ~1 MB of consumed prefix.
+        assert!(lines.buf.len() < 8 * line.len());
+    }
+
+    /// Arbitrary unicode line: random scalar values (surrogates are
+    /// filtered by `char::from_u32`) without `\n` or `\r`, so multi-byte
+    /// UTF-8 crosses every torn read boundary the chunking picks.
+    fn arb_line() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u32..0x11_0000u32, 0..200).prop_map(|codes| {
+            codes
+                .into_iter()
+                .filter_map(char::from_u32)
+                .filter(|&c| c != '\n' && c != '\r')
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lines_round_trip_torn_at_random_boundaries(
+            payloads in proptest::collection::vec(arb_line(), 1..8),
+            chunk_seed in 1usize..97,
+        ) {
+            let mut wire = Vec::new();
+            for p in &payloads {
+                wire.extend_from_slice(p.as_bytes());
+                wire.push(b'\n');
+            }
+            // Feed the stream in pseudo-random chunk sizes: every line is
+            // torn at data-dependent boundaries.
+            let mut lines = LineBuf::default();
+            let mut decoded = Vec::new();
+            let mut at = 0usize;
+            let mut step = chunk_seed;
+            while at < wire.len() {
+                let take = (step % 13 + 1).min(wire.len() - at);
+                lines.push(&wire[at..at + take]);
+                at += take;
+                step = step.wrapping_mul(31).wrapping_add(7);
+                decoded.extend(drain(&mut lines));
+            }
+            prop_assert_eq!(decoded, payloads);
+            prop_assert_eq!(lines.read_at, lines.buf.len(), "no bytes may linger after the last line");
         }
     }
 }

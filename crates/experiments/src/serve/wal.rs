@@ -34,7 +34,7 @@
 //! # What is logged
 //!
 //! Exactly the shard-routed ops — the complement of
-//! [`protocol::is_global_op`] — including *failed* ones: failures bump
+//! `protocol::is_global_op` — including *failed* ones: failures bump
 //! the `requests` counter and the evaluation stats, so skipping them
 //! would make a recovered server's counters drift from the original. The
 //! `batch` envelope is never logged; its sub-requests are, one record
@@ -761,6 +761,7 @@ pub fn routing_state(states: &[ServeState]) -> (BTreeMap<u64, usize>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -805,7 +806,7 @@ mod tests {
 
     #[test]
     fn records_round_trip_and_torn_tails_are_dropped() {
-        let dir = temp_dir("frame");
+        let dir = temp_dir("records");
         let session = Session::new();
         let mut writer = WalWriter::create(
             &dir,
@@ -849,6 +850,72 @@ mod tests {
         fs::write(&path, b"COS").unwrap();
         assert!(read_wal_records(&path).unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Characters the fuzzed records are drawn from: JSON punctuation and
+    /// 1- to 4-byte UTF-8.
+    const RECORD_CHARS: [char; 8] = ['{', '"', ':', 'a', '7', 'é', '€', '𝄞'];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One flipped bit past the magic keeps exactly the records before
+        /// the one holding it (a flip anywhere in a record fails its
+        /// checksum, or its length runs past the file); one flipped bit
+        /// inside the magic keeps none. Never a panic.
+        #[test]
+        fn a_flipped_bit_drops_its_record_and_everything_after(
+            records in prop::collection::vec(
+                prop::collection::vec(0..RECORD_CHARS.len(), 0..40)
+                    .prop_map(|picks| picks.into_iter().map(|i| RECORD_CHARS[i]).collect::<String>()),
+                1..8,
+            ),
+            flip in 0u64..u64::MAX,
+            magic_bit in 0..MAGIC.len() * 8,
+        ) {
+            let dir = temp_dir("bitflip");
+            let mut writer = WalWriter::create(
+                &dir,
+                0,
+                1,
+                Durability::Log,
+                1024,
+                0,
+                &Session::new(),
+                0,
+                &LatencyHistogram::default(),
+                0,
+            )
+            .unwrap();
+            for record in &records {
+                writer.append(record).unwrap();
+            }
+            writer.commit().unwrap();
+            let path = wal_path(&dir, 0, 0);
+            let clean = fs::read(&path).unwrap();
+            prop_assert_eq!(read_wal_records(&path).unwrap(), records.clone());
+
+            let body_bits = (clean.len() - MAGIC.len()) as u64 * 8;
+            let bit = MAGIC.len() * 8 + (flip % body_bits) as usize;
+            let mut flipped = clean.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &flipped).unwrap();
+            let mut end = MAGIC.len();
+            let hit = records
+                .iter()
+                .position(|record| {
+                    end += 8 + record.len();
+                    bit / 8 < end
+                })
+                .unwrap();
+            prop_assert_eq!(read_wal_records(&path).unwrap(), records[..hit].to_vec());
+
+            let mut flipped = clean;
+            flipped[magic_bit / 8] ^= 1 << (magic_bit % 8);
+            fs::write(&path, &flipped).unwrap();
+            prop_assert!(read_wal_records(&path).unwrap().is_empty());
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

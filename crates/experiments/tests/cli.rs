@@ -119,10 +119,7 @@ fn killed_server_restores_and_answers_the_remainder_byte_identically() {
         "--addr 127.0.0.1:0 --restore {dir_arg} --allow-shutdown"
     ));
     assert_eq!(workers, "4", "restore must adopt the logged worker count");
-    let patient = Client {
-        retries: 10,
-        ..Client::default()
-    };
+    let patient = Client { retries: 10 };
     let rest = patient.exchange(&*addr, &after).expect("post-restore");
     for ((request, got), want) in after.iter().zip(&rest).zip(&reference[before.len()..]) {
         assert_eq!(got, want, "diverged after restore on {request}");

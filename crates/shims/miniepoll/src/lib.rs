@@ -11,7 +11,7 @@
 //! are what a reviewer should check when touching this crate:
 //!
 //! * **Struct layout.** `epoll_ctl` / `epoll_wait` exchange
-//!   [`EpollEvent`] values with the kernel, so the struct must match the
+//!   `EpollEvent` values with the kernel, so the struct must match the
 //!   kernel ABI bit for bit: `u32` events word followed by a 64-bit
 //!   user-data word, **packed** (no padding between the two) on x86-64
 //!   and x86 — the one architecture family where the kernel declares
@@ -19,7 +19,7 @@
 //!   packed)]` below encodes exactly that; porting this crate to another
 //!   Linux architecture means auditing that attribute first.
 //! * **Fd ownership.** The epoll instance and the eventfd are held as
-//!   [`OwnedFd`]s, so they close exactly once, on drop. *Registered* fds
+//!   [`OwnedFd`](std::os::fd::OwnedFd)s, so they close exactly once, on drop. *Registered* fds
 //!   are borrowed, never owned: callers must keep a registered fd open
 //!   until it is [`Epoll::delete`]d or the epoll instance is dropped.
 //!   (Closing a registered fd is not a leak — the kernel drops the

@@ -15,7 +15,7 @@ mod common;
 
 use common::{assert_matches_oracle, create_request, exchange, shutdown, spawn_server, subtrace};
 use experiments::cluster::{request_trace, run, ClusterSpec, ProfileKind};
-use experiments::serve::{handle_line, Client, FrameMode, ServeState};
+use experiments::serve::{handle_line, Client, ServeState};
 use minijson::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -28,10 +28,7 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
     // Phase 1 — live: one thread per client; each creates its instance
     // (lock-step, to learn the id), then runs its subtrace — even clients
     // pipelined (many requests in flight on one connection), odd clients
-    // lock-step; clients 0, 3, and 4 additionally negotiate the binary
-    // frame codec, so framed and line-JSON connections interleave on the
-    // same shards (the phase-2 replay is plain JSON, so the framed
-    // responses must decode to the exact reference bytes).
+    // lock-step.
     let mut clients: Vec<(u64, Vec<String>, Vec<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|k| {
@@ -46,15 +43,7 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
                     );
                     let id = v.get("id").and_then(Json::as_u64).expect("created id");
                     let trace = subtrace(k, id);
-                    let frame = if k % 4 == 0 || k % 4 == 3 {
-                        FrameMode::Binary
-                    } else {
-                        FrameMode::Json
-                    };
-                    let client = Client {
-                        frame,
-                        ..Client::default()
-                    };
+                    let client = Client::default();
                     let responses = if k % 2 == 0 {
                         client
                             .pipeline(addr, &trace)

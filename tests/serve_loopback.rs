@@ -12,6 +12,7 @@ mod common;
 use common::{
     assert_matches_oracle, handle_line_replay, mask_reactor_wakeups, run_script, spawn_server,
 };
+use experiments::serve::reactor::MAX_LINE_LEN;
 use experiments::serve::{app_to_json, smoke_script, Client, Server};
 use minijson::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -306,14 +307,15 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// JSON lines torn at arbitrary byte boundaries reassemble exactly: a
 /// `create` spanning more than four socket reads, pieces of one to many
-/// KiB, a `\r\n` terminator split across two writes, and several lines in
-/// one write all answer byte-identically to a `handle_line` replay.
+/// KiB, app names whose 2-, 3- and 4-byte UTF-8 code points the pieces
+/// tear, a `\r\n` terminator split across two writes, and several lines
+/// in one write all answer byte-identically to a `handle_line` replay.
 #[test]
 fn torn_json_lines_reassemble_byte_identically() {
     let npb = workloads::npb::npb6(&[0.05]);
     let apps = (0..800).map(|k| {
         let mut app = npb[k % npb.len()].clone();
-        app.name = format!("{}-{k}", app.name);
+        app.name = format!("{}-é€𝄞-{k}", app.name);
         app.work *= 1.0 + 1e-3 * k as f64;
         app_to_json(&app)
     });
@@ -349,13 +351,18 @@ fn torn_json_lines_reassemble_byte_identically() {
     };
     let mut writes: Vec<&[u8]> = Vec::new();
     let mut rest = head.as_bytes();
+    let mut torn_code_points = 0;
     while !rest.is_empty() {
         // Mostly sub-chunk pieces, now and then one larger than a read.
         let bound = if next(4) == 1 { 2 * READ_CHUNK } else { 4096 };
         let (piece, tail) = rest.split_at(next(bound).min(rest.len()));
         writes.push(piece);
         rest = tail;
+        if !head.is_char_boundary(head.len() - rest.len()) {
+            torn_code_points += 1;
+        }
     }
+    assert!(torn_code_points > 0, "no piece boundary tears a code point");
     writes.push(middle.as_bytes());
     let cut = next(tail.len() - 1);
     writes.push(&tail.as_bytes()[..cut]);
@@ -381,4 +388,40 @@ fn torn_json_lines_reassemble_byte_identically() {
         handle.join().expect("server thread").expect("server run");
         assert_eq!(replies, oracle, "workers={workers}");
     }
+}
+
+/// A peer that sends more than `MAX_LINE_LEN` bytes without a `\n` gets
+/// one error line and then EOF: the line is refused, not buffered
+/// without bound. The reactor keeps serving its other connections.
+#[test]
+fn an_unterminated_line_past_the_cap_is_refused_and_closed() {
+    let (addr, handle) = spawn_server(1);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // A server that buffers forever never answers: fail, do not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    stream
+        .write_all(&vec![b'x'; MAX_LINE_LEN + 1])
+        .expect("write the over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read the refusal");
+    assert_eq!(
+        line,
+        "{\"ok\":false,\"error\":\"request line exceeds 16777216 bytes\"}\n"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("read EOF"),
+        0,
+        "the connection must close after the refusal, got {line:?}"
+    );
+
+    let script = smoke_script();
+    let responses = Client::default()
+        .exchange(addr, &script)
+        .expect("second connection");
+    handle.join().expect("server thread").expect("server run");
+    assert_matches_oracle(&script, &responses, "after a refused line");
 }
