@@ -5,6 +5,16 @@
 //! can come from the scalar reference ([`equal_finish_split`]) or from the
 //! struct-of-arrays kernels ([`equal_finish_split_eval`]); both feed the
 //! same core, so results are bit-identical.
+//!
+//! The bisection visits ~40 midpoints, but evaluates the demand predicate
+//! (one O(n) pass) at only a handful of them. The predicate is monotone
+//! in `K` as computed, not only in exact arithmetic, so once it is known
+//! true at `t` and false at `f` every midpoint outside `(t, f)` is
+//! answered without touching the data. A few Newton steps on
+//! `1/demand(K) = 1/p` put `t` and `f` within ~1e-12 of the root before
+//! the loop starts. The loop itself, its midpoints and its stopping rule
+//! are those of the plain bisection, so the returned `K` has the same
+//! bits; the estimate decides only which midpoints are evaluated.
 
 use crate::error::{CoschedError, Result};
 use crate::eval::{EvalScratch, EvalSet};
@@ -97,8 +107,9 @@ pub fn equal_finish_makespan_eval(
 enum Bisect {
     /// The bracket was valid and the bisection converged on `K`.
     Converged(f64),
-    /// Degenerate costs (all ~0): `demand(lo) < p`, callers fall back to a
-    /// uniform processor split at makespan `lo`.
+    /// `demand(lo) < p`, which rounding can cause (e.g. with a single
+    /// application): callers fall back to a uniform processor split at
+    /// makespan `lo`.
     Degenerate(f64),
 }
 
@@ -115,14 +126,19 @@ impl Bisect {
 /// split on `p` processors. Both the scalar and the SoA entry points call
 /// this, which is what keeps them bit-identical.
 fn equal_finish_from_costs(costs: &[f64], seq: &[f64], p: f64) -> Result<EqualFinish> {
-    let k = match bisect_makespan(costs, seq, p)? {
+    Ok(split_at(bisect_makespan(costs, seq, p)?, costs, seq, p))
+}
+
+/// The processor split at a bisection outcome.
+fn split_at(bisect: Bisect, costs: &[f64], seq: &[f64], p: f64) -> EqualFinish {
+    let k = match bisect {
         Bisect::Degenerate(lo) => {
-            // Possible when every c_i is 0-ish; fall back to the trivial
-            // split.
-            return Ok(EqualFinish {
+            // Rounding left demand(lo) just short of p (e.g. a single
+            // application); fall back to the trivial split.
+            return EqualFinish {
                 makespan: lo,
                 procs: vec![p / costs.len() as f64; costs.len()],
-            });
+            };
         }
         Bisect::Converged(k) => k,
     };
@@ -145,7 +161,7 @@ fn equal_finish_from_costs(costs: &[f64], seq: &[f64], p: f64) -> Result<EqualFi
             *v *= p / total;
         }
     }
-    Ok(EqualFinish { makespan: k, procs })
+    EqualFinish { makespan: k, procs }
 }
 
 /// Chunk width for the demand scan: small enough to stay L1-resident,
@@ -179,9 +195,16 @@ fn demand_terms(k: f64, costs: &[f64], seq: &[f64], out: &mut [f64]) {
 /// every term is non-negative (and IEEE addition of a non-negative value
 /// is monotone), a partial sum already above the threshold settles the
 /// comparison, so the scan exits early — which is what makes the widening
-/// probes (demand ≫ p) cheap.
-fn demand_compares_ge(costs: &[f64], seq: &[f64], p: f64, k: f64, strict: bool) -> bool {
-    let mut terms = [0.0; DEMAND_CHUNK];
+/// probes (demand ≫ p) cheap. `terms` is scratch; its contents are
+/// overwritten before they are read.
+fn demand_compares_ge(
+    costs: &[f64],
+    seq: &[f64],
+    p: f64,
+    k: f64,
+    strict: bool,
+    terms: &mut [f64; DEMAND_CHUNK],
+) -> bool {
     let mut total = 0.0;
     for (chunk_costs, chunk_seq) in costs.chunks(DEMAND_CHUNK).zip(seq.chunks(DEMAND_CHUNK)) {
         let terms = &mut terms[..chunk_costs.len()];
@@ -200,20 +223,73 @@ fn demand_compares_ge(costs: &[f64], seq: &[f64], p: f64, k: f64, strict: bool) 
     }
 }
 
+/// Solves `demand(K) = p` for the equal-finish makespan: the plain
+/// bisection of [`replay`], its bracket seeded by [`newton_estimate`].
 fn bisect_makespan(costs: &[f64], seq: &[f64], p: f64) -> Result<Bisect> {
+    replay(costs, seq, p, |start| newton_estimate(costs, seq, p, start)).map(|(b, ..)| b)
+}
+
+/// The §5 bisection on `demand(K) > p`, replayed from a bracket.
+///
+/// The loop is the plain bisection, kept step for step: `lo` and `hi` as
+/// in [`equal_finish_split`], `hi` doubled while `demand(hi) > p` (at
+/// most 1024 times), the degenerate check `demand(lo) ≥ p`, then at most
+/// 200 halvings until `hi − lo ≤ REL_TOL·hi`, returning `hi`. Only the
+/// way each predicate is answered differs.
+///
+/// **The predicate is monotone as computed.** Take `c_i ≥ +0` and
+/// `s_i ∈ [0, 1]` (checked in the pass that computes `lo` and `hi`).
+/// Every IEEE operation of a term is then monotone in `K`: `K/c_i` is
+/// non-decreasing (for `c_i = +0` it is `−∞`, NaN and `+∞` below, at and
+/// above `K = 0`), subtracting `s_i` keeps the order, `(1 − s_i)/denom`
+/// has a non-negative numerator so it is non-increasing on `denom > 0`,
+/// and `+∞` stands in wherever `denom ≤ 0` or is NaN. The non-negative
+/// terms are summed in a fixed order and rounded addition is monotone in
+/// each operand, so the sum is non-increasing in `K`; the early exit
+/// fires only when a prefix, never above the full sum, already exceeds
+/// `p`, so it gives the full sum's answer. Hence once `demand > p` is
+/// known true at `t` and false at `f`, it is true at every `K ≤ t` and
+/// false at every `K ≥ f`, and the [`Bracket`] answers such points
+/// without touching the data. Inputs outside those conditions leave the
+/// bracket empty, and every predicate is evaluated.
+///
+/// **The bracket is seeded near the root.** `estimate` gets the start
+/// `max(lo, Σ(1 − s_i)c_i/p)` and returns a guess `K̂` with the number of
+/// O(n) passes it made; [`Bracket::seed`] probes the exact predicate on
+/// both sides of `K̂`. The guess only decides which points are evaluated
+/// exactly, never a predicate's answer, so a poor or NaN `K̂` costs a few
+/// passes and the result is the plain loop's, bit for bit.
+///
+/// Returns the outcome with its O(n) passes beyond the one computing
+/// `lo`: the estimate's, and the exact predicate evaluations.
+fn replay(
+    costs: &[f64],
+    seq: &[f64],
+    p: f64,
+    estimate: impl FnOnce(f64) -> (f64, u32),
+) -> Result<(Bisect, u32, u32)> {
     if costs.is_empty() {
         return Err(CoschedError::EmptyInstance);
     }
     let mut sp = crate::obs::span("eval", "bisection");
-    let mut lo = costs
-        .iter()
-        .zip(seq)
-        .map(|(&c, &s)| (s + (1.0 - s) / p) * c)
-        .fold(0.0, f64::max);
-    let mut hi = costs.iter().copied().fold(0.0, f64::max);
+    let (mut lo, mut hi, mut work, mut monotone) = (0.0, 0.0, 0.0, true);
+    for (&c, &s) in costs.iter().zip(seq) {
+        lo = f64::max(lo, (s + (1.0 - s) / p) * c);
+        hi = f64::max(hi, c);
+        work += (1.0 - s) * c;
+        monotone &= c.is_sign_positive() && (0.0..=1.0).contains(&s);
+    }
+    let mut bracket = Bracket::new(costs, seq, p, monotone);
+    let estimate_passes = if monotone {
+        let (guess, passes) = estimate(f64::max(lo, work / p));
+        bracket.seed(guess);
+        passes
+    } else {
+        0
+    };
     // n > p (or degenerate profiles): widen until the bracket is valid.
     let mut guard = 0;
-    while demand_compares_ge(costs, seq, p, hi, true) {
+    while bracket.above(hi) {
         hi *= 2.0;
         guard += 1;
         if guard > 1024 {
@@ -222,8 +298,8 @@ fn bisect_makespan(costs: &[f64], seq: &[f64], p: f64) -> Result<Bisect> {
             ));
         }
     }
-    if !demand_compares_ge(costs, seq, p, lo, false) {
-        return Ok(Bisect::Degenerate(lo));
+    if !bracket.at_least(lo) {
+        return Ok((Bisect::Degenerate(lo), estimate_passes, bracket.evals));
     }
 
     // Bisection: demand(K) is strictly decreasing in K on (lo, hi].
@@ -231,7 +307,7 @@ fn bisect_makespan(costs: &[f64], seq: &[f64], p: f64) -> Result<Bisect> {
     for _ in 0..200 {
         iterations += 1;
         let mid = 0.5 * (lo + hi);
-        if demand_compares_ge(costs, seq, p, mid, true) {
+        if bracket.above(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -241,13 +317,128 @@ fn bisect_makespan(costs: &[f64], seq: &[f64], p: f64) -> Result<Bisect> {
         }
     }
     sp.set_args(iterations, costs.len() as u64);
-    Ok(Bisect::Converged(hi))
+    Ok((Bisect::Converged(hi), estimate_passes, bracket.evals))
+}
+
+/// What [`replay`] knows of the strict predicate `demand(K) > p`: true
+/// at every `K ≤ t`, false at every `K ≥ f`. Each exact evaluation
+/// tightens it, unless the inputs are not `monotone`.
+struct Bracket<'a> {
+    costs: &'a [f64],
+    seq: &'a [f64],
+    p: f64,
+    monotone: bool,
+    t: Option<f64>,
+    f: Option<f64>,
+    /// Exact predicate evaluations so far, each one O(n) pass.
+    evals: u32,
+    /// Chunk scratch for [`demand_compares_ge`], zero-filled once per
+    /// solve.
+    terms: [f64; DEMAND_CHUNK],
+}
+
+impl<'a> Bracket<'a> {
+    fn new(costs: &'a [f64], seq: &'a [f64], p: f64, monotone: bool) -> Self {
+        Self {
+            costs,
+            seq,
+            p,
+            monotone,
+            t: None,
+            f: None,
+            evals: 0,
+            terms: [0.0; DEMAND_CHUNK],
+        }
+    }
+
+    /// `demand(k) > p`, from the bracket when it settles it.
+    fn above(&mut self, k: f64) -> bool {
+        if self.t.is_some_and(|t| k <= t) {
+            return true;
+        }
+        if self.f.is_some_and(|f| k >= f) {
+            return false;
+        }
+        let above = self.eval(k, true);
+        if self.monotone {
+            *if above { &mut self.t } else { &mut self.f } = Some(k);
+        }
+        above
+    }
+
+    /// `demand(k) ≥ p`. `demand > p` implies it, so `k ≤ t` settles it;
+    /// anything else is evaluated.
+    fn at_least(&mut self, k: f64) -> bool {
+        self.t.is_some_and(|t| k <= t) || self.eval(k, false)
+    }
+
+    fn eval(&mut self, k: f64, strict: bool) -> bool {
+        self.evals += 1;
+        demand_compares_ge(self.costs, self.seq, self.p, k, strict, &mut self.terms)
+    }
+
+    /// Probes the exact predicate at `guess·(1 ∓ δ)`, from `δ = 1e-12`
+    /// and ×64 after a miss, until both ends are known or six pairs are
+    /// spent. A non-finite guess probes nothing.
+    fn seed(&mut self, guess: f64) {
+        if !guess.is_finite() {
+            return;
+        }
+        let mut delta = 1e-12;
+        for _ in 0..6 {
+            if self.t.is_none() {
+                self.above(guess * (1.0 - delta));
+            }
+            if self.f.is_none() {
+                self.above(guess * (1.0 + delta));
+            }
+            if self.t.is_some() && self.f.is_some() {
+                return;
+            }
+            delta *= 64.0;
+        }
+    }
+}
+
+/// Newton's method on `1/demand(K) = 1/p` from `start`: returns the last
+/// iterate and the number of O(n) passes made. `1/demand` is exactly
+/// linear in `K` when every `s_i = 0`, and in general a parallel sum of
+/// affine functions, hence concave: from `start`, left of the root, the
+/// iterates climb towards it. Stops after 8 steps, at a relative step
+/// ≤ 1e-14, or before the first non-finite iterate.
+fn newton_estimate(costs: &[f64], seq: &[f64], p: f64, start: f64) -> (f64, u32) {
+    let mut k = start;
+    for pass in 1..=8 {
+        // With u = K − s·c, a term is (1 − s)·c/u and its share of
+        // −demand'(K) is (1 − s)·c/u²: one division per application.
+        let (mut demand, mut slope) = (0.0, 0.0);
+        for (&c, &s) in costs.iter().zip(seq) {
+            let r = 1.0 / (k - s * c);
+            let term = (1.0 - s) * c * r;
+            demand += term;
+            slope += term * r;
+        }
+        let next = k + demand * (demand / p - 1.0) / slope;
+        if !next.is_finite() {
+            return (k, pass);
+        }
+        let step = (next - k).abs();
+        k = next;
+        if step <= 1e-14 * k.abs() {
+            return (k, pass);
+        }
+    }
+    (k, 8)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{exec_time, Schedule};
+    use crate::solver::{Instance, SolveCtx};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     fn pf() -> Platform {
         Platform::taihulight()
@@ -436,5 +627,253 @@ mod tests {
             .unwrap()
             .makespan;
         assert!(k256 < k64);
+    }
+
+    #[test]
+    fn demand_just_short_of_p_at_lo_gives_the_uniform_split_at_lo() {
+        // One application with c = 1, s = 0.1 on p = 3: demand(lo) rounds
+        // to 2.9999999999999996 < 3, so the bisection never starts.
+        let lo: f64 = (0.1 + (1.0 - 0.1) / 3.0) * 1.0;
+        let ef = equal_finish_from_costs(&[1.0], &[0.1], 3.0).unwrap();
+        assert_eq!(ef.makespan.to_bits(), lo.to_bits());
+        assert_eq!(ef.procs, vec![3.0]);
+        // A zero-cost application beside it demands nothing at lo > 0, so
+        // the outcome holds and the two share the uniform split.
+        let ef = equal_finish_from_costs(&[0.0, 1.0], &[0.0, 0.1], 3.0).unwrap();
+        assert_eq!(ef.makespan.to_bits(), lo.to_bits());
+        assert_eq!(ef.procs, vec![1.5, 1.5]);
+    }
+
+    #[test]
+    fn all_zero_costs_fail_to_bracket() {
+        // At K = 0 every term is 0/0 → +∞, and doubling hi = 0 never moves
+        // it, so the widening guard gives up.
+        for seq in [[0.0; 3], [0.1, 0.5, 1.0]] {
+            let r = equal_finish_from_costs(&[0.0; 3], &seq, 4.0);
+            assert!(
+                matches!(r, Err(CoschedError::NoFeasibleMakespan(ref m)) if m.contains("does not converge")),
+                "{r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_cost_fails_to_bracket_instead_of_looping() {
+        // K/NaN makes that term +∞ at every K, so no upper bound is ever
+        // feasible: the guard stops the widening after 1024 doublings.
+        let r = equal_finish_from_costs(&[1.0, f64::NAN, 2.0], &[0.1, 0.2, 0.0], 4.0);
+        assert!(
+            matches!(r, Err(CoschedError::NoFeasibleMakespan(ref m)) if m.contains("does not converge")),
+            "{r:?}"
+        );
+    }
+
+    /// The plain bisection, every predicate evaluated: the oracle `replay`
+    /// must match bit for bit.
+    fn reference_bisect(costs: &[f64], seq: &[f64], p: f64) -> Result<Bisect> {
+        if costs.is_empty() {
+            return Err(CoschedError::EmptyInstance);
+        }
+        let mut terms = [0.0; DEMAND_CHUNK];
+        let mut lo = costs
+            .iter()
+            .zip(seq)
+            .map(|(&c, &s)| (s + (1.0 - s) / p) * c)
+            .fold(0.0, f64::max);
+        let mut hi = costs.iter().copied().fold(0.0, f64::max);
+        let mut guard = 0;
+        while demand_compares_ge(costs, seq, p, hi, true, &mut terms) {
+            hi *= 2.0;
+            guard += 1;
+            if guard > 1024 {
+                return Err(CoschedError::NoFeasibleMakespan(
+                    "upper bound does not converge".into(),
+                ));
+            }
+        }
+        if !demand_compares_ge(costs, seq, p, lo, false, &mut terms) {
+            return Ok(Bisect::Degenerate(lo));
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if demand_compares_ge(costs, seq, p, mid, true, &mut terms) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if (hi - lo) <= REL_TOL * hi {
+                break;
+            }
+        }
+        Ok(Bisect::Converged(hi))
+    }
+
+    /// Variant and bits of an outcome, or the error's text.
+    fn bits(r: &Result<Bisect>) -> std::result::Result<(bool, u64), String> {
+        match r {
+            Ok(b) => Ok((matches!(b, Bisect::Converged(_)), b.value().to_bits())),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// Random `(costs, seq, p)` over the solver's corners: `n` above and
+    /// below `p` (and past one demand chunk), `s` near 0, near 1 or
+    /// anywhere in `[0, 1]`, zero costs, costs across 1e-3…1e12, and
+    /// `p ∈ [1, 4096]`.
+    fn random_inputs(seed: u64) -> (Vec<f64>, Vec<f64>, f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = if rng.random_range(0..8) == 0 {
+            rng.random_range(500..=1100)
+        } else {
+            rng.random_range(1..=40)
+        };
+        let p = match rng.random_range(0..3) {
+            0 => rng.random_range(1..=8) as f64,
+            1 => rng.random_range(1.0..=4096.0),
+            _ => 4096.0,
+        };
+        let seq_mode = rng.random_range(0..3);
+        let mut costs = Vec::with_capacity(n);
+        let mut seq = Vec::with_capacity(n);
+        for _ in 0..n {
+            costs.push(if rng.random_range(0..16) == 0 {
+                0.0
+            } else {
+                10f64.powf(rng.random_range(-3.0..=12.0))
+            });
+            let tiny = 10f64.powf(rng.random_range(-16.0..=-2.0));
+            seq.push(match (seq_mode, rng.random_range(0..4)) {
+                (0, 0) => 0.0,
+                (0, _) => tiny,
+                (1, 0) => 1.0,
+                (1, _) => 1.0 - tiny,
+                _ => rng.random_range(0.0..=1.0),
+            });
+        }
+        // One case in eight breaks the monotonicity conditions (c < 0,
+        // c = −0, s > 1): the replay must then evaluate every predicate.
+        if rng.random_range(0..8) == 0 {
+            let i = rng.random_range(0..n);
+            match rng.random_range(0..3) {
+                0 => costs[i] = -costs[i].max(1.0),
+                1 => costs[i] = -0.0,
+                _ => seq[i] = rng.random_range(1.0..=2.0),
+            }
+        }
+        (costs, seq, p)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The replay returns the plain loop's variant and `K` bits for the
+        /// Newton estimate and for estimates that are NaN, 0, ±∞ or 50% off,
+        /// and the same `procs` bits through the split.
+        fn replay_is_bit_identical_to_the_plain_bisection(seed in 0u64..u64::MAX) {
+            let (costs, seq, p) = random_inputs(seed);
+            let reference = reference_bisect(&costs, &seq, p);
+            let newton = |start| newton_estimate(&costs, &seq, p, start);
+            prop_assert_eq!(bits(&replay(&costs, &seq, p, newton).map(|(b, ..)| b)), bits(&reference));
+            let k = reference.as_ref().map_or(1.0, Bisect::value);
+            for guess in [f64::NAN, 0.0, f64::INFINITY, f64::NEG_INFINITY, 0.5 * k, 1.5 * k] {
+                let seeded = replay(&costs, &seq, p, |_| (guess, 0)).map(|(b, ..)| b);
+                prop_assert_eq!(bits(&seeded), bits(&reference), "guess {}", guess);
+            }
+            if let Ok(b) = reference {
+                let ef = equal_finish_from_costs(&costs, &seq, p).unwrap();
+                let want = split_at(b, &costs, &seq, p);
+                prop_assert_eq!(ef.makespan.to_bits(), want.makespan.to_bits());
+                for (u, v) in ef.procs.iter().zip(&want.procs) {
+                    prop_assert_eq!(u.to_bits(), v.to_bits());
+                }
+            }
+            // Queried in random order within a few ulps and 1e-11 of the
+            // root, the bracket answers as the evaluated predicate does.
+            let monotone = costs.iter().all(|c| c.is_sign_positive())
+                && seq.iter().all(|s| (0.0..=1.0).contains(s));
+            if monotone && k > 0.0 {
+                let mut bracket = Bracket::new(&costs, &seq, p, true);
+                bracket.seed(newton_estimate(&costs, &seq, p, k).0);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut terms = [0.0; DEMAND_CHUNK];
+                for _ in 0..64 {
+                    let q = if rng.random_range(0..2) == 0 {
+                        f64::from_bits(k.to_bits().wrapping_add_signed(rng.random_range(-40..=40)))
+                    } else {
+                        k * (1.0 + rng.random_range(-1e-11..=1e-11))
+                    };
+                    let exact = demand_compares_ge(&costs, &seq, p, q, true, &mut terms);
+                    prop_assert_eq!(bracket.above(q), exact, "K = {}", q);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inputs_outside_the_monotone_conditions_evaluate_every_predicate() {
+        // s > 1 makes a term negative and rising in K, so the predicate is
+        // not monotone there; a bracket would land on a different K.
+        let (costs, seq, p) = ([1.0, 1.0, 1.0], [0.0, 0.1, 1.5], 0.05);
+        let newton = |start| newton_estimate(&costs, &seq, p, start);
+        let (b, estimate, _) = replay(&costs, &seq, p, newton).unwrap();
+        assert_eq!(estimate, 0, "no estimate without monotonicity");
+        assert_eq!(bits(&Ok(b)), bits(&reference_bisect(&costs, &seq, p)));
+    }
+
+    /// O(n) passes of one solve at DominantMinRatio's cache split:
+    /// `(exact predicate evaluations, all passes)`.
+    fn passes_at_the_dominant_split(apps: Vec<Application>, platform: Platform) -> (u32, u32) {
+        let instance = Instance::new(apps.clone(), platform.clone()).unwrap();
+        let out = crate::solver::by_name("DominantMinRatio")
+            .unwrap()
+            .solve(&instance, &mut SolveCtx::seeded(1))
+            .unwrap();
+        let costs: Vec<f64> = apps
+            .iter()
+            .zip(&out.schedule.assignments)
+            .map(|(a, x)| seq_cost(a, &platform, x.cache))
+            .collect();
+        let seq: Vec<f64> = apps.iter().map(|a| a.seq_fraction).collect();
+        let p = platform.processors;
+        let newton = |start| newton_estimate(&costs, &seq, p, start);
+        let (b, estimate, exact) = replay(&costs, &seq, p, newton).unwrap();
+        assert!(matches!(b, Bisect::Converged(_)));
+        assert_eq!(
+            b.value().to_bits(),
+            reference_bisect(&costs, &seq, p).unwrap().value().to_bits()
+        );
+        (exact, 1 + estimate + exact)
+    }
+
+    #[test]
+    fn a_solve_makes_a_handful_of_passes() {
+        // NPB-6 on TaihuLight, and a 4096-app NPB-SYNTH instance: the six
+        // Table-2 profiles cycled, w ~ U[1e8, 1e12], s ~ U[0.01, 0.15].
+        let rows = [
+            ("CG", 5.70e10, 0.535, 6.59e-4),
+            ("BT", 2.10e11, 0.829, 7.31e-3),
+            ("LU", 1.52e11, 0.750, 1.51e-3),
+            ("SP", 1.38e11, 0.762, 1.51e-2),
+            ("MG", 1.23e10, 0.540, 2.62e-2),
+            ("FT", 1.65e10, 0.582, 1.78e-2),
+        ];
+        let npb6 = rows
+            .iter()
+            .map(|&(name, w, f, m)| Application::new(name, w, 0.05, f, m))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(1);
+        let synth = (0..4096)
+            .map(|i| {
+                let (name, _, f, m) = rows[i % 6];
+                let w = rng.random_range(1e8..=1e12);
+                let s = rng.random_range(0.01..=0.15);
+                Application::new(format!("{name}-{i}"), w, s, f, m)
+            })
+            .collect();
+        for (apps, name) in [(npb6, "NPB-6"), (synth, "NPB-SYNTH 4096")] {
+            let (exact, total) = passes_at_the_dominant_split(apps, pf());
+            assert!(exact <= 6, "{name}: {exact} exact predicate passes");
+            assert!(total <= 10, "{name}: {total} passes");
+        }
     }
 }

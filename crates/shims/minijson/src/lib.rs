@@ -284,11 +284,52 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
         if n == 0.0 && n.is_sign_negative() {
             f.write_str("-0")
         } else {
-            write!(f, "{}", n as i64)
+            write_int(f, n as i64)
         }
     } else {
         write!(f, "{n}")
     }
+}
+
+/// `"00" "01" … "99"`: the two decimal digits of `i` at `2i..2i + 2`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Writes `n` exactly as `write!(f, "{n}")` would, two digits at a time
+/// into a stack buffer and then in one `write_str`, without the
+/// formatting machinery (a solve reply carries thousands of indices).
+fn write_int(f: &mut fmt::Formatter<'_>, n: i64) -> fmt::Result {
+    // i64::MIN has 19 digits; with its sign that is 20 bytes.
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    let mut m = n.unsigned_abs();
+    while m >= 100 {
+        let d = (m % 100) as usize * 2;
+        m /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if m >= 10 {
+        let d = m as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + m as u8;
+    }
+    if n < 0 {
+        pos -= 1;
+        buf[pos] = b'-';
+    }
+    f.write_str(std::str::from_utf8(&buf[pos..]).expect("ASCII digits and sign"))
 }
 
 fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -553,6 +594,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -700,5 +742,30 @@ mod tests {
         let v = Json::parse(text).unwrap();
         let round = Json::parse(&v.to_string()).unwrap();
         assert_eq!(v, round);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Integers in the f64-exact window print exactly as `{}` prints
+        /// the `i64`: `bits` picks the magnitude's width, so every digit
+        /// count from 1 to 16 is drawn.
+        fn integers_print_like_i64(bits in 0u32..54, raw in 0u64..u64::MAX, negative in 0u8..2) {
+            let magnitude = (raw & ((1u64 << bits) - 1)) as i64;
+            let n = if negative == 1 { -magnitude } else { magnitude };
+            prop_assert_eq!(Json::Num(n as f64).to_string(), format!("{}", n));
+        }
+    }
+
+    #[test]
+    fn integer_window_edges_print_exactly() {
+        let edge = (1i64 << 53) - 1;
+        for n in [0, 1, -1, 9, 10, 99, 100, -100, edge, -edge] {
+            assert_eq!(Json::Num(n as f64).to_string(), format!("{n}"));
+        }
+        assert_eq!(Json::Num(-0.0).to_string(), "-0");
+        // 2^53 is outside the window and takes the float path.
+        assert_eq!(Json::Num(2f64.powi(53)).to_string(), "9007199254740992");
+        assert_eq!(Json::Num(-(2f64.powi(53))).to_string(), "-9007199254740992");
     }
 }
