@@ -53,6 +53,7 @@ use coschedule::model::Platform;
 use coschedule::obs;
 use coschedule::solver::{self, Instance, Portfolio, SolveCtx};
 use experiments::appcsv::parse_applications;
+use experiments::serve::protocol::{DEFAULT_SEED, DEFAULT_SOLVER};
 use experiments::serve::{
     available_workers, wal, Client, Durability, Server, Standby, DEFAULT_CLIENT_RETRIES,
 };
@@ -499,8 +500,8 @@ fn standby_main(mut args: Args) -> CliResult {
     if probe_fails.is_some() && promote_addr.is_none() {
         return Err("--probe-fails requires --promote HOST:PORT to serve on".into());
     }
-    let default_solver = strategy.as_deref().unwrap_or("DominantMinRatio");
-    let mut standby = match Standby::open(&dir, default_solver, 0xC05) {
+    let default_solver = strategy.as_deref().unwrap_or(DEFAULT_SOLVER);
+    let mut standby = match Standby::open(&dir, default_solver, DEFAULT_SEED) {
         Ok(s) => s,
         Err(e) => {
             return fail(format_args!(

@@ -1,12 +1,22 @@
 //! Per-shard observability: the counters behind the `metrics` op and the
-//! Prometheus exposition, and the renderers for both.
+//! Prometheus exposition, the one registry that lists them, and the two
+//! renderers.
 //!
-//! Each shard counts its requests once, in [`ShardObs`] (bumped by
-//! `protocol::respond`, which every shard-routed request passes
-//! through). Solve-tier counters (memo / incremental / cold) and the
-//! aggregated [`EvalStats`](coschedule::eval::EvalStats) come from the
-//! session's own [`SessionStats`]
-//! snapshot, read under the shard's lock between requests.
+//! Each shard counts its requests and times their dispatch in plain
+//! [`ServeState`] fields, bumped by `protocol::respond` (which every
+//! shard-routed request passes through) under the shard's lock.
+//! Solve-tier counters (memo / incremental / cold), the aggregated
+//! [`EvalStats`](coschedule::eval::EvalStats) and the tuner counters come
+//! from the session's own [`SessionStats`] snapshot; the reactors add
+//! their lock-free [`NetMetrics`]. `ShardReport::of` reads one shard
+//! under its lock, and [`ShardReport::columns`] lists the result once, in
+//! the order of the JSON row. The `metrics` op's body and
+//! [`prometheus_body`] both render that one list, so the two cannot
+//! drift apart.
+//!
+//! Both readers reach the shards the same way, one lock at a time, so a
+//! `--metrics-addr` scrape waits for each shard's in-flight request, just
+//! as the `metrics` op does.
 //!
 //! Unlike every other op, the `metrics` response is **not** required to be
 //! payload-identical across worker counts — its `shards` array has one
@@ -17,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use coschedule::session::SessionStats;
 use minijson::Json;
 
+use super::protocol::{ServeState, ShardSet};
 use super::wal::WalStats;
 
 /// Lock-free network counters of one reactor (= one shard's event
@@ -224,104 +235,175 @@ pub struct LatencyReport {
     pub p99_ns: u64,
 }
 
-/// [`LatencyHistogram`] with atomic buckets: recorded from the request
-/// path, readable concurrently by the Prometheus endpoint and the
-/// `metrics` op without taking the shard's lock. Relaxed ordering
-/// throughout — scrapes see a consistent-enough point-in-time view, and
-/// recording stays two `fetch_add`s.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    counts: [AtomicU64; 64],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
+/// Whether a column only grows (a Prometheus `counter`, exposed with a
+/// `_total` suffix) or can also fall (a `gauge`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone since startup (or since the restored base).
+    Counter,
+    /// A current level.
+    Gauge,
 }
 
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-}
+/// One per-shard metric: its JSON key (also the Prometheus name, as
+/// `cosched_<name>` plus `_total` for a counter), its Prometheus help
+/// text, its kind, and its value.
+pub type Column = (&'static str, &'static str, Kind, u64);
 
-impl AtomicHistogram {
-    /// Records one latency reading.
-    pub fn record(&self, nanos: u64) {
-        self.counts[LatencyHistogram::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds a restored histogram's counts as this histogram's base (the
-    /// `--restore` continuity seeding; called before serving starts).
-    pub fn seed(&self, base: &LatencyHistogram) {
-        for (cell, &c) in self.counts.iter().zip(base.counts().iter()) {
-            cell.fetch_add(c, Ordering::Relaxed);
-        }
-        self.count.fetch_add(base.count(), Ordering::Relaxed);
-        self.sum_ns.fetch_add(base.sum_ns(), Ordering::Relaxed);
-    }
-
-    /// A point-in-time plain-value copy.
-    pub fn snapshot(&self) -> LatencyHistogram {
-        let mut counts = [0u64; 64];
-        for (out, cell) in counts.iter_mut().zip(self.counts.iter()) {
-            *out = cell.load(Ordering::Relaxed);
-        }
-        LatencyHistogram::from_parts(counts, self.sum_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// One shard's request-path counters shared with threads outside the
-/// shard: the owning [`super::protocol::ServeState`] writes on every
-/// handled request; the `--metrics-addr` scrape thread (and restore
-/// seeding) read/seed it through a cloned [`std::sync::Arc`]. The
-/// request counter and histogram base carry across `--restore`.
-#[derive(Debug, Default)]
-pub struct ShardObs {
-    requests: AtomicU64,
-    latency: AtomicHistogram,
-}
-
-impl ShardObs {
-    /// Counters resuming from a restored snapshot: `requests` at the
-    /// crashed server's count, the histogram seeded with its persisted
-    /// bucket counts.
-    pub fn with_base(requests: u64, latency: &LatencyHistogram) -> Self {
-        let obs = ShardObs::default();
-        obs.requests.store(requests, Ordering::Relaxed);
-        obs.latency.seed(latency);
-        obs
-    }
-
-    /// Counts one handled request and its dispatch latency.
-    pub fn record_request(&self, latency_ns: u64) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(latency_ns);
-    }
-
-    /// Requests handled (mutations + solves + shard-routed reads).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time copy of the dispatch-latency histogram.
-    pub fn latency_snapshot(&self) -> LatencyHistogram {
-        self.latency.snapshot()
-    }
-}
-
-/// One shard's numbers for the Prometheus endpoint.
-#[derive(Debug, Clone)]
-pub struct PromShard {
+/// One shard's numbers — a row of the `metrics` response and the
+/// shard's samples in the Prometheus exposition.
+#[derive(Debug, Clone, Default)]
+pub struct ShardReport {
     /// Shard index (0-based).
     pub shard: usize,
-    /// Requests handled by the shard.
+    /// The shard's lock was poisoned by a panic, so nothing could be
+    /// read: the JSON row reports zeros, the exposition no samples.
+    pub poisoned: bool,
+    /// Requests the shard has handled ([`ServeState::requests`]).
     pub requests: u64,
-    /// The shard's dispatch-latency histogram.
-    pub latency: LatencyHistogram,
+    /// Live instances owned by the shard.
+    pub instances: usize,
+    /// The shard session's lifetime counters.
+    pub stats: SessionStats,
+    /// Durability counters — `None` when the server runs `--durability
+    /// none`, in which case no `wal_*` columns appear.
+    pub wal: Option<WalStats>,
+    /// Reactor network counters — `None` for a transport-free state, in
+    /// which case no network columns appear (same pattern as `wal`).
+    pub net: Option<NetReport>,
+    /// Dispatch-latency histogram — `None` until the shard has answered
+    /// at least one routed request, in which case the JSON row has no
+    /// `latency_*` columns (same opt-in pattern as `wal`/`net`; a
+    /// restored shard resumes from its snapshot's histogram).
+    pub latency: Option<LatencyHistogram>,
+}
+
+impl ShardReport {
+    /// Shard `shard`'s report, read from its state; `None` (a poisoned
+    /// shard) gives a zero row that keeps only the reactor's `net`.
+    pub(super) fn of(shard: usize, state: Option<&ServeState>, net: Option<NetReport>) -> Self {
+        let Some(state) = state else {
+            return ShardReport {
+                shard,
+                poisoned: true,
+                net,
+                ..Default::default()
+            };
+        };
+        ShardReport {
+            shard,
+            poisoned: false,
+            requests: state.requests(),
+            instances: state.session().len(),
+            stats: state.session().stats(),
+            wal: state.wal_stats(),
+            net,
+            latency: state.latency_snapshot(),
+        }
+    }
+
+    /// The registry: every per-shard column, in the `metrics` row's
+    /// order. Both renderers walk this one list, so the JSON op and the
+    /// scrape cannot drift apart. The latency histogram is the one entry
+    /// outside it (percentiles in JSON, buckets in Prometheus).
+    #[rustfmt::skip]
+    pub fn columns(&self) -> Vec<Column> {
+        use Kind::{Counter, Gauge};
+        let s = &self.stats;
+        let mut columns = vec![
+            ("requests", "Requests handled, per shard.", Counter, self.requests),
+            ("instances", "Live instances.", Gauge, self.instances as u64),
+            ("mutations", "Mutations applied.", Counter, s.mutations),
+            ("solves", "Solves answered.", Counter, s.solves),
+            ("memo_hits", "Solves answered from the memo.", Counter, s.memo_hits),
+            ("incremental_solves", "Incremental re-solves.", Counter, s.incremental_solves),
+            ("cold_solves", "Solves from scratch.", Counter, s.cold_solves),
+            ("kernel_calls", "Eval-engine kernel calls.", Counter, s.eval.kernel_calls),
+            ("apps_evaluated", "Apps evaluated.", Counter, s.eval.apps_evaluated),
+            // The shard's autotuner ("auto" solves only; each shard
+            // session learns its own table — see coschedule::tune).
+            ("tuner_explored", "Auto solves that explored.", Counter, s.tuner.explored),
+            ("tuner_committed", "Auto solves by the leader.", Counter, s.tuner.committed),
+            ("tuner_challenger_wins", "Challenger wins.", Counter, s.tuner.challenger_wins),
+            ("tuner_member_solves", "Tuner member solves.", Counter, s.tuner.member_solves),
+        ];
+        if let Some(wal) = self.wal {
+            columns.extend([
+                ("wal_records", "WAL records appended.", Counter, wal.records),
+                ("wal_bytes", "WAL bytes appended.", Counter, wal.bytes),
+                ("wal_fsyncs", "WAL fdatasync calls.", Counter, wal.fsyncs),
+                ("wal_snapshot_generation", "Snapshot generation.", Gauge, wal.snapshot_generation),
+                ("wal_replayed", "WAL records replayed at restart.", Gauge, wal.replayed),
+            ]);
+        }
+        if let Some(net) = self.net {
+            columns.extend([
+                ("open_connections", "Open connections.", Gauge, net.open_connections),
+                ("reactor_wakeups", "Reactor epoll_wait returns.", Counter, net.reactor_wakeups),
+                ("bytes_in", "Payload bytes read.", Counter, net.bytes_in),
+                ("bytes_out", "Payload bytes written.", Counter, net.bytes_out),
+            ]);
+        }
+        columns
+    }
+}
+
+/// Every shard's report, read through the shard visitor one lock at a
+/// time; `net` gives shard `k`'s reactor counters.
+pub(super) fn shard_reports<S: ShardSet + ?Sized>(
+    shards: &S,
+    net: impl Fn(usize) -> Option<NetReport>,
+) -> Vec<ShardReport> {
+    let mut reports = Vec::new();
+    shards.visit(|state| {
+        let shard = reports.len();
+        reports.push(ShardReport::of(shard, state, net(shard)));
+    });
+    reports
+}
+
+/// Serializes the `metrics` op response: one row per shard (`shard`, the
+/// registry's columns, the latency percentiles) plus the totals. A lone
+/// [`ServeState`] reports itself as one shard of one.
+pub(super) fn metrics_body(reports: &[ShardReport]) -> Json {
+    let total: u64 = reports.iter().map(|r| r.requests).sum();
+    // Per-shard histograms merge exactly, so the top-level percentiles
+    // are computed over every recorded request, not averaged estimates.
+    let mut merged = LatencyHistogram::default();
+    for hist in reports.iter().filter_map(|r| r.latency.as_ref()) {
+        merged.merge(hist);
+    }
+    let rows = reports.iter().map(|r| {
+        let mut row = vec![("shard".to_string(), Json::from(r.shard))];
+        row.extend(
+            r.columns()
+                .into_iter()
+                .map(|(name, _, _, value)| (name.to_string(), Json::from(value))),
+        );
+        if let Some(hist) = &r.latency {
+            push_latency(&mut row, hist);
+        }
+        Json::Obj(row)
+    });
+    let mut body = vec![
+        ("ok".to_string(), Json::from(true)),
+        ("workers".to_string(), Json::from(reports.len())),
+        ("requests".to_string(), Json::from(total)),
+        ("shards".to_string(), Json::arr(rows)),
+    ];
+    if merged.count() > 0 {
+        push_latency(&mut body, &merged);
+    }
+    Json::Obj(body)
+}
+
+/// The `latency_count` / `latency_p{50,95,99}_ns` columns.
+fn push_latency(pairs: &mut Vec<(String, Json)>, hist: &LatencyHistogram) {
+    let lat = hist.report();
+    pairs.push(("latency_count".to_string(), Json::from(lat.count)));
+    pairs.push(("latency_p50_ns".to_string(), Json::from(lat.p50_ns)));
+    pairs.push(("latency_p95_ns".to_string(), Json::from(lat.p95_ns)));
+    pairs.push(("latency_p99_ns".to_string(), Json::from(lat.p99_ns)));
 }
 
 fn push_seconds(ns: u64, out: &mut String) {
@@ -331,40 +413,56 @@ fn push_seconds(ns: u64, out: &mut String) {
 }
 
 /// Renders the Prometheus text exposition (version 0.0.4) served by
-/// `serve --metrics-addr`: uptime and worker gauges, per-shard request
-/// counters, the trace drop counter, and each shard's log2-ns histogram
-/// converted to cumulative `le`-labelled buckets in seconds.
-pub fn prometheus_body(
-    uptime_s: f64,
-    workers: usize,
-    shards: &[PromShard],
-    trace_dropped: u64,
-) -> String {
-    let mut out = String::with_capacity(4096);
+/// `serve --metrics-addr`: uptime and worker gauges, the trace drop
+/// counter, one `{shard="k"}`-labelled family per registry column (see
+/// [`ShardReport::columns`]), and each shard's log2-ns dispatch-latency
+/// histogram as cumulative `le`-labelled buckets in seconds. A poisoned
+/// shard contributes no samples.
+pub fn prometheus_body(uptime_s: f64, reports: &[ShardReport], trace_dropped: u64) -> String {
+    let mut out = String::with_capacity(8192);
     out.push_str("# HELP cosched_uptime_seconds Seconds since the server started.\n");
     out.push_str("# TYPE cosched_uptime_seconds gauge\n");
     out.push_str(&format!("cosched_uptime_seconds {uptime_s:.3}\n"));
     out.push_str("# HELP cosched_workers Worker shards serving requests.\n");
     out.push_str("# TYPE cosched_workers gauge\n");
-    out.push_str(&format!("cosched_workers {workers}\n"));
+    out.push_str(&format!("cosched_workers {}\n", reports.len()));
     out.push_str("# HELP cosched_trace_dropped_total Trace events lost to ring overwrite.\n");
     out.push_str("# TYPE cosched_trace_dropped_total counter\n");
     out.push_str(&format!("cosched_trace_dropped_total {trace_dropped}\n"));
-    out.push_str("# HELP cosched_requests_total Requests handled, per shard.\n");
-    out.push_str("# TYPE cosched_requests_total counter\n");
-    for s in shards {
-        out.push_str(&format!(
-            "cosched_requests_total{{shard=\"{}\"}} {}\n",
-            s.shard, s.requests
-        ));
+
+    let live: Vec<(&ShardReport, Vec<Column>)> = reports
+        .iter()
+        .filter(|r| !r.poisoned)
+        .map(|r| (r, r.columns()))
+        .collect();
+    // One HELP/TYPE per family, families in column order.
+    let mut families: Vec<Column> = Vec::new();
+    for column in live.iter().flat_map(|(_, columns)| columns) {
+        if !families.iter().any(|f| f.0 == column.0) {
+            families.push(*column);
+        }
     }
+    for (name, help, kind, _) in families {
+        let (metric, kind) = match kind {
+            Kind::Counter => (format!("cosched_{name}_total"), "counter"),
+            Kind::Gauge => (format!("cosched_{name}"), "gauge"),
+        };
+        out.push_str(&format!("# HELP {metric} {help}\n# TYPE {metric} {kind}\n"));
+        for (r, columns) in &live {
+            if let Some((_, _, _, value)) = columns.iter().find(|c| c.0 == name) {
+                out.push_str(&format!("{metric}{{shard=\"{}\"}} {value}\n", r.shard));
+            }
+        }
+    }
+
     out.push_str("# HELP cosched_request_latency_seconds Request dispatch latency, per shard.\n");
     out.push_str("# TYPE cosched_request_latency_seconds histogram\n");
-    for s in shards {
-        for (upper_ns, cum) in s.latency.cumulative() {
+    for (r, _) in &live {
+        let latency = r.latency.unwrap_or_default();
+        for (upper_ns, cum) in latency.cumulative() {
             out.push_str(&format!(
                 "cosched_request_latency_seconds_bucket{{shard=\"{}\",le=\"",
-                s.shard
+                r.shard
             ));
             if upper_ns == u64::MAX {
                 out.push_str("+Inf");
@@ -375,131 +473,17 @@ pub fn prometheus_body(
         }
         out.push_str(&format!(
             "cosched_request_latency_seconds_sum{{shard=\"{}\"}} ",
-            s.shard
+            r.shard
         ));
-        push_seconds(s.latency.sum_ns(), &mut out);
+        push_seconds(latency.sum_ns(), &mut out);
         out.push('\n');
         out.push_str(&format!(
             "cosched_request_latency_seconds_count{{shard=\"{}\"}} {}\n",
-            s.shard,
-            s.latency.count()
+            r.shard,
+            latency.count()
         ));
     }
     out
-}
-
-/// One shard's row of the `metrics` response.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Requests the shard has handled ([`ShardObs::requests`]).
-    pub requests: u64,
-    /// Live instances owned by the shard.
-    pub instances: usize,
-    /// The shard session's lifetime counters.
-    pub stats: SessionStats,
-    /// Durability counters — `None` when the server runs `--durability
-    /// none`, in which case no `wal_*` fields appear in the response (the
-    /// pre-durability payload stays byte-identical).
-    pub wal: Option<WalStats>,
-    /// Reactor network counters — `None` for a transport-free state, in
-    /// which case no net fields appear in the response (same pattern as
-    /// `wal`).
-    pub net: Option<NetReport>,
-    /// Dispatch-latency histogram — `None` until the shard has answered
-    /// at least one routed request, in which case no `latency_*` fields
-    /// appear (same opt-in pattern as `wal`/`net`; the histogram lives
-    /// in memory only, so a freshly restored server starts empty).
-    pub latency: Option<LatencyHistogram>,
-}
-
-/// Serializes the `metrics` op response: per-shard rows plus the request
-/// total. A lone [`super::ServeState`] reports itself as one shard of
-/// one.
-pub(super) fn metrics_body(workers: usize, reports: &[ShardReport]) -> Json {
-    let total: u64 = reports.iter().map(|r| r.requests).sum();
-    // Per-shard histograms merge exactly, so the top-level percentiles
-    // are computed over every recorded request, not averaged estimates.
-    let mut merged = LatencyHistogram::default();
-    for hist in reports.iter().filter_map(|r| r.latency.as_ref()) {
-        merged.merge(hist);
-    }
-    let mut body = Json::obj([
-        ("ok", Json::from(true)),
-        ("workers", Json::from(workers)),
-        ("requests", Json::from(total)),
-        (
-            "shards",
-            Json::arr(reports.iter().map(|r| {
-                let mut row = Json::obj([
-                    ("shard", Json::from(r.shard)),
-                    ("requests", Json::from(r.requests)),
-                    ("instances", Json::from(r.instances)),
-                    ("mutations", Json::from(r.stats.mutations)),
-                    ("solves", Json::from(r.stats.solves)),
-                    ("memo_hits", Json::from(r.stats.memo_hits)),
-                    ("incremental_solves", Json::from(r.stats.incremental_solves)),
-                    ("cold_solves", Json::from(r.stats.cold_solves)),
-                    ("kernel_calls", Json::from(r.stats.eval.kernel_calls)),
-                    ("apps_evaluated", Json::from(r.stats.eval.apps_evaluated)),
-                    // The shard's autotuner ("auto" solves only; see
-                    // coschedule::tune — each shard session learns its own
-                    // table, so these do not merge across shards).
-                    ("tuner_explored", Json::from(r.stats.tuner.explored)),
-                    ("tuner_committed", Json::from(r.stats.tuner.committed)),
-                    (
-                        "tuner_challenger_wins",
-                        Json::from(r.stats.tuner.challenger_wins),
-                    ),
-                    (
-                        "tuner_member_solves",
-                        Json::from(r.stats.tuner.member_solves),
-                    ),
-                ]);
-                if let (Json::Obj(pairs), Some(wal)) = (&mut row, r.wal) {
-                    pairs.push(("wal_records".to_string(), Json::from(wal.records)));
-                    pairs.push(("wal_bytes".to_string(), Json::from(wal.bytes)));
-                    pairs.push(("wal_fsyncs".to_string(), Json::from(wal.fsyncs)));
-                    pairs.push((
-                        "wal_snapshot_generation".to_string(),
-                        Json::from(wal.snapshot_generation),
-                    ));
-                    pairs.push(("wal_replayed".to_string(), Json::from(wal.replayed)));
-                }
-                if let (Json::Obj(pairs), Some(net)) = (&mut row, r.net) {
-                    pairs.push((
-                        "open_connections".to_string(),
-                        Json::from(net.open_connections),
-                    ));
-                    pairs.push((
-                        "reactor_wakeups".to_string(),
-                        Json::from(net.reactor_wakeups),
-                    ));
-                    pairs.push(("bytes_in".to_string(), Json::from(net.bytes_in)));
-                    pairs.push(("bytes_out".to_string(), Json::from(net.bytes_out)));
-                }
-                if let (Json::Obj(pairs), Some(hist)) = (&mut row, r.latency.as_ref()) {
-                    let lat = hist.report();
-                    pairs.push(("latency_count".to_string(), Json::from(lat.count)));
-                    pairs.push(("latency_p50_ns".to_string(), Json::from(lat.p50_ns)));
-                    pairs.push(("latency_p95_ns".to_string(), Json::from(lat.p95_ns)));
-                    pairs.push(("latency_p99_ns".to_string(), Json::from(lat.p99_ns)));
-                }
-                row
-            })),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut body {
-        if merged.count() > 0 {
-            let lat = merged.report();
-            pairs.push(("latency_count".to_string(), Json::from(lat.count)));
-            pairs.push(("latency_p50_ns".to_string(), Json::from(lat.p50_ns)));
-            pairs.push(("latency_p95_ns".to_string(), Json::from(lat.p95_ns)));
-            pairs.push(("latency_p99_ns".to_string(), Json::from(lat.p99_ns)));
-        }
-    }
-    body
 }
 
 #[cfg(test)]
@@ -513,22 +497,16 @@ mod tests {
                 shard: 0,
                 requests: 3,
                 instances: 2,
-                stats: SessionStats::default(),
-                wal: None,
-                net: None,
-                latency: None,
+                ..Default::default()
             },
             ShardReport {
                 shard: 1,
                 requests: 4,
                 instances: 1,
-                stats: SessionStats::default(),
-                wal: None,
-                net: None,
-                latency: None,
+                ..Default::default()
             },
         ];
-        let v = metrics_body(2, &rows);
+        let v = metrics_body(&rows);
         assert_eq!(v.get("workers").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("requests").and_then(Json::as_u64), Some(7));
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
@@ -547,7 +525,6 @@ mod tests {
             shard: 0,
             requests: 9,
             instances: 1,
-            stats: SessionStats::default(),
             wal: Some(WalStats {
                 records: 5,
                 bytes: 99,
@@ -555,10 +532,9 @@ mod tests {
                 snapshot_generation: 3,
                 replayed: 4,
             }),
-            net: None,
-            latency: None,
+            ..Default::default()
         };
-        let v = metrics_body(1, &[row]);
+        let v = metrics_body(&[row]);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(shards[0].get("wal_records").and_then(Json::as_u64), Some(5));
         assert_eq!(shards[0].get("wal_bytes").and_then(Json::as_u64), Some(99));
@@ -588,12 +564,10 @@ mod tests {
             shard: 0,
             requests: 1,
             instances: 0,
-            stats: SessionStats::default(),
-            wal: None,
             net: Some(net.report()),
-            latency: None,
+            ..Default::default()
         };
-        let v = metrics_body(1, &[row]);
+        let v = metrics_body(&[row]);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(
             shards[0].get("open_connections").and_then(Json::as_u64),
@@ -659,10 +633,8 @@ mod tests {
             shard: 0,
             requests: 1,
             instances: 0,
-            stats: SessionStats::default(),
-            wal: None,
-            net: None,
             latency: Some(slow),
+            ..Default::default()
         };
         let rows = [
             base.clone(),
@@ -672,7 +644,7 @@ mod tests {
                 ..base
             },
         ];
-        let v = metrics_body(2, &rows);
+        let v = metrics_body(&rows);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(
             shards[0].get("latency_count").and_then(Json::as_u64),
@@ -687,13 +659,10 @@ mod tests {
         );
         assert_eq!(v.get("latency_p50_ns").and_then(Json::as_u64), Some(127));
         // Idle shards opt out: no latency columns anywhere.
-        let idle = metrics_body(
-            1,
-            &[ShardReport {
-                latency: None,
-                ..rows[0].clone()
-            }],
-        );
+        let idle = metrics_body(&[ShardReport {
+            latency: None,
+            ..rows[0].clone()
+        }]);
         assert!(idle.get("latency_count").is_none());
         let shards = idle.get("shards").and_then(Json::as_array).unwrap();
         assert!(shards[0].get("latency_count").is_none());

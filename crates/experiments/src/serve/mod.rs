@@ -43,8 +43,11 @@
 //! * [`router`] — the shards, one single-threaded [`Session`] each behind
 //!   a mutex (ids strided per shard, so the id sequence is 0, 1, 2, … at
 //!   any worker count), and the deterministic `InstanceId → shard`
-//!   mapping: round-robin creates, instance pinning, and one-at-a-time
-//!   shard snapshots for the global ops;
+//!   mapping: round-robin creates and instance pinning. The server-wide
+//!   ops (`stats`, `list`, `solvers`, `metrics`, `shutdown`, `batch`) are
+//!   written once, in [`protocol`], over a set of shards read one lock at
+//!   a time: the router passes its shard locks, [`handle_line`] its lone
+//!   state;
 //! * [`reactor`] — the front-end: one event-loop thread per shard owning
 //!   all of the connections dealt to it, through the `miniepoll` shim —
 //!   nonblocking readiness loop and per-connection read/write buffers.
@@ -53,9 +56,10 @@
 //!   leave in request order with no thread hop;
 //! * [`conn`] — the client side: [`Client`], with lock-step and
 //!   pipelined exchanges;
-//! * [`metrics`] — per-shard counters behind the `metrics` op: requests,
-//!   solves by tier (memo / incremental / cold), aggregated eval-engine
-//!   work, WAL and network columns;
+//! * [`metrics`] — per-shard counters (requests, solves by tier, eval-engine
+//!   work, tuner, WAL and network columns, dispatch latency) and the one
+//!   column registry that both the `metrics` op and the `--metrics-addr`
+//!   Prometheus scrape render;
 //! * [`wal`] — durability: per-shard snapshots + write-ahead logs
 //!   (`--durability log|fsync`), crash recovery (`--restore DIR`), and
 //!   the warm standby (`cosched standby`). Recovery replays the log
@@ -66,7 +70,9 @@
 //! distributed across [`ServeConfig::workers`] per-shard sessions, a
 //! blocking accept loop deals connections round-robin to one reactor per
 //! shard, and every connection multiplexes — `N + 1` threads for `N`
-//! workers (plus the metrics listener when one is configured). The price
+//! workers (plus the metrics listener when one is configured; a scrape
+//! reads the shards like the `metrics` op, one lock at a time, so it
+//! waits for each shard's in-flight request). The price
 //! of answering on the reactor thread: a long solve stalls the other
 //! connections of the reactor running it, and a reactor that needs a
 //! shard another reactor is solving on waits for its lock. For a fixed
@@ -94,12 +100,12 @@ pub use protocol::{
 };
 pub use wal::{Durability, Standby};
 
-use coschedule::session::Session;
 use minijson::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 /// Serve-level configuration, applied when [`Server::run`] starts.
 #[derive(Debug, Clone)]
@@ -160,8 +166,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             workers: 1,
-            default_solver: "DominantMinRatio".to_string(),
-            default_seed: 0xC05,
+            default_solver: protocol::DEFAULT_SOLVER.to_string(),
+            default_seed: protocol::DEFAULT_SEED,
             allow_shutdown: false,
             durability: Durability::None,
             wal_dir: None,
@@ -220,19 +226,18 @@ pub fn build_states(config: &mut ServeConfig) -> Result<Vec<ServeState>, String>
                 recovered.next_generation,
             )
         } else {
-            let mut session = Session::with_id_stride(shard as u64, shards as u64);
+            let mut state =
+                ServeState::for_shard(shard, shards, &config.default_solver, config.default_seed);
             if config.tuner_window > 0 {
-                session.set_tuner_config(coschedule::tune::TuneConfig {
-                    window: config.tuner_window,
-                    ..Default::default()
-                });
+                state
+                    .session_mut()
+                    .set_tuner_config(coschedule::tune::TuneConfig {
+                        window: config.tuner_window,
+                        ..Default::default()
+                    });
             }
-            let mut state = ServeState::with_session(session);
-            state.default_solver = config.default_solver.clone();
-            state.default_seed = config.default_seed;
             (state, 0, 0)
         };
-        state.shard = shard;
         state.echo_trace = config.trace;
         state.slow_ms = config.slow_ms;
         if config.durability.enabled() {
@@ -341,18 +346,6 @@ impl Server {
     }
 
     fn run_states(self, mut states: Vec<ServeState>) -> std::io::Result<()> {
-        // The metrics listener runs on its own thread, reading each
-        // shard's atomic counters through `Arc<ShardObs>` handles cloned
-        // before the states move behind their shard locks.
-        if let Some(addr) = self.config.metrics_addr.clone() {
-            let handles: Vec<_> = states.iter().map(ServeState::obs_handle).collect();
-            spawn_metrics_listener(
-                &addr,
-                Arc::clone(&self.metrics_bound),
-                states.len().max(1),
-                handles,
-            )?;
-        }
         if states.is_empty() {
             states.push(ServeState::default());
         }
@@ -381,6 +374,9 @@ impl Server {
         let wake = wake_addr(self.listener.local_addr()?);
         let shards = states.len();
         let router = Arc::new(router::Router::new(&self.config, states));
+        if let Some(addr) = &self.config.metrics_addr {
+            spawn_metrics_listener(addr, &self.metrics_bound, Arc::downgrade(&router))?;
+        }
         let mut reactors: Vec<reactor::Reactor> = Vec::with_capacity(shards);
         let mut spawn_error = None;
         for shard in 0..shards {
@@ -444,44 +440,59 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     SocketAddr::new(ip, bound.port())
 }
 
-/// Binds the Prometheus exposition listener and spawns its accept loop.
-/// Deliberately a plain thread (not a reactor token): the scrape path
-/// must stay responsive while every shard is busy solving, and one
-/// thread blocked in `accept` costs nothing. The thread is never joined —
-/// it lives until the process exits.
+/// How long the metrics listener waits on a scrape's request head (and
+/// on writing the reply) before dropping the connection: the listener
+/// answers one scrape at a time, so a silent peer delays the next scrape
+/// by at most this much.
+pub const METRICS_IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The most request-head bytes the metrics listener reads from one
+/// scrape; the rest is ignored.
+const METRICS_MAX_HEAD: u64 = 8 * 1024;
+
+/// Binds the Prometheus exposition listener and spawns its accept loop on
+/// a plain thread. It holds only a weak reference to the router: once the
+/// server stops, the next connection ends the thread. Each scrape reads
+/// the same per-shard reports as the `metrics` op, one shard lock at a
+/// time, so it waits for each shard's in-flight request; a long solve
+/// delays the scrape by as much as it delays a `metrics` request.
 fn spawn_metrics_listener(
     addr: &str,
-    bound: Arc<OnceLock<SocketAddr>>,
-    workers: usize,
-    handles: Vec<Arc<metrics::ShardObs>>,
+    bound: &OnceLock<SocketAddr>,
+    router: Weak<router::Router>,
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let _ = bound.set(listener.local_addr()?);
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     std::thread::Builder::new()
         .name("cosched-metrics".into())
         .spawn(move || {
             for stream in listener.incoming() {
+                let Some(router) = router.upgrade() else {
+                    break;
+                };
                 let Ok(mut stream) = stream else { continue };
-                // Best effort per scrape: a broken pipe drops the
-                // connection, not the listener.
-                let _ = serve_metrics_scrape(&mut stream, started, workers, &handles);
+                // Best effort per scrape: a broken pipe or a timed-out
+                // peer drops the connection, not the listener.
+                let _ = serve_metrics_scrape(&mut stream, started, &router);
             }
-        })
-        .expect("spawn metrics listener");
+        })?;
     Ok(())
 }
 
 /// Answers one HTTP scrape on the metrics listener: reads the request
-/// head (and ignores it — every path serves the same exposition), then
-/// writes an `HTTP/1.0` response with the Prometheus text body.
+/// head (at most [`METRICS_MAX_HEAD`] bytes, within
+/// [`METRICS_IO_TIMEOUT`]; it is ignored — every path serves the same
+/// exposition), then writes an `HTTP/1.0` response with the Prometheus
+/// text body.
 fn serve_metrics_scrape(
     stream: &mut TcpStream,
-    started: std::time::Instant,
-    workers: usize,
-    handles: &[Arc<metrics::ShardObs>],
+    started: Instant,
+    router: &router::Router,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    stream.set_read_timeout(Some(METRICS_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(METRICS_IO_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.try_clone()?.take(METRICS_MAX_HEAD));
     let mut line = String::new();
     loop {
         line.clear();
@@ -489,19 +500,9 @@ fn serve_metrics_scrape(
             break;
         }
     }
-    let shards: Vec<metrics::PromShard> = handles
-        .iter()
-        .enumerate()
-        .map(|(shard, obs)| metrics::PromShard {
-            shard,
-            requests: obs.requests(),
-            latency: obs.latency_snapshot(),
-        })
-        .collect();
     let body = metrics::prometheus_body(
         started.elapsed().as_secs_f64(),
-        workers,
-        &shards,
+        &router.reports(),
         coschedule::obs::dropped_total(),
     );
     let response = format!(

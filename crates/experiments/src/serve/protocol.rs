@@ -13,15 +13,15 @@
 //! instances over one connection can attribute a failure without relying
 //! on response order alone.
 
-use std::sync::Arc;
+use std::sync::Mutex;
 
 use coschedule::model::{Application, Platform};
 use coschedule::obs;
-use coschedule::session::{InstanceInfo, Session, SessionStats};
+use coschedule::session::{Session, SessionStats};
 use coschedule::solver;
 use minijson::Json;
 
-use super::metrics::{metrics_body, LatencyHistogram, ShardObs, ShardReport};
+use super::metrics::{metrics_body, shard_reports, LatencyHistogram};
 use super::wal::{WalStats, WalWriter};
 
 /// Every op the protocol understands, in dispatch order — the single
@@ -49,6 +49,14 @@ pub const OPS: &[&str] = &[
 /// The actions the `mutate` envelope (and its aliases) accepts.
 pub const MUTATIONS: &[&str] = &["add_app", "remove_app", "update_app", "set_platform"];
 
+/// Solver a `solve` request that names none runs, unless the server is
+/// configured otherwise ([`super::ServeConfig::default_solver`]).
+pub const DEFAULT_SOLVER: &str = "DominantMinRatio";
+
+/// Seed a `solve` request that carries none uses, unless the server is
+/// configured otherwise ([`super::ServeConfig::default_seed`]).
+pub const DEFAULT_SEED: u64 = 0xC05;
+
 /// Protocol state: the session plus serve-level knobs.
 pub struct ServeState {
     session: Session,
@@ -60,14 +68,14 @@ pub struct ServeState {
     /// --allow-shutdown`, and always in loopback smoke tests).
     pub allow_shutdown: bool,
     shutdown_requested: bool,
-    /// Shard-routed request counter + dispatch-latency histogram (what
-    /// the `metrics` op reports; global ops like `stats` are excluded
-    /// because the router answers them without reaching a shard). Shared
-    /// as an [`Arc`] so the `--metrics-addr` scrape thread reads it
-    /// without taking the shard's lock; the histogram base is persisted in
-    /// WAL snapshots and carried across `--restore` like the request
-    /// counter.
-    obs: Arc<ShardObs>,
+    /// Shard-routed requests handled (what the `metrics` op reports;
+    /// server-wide ops like `stats` are not counted). Persisted in WAL
+    /// snapshots and carried across `--restore`.
+    requests: u64,
+    /// Their dispatch-latency histogram, persisted and restored like
+    /// `requests`. Plain fields: the shard's lock serializes every write,
+    /// and every reader takes that lock too.
+    latency: LatencyHistogram,
     /// This shard's span ring: installed on whichever reactor thread
     /// serves the shard, so the `trace` op drains this shard's timeline.
     trace_ring: obs::RingHandle,
@@ -102,16 +110,17 @@ impl ServeState {
         Self::with_session(Session::new())
     }
 
-    /// Fresh state around an existing session (the sharded server builds
-    /// per-shard sessions with [`Session::with_id_stride`]).
+    /// Fresh state around an existing session, with [`DEFAULT_SOLVER`]
+    /// and [`DEFAULT_SEED`].
     pub fn with_session(session: Session) -> Self {
         Self {
             session,
-            default_solver: "DominantMinRatio".to_string(),
-            default_seed: 0xC05,
+            default_solver: DEFAULT_SOLVER.to_string(),
+            default_seed: DEFAULT_SEED,
             allow_shutdown: false,
             shutdown_requested: false,
-            obs: Arc::new(ShardObs::default()),
+            requests: 0,
+            latency: LatencyHistogram::default(),
             trace_ring: obs::RingHandle::default(),
             wal: None,
             shard: 0,
@@ -120,21 +129,33 @@ impl ServeState {
         }
     }
 
-    /// State rebuilt by recovery ([`super::wal::recover_shard`]): the
-    /// restored session plus the request counter and latency-histogram
-    /// base the crashed server had reached at its last snapshot
-    /// (replaying the WAL tail through [`respond`] then advances both
-    /// exactly as the original ops did).
-    pub fn restore(session: Session, requests: u64, latency: LatencyHistogram) -> Self {
-        let mut state = Self::with_session(session);
-        state.obs = Arc::new(ShardObs::with_base(requests, &latency));
-        state
+    /// Fresh shard `shard` of `shards`: an empty session whose ids are
+    /// strided per shard ([`Session::with_id_stride`], so the server's id
+    /// sequence is 0, 1, 2, … at any worker count), serving with the given
+    /// defaults. Every server, recovery and standby shard starts here.
+    pub fn for_shard(shard: usize, shards: usize, default_solver: &str, default_seed: u64) -> Self {
+        Self {
+            default_solver: default_solver.to_string(),
+            default_seed,
+            shard,
+            ..Self::with_session(Session::with_id_stride(shard as u64, shards as u64))
+        }
     }
 
-    /// The shared request/latency counters (the `--metrics-addr` scrape
-    /// thread clones this handle).
-    pub fn obs_handle(&self) -> Arc<ShardObs> {
-        Arc::clone(&self.obs)
+    /// Resumes from a recovered snapshot ([`super::wal::recover_shard`]):
+    /// the restored session plus the request counter and latency
+    /// histogram the crashed server had reached when it took the snapshot
+    /// (replaying the WAL tail through [`respond`] then advances both
+    /// exactly as the original ops did).
+    pub(super) fn resume(&mut self, session: Session, requests: u64, latency: LatencyHistogram) {
+        self.session = session;
+        self.requests = requests;
+        self.latency = latency;
+    }
+
+    /// The session, mutably (a fresh shard's tuner configuration).
+    pub(super) fn session_mut(&mut self) -> &mut Session {
+        &mut self.session
     }
 
     /// Makes this shard's span ring the calling thread's until the guard
@@ -177,12 +198,8 @@ impl ServeState {
     pub fn wal_maybe_snapshot(&mut self) {
         if let Some(wal) = &mut self.wal {
             if wal.should_rotate() {
-                wal.rotate(
-                    &self.session,
-                    self.obs.requests(),
-                    &self.obs.latency_snapshot(),
-                )
-                .expect("write-ahead log rotation failed");
+                wal.rotate(&self.session, self.requests, &self.latency)
+                    .expect("write-ahead log rotation failed");
             }
         }
     }
@@ -204,7 +221,7 @@ impl ServeState {
 
     /// Shard-routed requests handled so far.
     pub fn requests(&self) -> u64 {
-        self.obs.requests()
+        self.requests
     }
 
     /// The dispatch-latency histogram, `None` until a shard-routed
@@ -212,8 +229,57 @@ impl ServeState {
     /// columns for an idle shard (a restored shard resumes from its
     /// snapshot's histogram, so it usually reports immediately).
     pub fn latency_snapshot(&self) -> Option<LatencyHistogram> {
-        let snap = self.obs.latency_snapshot();
-        (snap.count() > 0).then_some(snap)
+        (self.latency.count() > 0).then_some(self.latency)
+    }
+}
+
+/// The shards a server-wide op reads: a server's shard locks, or a lone
+/// [`ServeState`] (shard 0 of 1).
+pub(super) trait ShardSet {
+    /// Calls `f` on every shard in index order, holding one shard's lock
+    /// at a time; a shard whose lock a panic poisoned is passed as `None`.
+    fn visit(&self, f: impl FnMut(Option<&ServeState>));
+}
+
+impl ShardSet for ServeState {
+    fn visit(&self, mut f: impl FnMut(Option<&ServeState>)) {
+        f(Some(self));
+    }
+}
+
+impl ShardSet for [Mutex<ServeState>] {
+    fn visit(&self, mut f: impl FnMut(Option<&ServeState>)) {
+        for shard in self {
+            f(shard.lock().ok().as_deref());
+        }
+    }
+}
+
+/// The server-wide ops: answered over the whole shard set rather than by
+/// one shard, so they are neither counted, timed nor WAL-logged. `batch`
+/// is an envelope — only its sub-requests count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum GlobalOp {
+    Stats,
+    List,
+    Solvers,
+    Metrics,
+    Shutdown,
+    Batch,
+}
+
+impl GlobalOp {
+    /// The request's op, when it is a server-wide one.
+    pub(super) fn of(request: &Json) -> Option<GlobalOp> {
+        Some(match request.get("op").and_then(Json::as_str)? {
+            "stats" => GlobalOp::Stats,
+            "list" => GlobalOp::List,
+            "solvers" => GlobalOp::Solvers,
+            "metrics" => GlobalOp::Metrics,
+            "shutdown" => GlobalOp::Shutdown,
+            "batch" => GlobalOp::Batch,
+            _ => return None,
+        })
     }
 }
 
@@ -227,78 +293,67 @@ pub fn handle_line(state: &mut ServeState, line: &str) -> String {
     response.to_string()
 }
 
-/// Ops the sharded router answers itself rather than enqueueing to a
-/// shard (`create` is shard-routed despite its special round-robin
-/// handling; `batch` is an envelope — the router answers it by routing
-/// each **sub**-request, so only the sub-requests count). Single source
-/// of truth shared by the router's dispatch and the `requests` counting
-/// below — the two must agree, or the metrics op's per-shard request
-/// totals drift from a [`handle_line`] replay's.
-pub(super) fn is_global_op(op: &str) -> bool {
-    matches!(
-        op,
-        "stats" | "list" | "solvers" | "metrics" | "shutdown" | "batch"
-    )
-}
-
 /// Answers one parsed request: `dispatch` plus the error envelope. The
-/// router calls this directly (it already parsed the line
-/// to route it), `handle_line` after parsing.
+/// router calls this directly for shard-routed requests (it already
+/// parsed the line to route it), `handle_line` after parsing.
 pub fn respond(state: &mut ServeState, request: &Json) -> Json {
-    if !request
-        .get("op")
-        .and_then(Json::as_str)
-        .is_some_and(is_global_op)
-    {
-        let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-        let mut request_sp = obs::span("serve", op_span_name(op));
-        request_sp.set_args(obs::current_trace_id(), state.shard as u64);
-        // Log before dispatch, in the canonical serialization — replaying
-        // the log re-enters here and reproduces the dispatch bit for bit.
-        // Failed ops are logged too: they bump counters and eval stats,
-        // and recovery must reproduce those. Fail-stop on I/O error (see
-        // [`ServeState::wal_commit`]).
-        let wal_started = std::time::Instant::now();
-        if let Some(wal) = &mut state.wal {
-            let append_sp = obs::span("wal", "wal_append");
-            wal.append(&request.to_string())
-                .expect("write-ahead log append failed");
-            drop(append_sp);
-        }
-        let wal_ns = wal_started.elapsed().as_nanos() as u64;
-        let started = std::time::Instant::now();
-        let result = dispatch(state, request);
-        let dispatch_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // Count shard-routed requests only; global ops are answered by
-        // the router in the sharded server and never reach a shard.
-        state.obs.record_request(dispatch_ns);
-        if let Some(slow_ms) = state.slow_ms {
-            if dispatch_ns / 1_000_000 >= slow_ms {
-                eprintln!(
-                    "slow request: trace_id={} op={} shard={} dispatch_ms={:.3} wal_append_us={:.1}",
-                    obs::current_trace_id(),
-                    op,
-                    state.shard,
-                    dispatch_ns as f64 / 1e6,
-                    wal_ns as f64 / 1e3,
-                );
-            }
-        }
-        let mut body = match result {
-            Ok(body) => body,
-            Err(message) => error_response(&message, request.get("id").and_then(Json::as_u64)),
+    if let Some(op) = GlobalOp::of(request) {
+        // The lone state is the whole shard set. The router answers the
+        // same ops with the same functions over its shard locks.
+        return match op {
+            GlobalOp::Stats => stats_reply(state),
+            GlobalOp::List => list_reply(state),
+            GlobalOp::Solvers => solvers_reply(),
+            GlobalOp::Metrics => metrics_body(&shard_reports(state, |_| None)),
+            GlobalOp::Shutdown => shutdown_reply(request, state.allow_shutdown, || {
+                state.shutdown_requested = true
+            }),
+            GlobalOp::Batch => batch_reply(request, |sub| respond(state, sub)),
         };
-        if state.echo_trace {
-            if let Json::Obj(pairs) = &mut body {
-                pairs.push(("trace_id".to_string(), Json::from(obs::current_trace_id())));
-            }
+    }
+    let op = request.get("op").and_then(Json::as_str).unwrap_or("");
+    let mut request_sp = obs::span("serve", op_span_name(op));
+    request_sp.set_args(obs::current_trace_id(), state.shard as u64);
+    // Log before dispatch, in the canonical serialization — replaying
+    // the log re-enters here and reproduces the dispatch bit for bit.
+    // Failed ops are logged too: they bump counters and eval stats,
+    // and recovery must reproduce those. Fail-stop on I/O error (see
+    // [`ServeState::wal_commit`]).
+    let wal_started = std::time::Instant::now();
+    if let Some(wal) = &mut state.wal {
+        let append_sp = obs::span("wal", "wal_append");
+        wal.append(&request.to_string())
+            .expect("write-ahead log append failed");
+        drop(append_sp);
+    }
+    let wal_ns = wal_started.elapsed().as_nanos() as u64;
+    let started = std::time::Instant::now();
+    let result = dispatch(state, request);
+    let dispatch_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    state.requests += 1;
+    state.latency.record(dispatch_ns);
+    if let Some(slow_ms) = state.slow_ms {
+        if dispatch_ns / 1_000_000 >= slow_ms {
+            eprintln!(
+                "slow request: trace_id={} op={} shard={} dispatch_ms={:.3} wal_append_us={:.1}",
+                obs::current_trace_id(),
+                op,
+                state.shard,
+                dispatch_ns as f64 / 1e6,
+                wal_ns as f64 / 1e3,
+            );
         }
-        return body;
     }
-    match dispatch(state, request) {
+    let mut body = match result {
         Ok(body) => body,
-        Err(message) => error_response(&message, request.get("id").and_then(Json::as_u64)),
+        Err(message) => error_response(&message, id_of(request)),
+    };
+    if state.echo_trace {
+        if let Json::Obj(pairs) = &mut body {
+            pairs.push(("trace_id".to_string(), Json::from(obs::current_trace_id())));
+        }
     }
+    body
 }
 
 /// Static span name for a shard-routed op (ring events hold only
@@ -342,32 +397,8 @@ fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
             apply_mutation(state, request, op)
         }
         "solve" => op_solve(state, request),
-        "batch" => op_batch(state, request),
-        "stats" => Ok(stats_body(state.session.len(), state.session.stats())),
-        "list" => Ok(list_body(&state.session.list())),
-        "solvers" => Ok(solvers_body()),
-        "metrics" => Ok(metrics_body(
-            1,
-            &[ShardReport {
-                shard: 0,
-                requests: state.obs.requests(),
-                instances: state.session.len(),
-                stats: state.session.stats(),
-                wal: state.wal_stats(),
-                // A transport-free state has no reactor; no net columns.
-                net: None,
-                latency: state.latency_snapshot(),
-            }],
-        )),
         "trace" => Ok(op_trace(state)),
         "close" => op_close(state, request),
-        "shutdown" => {
-            if !state.allow_shutdown {
-                return Err("shutdown is not enabled on this server".into());
-            }
-            state.shutdown_requested = true;
-            Ok(shutdown_body())
-        }
         other => Err(format!(
             "unknown op {other:?}; available: {}",
             OPS.join(", ")
@@ -376,36 +407,23 @@ fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
 }
 
 /// The `batch` op: several requests in one line, one combined response.
-/// Each element of `"requests"` is handled exactly as if it had arrived
-/// on its own line, in order, and its response lands at the same index of
-/// `"responses"` — byte-identical to the sequential exchanges (pinned by
-/// the loopback tests). One level only: a batch inside a batch answers an
-/// error at its slot (unbounded nesting would be a recursion hazard, and
-/// the sharded router flattens exactly one level).
-fn op_batch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
-    let subs = request
-        .get("requests")
-        .and_then(Json::as_array)
-        .ok_or("missing \"requests\" array")?;
+/// Each element of `"requests"` is answered by `respond` exactly as if it
+/// had arrived on its own line, in order, and its response lands at the
+/// same index of `"responses"` — byte-identical to the sequential
+/// exchanges (pinned by the loopback tests). Sub-requests keep the
+/// envelope's trace id. One level only: a batch inside a batch answers an
+/// error at its slot (unbounded nesting would be a recursion hazard).
+pub(super) fn batch_reply(request: &Json, mut respond: impl FnMut(&Json) -> Json) -> Json {
+    let Some(subs) = request.get("requests").and_then(Json::as_array) else {
+        return error_response("missing \"requests\" array", id_of(request));
+    };
     let responses: Vec<Json> = subs
         .iter()
-        .map(|sub| {
-            if sub.get("op").and_then(Json::as_str) == Some("batch") {
-                error_response(
-                    "nested batch is not supported",
-                    sub.get("id").and_then(Json::as_u64),
-                )
-            } else {
-                respond(state, sub)
-            }
+        .map(|sub| match GlobalOp::of(sub) {
+            Some(GlobalOp::Batch) => error_response("nested batch is not supported", id_of(sub)),
+            _ => respond(sub),
         })
         .collect();
-    Ok(batch_body(responses))
-}
-
-/// The combined `batch` response — shared with the router, so both
-/// paths serialize the envelope identically.
-pub(super) fn batch_body(responses: Vec<Json>) -> Json {
     Json::obj([
         ("ok", Json::from(true)),
         ("count", Json::from(responses.len())),
@@ -413,10 +431,17 @@ pub(super) fn batch_body(responses: Vec<Json>) -> Json {
     ])
 }
 
-/// The `stats` response for `live` instances and aggregate counters —
-/// shared by the single-session path and the router's cross-shard merge,
-/// so both serialize identically.
-pub(super) fn stats_body(live: usize, stats: SessionStats) -> Json {
+/// The `stats` op: live instances and the sessions' counters, summed
+/// over the shards.
+pub(super) fn stats_reply<S: ShardSet + ?Sized>(shards: &S) -> Json {
+    let mut live = 0;
+    let mut stats = SessionStats::default();
+    shards.visit(|state| {
+        if let Some(state) = state {
+            live += state.session.len();
+            stats.merge(state.session.stats());
+        }
+    });
     Json::obj([
         ("ok", Json::from(true)),
         ("instances", Json::from(live)),
@@ -431,8 +456,16 @@ pub(super) fn stats_body(live: usize, stats: SessionStats) -> Json {
     ])
 }
 
-/// The `list` response for instance summaries already sorted by id.
-pub(super) fn list_body(infos: &[InstanceInfo]) -> Json {
+/// The `list` op: every shard's instance summaries, in ascending id
+/// order (ids interleave mod the shard count).
+pub(super) fn list_reply<S: ShardSet + ?Sized>(shards: &S) -> Json {
+    let mut infos = Vec::new();
+    shards.visit(|state| {
+        if let Some(state) = state {
+            infos.extend(state.session.list());
+        }
+    });
+    infos.sort_by_key(|info| info.id.raw());
     Json::obj([
         ("ok", Json::from(true)),
         (
@@ -450,8 +483,8 @@ pub(super) fn list_body(infos: &[InstanceInfo]) -> Json {
     ])
 }
 
-/// The `solvers` response (static: the registry contents).
-pub(super) fn solvers_body() -> Json {
+/// The `solvers` op (static: the registry contents).
+pub(super) fn solvers_reply() -> Json {
     Json::obj([
         ("ok", Json::from(true)),
         (
@@ -459,6 +492,24 @@ pub(super) fn solvers_body() -> Json {
             Json::arr(solver::names().into_iter().map(Json::from)),
         ),
     ])
+}
+
+/// The `shutdown` op: refused unless `allowed`; otherwise runs `accept`
+/// (which flags the server to stop) and acknowledges.
+pub(super) fn shutdown_reply(request: &Json, allowed: bool, accept: impl FnOnce()) -> Json {
+    if !allowed {
+        return error_response("shutdown is not enabled on this server", id_of(request));
+    }
+    accept();
+    Json::obj([
+        ("ok", Json::from(true)),
+        ("shutting_down", Json::from(true)),
+    ])
+}
+
+/// The request's numeric `"id"`, when it carries one.
+fn id_of(request: &Json) -> Option<u64> {
+    request.get("id").and_then(Json::as_u64)
 }
 
 /// The `trace` op: drains the handling thread's span ring buffer. On the
@@ -498,14 +549,6 @@ fn op_trace(state: &ServeState) -> Json {
                 ])
             })),
         ),
-    ])
-}
-
-/// The accepted-`shutdown` response.
-pub(super) fn shutdown_body() -> Json {
-    Json::obj([
-        ("ok", Json::from(true)),
-        ("shutting_down", Json::from(true)),
     ])
 }
 

@@ -19,12 +19,14 @@
 //!   ops) go to shard 0, whose protocol layer produces exactly the error
 //!   a single session would — error payloads stay identical by
 //!   construction instead of by duplication;
-//! * `stats` / `list` / `metrics` **lock the shards one at a time** and
-//!   merge: sums for the counters, an id-sorted merge for the instance
-//!   summaries — both serialize through the same body builders as the
-//!   single-session path, so a fixed lock-step request trace gets
-//!   payload-identical responses at any `--workers`;
-//! * `solvers` and `shutdown` are answered in place.
+//! * the server-wide ops — `stats`, `list`, `solvers`, `metrics`,
+//!   `shutdown` and `batch` — are answered by the very functions that
+//!   answer them for a lone [`ServeState`], here over the shard locks,
+//!   **taken one at a time**: sums for the counters, an id-sorted merge
+//!   for the instance summaries, one row per shard for `metrics`. A fixed
+//!   lock-step request trace therefore gets payload-identical responses
+//!   at any `--workers`. A `batch` routes each sub-request through this
+//!   same dispatch, in order.
 //!
 //! Locking: the order is create cursor → one shard → directory, and no
 //! thread ever holds two shard locks at once. Solving on the reactor
@@ -48,12 +50,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use coschedule::session::{InstanceInfo, SessionStats};
 use minijson::Json;
 
-use super::metrics::{LatencyHistogram, NetMetrics, ShardReport};
-use super::protocol::{self, error_response, ServeState};
-use super::wal::WalStats;
+use super::metrics::{metrics_body, shard_reports, NetMetrics, ShardReport};
+use super::protocol::{self, error_response, GlobalOp, ServeState};
 use super::ServeConfig;
 
 /// The shared routing core of a server; one per [`Server`]
@@ -77,19 +77,6 @@ pub(super) struct Router {
 
 /// One reactor's attachment to the router; see [`Router::attach_reactors`].
 pub(super) type ReactorHook = (Arc<super::reactor::Inbox>, Arc<NetMetrics>);
-
-/// One shard's contribution to a cross-shard `stats` / `list` / `metrics`
-/// response.
-#[derive(Default)]
-struct ShardSnapshot {
-    live: usize,
-    /// Requests the shard has handled ([`ServeState::requests`]).
-    requests: u64,
-    stats: SessionStats,
-    infos: Vec<InstanceInfo>,
-    wal: Option<WalStats>,
-    latency: Option<LatencyHistogram>,
-}
 
 impl Router {
     /// Puts each state behind its shard lock. The states come from
@@ -130,21 +117,43 @@ impl Router {
     /// [`Self::rotate`] for each.
     pub fn dispatch(&self, line: &str, trace: u64, rotations: &mut Vec<usize>) -> String {
         match Json::parse(line) {
-            Ok(request) => self.dispatch_parsed(request, trace, rotations),
+            Ok(request) => self.dispatch_parsed(&request, trace, rotations),
             Err(e) => error_response(&format!("malformed request: {e}"), None),
         }
         .to_string()
     }
 
     /// Routes one parsed request (see [`Self::dispatch`]).
-    fn dispatch_parsed(&self, request: Json, trace: u64, rotations: &mut Vec<usize>) -> Json {
+    fn dispatch_parsed(&self, request: &Json, trace: u64, rotations: &mut Vec<usize>) -> Json {
+        if let Some(op) = GlobalOp::of(request) {
+            // The same functions `protocol::respond` answers a lone state
+            // with, here over every shard lock.
+            return match op {
+                GlobalOp::Stats => protocol::stats_reply(&self.shards[..]),
+                GlobalOp::List => protocol::list_reply(&self.shards[..]),
+                GlobalOp::Solvers => protocol::solvers_reply(),
+                GlobalOp::Metrics => metrics_body(&self.reports()),
+                GlobalOp::Shutdown => {
+                    protocol::shutdown_reply(request, self.allow_shutdown, || {
+                        self.shutdown.store(true, Ordering::SeqCst);
+                        // Wake every reactor (they may be asleep in
+                        // epoll_wait) so each can observe the flag, drain,
+                        // and exit.
+                        for (inbox, _) in self.reactors.lock().expect("reactor hooks").iter() {
+                            inbox.signal();
+                        }
+                    })
+                }
+                // Sub-requests inherit the envelope's trace id, so their
+                // spans (and `trace_id` echoes) correlate to the one
+                // client line that carried them.
+                GlobalOp::Batch => protocol::batch_reply(request, |sub| {
+                    self.dispatch_parsed(sub, trace, rotations)
+                }),
+            };
+        }
         match request.get("op").and_then(Json::as_str) {
-            Some("create") => self.dispatch_create(&request, trace, rotations),
-            Some("batch") => self.dispatch_batch(request, trace, rotations),
-            // `protocol::is_global_op` is the single definition of which
-            // ops the router answers itself; the per-shard `requests`
-            // counting in `protocol::respond` keys off the same predicate.
-            Some(op) if protocol::is_global_op(op) => self.dispatch_global(op, &request),
+            Some("create") => self.dispatch_create(request, trace, rotations),
             // Instance ops (and anything unroutable — unknown ops,
             // missing or dead ids): the owning shard, or shard 0, whose
             // dispatch reports the identical error a single session would.
@@ -162,7 +171,7 @@ impl Router {
                 };
                 let closes = op == Some("close");
                 self.on_shard(shard, trace, id, rotations, |state| {
-                    let response = protocol::respond(state, &request);
+                    let response = protocol::respond(state, request);
                     // Unregister a closed instance before the client can
                     // see the response (a stale entry would still be
                     // answered correctly — the session rejects the dead id
@@ -224,113 +233,6 @@ impl Router {
         }));
     }
 
-    /// Answers one router-level (global) op — exactly the ops
-    /// [`protocol::is_global_op`] names.
-    fn dispatch_global(&self, op: &str, request: &Json) -> Json {
-        match op {
-            "stats" => {
-                let snapshots = self.snapshots();
-                let live = snapshots.iter().map(|s| s.live).sum();
-                let mut stats = SessionStats::default();
-                for s in &snapshots {
-                    stats.merge(s.stats);
-                }
-                protocol::stats_body(live, stats)
-            }
-            "list" => {
-                let mut infos: Vec<_> =
-                    self.snapshots().into_iter().flat_map(|s| s.infos).collect();
-                // Each shard lists its instances in ascending id order;
-                // the merged view must too (ids interleave mod `shards`).
-                infos.sort_by_key(|info| info.id.raw());
-                protocol::list_body(&infos)
-            }
-            "solvers" => protocol::solvers_body(),
-            "metrics" => {
-                let nets: Vec<_> = {
-                    let hooks = self.reactors.lock().expect("reactor hooks");
-                    (0..self.shards.len())
-                        .map(|shard| hooks.get(shard).map(|(_, net)| net.report()))
-                        .collect()
-                };
-                let reports: Vec<ShardReport> = self
-                    .snapshots()
-                    .into_iter()
-                    .zip(nets)
-                    .enumerate()
-                    .map(|(shard, (snapshot, net))| ShardReport {
-                        shard,
-                        requests: snapshot.requests,
-                        instances: snapshot.live,
-                        stats: snapshot.stats,
-                        wal: snapshot.wal,
-                        net,
-                        latency: snapshot.latency,
-                    })
-                    .collect();
-                super::metrics::metrics_body(self.shards.len(), &reports)
-            }
-            "shutdown" => {
-                if !self.allow_shutdown {
-                    return error_response(
-                        "shutdown is not enabled on this server",
-                        request.get("id").and_then(Json::as_u64),
-                    );
-                }
-                self.shutdown.store(true, Ordering::SeqCst);
-                // Wake every reactor (they may be asleep in epoll_wait)
-                // so each can observe the flag, drain, and exit.
-                for (inbox, _) in self.reactors.lock().expect("reactor hooks").iter() {
-                    inbox.signal();
-                }
-                protocol::shutdown_body()
-            }
-            // Defensive: is_global_op and this match are adjacent single
-            // sources; a drift still answers instead of dropping the line.
-            other => error_response(&format!("unhandled global op {other:?}"), None),
-        }
-    }
-
-    /// Answers a `batch` envelope by routing each sub-request through the
-    /// normal dispatch in order, so the combined response is
-    /// byte-identical to the sequential exchanges — including the ordering
-    /// a lock-step client would observe between mutations and the global
-    /// snapshot ops. Nested batches answer an error at their slot, exactly
-    /// like the transport-free protocol layer.
-    fn dispatch_batch(&self, request: Json, trace: u64, rotations: &mut Vec<usize>) -> Json {
-        // Take the envelope apart by value — a batched trace replay can
-        // carry the whole workload in one line, and deep-cloning every
-        // sub-request would defeat the op's amortization purpose.
-        let id = request.get("id").and_then(Json::as_u64);
-        let subs = match request {
-            Json::Obj(pairs) => pairs
-                .into_iter()
-                // First match, like `Json::get`.
-                .find(|(key, _)| key == "requests")
-                .map(|(_, value)| value),
-            _ => None,
-        };
-        let Some(Json::Arr(subs)) = subs else {
-            // The identical envelope error the protocol layer produces.
-            return error_response("missing \"requests\" array", id);
-        };
-        let responses = subs
-            .into_iter()
-            .map(|sub| {
-                if sub.get("op").and_then(Json::as_str) == Some("batch") {
-                    let id = sub.get("id").and_then(Json::as_u64);
-                    error_response("nested batch is not supported", id)
-                } else {
-                    // Sub-requests inherit the envelope's trace id, so
-                    // their spans (and `trace_id` echoes) correlate to the
-                    // one client line that carried them.
-                    self.dispatch_parsed(sub, trace, rotations)
-                }
-            })
-            .collect();
-        protocol::batch_body(responses)
-    }
-
     /// Routes a `create`: round-robin shard choice, answered while the
     /// create cursor is held, so the directory registration happens
     /// before the response escapes (a pipelining client may address the
@@ -350,23 +252,18 @@ impl Router {
         })
     }
 
-    /// One snapshot per shard, taking the shard locks one at a time. A
-    /// shard poisoned by a panic contributes an empty snapshot.
-    fn snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shards
+    /// Every shard's `metrics` row, each read under its own lock in
+    /// turn, with its reactor's network counters — what the `metrics` op
+    /// and the `--metrics-addr` scrape both render.
+    pub fn reports(&self) -> Vec<ShardReport> {
+        let nets: Vec<_> = self
+            .reactors
+            .lock()
+            .expect("reactor hooks")
             .iter()
-            .map(|shard| match shard.lock() {
-                Ok(state) => ShardSnapshot {
-                    live: state.session().len(),
-                    requests: state.requests(),
-                    stats: state.session().stats(),
-                    infos: state.session().list(),
-                    wal: state.wal_stats(),
-                    latency: state.latency_snapshot(),
-                },
-                Err(_) => ShardSnapshot::default(),
-            })
-            .collect()
+            .map(|(_, net)| net.report())
+            .collect();
+        shard_reports(&self.shards[..], |shard| nets.get(shard).copied())
     }
 
     fn directory(&self) -> MutexGuard<'_, HashMap<u64, usize>> {

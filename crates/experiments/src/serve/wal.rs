@@ -33,8 +33,8 @@
 //!
 //! # What is logged
 //!
-//! Exactly the shard-routed ops — the complement of
-//! `protocol::is_global_op` — including *failed* ones: failures bump
+//! Exactly the shard-routed ops — every op but the server-wide ones
+//! (`protocol::GlobalOp`) — including *failed* ones: failures bump
 //! the `requests` counter and the evaluation stats, so skipping them
 //! would make a recovered server's counters drift from the original. The
 //! `batch` envelope is never logged; its sub-requests are, one record
@@ -545,18 +545,12 @@ pub fn recover_shard(
     default_solver: &str,
     default_seed: u64,
 ) -> Result<Recovered, String> {
-    let fresh = || {
-        let mut state =
-            ServeState::with_session(Session::with_id_stride(shard as u64, shards as u64));
-        state.default_solver = default_solver.to_string();
-        state.default_seed = default_seed;
-        state
-    };
+    let mut state = ServeState::for_shard(shard, shards, default_solver, default_seed);
     let Some(generation) =
         latest_generation(dir, shard).map_err(|e| format!("shard {shard}: {e}"))?
     else {
         return Ok(Recovered {
-            state: fresh(),
+            state,
             replayed: 0,
             next_generation: 0,
         });
@@ -605,9 +599,7 @@ pub fn recover_shard(
         .ok_or_else(|| err("missing session".into()))?;
     let session = persist::restore_session(session).map_err(err)?;
 
-    let mut state = ServeState::restore(session, requests, latency);
-    state.default_solver = default_solver.to_string();
-    state.default_seed = default_seed;
+    state.resume(session, requests, latency);
 
     let records = read_wal_records(&wal_path(dir, shard, generation))
         .map_err(|e| format!("shard {shard}: {e}"))?;
@@ -661,16 +653,10 @@ impl Standby {
         let workers =
             read_meta(dir)?.ok_or("no meta.json — has a primary ever served this directory?")?;
         let shards = (0..workers)
-            .map(|shard| {
-                let mut state =
-                    ServeState::with_session(Session::with_id_stride(shard as u64, workers as u64));
-                state.default_solver = default_solver.to_string();
-                state.default_seed = default_seed;
-                StandbyShard {
-                    generation: None,
-                    applied: 0,
-                    state,
-                }
+            .map(|shard| StandbyShard {
+                generation: None,
+                applied: 0,
+                state: ServeState::for_shard(shard, workers, default_solver, default_seed),
             })
             .collect();
         Ok(Standby {

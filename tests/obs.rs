@@ -12,7 +12,7 @@ mod common;
 use common::{exchange, mask_reactor_wakeups, spawn_server_with};
 use coschedule::obs;
 use coschedule::session::Session;
-use experiments::serve::metrics::{prometheus_body, LatencyHistogram, PromShard};
+use experiments::serve::metrics::{prometheus_body, LatencyHistogram, ShardReport};
 use experiments::serve::wal::{recover_shard, WalWriter};
 use experiments::serve::{handle_line, smoke_script, Durability, ServeState, Server};
 use minijson::Json;
@@ -122,15 +122,29 @@ fn sample_line(line: &str) -> Option<(&str, f64)> {
 }
 
 /// Asserts every exposition line is a HELP/TYPE comment or a parseable
-/// sample of a valid `cosched_` metric name; returns the sample count.
+/// sample of a valid `cosched_` metric name, and that every family has
+/// exactly one HELP and one TYPE line (a histogram's `_bucket`, `_sum`
+/// and `_count` samples belong to its family); returns the sample count.
 fn lint_exposition(body: &str) -> usize {
+    let mut helps = std::collections::BTreeSet::new();
+    let mut types = std::collections::BTreeMap::new();
     let mut samples = 0usize;
     for line in body.lines().filter(|l| !l.is_empty()) {
         if let Some(comment) = line.strip_prefix("# ") {
-            assert!(
-                comment.starts_with("HELP ") || comment.starts_with("TYPE "),
-                "unexpected comment: {line}"
-            );
+            if let Some(help) = comment.strip_prefix("HELP ") {
+                let family = help.split(' ').next().unwrap_or_default();
+                assert!(helps.insert(family.to_string()), "second HELP: {line}");
+            } else if let Some(kind) = comment.strip_prefix("TYPE ") {
+                let (family, kind) = kind.split_once(' ').expect("TYPE names a kind");
+                assert!(
+                    ["counter", "gauge", "histogram"].contains(&kind),
+                    "unexpected type: {line}"
+                );
+                let again = types.insert(family.to_string(), kind.to_string());
+                assert!(again.is_none(), "second TYPE: {line}");
+            } else {
+                panic!("unexpected comment: {line}");
+            }
             continue;
         }
         let (metric, _value) = sample_line(line).unwrap_or_else(|| panic!("bad sample: {line}"));
@@ -141,8 +155,19 @@ fn lint_exposition(body: &str) -> usize {
             "invalid metric name: {metric}"
         );
         assert_eq!(metric.contains('{'), metric.ends_with('}'), "{line}");
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|f| types.get(*f).is_some_and(|kind| kind == "histogram"))
+            .unwrap_or(name);
+        assert!(types.contains_key(family), "no TYPE before {line}");
+        assert!(helps.contains(family), "no HELP before {line}");
         samples += 1;
     }
+    assert!(
+        helps.iter().eq(types.keys()),
+        "HELP and TYPE lines name different families"
+    );
     samples
 }
 
@@ -153,18 +178,18 @@ fn prometheus_body_is_well_formed() {
         latency.record(ns);
     }
     let shards = [
-        PromShard {
+        ShardReport {
             shard: 0,
             requests: 6,
-            latency,
+            latency: Some(latency),
+            ..Default::default()
         },
-        PromShard {
+        ShardReport {
             shard: 1,
-            requests: 0,
-            latency: LatencyHistogram::default(),
+            ..Default::default()
         },
     ];
-    let body = prometheus_body(12.5, 2, &shards, 3);
+    let body = prometheus_body(12.5, &shards, 3);
 
     // Every line is a HELP/TYPE comment or a parseable sample.
     assert!(lint_exposition(&body) > 0);
@@ -518,4 +543,142 @@ fn metrics_scrape_and_chrome_trace_file_are_well_formed() {
     for span in ["op_create", "op_solve", "op_mutate"] {
         assert!(complete.contains(span), "no {span} in {complete:?}");
     }
+}
+
+/// Starts a server with a Prometheus listener on `127.0.0.1:0`, applies
+/// `configure`, and returns the serving address, the listener's address
+/// and the server thread. The listener is up once a first exchange has
+/// been answered, so this sends a `stats`.
+fn spawn_with_metrics(
+    configure: impl FnOnce(&mut experiments::serve::ServeConfig),
+) -> (
+    std::net::SocketAddr,
+    std::net::SocketAddr,
+    common::ServerHandle,
+) {
+    let mut server = Server::bind("127.0.0.1:0").expect("bind");
+    let config = server.config_mut();
+    config.allow_shutdown = true;
+    config.metrics_addr = Some("127.0.0.1:0".to_string());
+    configure(config);
+    let addr = server.local_addr().expect("local addr");
+    let probe = server.metrics_probe();
+    let handle = std::thread::spawn(move || server.run());
+    exchange(addr, &[r#"{"op":"stats"}"#.to_string()]).expect("server up");
+    let metrics_at = *probe.get().expect("metrics listener address");
+    (addr, metrics_at, handle)
+}
+
+/// One `GET /metrics` over HTTP; returns the whole response. Gives up
+/// (with an error) after `patience`.
+fn scrape(at: std::net::SocketAddr, patience: std::time::Duration) -> std::io::Result<String> {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(at)?;
+    stream.set_read_timeout(Some(patience))?;
+    stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: cosched\r\n\r\n")?;
+    let mut http = String::new();
+    stream.read_to_string(&mut http)?;
+    Ok(http)
+}
+
+/// A peer that connects to the metrics listener and sends nothing must
+/// not freeze it: the listener gives up on the silent peer's request
+/// head after its read timeout, and the next scrape is answered.
+#[test]
+fn a_silent_peer_does_not_freeze_the_metrics_listener() {
+    use experiments::serve::METRICS_IO_TIMEOUT;
+    let (addr, metrics_at, handle) = spawn_with_metrics(|_| {});
+    let silent = std::net::TcpStream::connect(metrics_at).expect("silent connect");
+    let margin = std::time::Duration::from_secs(5);
+    let started = std::time::Instant::now();
+    let http = scrape(metrics_at, METRICS_IO_TIMEOUT + margin)
+        .expect("a scrape behind a silent peer is answered");
+    let waited = started.elapsed();
+    drop(silent);
+    common::shutdown(addr, handle);
+    assert!(http.starts_with("HTTP/1.0 200"), "{http}");
+    assert!(
+        waited < METRICS_IO_TIMEOUT + margin,
+        "the scrape waited {waited:?}"
+    );
+}
+
+/// Every per-shard column of the `metrics` op has a `{shard="k"}` sample
+/// in the scrape. Global ops are not counted, so the session, WAL and
+/// `requests` columns cannot move between the two reads and must agree
+/// exactly; the network columns (which the exchange itself moves) need
+/// only be present.
+#[test]
+fn the_scrape_exposes_every_metrics_column() {
+    let dir = std::env::temp_dir().join(format!("cosched-obs-columns-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal_dir = dir.clone();
+    let (addr, metrics_at, handle) = spawn_with_metrics(move |config| {
+        config.workers = 2;
+        config.durability = Durability::Log;
+        config.wal_dir = Some(wal_dir);
+    });
+    let script = smoke_script();
+    let (body, shutdown) = script.split_at(script.len() - 1);
+    let responses = exchange(addr, body).expect("smoke script");
+    let metrics_at_line = body
+        .iter()
+        .position(|line| common::is_metrics(line))
+        .expect("the smoke script asks for metrics");
+    let metrics = Json::parse(&responses[metrics_at_line]).expect("metrics reply");
+    let http = scrape(metrics_at, std::time::Duration::from_secs(30)).expect("scrape");
+    exchange(addr, shutdown).expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (head, exposition) = http.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+    lint_exposition(exposition);
+    let sample = |metric: &str, shard: u64| -> Option<f64> {
+        let prefix = format!("{metric}{{shard=\"{shard}\"}} ");
+        exposition
+            .lines()
+            .find_map(|line| line.strip_prefix(&prefix))
+            .map(|value| value.parse().expect("numeric sample"))
+    };
+    let rows = metrics.get("shards").and_then(Json::as_array).unwrap();
+    assert_eq!(rows.len(), 2);
+    let net_columns = [
+        "open_connections",
+        "reactor_wakeups",
+        "bytes_in",
+        "bytes_out",
+    ];
+    let mut checked = 0;
+    for row in rows {
+        let Json::Obj(columns) = row else {
+            panic!("shard row is an object: {row}")
+        };
+        let shard = row.get("shard").and_then(Json::as_u64).unwrap();
+        for (column, value) in columns {
+            let json = value.as_f64().expect("numeric column");
+            let scraped = match column.as_str() {
+                "shard" => continue,
+                "latency_count" => sample("cosched_request_latency_seconds_count", shard),
+                p if p.starts_with("latency_p") => {
+                    let bucket = format!(
+                        "cosched_request_latency_seconds_bucket{{shard=\"{shard}\",le=\"+Inf\"}}"
+                    );
+                    assert!(exposition.contains(&bucket), "no buckets for {p}");
+                    continue;
+                }
+                name => sample(&format!("cosched_{name}_total"), shard)
+                    .or_else(|| sample(&format!("cosched_{name}"), shard)),
+            };
+            let scraped =
+                scraped.unwrap_or_else(|| panic!("no sample for {column} on shard {shard}"));
+            if !net_columns.contains(&column.as_str()) {
+                assert_eq!(scraped, json, "{column} on shard {shard}");
+            }
+            checked += 1;
+        }
+    }
+    // requests … tuner_member_solves, five wal_* and four network
+    // columns per shard, plus shard 0's latency_count.
+    assert_eq!(checked, 2 * 22 + 1);
 }
