@@ -258,7 +258,7 @@ impl ShardSet for [Mutex<ServeState>] {
 /// The server-wide ops: answered over the whole shard set rather than by
 /// one shard, so they are neither counted, timed nor WAL-logged. `batch`
 /// is an envelope — only its sub-requests count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(super) enum GlobalOp {
     Stats,
     List,

@@ -337,4 +337,35 @@ mod tests {
         assert_eq!(other.get("id").and_then(Json::as_u64), Some(1));
         assert!(rotations.is_empty(), "no WAL, no rotations");
     }
+
+    #[test]
+    fn a_poisoned_shard_reports_a_zero_row_and_no_samples() {
+        let mut config = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let states = super::super::build_states(&mut config).expect("fresh states");
+        let router = Router::new(&config, states);
+        let mut rotations = Vec::new();
+        for name in ["A", "C"] {
+            router.dispatch(&create_line(name), 0, &mut rotations);
+        }
+        router.on_shard(0, 1, Some(0), &mut rotations, |_| panic!("injected"));
+
+        let metrics = parse(&router.dispatch(r#"{"op":"metrics"}"#, 2, &mut rotations));
+        let rows = metrics.get("shards").and_then(Json::as_array).unwrap();
+        assert_eq!(rows[0].get("requests").and_then(Json::as_u64), Some(0));
+        assert_eq!(rows[0].get("instances").and_then(Json::as_u64), Some(0));
+        assert_eq!(rows[1].get("requests").and_then(Json::as_u64), Some(1));
+        let list = router.dispatch(r#"{"op":"list"}"#, 3, &mut rotations);
+        assert!(
+            list.contains(r#""id":1"#) && !list.contains(r#""id":0"#),
+            "{list}"
+        );
+
+        let exposition = super::super::metrics::prometheus_body(0.0, &router.reports(), 0);
+        assert!(exposition.contains(r#"cosched_requests_total{shard="1"} 1"#));
+        assert!(!exposition.contains(r#"shard="0""#), "{exposition}");
+        assert!(exposition.contains("cosched_workers 2"));
+    }
 }
