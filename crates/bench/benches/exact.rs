@@ -66,9 +66,9 @@ fn bench_exact(c: &mut Criterion) {
     // bit (makespan, partition, fractions) on an instance near the
     // enumerator's practical limit.
     let platform_150 = Platform::taihulight().with_cache_size(150e6);
-    let apps16 = random_pp(3, 16);
-    let reference = exact_perfectly_parallel(&apps16, &platform_150).unwrap();
-    let sol = branch_and_bound(&apps16, &platform_150, &BnbConfig::default()).unwrap();
+    let inst16 = Instance::new(random_pp(3, 16), platform_150.clone()).unwrap();
+    let reference = exact_perfectly_parallel(&inst16).unwrap();
+    let sol = branch_and_bound(&inst16, &BnbConfig::default()).unwrap();
     assert!(sol.optimal);
     assert_eq!(sol.makespan.to_bits(), reference.makespan.to_bits());
     assert_eq!(sol.partition, reference.partition);
@@ -80,12 +80,12 @@ fn bench_exact(c: &mut Criterion) {
     // row of BENCH_exact.json.
     let platform_45 = Platform::taihulight().with_cache_size(45e6);
     let hard = random_pp(7, 120);
+    let hard_inst = Instance::new(hard.clone(), platform_45.clone()).unwrap();
     let t = Instant::now();
-    let serial = branch_and_bound(&hard, &platform_45, &BnbConfig::default()).unwrap();
+    let serial = branch_and_bound(&hard_inst, &BnbConfig::default()).unwrap();
     let serial_wall = t.elapsed();
     let t = Instant::now();
-    let parallel =
-        branch_and_bound(&hard, &platform_45, &BnbConfig::default().with_threads(4)).unwrap();
+    let parallel = branch_and_bound(&hard_inst, &BnbConfig::default().with_threads(4)).unwrap();
     let parallel_wall = t.elapsed();
     assert!(serial.optimal && parallel.optimal);
     assert_eq!(serial.makespan.to_bits(), parallel.makespan.to_bits());
@@ -117,10 +117,13 @@ fn bench_exact(c: &mut Criterion) {
         ("random-120-45mb", hard.clone(), platform_45.clone()),
     ] {
         let t = Instant::now();
-        let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+        let n = apps.len();
+        let sol = Instance::new(apps, platform)
+            .and_then(|instance| branch_and_bound(&instance, &BnbConfig::default()))
+            .unwrap();
         println!(
             "{label}: n={} optimal={} nodes={} bound_pruned={} leaves={} |IC|={} wall_ms={:.2}",
-            apps.len(),
+            n,
             sol.optimal,
             sol.stats.nodes_expanded,
             sol.stats.nodes_pruned_bound,
@@ -140,9 +143,9 @@ fn bench_exact(c: &mut Criterion) {
         ("npb-synth-200", npb_synth(7, 200), Platform::taihulight()),
         ("random-100-45mb", random_pp(7, 100), platform_45.clone()),
     ] {
-        let optimum = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
-        assert!(optimum.optimal, "gap table requires a proven optimum");
         let instance = Instance::new(apps, platform).unwrap();
+        let optimum = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
+        assert!(optimum.optimal, "gap table requires a proven optimum");
         println!(
             "gap table [{label}] vs proven optimum {:.6e}:",
             optimum.makespan
@@ -175,20 +178,18 @@ fn bench_exact(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
     for &n in &[12usize, 16, 20] {
-        let apps = random_pp(3, n);
-        group.bench_with_input(BenchmarkId::new("enumerator", n), &apps, |b, apps| {
+        let instance = Instance::new(random_pp(3, n), platform_150.clone()).unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("enumerator", n),
+            &instance,
+            |b, instance| {
+                b.iter(|| black_box(exact_perfectly_parallel(instance).unwrap().makespan));
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("bnb", n), &instance, |b, instance| {
             b.iter(|| {
                 black_box(
-                    exact_perfectly_parallel(apps, &platform_150)
-                        .unwrap()
-                        .makespan,
-                )
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("bnb", n), &apps, |b, apps| {
-            b.iter(|| {
-                black_box(
-                    branch_and_bound(apps, &platform_150, &BnbConfig::default())
+                    branch_and_bound(instance, &BnbConfig::default())
                         .unwrap()
                         .makespan,
                 )
@@ -202,11 +203,11 @@ fn bench_exact(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    let apps200 = npb_synth(7, 200);
+    let inst200 = Instance::new(npb_synth(7, 200), Platform::taihulight()).unwrap();
     group.bench_function("npb_synth_200", |b| {
         b.iter(|| {
             black_box(
-                branch_and_bound(&apps200, &Platform::taihulight(), &BnbConfig::default())
+                branch_and_bound(&inst200, &BnbConfig::default())
                     .unwrap()
                     .makespan,
             )

@@ -6,7 +6,8 @@
 //! sizes, strategies, and the exact solver.
 
 use coschedule::algo::{bnb, Strategy};
-use coschedule::model::{ExecModel, Platform};
+use coschedule::eval::EvalSet;
+use coschedule::model::Platform;
 use coschedule::solver::{Instance, SolveCtx, Solver};
 use coschedule::theory::{cache_alloc, dominance};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -49,17 +50,21 @@ fn bench_theory_primitives(c: &mut Criterion) {
     let platform = Platform::taihulight();
     let mut rng = StdRng::seed_from_u64(2);
     let apps = Dataset::Random.generate(256, SeqFraction::Zero, &mut rng);
-    let models = ExecModel::of_all(&apps, &platform);
+    let eval = EvalSet::of(&apps, &platform);
     let full = dominance::Partition::all(apps.len());
 
     c.bench_function("dominance_check_256", |b| {
-        b.iter(|| black_box(dominance::is_dominant(&models, &full)));
+        b.iter(|| black_box(dominance::is_dominant(&eval, &full)));
     });
     c.bench_function("theorem3_fractions_256", |b| {
-        b.iter(|| black_box(cache_alloc::optimal_cache_fractions(&models, &full)));
+        b.iter(|| {
+            let mut x = Vec::new();
+            cache_alloc::optimal_cache_fractions_into(eval.weights(), &full, &mut x);
+            black_box(x)
+        });
     });
     c.bench_function("exec_model_derivation_256", |b| {
-        b.iter(|| black_box(ExecModel::of_all(&apps, &platform)));
+        b.iter(|| black_box(EvalSet::of(&apps, &platform)));
     });
 }
 
@@ -73,14 +78,10 @@ fn bench_exact_solver(c: &mut Criterion) {
     for &n in &[8usize, 12, 16] {
         let mut rng = StdRng::seed_from_u64(3);
         let apps = Dataset::Random.generate(n, SeqFraction::Zero, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &apps, |b, apps| {
+        let instance = Instance::new(apps, platform.clone()).unwrap();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &instance, |b, instance| {
             b.iter(|| {
-                black_box(bnb::branch_and_bound(
-                    apps,
-                    &platform,
-                    &bnb::BnbConfig::default(),
-                ))
-                .unwrap()
+                black_box(bnb::branch_and_bound(instance, &bnb::BnbConfig::default())).unwrap()
             });
         });
     }

@@ -7,10 +7,10 @@
 //! produce bit-identical outcomes (asserted before timing):
 //!
 //! * **cold** — what a stateless service must do per request: clone the
-//!   application list into `Instance::new` (full re-validation, `ExecModel`
-//!   re-derivation, `EvalSet` flattening) and solve with a fresh context;
+//!   application list into `Instance::new` (full re-validation and
+//!   `EvalSet` derivation) and solve with a fresh context;
 //! * **incremental** — `Session::resolve` after an
-//!   `InstanceHandle::update_app` patch: one model/eval column rewritten,
+//!   `InstanceHandle::update_app` patch: one `EvalSet` column rewritten,
 //!   solve runs on warm state with the recycled scratch.
 //!
 //! The mutation alternates between two profiles so every iteration really

@@ -1,15 +1,15 @@
 //! Baseline strategies of §6.3: AllProcCache, Fair, 0cache, RandomPart.
 //!
-//! The algorithm cores run on the struct-of-arrays [`EvalSet`] view with a
-//! caller-provided [`EvalScratch`] (the [`Solver`](crate::solver::Solver)
-//! path hands in the one owned by [`SolveCtx`](crate::solver::SolveCtx));
-//! the public functions keep the historical `(apps, platform)` signatures
-//! and derive a view on the fly.
+//! The algorithm cores run on an [`Instance`](crate::solver::Instance)'s
+//! struct-of-arrays [`EvalSet`] view with the [`EvalScratch`] owned by the
+//! [`SolveCtx`](crate::solver::SolveCtx); callers reach them through
+//! [`Strategy`](crate::algo::Strategy)'s [`Solver`](crate::solver::Solver)
+//! implementation.
 
 use crate::algo::outcome::Outcome;
 use crate::error::Result;
 use crate::eval::{EvalScratch, EvalSet};
-use crate::model::{Application, Platform, Schedule};
+use crate::model::Schedule;
 use crate::theory::cache_alloc::optimal_cache_fractions_into;
 use crate::theory::dominance::Partition;
 use crate::theory::proc_alloc::equal_finish_split_eval;
@@ -19,24 +19,6 @@ use rand::{Rng, RngExt as _};
 /// each with all `p` processors and the whole LLC. The reported makespan is
 /// the sum of the individual execution times; the recorded per-application
 /// assignment is `(p, 1)`.
-pub fn all_proc_cache(apps: &[Application], platform: &Platform) -> Result<Outcome> {
-    crate::model::validate_instance(apps)?;
-    let eval = EvalSet::of(apps, platform);
-    with_fresh_scratch(|scratch| Ok(all_proc_cache_core(&eval, scratch)))
-}
-
-/// Runs a core against a fresh scratch and stamps the recorded evaluation
-/// work into the outcome, so direct (non-[`Solver`](crate::solver::Solver))
-/// callers get real counters too; the solver path overwrites the field
-/// with the [`SolveCtx`](crate::solver::SolveCtx) delta instead.
-fn with_fresh_scratch(core: impl FnOnce(&mut EvalScratch) -> Result<Outcome>) -> Result<Outcome> {
-    let mut scratch = EvalScratch::new();
-    let mut outcome = core(&mut scratch)?;
-    outcome.eval_stats = scratch.stats;
-    Ok(outcome)
-}
-
-/// [`all_proc_cache`] on a pre-derived instance view.
 pub(crate) fn all_proc_cache_core(eval: &EvalSet, scratch: &mut EvalScratch) -> Outcome {
     let n = eval.len();
     scratch.stats.record(n);
@@ -56,13 +38,6 @@ pub(crate) fn all_proc_cache_core(eval: &EvalSet, scratch: &mut EvalScratch) -> 
 
 /// Fair: `p_i = p/n` processors and a cache share proportional to the access
 /// frequency, `x_i = f_i / Σ_j f_j`. No equal-finish rebalancing.
-pub fn fair(apps: &[Application], platform: &Platform) -> Result<Outcome> {
-    crate::model::validate_instance(apps)?;
-    let eval = EvalSet::of(apps, platform);
-    with_fresh_scratch(|scratch| Ok(fair_core(&eval, scratch)))
-}
-
-/// [`fair`] on a pre-derived instance view.
 pub(crate) fn fair_core(eval: &EvalSet, scratch: &mut EvalScratch) -> Outcome {
     let n = eval.len() as f64;
     let total_freq: f64 = eval.access_freqs().iter().sum();
@@ -85,13 +60,6 @@ pub(crate) fn fair_core(eval: &EvalSet, scratch: &mut EvalScratch) -> Outcome {
 
 /// 0cache: nobody gets any cache (`x_i = 0`, every access misses); the
 /// processors are split so that all applications finish simultaneously.
-pub fn zero_cache(apps: &[Application], platform: &Platform) -> Result<Outcome> {
-    crate::model::validate_instance(apps)?;
-    let eval = EvalSet::of(apps, platform);
-    with_fresh_scratch(|scratch| zero_cache_core(&eval, scratch))
-}
-
-/// [`zero_cache`] on a pre-derived instance view.
 pub(crate) fn zero_cache_core(eval: &EvalSet, scratch: &mut EvalScratch) -> Result<Outcome> {
     let cache = vec![0.0; eval.len()];
     let ef = equal_finish_split_eval(eval, &cache, scratch)?;
@@ -109,17 +77,6 @@ pub(crate) fn zero_cache_core(eval: &EvalSet, scratch: &mut EvalScratch) -> Resu
 /// (each application is included with probability ½); their fractions use
 /// the Theorem-3 closed form, and processors are split to equalise finish
 /// times.
-pub fn random_part<R: Rng + ?Sized>(
-    apps: &[Application],
-    platform: &Platform,
-    rng: &mut R,
-) -> Result<Outcome> {
-    crate::model::validate_instance(apps)?;
-    let eval = EvalSet::of(apps, platform);
-    with_fresh_scratch(|scratch| random_part_core(&eval, rng, scratch))
-}
-
-/// [`random_part`] on a pre-derived instance view.
 pub(crate) fn random_part_core<R: Rng + ?Sized>(
     eval: &EvalSet,
     rng: &mut R,
@@ -142,12 +99,12 @@ pub(crate) fn random_part_core<R: Rng + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::model::{sequential_makespan, ExecModel};
-    use crate::theory::cache_alloc::optimal_cache_fractions;
+    use crate::algo::{Outcome, Strategy};
+    use crate::model::{sequential_makespan, Application, Platform};
+    use crate::solver::{Instance, SolveCtx, Solver as _};
+    use crate::theory::cache_alloc::optimal_cache_fractions_into;
+    use crate::theory::dominance::Partition;
     use crate::theory::proc_alloc::equal_finish_split;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn apps() -> Vec<Application> {
         vec![
@@ -162,9 +119,14 @@ mod tests {
         Platform::taihulight()
     }
 
+    fn solve(strategy: Strategy, apps: &[Application], ctx: &mut SolveCtx) -> Outcome {
+        let inst = Instance::new(apps.to_vec(), pf()).unwrap();
+        strategy.solve(&inst, ctx).unwrap()
+    }
+
     #[test]
     fn all_proc_cache_sums_solo_runtimes() {
-        let o = all_proc_cache(&apps(), &pf()).unwrap();
+        let o = solve(Strategy::AllProcCache, &apps(), &mut SolveCtx::seeded(0));
         assert!(!o.concurrent);
         assert_eq!(o.schedule.len(), 4);
         let expected = sequential_makespan(&apps(), &pf());
@@ -174,7 +136,7 @@ mod tests {
     #[test]
     fn fair_splits_processors_evenly_and_cache_by_frequency() {
         let a = apps();
-        let o = fair(&a, &pf()).unwrap();
+        let o = solve(Strategy::Fair, &a, &mut SolveCtx::seeded(0));
         let total_f: f64 = a.iter().map(|x| x.access_freq).sum();
         for (i, asg) in o.schedule.assignments.iter().enumerate() {
             assert!((asg.procs - 64.0).abs() < 1e-12);
@@ -187,7 +149,7 @@ mod tests {
     #[test]
     fn fair_makespan_matches_schedule_evaluation() {
         let a = apps();
-        let o = fair(&a, &pf()).unwrap();
+        let o = solve(Strategy::Fair, &a, &mut SolveCtx::seeded(0));
         assert_eq!(
             o.makespan.to_bits(),
             o.schedule.makespan(&a, &pf()).to_bits()
@@ -200,7 +162,7 @@ mod tests {
         for app in &mut a {
             app.access_freq = 0.0;
         }
-        let o = fair(&a, &pf()).unwrap();
+        let o = solve(Strategy::Fair, &a, &mut SolveCtx::seeded(0));
         for asg in &o.schedule.assignments {
             assert!((asg.cache - 0.25).abs() < 1e-12);
         }
@@ -209,7 +171,7 @@ mod tests {
     #[test]
     fn zero_cache_gives_no_cache_and_equalises() {
         let a = apps();
-        let o = zero_cache(&a, &pf()).unwrap();
+        let o = solve(Strategy::ZeroCache, &a, &mut SolveCtx::seeded(0));
         assert_eq!(o.schedule.total_cache(), 0.0);
         assert!(o.partition.is_empty());
         assert!(o.schedule.is_equal_finish(&a, &pf(), 1e-8));
@@ -224,7 +186,7 @@ mod tests {
             .into_iter()
             .map(|x| x.with_seq_fraction(0.0))
             .collect();
-        let o = zero_cache(&a, &pf()).unwrap();
+        let o = solve(Strategy::ZeroCache, &a, &mut SolveCtx::seeded(0));
         let expected: f64 = a
             .iter()
             .map(|x| crate::model::seq_cost_full_miss(x, &pf()))
@@ -236,9 +198,9 @@ mod tests {
     #[test]
     fn random_part_is_feasible_and_equal_finish() {
         let a = apps();
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut ctx = SolveCtx::seeded(42);
         for _ in 0..20 {
-            let o = random_part(&a, &pf(), &mut rng).unwrap();
+            let o = solve(Strategy::RandomPart, &a, &mut ctx);
             o.schedule.validate(&a, &pf()).unwrap();
             assert!(o.schedule.is_equal_finish(&a, &pf(), 1e-8));
         }
@@ -249,8 +211,7 @@ mod tests {
         let a = apps();
         let mut seen = std::collections::HashSet::new();
         for seed in 0..20 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let o = random_part(&a, &pf(), &mut rng).unwrap();
+            let o = solve(Strategy::RandomPart, &a, &mut SolveCtx::seeded(seed));
             seen.insert(o.partition.members().to_vec());
         }
         assert!(seen.len() > 1, "partitions never varied");
@@ -259,12 +220,12 @@ mod tests {
     #[test]
     fn public_entry_points_report_their_evaluation_work() {
         let a = apps();
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = SolveCtx::seeded(0);
         for o in [
-            all_proc_cache(&a, &pf()).unwrap(),
-            fair(&a, &pf()).unwrap(),
-            zero_cache(&a, &pf()).unwrap(),
-            random_part(&a, &pf(), &mut rng).unwrap(),
+            solve(Strategy::AllProcCache, &a, &mut ctx),
+            solve(Strategy::Fair, &a, &mut ctx),
+            solve(Strategy::ZeroCache, &a, &mut ctx),
+            solve(Strategy::RandomPart, &a, &mut ctx),
         ] {
             assert!(o.eval_stats.kernel_calls > 0);
             assert!(o.eval_stats.apps_evaluated >= a.len() as u64);
@@ -276,11 +237,12 @@ mod tests {
         // Giving the whole cache via Theorem 3 to everyone can only help
         // relative to no cache at all (same proc-allocation machinery).
         let a = apps();
-        let models = ExecModel::of_all(&a, &pf());
+        let inst = Instance::new(a.clone(), pf()).unwrap();
         let part = Partition::all(a.len());
-        let x = optimal_cache_fractions(&models, &part);
+        let mut x = Vec::new();
+        optimal_cache_fractions_into(inst.eval().weights(), &part, &mut x);
         let cached = equal_finish_split(&a, &pf(), &x).unwrap().makespan;
-        let zc = zero_cache(&a, &pf()).unwrap().makespan;
+        let zc = solve(Strategy::ZeroCache, &a, &mut SolveCtx::seeded(0)).makespan;
         assert!(cached <= zc);
     }
 }

@@ -108,10 +108,10 @@
 use crate::algo::{dominant_partition, BuildOrder, Choice, Outcome};
 use crate::error::{CoschedError, Result};
 use crate::eval::{EvalScratch, EvalSet, EvalStats};
-use crate::model::{Application, ExecModel, Platform, Schedule};
+use crate::model::Schedule;
 use crate::solver::{child_seed, Instance, SolveCtx, Solver};
-use crate::theory::cache_alloc::{optimal_cache_fractions, optimal_cache_fractions_into};
-use crate::theory::dominance::Partition;
+use crate::theory::cache_alloc::optimal_cache_fractions_into;
+use crate::theory::dominance::{partition_strength, Partition};
 use crate::theory::objective::partition_objective_eval;
 use crate::theory::proc_alloc::{equal_finish_makespan_eval, equal_finish_split_eval};
 use rand::rngs::StdRng;
@@ -237,7 +237,7 @@ struct Shared<'a> {
     /// `pos_of[i]` = position of application `i` in [`Self::order`].
     pos_of: Vec<usize>,
     /// Dominance ratios, aligned with instance order.
-    ratios: Vec<f64>,
+    ratios: &'a [f64],
     /// `Exe_i^seq(0)` — the full-miss sequential costs.
     full_miss: Vec<f64>,
     /// `true` iff every application is perfectly parallel.
@@ -253,9 +253,9 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    fn new(models: &[ExecModel], eval: &'a EvalSet, warm_strength: f64) -> Self {
+    fn new(eval: &'a EvalSet, warm_strength: f64) -> Self {
         let n = eval.len();
-        let ratios: Vec<f64> = models.iter().map(|m| m.ratio).collect();
+        let ratios = eval.ratios();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by(|&a, &b| ratios[b].total_cmp(&ratios[a]).then(a.cmp(&b)));
         let mut pos_of = vec![0usize; n];
@@ -816,29 +816,27 @@ fn search_parallel(
     Ok((best, complete, stats, eval_stats))
 }
 
-/// Branch-and-bound on already-derived models and SoA view (the
-/// [`Instance`] fast path — nothing is re-validated or re-derived).
-pub(crate) fn solve_prepared(
-    models: &[ExecModel],
-    eval: &EvalSet,
-    cfg: &BnbConfig,
-) -> Result<BnbSolution> {
-    if eval.is_empty() {
-        return Err(CoschedError::EmptyInstance);
-    }
+/// Exact optimum by branch-and-bound.
+///
+/// For perfectly parallel applications this is the **proven** optimum of
+/// CoSchedCache (the §4 characterisation); for Amdahl profiles it is the
+/// same reference value [`best_partition`](super::exact::best_partition)
+/// computes, found without scanning all `2^n` subsets. See the module
+/// docs for the bound, determinism, and budget semantics.
+///
+/// # Errors
+/// A bisection failure while scoring a leaf. A **budget overrun is not an
+/// error** — the best incumbent comes back with
+/// [`BnbSolution::optimal`]` = false`.
+pub fn branch_and_bound(instance: &Instance, cfg: &BnbConfig) -> Result<BnbSolution> {
+    let eval = instance.eval();
     let mut search_sp = crate::obs::span("solver", "bnb_search");
     // Warm start: the paper's best deterministic heuristic seeds the
     // incumbent (so even a zero-budget search returns a sane answer) and
     // its strength fixes the relaxed bound's dual variable.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let warm_partition =
-        dominant_partition(models, BuildOrder::Forward, Choice::MinRatio, &mut rng);
-    let warm_strength: f64 = warm_partition
-        .members()
-        .iter()
-        .map(|&i| eval.weights()[i])
-        .sum();
-    let sh = Shared::new(models, eval, warm_strength);
+    let warm_partition = dominant_partition(eval, BuildOrder::Forward, Choice::MinRatio, &mut rng);
+    let sh = Shared::new(eval, partition_strength(eval, &warm_partition));
     let mut ws = WorkerScratch::new(sh.n);
     let warm_makespan = leaf_value(&sh, &warm_partition, &mut ws)?;
     let warm = Incumbent {
@@ -860,7 +858,8 @@ pub(crate) fn solve_prepared(
     if !complete {
         crate::obs::instant("solver", "bnb_budget_exhausted", stats.nodes_expanded, 0);
     }
-    let cache = optimal_cache_fractions(models, &best.partition);
+    let mut cache = Vec::new();
+    optimal_cache_fractions_into(eval.weights(), &best.partition, &mut cache);
     Ok(BnbSolution {
         partition: best.partition,
         cache,
@@ -869,30 +868,6 @@ pub(crate) fn solve_prepared(
         stats,
         eval_stats,
     })
-}
-
-/// Exact optimum by branch-and-bound.
-///
-/// For perfectly parallel applications this is the **proven** optimum of
-/// CoSchedCache (the §4 characterisation); for Amdahl profiles it is the
-/// same reference value [`best_partition`](super::exact::best_partition)
-/// computes, found without scanning all `2^n` subsets. See the module
-/// docs for the bound, determinism, and budget semantics.
-///
-/// # Errors
-/// Instance/platform validation errors, or a bisection failure while
-/// scoring a leaf. A **budget overrun is not an error** — the best
-/// incumbent comes back with [`BnbSolution::optimal`]` = false`.
-pub fn branch_and_bound(
-    apps: &[Application],
-    platform: &Platform,
-    cfg: &BnbConfig,
-) -> Result<BnbSolution> {
-    crate::model::validate_instance(apps)?;
-    platform.validate()?;
-    let models = ExecModel::of_all(apps, platform);
-    let eval = EvalSet::from_models(apps, platform, &models);
-    solve_prepared(&models, &eval, cfg)
 }
 
 /// The `"exact"` registry solver: branch-and-bound with a node/time
@@ -932,7 +907,7 @@ impl Solver for BnbSolver {
             .with_seed(ctx.seed())
             .with_threads(self.config.threads.max(ctx.threads));
         let before = ctx.stats();
-        let sol = solve_prepared(instance.models(), instance.eval(), &cfg)?;
+        let sol = branch_and_bound(instance, &cfg)?;
         ctx.scratch().stats.merge(sol.eval_stats);
         // Materialise the equal-finish processor split for the winning
         // fractions; the reported makespan stays the search's canonical
@@ -953,10 +928,15 @@ impl Solver for BnbSolver {
 mod tests {
     use super::*;
     use crate::algo::exact::{best_partition, exact_perfectly_parallel};
+    use crate::model::{Application, Platform};
     use rand::RngExt as _;
 
     fn pf() -> Platform {
         Platform::taihulight()
+    }
+
+    fn inst(apps: &[Application], platform: &Platform) -> Instance {
+        Instance::new(apps.to_vec(), platform.clone()).unwrap()
     }
 
     fn npb_pp() -> Vec<Application> {
@@ -987,8 +967,8 @@ mod tests {
     #[test]
     fn matches_enumerator_on_npb() {
         let apps = npb_pp();
-        let reference = exact_perfectly_parallel(&apps, &pf()).unwrap();
-        let sol = branch_and_bound(&apps, &pf(), &BnbConfig::default()).unwrap();
+        let reference = exact_perfectly_parallel(&inst(&apps, &pf())).unwrap();
+        let sol = branch_and_bound(&inst(&apps, &pf()), &BnbConfig::default()).unwrap();
         assert!(sol.optimal);
         assert_eq!(sol.makespan.to_bits(), reference.makespan.to_bits());
         assert_eq!(sol.partition, reference.partition);
@@ -1000,8 +980,8 @@ mod tests {
         for (seed, cache) in [(1u64, 45e6), (2, 80e6), (3, 100e6), (4, 150e6)] {
             let apps = random_pp_instance(seed, 8);
             let platform = pf().with_cache_size(cache);
-            let reference = exact_perfectly_parallel(&apps, &platform).unwrap();
-            let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+            let reference = exact_perfectly_parallel(&inst(&apps, &platform)).unwrap();
+            let sol = branch_and_bound(&inst(&apps, &platform), &BnbConfig::default()).unwrap();
             assert!(sol.optimal, "seed {seed}");
             assert_eq!(
                 sol.makespan.to_bits(),
@@ -1024,8 +1004,8 @@ mod tests {
             })
             .collect();
         let platform = pf().with_cache_size(120e6);
-        let reference = best_partition(&apps, &platform).unwrap();
-        let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+        let reference = best_partition(&inst(&apps, &platform)).unwrap();
+        let sol = branch_and_bound(&inst(&apps, &platform), &BnbConfig::default()).unwrap();
         assert!(sol.optimal);
         assert_eq!(sol.makespan.to_bits(), reference.makespan.to_bits());
     }
@@ -1035,9 +1015,12 @@ mod tests {
         for seed in 0..4u64 {
             let apps = random_pp_instance(40 + seed, 10);
             let platform = pf().with_cache_size(100e6);
-            let serial = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
-            let parallel =
-                branch_and_bound(&apps, &platform, &BnbConfig::default().with_threads(4)).unwrap();
+            let serial = branch_and_bound(&inst(&apps, &platform), &BnbConfig::default()).unwrap();
+            let parallel = branch_and_bound(
+                &inst(&apps, &platform),
+                &BnbConfig::default().with_threads(4),
+            )
+            .unwrap();
             assert!(serial.optimal && parallel.optimal);
             assert_eq!(serial.makespan.to_bits(), parallel.makespan.to_bits());
             assert_eq!(serial.partition, parallel.partition);
@@ -1049,11 +1032,11 @@ mod tests {
     fn zero_budget_degrades_to_warm_start() {
         let apps = npb_pp();
         let cfg = BnbConfig::default().with_max_nodes(0);
-        let sol = branch_and_bound(&apps, &pf(), &cfg).unwrap();
+        let sol = branch_and_bound(&inst(&apps, &pf()), &cfg).unwrap();
         assert!(!sol.optimal);
         // The incumbent is the DominantMinRatio warm start — on NPB-6 the
         // full partition, which happens to be the optimum too.
-        let full = branch_and_bound(&apps, &pf(), &BnbConfig::default()).unwrap();
+        let full = branch_and_bound(&inst(&apps, &pf()), &BnbConfig::default()).unwrap();
         assert!(sol.makespan >= full.makespan * (1.0 - 1e-12));
     }
 
@@ -1062,21 +1045,20 @@ mod tests {
         for seed in 0..6u64 {
             let apps = random_pp_instance(70 + seed, 7);
             let platform = pf().with_cache_size(80e6);
-            let models = ExecModel::of_all(&apps, &platform);
-            let eval = EvalSet::from_models(&apps, &platform, &models);
+            let instance = inst(&apps, &platform);
+            let eval = instance.eval();
             // Fix the relaxed bound's dual variable exactly as
-            // `solve_prepared` does.
+            // `branch_and_bound` does.
             let warm = dominant_partition(
-                &models,
+                eval,
                 BuildOrder::Forward,
                 Choice::MinRatio,
                 &mut StdRng::seed_from_u64(0),
             );
-            let warm_strength: f64 = warm.members().iter().map(|&i| eval.weights()[i]).sum();
-            let sh = Shared::new(&models, &eval, warm_strength);
+            let sh = Shared::new(eval, partition_strength(eval, &warm));
             let mut ws = WorkerScratch::new(sh.n);
             let root = lower_bound(&sh, &[], 0, 0.0, &mut ws).max(sh.lagr_bound(0.0));
-            let exact = exact_perfectly_parallel(&apps, &platform).unwrap();
+            let exact = exact_perfectly_parallel(&instance).unwrap();
             assert!(
                 root * BOUND_SHAVE <= exact.makespan,
                 "seed {seed}: root bound {root} above optimum {}",
@@ -1088,7 +1070,7 @@ mod tests {
     #[test]
     fn single_application_instances_work() {
         let apps = vec![Application::perfectly_parallel("A", 1e10, 0.5, 1e-3)];
-        let sol = branch_and_bound(&apps, &pf(), &BnbConfig::default()).unwrap();
+        let sol = branch_and_bound(&inst(&apps, &pf()), &BnbConfig::default()).unwrap();
         assert!(sol.optimal);
         assert_eq!(sol.partition, Partition::all(1));
     }
@@ -1102,7 +1084,7 @@ mod tests {
         assert!(!solver.is_randomized());
         let outcome = solver.solve(&instance, &mut SolveCtx::seeded(7)).unwrap();
         assert!(outcome.optimal);
-        let direct = branch_and_bound(&apps, &pf(), &BnbConfig::default()).unwrap();
+        let direct = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
         assert_eq!(outcome.makespan.to_bits(), direct.makespan.to_bits());
         assert_eq!(outcome.partition, direct.partition);
         outcome

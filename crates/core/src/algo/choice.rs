@@ -1,6 +1,5 @@
 //! Greedy choice functions for the dominant-partition heuristics (§5).
 
-use crate::model::ExecModel;
 use rand::{Rng, RngExt as _};
 
 /// The criterion used to pick the next application inside Algorithms 1–2.
@@ -21,16 +20,13 @@ pub enum Choice {
 }
 
 impl Choice {
-    /// Picks one index out of `candidates` (which must be non-empty).
+    /// Picks one index out of `candidates` (which must be non-empty), given
+    /// the dominance ratios of the instance
+    /// ([`EvalSet::ratios`](crate::eval::EvalSet::ratios)).
     ///
     /// Ties on the ratio are broken by the smaller index, making the
     /// deterministic variants fully reproducible.
-    pub fn pick<R: Rng + ?Sized>(
-        self,
-        candidates: &[usize],
-        models: &[ExecModel],
-        rng: &mut R,
-    ) -> usize {
+    pub fn pick<R: Rng + ?Sized>(self, candidates: &[usize], ratios: &[f64], rng: &mut R) -> usize {
         assert!(!candidates.is_empty(), "choice over an empty candidate set");
         match self {
             Self::Random => candidates[rng.random_range(0..candidates.len())],
@@ -38,9 +34,8 @@ impl Choice {
                 .iter()
                 .copied()
                 .min_by(|&a, &b| {
-                    models[a]
-                        .ratio
-                        .partial_cmp(&models[b].ratio)
+                    ratios[a]
+                        .partial_cmp(&ratios[b])
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.cmp(&b))
                 })
@@ -49,9 +44,8 @@ impl Choice {
                 .iter()
                 .copied()
                 .max_by(|&a, &b| {
-                    models[a]
-                        .ratio
-                        .partial_cmp(&models[b].ratio)
+                    ratios[a]
+                        .partial_cmp(&ratios[b])
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 })
@@ -75,38 +69,39 @@ impl Choice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalSet;
     use crate::model::{Application, Platform};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn models() -> Vec<ExecModel> {
+    fn ratios() -> Vec<f64> {
         let pf = Platform::taihulight();
         let apps = vec![
             Application::perfectly_parallel("lo", 1e9, 0.1, 1e-3),
             Application::perfectly_parallel("hi", 1e12, 0.9, 1e-2),
             Application::perfectly_parallel("mid", 1e10, 0.5, 5e-3),
         ];
-        ExecModel::of_all(&apps, &pf)
+        EvalSet::of(&apps, &pf).ratios().to_vec()
     }
 
     #[test]
     fn min_and_max_ratio_pick_extremes() {
-        let m = models();
+        let m = ratios();
         let mut rng = StdRng::seed_from_u64(0);
         let cands = vec![0, 1, 2];
         let lo = Choice::MinRatio.pick(&cands, &m, &mut rng);
         let hi = Choice::MaxRatio.pick(&cands, &m, &mut rng);
         assert_ne!(lo, hi);
-        assert!(m[lo].ratio <= m[hi].ratio);
+        assert!(m[lo] <= m[hi]);
         for &c in &cands {
-            assert!(m[lo].ratio <= m[c].ratio);
-            assert!(m[hi].ratio >= m[c].ratio);
+            assert!(m[lo] <= m[c]);
+            assert!(m[hi] >= m[c]);
         }
     }
 
     #[test]
     fn respects_candidate_subset() {
-        let m = models();
+        let m = ratios();
         let mut rng = StdRng::seed_from_u64(1);
         for choice in Choice::ALL {
             let k = choice.pick(&[1, 2], &m, &mut rng);
@@ -116,7 +111,7 @@ mod tests {
 
     #[test]
     fn random_is_reproducible_under_seed() {
-        let m = models();
+        let m = ratios();
         let cands = vec![0, 1, 2];
         let seq1: Vec<usize> = {
             let mut rng = StdRng::seed_from_u64(7);
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn random_eventually_picks_everything() {
-        let m = models();
+        let m = ratios();
         let cands = vec![0, 1, 2];
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = [false; 3];
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty candidate set")]
     fn empty_candidates_panic() {
-        let m = models();
+        let m = ratios();
         let mut rng = StdRng::seed_from_u64(0);
         let _ = Choice::MinRatio.pick(&[], &m, &mut rng);
     }

@@ -1,7 +1,7 @@
 //! Algorithms 1 and 2: greedy construction of dominant partitions (§5).
 
 use crate::algo::choice::Choice;
-use crate::model::ExecModel;
+use crate::eval::EvalSet;
 use crate::theory::dominance::{is_dominant, violators, Partition};
 use rand::Rng;
 
@@ -26,7 +26,8 @@ impl BuildOrder {
     }
 }
 
-/// Builds a dominant partition for the given per-application models.
+/// Builds a dominant partition from the instance's Theorem-3 weights and
+/// dominance ratios.
 ///
 /// * `Forward` implements Algorithm 1: while a dominance violator exists
 ///   (`ratio_i ≤ S(IC)`, cf. Definition 4), remove `choice(IC)`. As printed
@@ -41,42 +42,42 @@ impl BuildOrder {
 ///
 /// The returned partition is always dominant (possibly empty).
 pub fn dominant_partition<R: Rng + ?Sized>(
-    models: &[ExecModel],
+    eval: &EvalSet,
     order: BuildOrder,
     choice: Choice,
     rng: &mut R,
 ) -> Partition {
     match order {
-        BuildOrder::Forward => forward(models, choice, rng),
-        BuildOrder::Reverse => reverse(models, choice, rng),
+        BuildOrder::Forward => forward(eval, choice, rng),
+        BuildOrder::Reverse => reverse(eval, choice, rng),
     }
 }
 
-fn forward<R: Rng + ?Sized>(models: &[ExecModel], choice: Choice, rng: &mut R) -> Partition {
-    let mut ic = Partition::all(models.len());
-    while !ic.is_empty() && !violators(models, &ic).is_empty() {
-        let k = choice.pick(ic.members(), models, rng);
+fn forward<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
+    let mut ic = Partition::all(eval.len());
+    while !ic.is_empty() && !violators(eval, &ic).is_empty() {
+        let k = choice.pick(ic.members(), eval.ratios(), rng);
         ic.remove(k);
     }
     ic
 }
 
-fn reverse<R: Rng + ?Sized>(models: &[ExecModel], choice: Choice, rng: &mut R) -> Partition {
-    let mut outside: Vec<usize> = (0..models.len()).collect();
+fn reverse<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
+    let mut outside: Vec<usize> = (0..eval.len()).collect();
     let mut ic = Partition::empty();
     if outside.is_empty() {
         return ic;
     }
     let mut trial = ic.clone();
-    let k = choice.pick(&outside, models, rng);
+    let k = choice.pick(&outside, eval.ratios(), rng);
     trial.insert(k);
-    while is_dominant(models, &trial) {
+    while is_dominant(eval, &trial) {
         ic = trial.clone();
         outside.retain(|&i| !trial.contains(i));
         if outside.is_empty() {
             break;
         }
-        let k = choice.pick(&outside, models, rng);
+        let k = choice.pick(&outside, eval.ratios(), rng);
         trial.insert(k);
     }
     ic
@@ -89,7 +90,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn npb_models(cs: f64) -> Vec<ExecModel> {
+    fn npb_models(cs: f64) -> EvalSet {
         let pf = Platform::taihulight().with_cache_size(cs);
         let apps = vec![
             Application::perfectly_parallel("CG", 5.70e10, 0.535, 6.59e-4),
@@ -99,7 +100,7 @@ mod tests {
             Application::perfectly_parallel("MG", 1.23e10, 0.540, 2.62e-2),
             Application::perfectly_parallel("FT", 1.65e10, 0.582, 1.78e-2),
         ];
-        ExecModel::of_all(&apps, &pf)
+        EvalSet::of(&apps, &pf)
     }
 
     fn all_variants() -> Vec<(BuildOrder, Choice)> {
@@ -149,7 +150,7 @@ mod tests {
         let mut ic = Partition::all(m.len());
         let mut rng = StdRng::seed_from_u64(0);
         while !ic.is_empty() && !violators(&m, &ic).is_empty() {
-            let k = Choice::MinRatio.pick(ic.members(), &m, &mut rng);
+            let k = Choice::MinRatio.pick(ic.members(), m.ratios(), &mut rng);
             assert!(
                 violators(&m, &ic).contains(&k),
                 "MinRatio picked non-violator {k}"
@@ -166,7 +167,8 @@ mod tests {
         let p = dominant_partition(&m, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
         // Members must be the top-|IC| applications by ratio.
         let mut by_ratio: Vec<usize> = (0..m.len()).collect();
-        by_ratio.sort_by(|&a, &b| m[b].ratio.partial_cmp(&m[a].ratio).unwrap());
+        let r = m.ratios();
+        by_ratio.sort_by(|&a, &b| r[b].partial_cmp(&r[a]).unwrap());
         let expected: Vec<usize> = by_ratio.into_iter().take(p.len()).collect();
         let expected = Partition::new(expected);
         assert_eq!(p, expected);
@@ -194,8 +196,8 @@ mod tests {
             Application::perfectly_parallel("hopeless", 1e10, 0.8, 0.9),
             Application::perfectly_parallel("fine", 1e10, 0.8, 1e-4),
         ];
-        let m = ExecModel::of_all(&apps, &pf);
-        assert!(m[0].d > 1.0);
+        let m = EvalSet::of(&apps, &pf);
+        assert!(m.d()[0] > 1.0);
         for (order, choice) in all_variants() {
             let mut rng = StdRng::seed_from_u64(2);
             let p = dominant_partition(&m, order, choice, &mut rng);
@@ -206,9 +208,10 @@ mod tests {
     #[test]
     fn empty_instance_yields_empty_partition() {
         let mut rng = StdRng::seed_from_u64(0);
-        let p = dominant_partition(&[], BuildOrder::Forward, Choice::MinRatio, &mut rng);
+        let empty = EvalSet::default();
+        let p = dominant_partition(&empty, BuildOrder::Forward, Choice::MinRatio, &mut rng);
         assert!(p.is_empty());
-        let p = dominant_partition(&[], BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
+        let p = dominant_partition(&empty, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
         assert!(p.is_empty());
     }
 

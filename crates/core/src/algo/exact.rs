@@ -14,9 +14,9 @@
 //! branch-and-bound tests and benches certify it against these scans.
 
 use crate::error::{CoschedError, Result};
-use crate::eval::{EvalScratch, EvalSet};
-use crate::model::{Application, ExecModel, Platform};
-use crate::theory::cache_alloc::{optimal_cache_fractions, optimal_cache_fractions_into};
+use crate::eval::EvalScratch;
+use crate::solver::Instance;
+use crate::theory::cache_alloc::optimal_cache_fractions_into;
 use crate::theory::dominance::{is_dominant, Partition};
 use crate::theory::objective::partition_objective_eval;
 use crate::theory::proc_alloc::equal_finish_makespan_eval;
@@ -35,11 +35,10 @@ pub struct ExactSolution {
     pub makespan: f64,
 }
 
-fn check_size(apps: &[Application]) -> Result<()> {
-    crate::model::validate_instance(apps)?;
-    if apps.len() > MAX_EXACT_APPS {
+fn check_size(instance: &Instance) -> Result<()> {
+    if instance.len() > MAX_EXACT_APPS {
         return Err(CoschedError::InstanceTooLarge {
-            n: apps.len(),
+            n: instance.len(),
             limit: MAX_EXACT_APPS,
         });
     }
@@ -57,33 +56,31 @@ fn subsets(n: usize) -> impl Iterator<Item = Partition> {
 ///
 /// Returns an error if some application is not perfectly parallel, or
 /// [`CoschedError::InstanceTooLarge`] if `n >` [`MAX_EXACT_APPS`].
-pub fn exact_perfectly_parallel(
-    apps: &[Application],
-    platform: &Platform,
-) -> Result<ExactSolution> {
-    check_size(apps)?;
+pub fn exact_perfectly_parallel(instance: &Instance) -> Result<ExactSolution> {
+    check_size(instance)?;
+    let apps = instance.apps();
     if let Some(i) = apps.iter().position(|a| !a.is_perfectly_parallel()) {
         return Err(CoschedError::InvalidApplication {
             index: i,
             reason: "exact solver requires perfectly parallel applications (s = 0)".into(),
         });
     }
-    let models = ExecModel::of_all(apps, platform);
-    let eval = EvalSet::from_models(apps, platform, &models);
+    let eval = instance.eval();
     let mut scratch = EvalScratch::new();
     let mut best: Option<(Partition, f64)> = None;
     for partition in subsets(apps.len()) {
-        if !is_dominant(&models, &partition) {
+        if !is_dominant(eval, &partition) {
             continue;
         }
-        let makespan = partition_objective_eval(&eval, &partition, &mut scratch);
+        let makespan = partition_objective_eval(eval, &partition, &mut scratch);
         if best.as_ref().is_none_or(|&(_, b)| makespan < b) {
             best = Some((partition, makespan));
         }
     }
     let (partition, makespan) =
         best.ok_or_else(|| CoschedError::NoFeasibleMakespan("no dominant partition".into()))?;
-    let cache = optimal_cache_fractions(&models, &partition);
+    let mut cache = Vec::new();
+    optimal_cache_fractions_into(eval.weights(), &partition, &mut cache);
     Ok(ExactSolution {
         partition,
         cache,
@@ -98,28 +95,27 @@ pub fn exact_perfectly_parallel(
 ///
 /// # Errors
 /// [`CoschedError::InstanceTooLarge`] if `n >` [`MAX_EXACT_APPS`].
-pub fn best_partition(apps: &[Application], platform: &Platform) -> Result<ExactSolution> {
-    check_size(apps)?;
-    let models = ExecModel::of_all(apps, platform);
-    let eval = EvalSet::from_models(apps, platform, &models);
+pub fn best_partition(instance: &Instance) -> Result<ExactSolution> {
+    check_size(instance)?;
+    let eval = instance.eval();
     let mut scratch = EvalScratch::new();
     let mut fractions = Vec::new();
     let mut best: Option<(Partition, f64)> = None;
-    for partition in subsets(apps.len()) {
+    for partition in subsets(instance.len()) {
         // Theorem-3 fractions and the bisection run on reusable buffers
         // (the Partition itself still allocates its member list), and the
         // processor split is only materialised for the winner below.
         optimal_cache_fractions_into(eval.weights(), &partition, &mut fractions);
-        let makespan = equal_finish_makespan_eval(&eval, &fractions, &mut scratch)?;
+        let makespan = equal_finish_makespan_eval(eval, &fractions, &mut scratch)?;
         if best.as_ref().is_none_or(|&(_, b)| makespan < b) {
             best = Some((partition, makespan));
         }
     }
     let (partition, makespan) = best.ok_or(CoschedError::EmptyInstance)?;
-    let cache = optimal_cache_fractions(&models, &partition);
+    optimal_cache_fractions_into(eval.weights(), &partition, &mut fractions);
     Ok(ExactSolution {
         partition,
-        cache,
+        cache: fractions,
         makespan,
     })
 }
@@ -128,7 +124,8 @@ pub fn best_partition(apps: &[Application], platform: &Platform) -> Result<Exact
 mod tests {
     use super::*;
     use crate::algo::{BuildOrder, Choice, Strategy};
-    use crate::solver::{Instance, SolveCtx, Solver as _};
+    use crate::model::{Application, Platform};
+    use crate::solver::{SolveCtx, Solver as _};
     use crate::theory::objective::partition_objective;
     use crate::theory::proc_alloc::equal_finish_split;
     use rand::rngs::StdRng;
@@ -136,6 +133,10 @@ mod tests {
 
     fn pf() -> Platform {
         Platform::taihulight()
+    }
+
+    fn inst(apps: &[Application], platform: &Platform) -> Instance {
+        Instance::new(apps.to_vec(), platform.clone()).unwrap()
     }
 
     fn npb_pp() -> Vec<Application> {
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn exact_on_npb_selects_full_partition() {
         // On the 32 GB platform the full set is dominant and best.
-        let sol = exact_perfectly_parallel(&npb_pp(), &pf()).unwrap();
+        let sol = exact_perfectly_parallel(&inst(&npb_pp(), &pf())).unwrap();
         assert_eq!(sol.partition.len(), 6);
         assert!((sol.cache.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
@@ -174,7 +175,7 @@ mod tests {
     #[test]
     fn exact_rejects_amdahl_apps() {
         let apps = vec![Application::new("A", 1e10, 0.1, 0.5, 1e-3)];
-        assert!(exact_perfectly_parallel(&apps, &pf()).is_err());
+        assert!(exact_perfectly_parallel(&inst(&apps, &pf())).is_err());
     }
 
     #[test]
@@ -182,7 +183,7 @@ mod tests {
         let apps: Vec<Application> = (0..MAX_EXACT_APPS + 1)
             .map(|i| Application::perfectly_parallel(format!("T{i}"), 1e9, 0.5, 1e-3))
             .collect();
-        assert!(exact_perfectly_parallel(&apps, &pf()).is_err());
+        assert!(exact_perfectly_parallel(&inst(&apps, &pf())).is_err());
     }
 
     #[test]
@@ -191,8 +192,8 @@ mod tests {
             let apps = random_pp_instance(seed, 7);
             // Stress the partition decision with a small LLC.
             let platform = pf().with_cache_size(100e6);
-            let exact = exact_perfectly_parallel(&apps, &platform).unwrap();
             let inst = Instance::new(apps, platform).unwrap();
+            let exact = exact_perfectly_parallel(&inst).unwrap();
             for s in Strategy::all_coscheduling() {
                 let o = s.solve(&inst, &mut SolveCtx::seeded(seed)).unwrap();
                 assert!(
@@ -214,8 +215,8 @@ mod tests {
         for seed in 0..16 {
             let apps = random_pp_instance(100 + seed, 6);
             let platform = pf().with_cache_size(200e6);
-            let exact = exact_perfectly_parallel(&apps, &platform).unwrap();
             let inst = Instance::new(apps, platform).unwrap();
+            let exact = exact_perfectly_parallel(&inst).unwrap();
             let h = Strategy::dominant(BuildOrder::Forward, Choice::MinRatio)
                 .solve(&inst, &mut SolveCtx::seeded(seed))
                 .unwrap();
@@ -231,11 +232,10 @@ mod tests {
         for seed in 0..8 {
             let apps = random_pp_instance(200 + seed, 6);
             let platform = pf().with_cache_size(80e6);
-            let models = ExecModel::of_all(&apps, &platform);
-            let exact = exact_perfectly_parallel(&apps, &platform).unwrap();
+            let exact = exact_perfectly_parallel(&inst(&apps, &platform)).unwrap();
             let mut best_any = f64::INFINITY;
             for partition in subsets(apps.len()) {
-                let obj = partition_objective(&apps, &platform, &models, &partition);
+                let obj = partition_objective(&apps, &platform, &partition);
                 best_any = best_any.min(obj);
             }
             assert!(
@@ -257,8 +257,8 @@ mod tests {
             })
             .collect();
         let platform = pf().with_cache_size(150e6);
-        let reference = best_partition(&apps, &platform).unwrap();
         let inst = Instance::new(apps, platform).unwrap();
+        let reference = best_partition(&inst).unwrap();
         for s in Strategy::all_dominant() {
             let o = s.solve(&inst, &mut SolveCtx::seeded(0)).unwrap();
             assert!(
@@ -276,7 +276,7 @@ mod tests {
         for seed in 0..4 {
             let apps = random_pp_instance(300 + seed, 6);
             let platform = pf().with_cache_size(120e6);
-            let reference = best_partition(&apps, &platform).unwrap();
+            let reference = best_partition(&inst(&apps, &platform)).unwrap();
             let ef = equal_finish_split(&apps, &platform, &reference.cache).unwrap();
             assert_eq!(
                 ef.makespan.to_bits(),
@@ -290,7 +290,7 @@ mod tests {
     fn exact_solution_schedule_is_feasible() {
         let apps = npb_pp();
         let platform = pf();
-        let sol = exact_perfectly_parallel(&apps, &platform).unwrap();
+        let sol = exact_perfectly_parallel(&inst(&apps, &platform)).unwrap();
         let ef = equal_finish_split(&apps, &platform, &sol.cache).unwrap();
         let schedule = crate::model::Schedule::from_parts(&ef.procs, &sol.cache);
         schedule.validate(&apps, &platform).unwrap();

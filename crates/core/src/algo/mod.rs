@@ -21,7 +21,6 @@ mod outcome;
 pub mod refine;
 mod strategy;
 
-pub use baselines::{all_proc_cache, fair, random_part, zero_cache};
 pub use bnb::{branch_and_bound, BnbConfig, BnbSolution, BnbSolver, BnbStats};
 pub use choice::Choice;
 pub use dominant::{dominant_partition, BuildOrder};

@@ -19,7 +19,7 @@
 
 use crate::error::Result;
 use crate::eval::{EvalScratch, EvalSet};
-use crate::model::{Application, ExecModel, Platform, Schedule};
+use crate::model::Schedule;
 use crate::theory::dominance::Partition;
 use crate::theory::proc_alloc::equal_finish_split_eval;
 use crate::REL_TOL;
@@ -43,29 +43,12 @@ pub struct Refined {
 /// the makespan, so the result is never worse than the input split. For
 /// perfectly parallel applications the starting point is already
 /// stationary (`μ_i ∝ 1` under Lemma 2) and the loop exits immediately.
+///
+/// Each descent iteration costs two batched kernel calls on the
+/// struct-of-arrays view (the member sequential costs for the
+/// re-weighting, and the bisection input of the candidate split), with
+/// buffers reused from `scratch`.
 pub fn refine(
-    apps: &[Application],
-    platform: &Platform,
-    models: &[ExecModel],
-    partition: &Partition,
-    cache: Vec<f64>,
-    max_iters: usize,
-) -> Result<Refined> {
-    refine_eval(
-        &EvalSet::from_models(apps, platform, models),
-        partition,
-        cache,
-        max_iters,
-        &mut EvalScratch::new(),
-    )
-}
-
-/// [`refine`] on a struct-of-arrays instance view with reusable scratch
-/// buffers: each descent iteration costs two batched kernel calls (the
-/// member sequential costs for the re-weighting, and the bisection input
-/// of the candidate split) instead of per-application scalar evaluations.
-/// Bit-identical to the scalar entry point, which now delegates here.
-pub fn refine_eval(
     eval: &EvalSet,
     partition: &Partition,
     cache: Vec<f64>,
@@ -120,7 +103,8 @@ mod tests {
     use super::*;
     use crate::algo::dominant::{dominant_partition, BuildOrder};
     use crate::algo::Choice;
-    use crate::theory::cache_alloc::optimal_cache_fractions;
+    use crate::model::{Application, Platform};
+    use crate::theory::cache_alloc::optimal_cache_fractions_into;
     use crate::theory::proc_alloc::equal_finish_split;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
@@ -148,12 +132,13 @@ mod tests {
             .collect()
     }
 
-    fn start(apps: &[Application], pf: &Platform) -> (Vec<ExecModel>, Partition, Vec<f64>) {
-        let models = ExecModel::of_all(apps, pf);
+    fn start(apps: &[Application], pf: &Platform) -> (EvalSet, Partition, Vec<f64>) {
+        let eval = EvalSet::of(apps, pf);
         let mut rng = StdRng::seed_from_u64(0);
-        let part = dominant_partition(&models, BuildOrder::Forward, Choice::MinRatio, &mut rng);
-        let cache = optimal_cache_fractions(&models, &part);
-        (models, part, cache)
+        let part = dominant_partition(&eval, BuildOrder::Forward, Choice::MinRatio, &mut rng);
+        let mut cache = Vec::new();
+        optimal_cache_fractions_into(eval.weights(), &part, &mut cache);
+        (eval, part, cache)
     }
 
     #[test]
@@ -161,9 +146,9 @@ mod tests {
         for seed in 0..10 {
             let apps = instance(seed, 8, 0.3);
             let pf = platform();
-            let (models, part, cache) = start(&apps, &pf);
+            let (eval, part, cache) = start(&apps, &pf);
             let base = equal_finish_split(&apps, &pf, &cache).unwrap().makespan;
-            let refined = refine(&apps, &pf, &models, &part, cache, 50).unwrap();
+            let refined = refine(&eval, &part, cache, 50, &mut EvalScratch::new()).unwrap();
             assert!(
                 refined.makespan <= base * (1.0 + 1e-12),
                 "seed {seed}: refinement regressed {base} -> {}",
@@ -176,8 +161,8 @@ mod tests {
     fn trajectory_is_monotone_nonincreasing() {
         let apps = instance(3, 10, 0.4);
         let pf = platform();
-        let (models, part, cache) = start(&apps, &pf);
-        let refined = refine(&apps, &pf, &models, &part, cache, 50).unwrap();
+        let (eval, part, cache) = start(&apps, &pf);
+        let refined = refine(&eval, &part, cache, 50, &mut EvalScratch::new()).unwrap();
         for w in refined.trajectory.windows(2) {
             assert!(w[1] <= w[0] * (1.0 + 1e-12), "{:?}", refined.trajectory);
         }
@@ -190,9 +175,9 @@ mod tests {
         // after one non-improving probe.
         let apps = instance(5, 6, 0.0);
         let pf = platform();
-        let (models, part, cache) = start(&apps, &pf);
+        let (eval, part, cache) = start(&apps, &pf);
         let base = equal_finish_split(&apps, &pf, &cache).unwrap().makespan;
-        let refined = refine(&apps, &pf, &models, &part, cache, 50).unwrap();
+        let refined = refine(&eval, &part, cache, 50, &mut EvalScratch::new()).unwrap();
         assert!((refined.makespan - base).abs() / base < 1e-9);
         assert!(refined.trajectory.len() <= 2);
     }
@@ -206,9 +191,9 @@ mod tests {
         for seed in 0..20 {
             let apps = instance(100 + seed, 8, 0.5);
             let pf = platform();
-            let (models, part, cache) = start(&apps, &pf);
+            let (eval, part, cache) = start(&apps, &pf);
             let base = equal_finish_split(&apps, &pf, &cache).unwrap().makespan;
-            let refined = refine(&apps, &pf, &models, &part, cache, 50).unwrap();
+            let refined = refine(&eval, &part, cache, 50, &mut EvalScratch::new()).unwrap();
             if refined.makespan < base * (1.0 - 1e-6) {
                 improved_any = true;
             }
@@ -220,36 +205,21 @@ mod tests {
     fn schedule_remains_feasible_and_equal_finish() {
         let apps = instance(7, 9, 0.3);
         let pf = platform();
-        let (models, part, cache) = start(&apps, &pf);
-        let refined = refine(&apps, &pf, &models, &part, cache, 50).unwrap();
+        let (eval, part, cache) = start(&apps, &pf);
+        let refined = refine(&eval, &part, cache, 50, &mut EvalScratch::new()).unwrap();
         refined.schedule.validate(&apps, &pf).unwrap();
         assert!(refined.schedule.is_equal_finish(&apps, &pf, 1e-6));
-    }
-
-    #[test]
-    fn eval_and_scalar_paths_are_bit_identical() {
-        for seed in 0..6 {
-            let apps = instance(seed, 9, 0.4);
-            let pf = platform();
-            let (models, part, cache) = start(&apps, &pf);
-            let scalar = refine(&apps, &pf, &models, &part, cache.clone(), 50).unwrap();
-            let eval = EvalSet::from_models(&apps, &pf, &models);
-            let mut scratch = EvalScratch::new();
-            let soa = refine_eval(&eval, &part, cache, 50, &mut scratch).unwrap();
-            assert_eq!(scalar, soa, "seed {seed}");
-            assert!(scratch.stats.kernel_calls >= 1);
-        }
     }
 
     #[test]
     fn empty_partition_is_a_no_op() {
         let apps = instance(9, 4, 0.2);
         let pf = platform();
-        let models = ExecModel::of_all(&apps, &pf);
+        let eval = EvalSet::of(&apps, &pf);
         let part = Partition::empty();
         let cache = vec![0.0; apps.len()];
         let base = equal_finish_split(&apps, &pf, &cache).unwrap().makespan;
-        let refined = refine(&apps, &pf, &models, &part, cache, 50).unwrap();
+        let refined = refine(&eval, &part, cache, 50, &mut EvalScratch::new()).unwrap();
         assert_eq!(refined.makespan, base);
     }
 }

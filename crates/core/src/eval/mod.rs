@@ -10,8 +10,11 @@
 //! re-derives platform constants.
 //!
 //! [`EvalSet`] flattens an instance once into parallel `Vec<f64>`s (work,
-//! sequential fraction, access frequency, footprint cap, `d_i`, the
-//! Theorem-3 weight, the Eq. 3 threshold) so the batched kernels —
+//! sequential fraction, access frequency, footprint cap, and the
+//! [`ExecModel`] columns: `d_i`, the Theorem-3 weight, the Eq. 3 threshold,
+//! the Definition-4 ratio). It is the only stored form of that derived
+//! state: the theory, the heuristics and branch-and-bound all read these
+//! columns, and the batched kernels —
 //! [`EvalSet::seq_costs_into`], [`EvalSet::exec_times_into`],
 //! [`EvalSet::makespan`] — are tight loops over contiguous memory that the
 //! compiler can vectorize. The kernels perform **the same floating-point
@@ -71,9 +74,10 @@ impl EvalStats {
 /// Struct-of-arrays view of one instance: everything Eq. 2 needs, laid out
 /// as parallel `Vec<f64>`s plus the platform scalars.
 ///
-/// Derived once per [`Instance`](crate::solver::Instance) (cached alongside
-/// the [`ExecModel`]s) and immutable afterwards, so it can be shared across
-/// solver threads freely.
+/// This is the only stored form of the per-application [`ExecModel`]
+/// quantities: derived once per [`Instance`](crate::solver::Instance),
+/// patched column by column by [`crate::session`], and read-only while a
+/// solve runs, so it can be shared across solver threads freely.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalSet {
     /// `w_i` — computing operations.
@@ -91,6 +95,8 @@ pub struct EvalSet {
     weight: Vec<f64>,
     /// `d_i^{1/α}` — the Eq. 3 useful-cache threshold.
     threshold: Vec<f64>,
+    /// `weight_i / threshold_i` — the Definition-4 dominance ratio.
+    ratio: Vec<f64>,
     alpha: f64,
     latency_cache: f64,
     latency_mem: f64,
@@ -98,34 +104,20 @@ pub struct EvalSet {
 }
 
 impl EvalSet {
-    /// Flattens `apps` on `platform`, deriving the [`ExecModel`] quantities
-    /// on the fly.
+    /// Flattens `apps` on `platform`: one [`ExecModel::of`] per application
+    /// fills the derived columns.
     pub fn of(apps: &[Application], platform: &Platform) -> Self {
-        Self::from_models(apps, platform, &ExecModel::of_all(apps, platform))
-    }
-
-    /// Flattens `apps` on `platform`, reusing already-derived models (the
-    /// [`Instance`](crate::solver::Instance) constructor path — no `powf`
-    /// is re-evaluated).
-    pub fn from_models(apps: &[Application], platform: &Platform, models: &[ExecModel]) -> Self {
-        assert_eq!(apps.len(), models.len(), "apps/models length mismatch");
-        Self {
-            work: apps.iter().map(|a| a.work).collect(),
-            seq_fraction: apps.iter().map(|a| a.seq_fraction).collect(),
-            access_freq: apps.iter().map(|a| a.access_freq).collect(),
-            // `x.min(∞) == x`, so an unbounded footprint needs no branch.
-            cap: apps
-                .iter()
-                .map(|a| a.footprint / platform.cache_size)
-                .collect(),
-            d: models.iter().map(|m| m.d).collect(),
-            weight: models.iter().map(|m| m.weight).collect(),
-            threshold: models.iter().map(|m| m.threshold).collect(),
+        let mut set = Self {
             alpha: platform.alpha,
             latency_cache: platform.latency_cache,
             latency_mem: platform.latency_mem,
             processors: platform.processors,
+            ..Self::default()
+        };
+        for app in apps {
+            set.push_column(app, platform);
         }
+        set
     }
 
     /// Number of applications.
@@ -185,29 +177,31 @@ impl EvalSet {
         &self.threshold
     }
 
+    /// Definition-4 dominance ratios `weight_i / threshold_i` (`+∞` when
+    /// `d_i = 0`), aligned with instance order.
+    pub fn ratios(&self) -> &[f64] {
+        &self.ratio
+    }
+
     /// Footprint caps `a_i / Cs` (`+∞` for unbounded footprints), aligned
     /// with instance order.
     pub fn caps(&self) -> &[f64] {
         &self.cap
     }
 
-    /// Appends one application's column, computing exactly the expressions
-    /// [`Self::from_models`] would — so a patched set is bit-identical to a
-    /// full rebuild. Used by [`crate::session`] when an application joins a
-    /// live instance.
-    pub(crate) fn push_column(
-        &mut self,
-        app: &Application,
-        platform: &Platform,
-        model: &ExecModel,
-    ) {
+    /// Appends one application's column. [`Self::of`] builds every set
+    /// this way, so a patched set is bit-identical to a full rebuild.
+    pub(crate) fn push_column(&mut self, app: &Application, platform: &Platform) {
+        let model = ExecModel::of(app, platform);
         self.work.push(app.work);
         self.seq_fraction.push(app.seq_fraction);
         self.access_freq.push(app.access_freq);
+        // `x.min(∞) == x`, so an unbounded footprint needs no branch.
         self.cap.push(app.footprint / platform.cache_size);
         self.d.push(model.d);
         self.weight.push(model.weight);
         self.threshold.push(model.threshold);
+        self.ratio.push(model.ratio);
     }
 
     /// Removes application `i`'s column, shifting the tail left so the
@@ -224,20 +218,16 @@ impl EvalSet {
         self.d.remove(i);
         self.weight.remove(i);
         self.threshold.remove(i);
+        self.ratio.remove(i);
     }
 
     /// Overwrites application `i`'s column in place (the update-app path of
-    /// [`crate::session`]); same expressions as [`Self::from_models`].
+    /// [`crate::session`]); same expressions as [`Self::push_column`].
     ///
     /// # Panics
     /// Panics if `i >= self.len()` (callers bounds-check first).
-    pub(crate) fn set_column(
-        &mut self,
-        i: usize,
-        app: &Application,
-        platform: &Platform,
-        model: &ExecModel,
-    ) {
+    pub(crate) fn set_column(&mut self, i: usize, app: &Application, platform: &Platform) {
+        let model = ExecModel::of(app, platform);
         self.work[i] = app.work;
         self.seq_fraction[i] = app.seq_fraction;
         self.access_freq[i] = app.access_freq;
@@ -245,6 +235,7 @@ impl EvalSet {
         self.d[i] = model.d;
         self.weight[i] = model.weight;
         self.threshold[i] = model.threshold;
+        self.ratio[i] = model.ratio;
     }
 
     /// Cost of one computing operation of application `i` holding cache
@@ -468,28 +459,22 @@ mod tests {
     }
 
     #[test]
-    fn of_and_from_models_agree() {
-        let (a, p) = (apps(), pf());
-        let models = ExecModel::of_all(&a, &p);
-        assert_eq!(EvalSet::of(&a, &p), EvalSet::from_models(&a, &p, &models));
-    }
-
-    #[test]
     fn layout_matches_models_and_apps() {
         let (a, p) = (apps(), pf());
-        let models = ExecModel::of_all(&a, &p);
         let eval = EvalSet::of(&a, &p);
         assert_eq!(eval.len(), 4);
         assert!(!eval.is_empty());
         assert_eq!(eval.processors(), p.processors);
         assert_eq!(eval.alpha(), p.alpha);
-        for i in 0..a.len() {
-            assert_eq!(eval.work()[i], a[i].work);
-            assert_eq!(eval.seq_fractions()[i], a[i].seq_fraction);
-            assert_eq!(eval.access_freqs()[i], a[i].access_freq);
-            assert_eq!(eval.d()[i], models[i].d);
-            assert_eq!(eval.weights()[i], models[i].weight);
-            assert_eq!(eval.thresholds()[i], models[i].threshold);
+        for (i, app) in a.iter().enumerate() {
+            assert_eq!(eval.work()[i], app.work);
+            assert_eq!(eval.seq_fractions()[i], app.seq_fraction);
+            assert_eq!(eval.access_freqs()[i], app.access_freq);
+            let model = ExecModel::of(app, &p);
+            assert_eq!(eval.d()[i], model.d);
+            assert_eq!(eval.weights()[i], model.weight);
+            assert_eq!(eval.thresholds()[i], model.threshold);
+            assert_eq!(eval.ratios()[i], model.ratio);
         }
     }
 

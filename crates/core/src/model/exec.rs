@@ -44,12 +44,13 @@ fn per_op_cost(app: &Application, platform: &Platform, cache: f64) -> f64 {
     1.0 + app.access_freq * (platform.latency_cache + platform.latency_mem * m)
 }
 
-/// Bundles an application with the platform-dependent quantities that the
-/// theory manipulates: `d_i`, the Theorem-3 weight `(w f d)^{1/(α+1)}`, and
-/// the useful-cache threshold `d^{1/α}`.
+/// The platform-dependent quantities the theory manipulates for one
+/// application: `d_i`, the Theorem-3 weight `(w f d)^{1/(α+1)}`, the
+/// useful-cache threshold `d^{1/α}` and the Definition-4 ratio.
 ///
-/// Pre-computing these once per instance keeps the heuristics `O(n log n)`
-/// instead of recomputing `powf` in every comparison.
+/// This is the one place they are computed; [`EvalSet`](crate::eval::EvalSet)
+/// stores them as columns, once per instance, so the heuristics stay
+/// `O(n log n)` instead of recomputing `powf` in every comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecModel {
     /// `d_i = m0 (C0/Cs)^α` — miss rate with the whole LLC.
@@ -83,11 +84,6 @@ impl ExecModel {
             threshold,
             ratio,
         }
-    }
-
-    /// Computes the derived quantities for a whole instance.
-    pub fn of_all(apps: &[Application], platform: &Platform) -> Vec<Self> {
-        apps.iter().map(|a| Self::of(a, platform)).collect()
     }
 }
 
@@ -191,14 +187,6 @@ mod tests {
         let em = ExecModel::of(&a, &p);
         assert_eq!(em.d, 0.0);
         assert!(em.ratio.is_infinite());
-    }
-
-    #[test]
-    fn of_all_matches_of() {
-        let (a, p) = (app(), pf());
-        let all = ExecModel::of_all(&[a.clone(), a.clone()], &p);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0], ExecModel::of(&a, &p));
     }
 
     mod properties {

@@ -246,7 +246,14 @@ fn platform_from_json(v: &Json) -> Result<Platform, String> {
     })
 }
 
-fn app_to_json(app: &Application) -> Json {
+/// Serializes one application: `name`, `work`, `seq_fraction`,
+/// `access_freq`, `miss_rate_ref`, then `footprint` only when it is finite
+/// (the unbounded default travels as absence — JSON has no `inf`).
+///
+/// The one writer of application objects, for snapshots and for the serve
+/// wire format alike; the two readers differ (the wire reader defaults
+/// `seq_fraction`, the snapshot reader requires every field).
+pub fn app_to_json(app: &Application) -> Json {
     let mut pairs = vec![
         ("name", Json::from(app.name.as_str())),
         ("work", Json::from(app.work)),
@@ -254,7 +261,6 @@ fn app_to_json(app: &Application) -> Json {
         ("access_freq", Json::from(app.access_freq)),
         ("miss_rate_ref", Json::from(app.miss_rate_ref)),
     ];
-    // JSON has no infinity; the unbounded default travels as absence.
     if app.footprint.is_finite() {
         pairs.push(("footprint", Json::from(app.footprint)));
     }
@@ -335,6 +341,11 @@ fn last_from_json(v: &Json, n_apps: usize) -> Result<LastSolve, String> {
                 .ok_or_else(|| "partition members must be indices".to_string())
         })
         .collect::<Result<Vec<_>, _>>()?;
+    if let Some(m) = partition.iter().find(|&&m| m >= n_apps) {
+        return Err(format!(
+            "memoized partition names application {m} of {n_apps}"
+        ));
+    }
     let makespan = f64_field(v, "makespan")?;
     Ok(LastSolve {
         solver: str_field(v, "solver")?.to_string(),
@@ -752,8 +763,58 @@ mod tests {
             .unwrap_err()
             .contains("re-validation"));
 
+        // A memo whose partition names an application the instance does
+        // not have.
+        let bad = good.replacen("\"partition\":[", "\"partition\":[9,", 1);
+        assert!(restore_session_str(&bad)
+            .unwrap_err()
+            .contains("partition names application 9"));
+
         // Not JSON at all.
         assert!(restore_session_str("{").is_err());
+    }
+
+    /// One flipped bit, one substituted byte, or a truncation of `bytes`,
+    /// at `pos` modulo the length.
+    fn mutate(bytes: &[u8], kind: u64, pos: u64, byte: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let at = (pos % bytes.len() as u64) as usize;
+        match kind {
+            0 => out[at] ^= 1 << (pos % 8),
+            1 => out[at] = byte,
+            _ => out.truncate(at),
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Mutants of a loaded session's snapshot never panic the restore:
+        /// it fails, or it yields a session whose snapshot restores to
+        /// itself and which re-solves every instance without panicking.
+        #[test]
+        fn mutated_snapshots_fail_or_restore_to_a_fixed_point(
+            kind in 0u64..3,
+            pos in 0u64..u64::MAX,
+            byte in 0u64..256,
+        ) {
+            static GOOD: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+            let good = GOOD.get_or_init(|| snapshot_session_string(&loaded_session()));
+            let mutant = mutate(good.as_bytes(), kind, pos, byte as u8);
+            let Ok(mut session) = restore_session_str(&String::from_utf8_lossy(&mutant)) else {
+                return Ok(());
+            };
+            let snap = snapshot_session_string(&session);
+            let again = restore_session_str(&snap).expect("a restored snapshot restores");
+            proptest::prop_assert_eq!(snapshot_session_string(&again), snap);
+            let ids: Vec<u64> = session.entries.keys().copied().collect();
+            for id in ids {
+                for name in ["DominantMinRatio", "DominantRefined", "auto"] {
+                    let _ = session.resolve_by_name(InstanceId::from_raw(id), name, 7);
+                }
+            }
+        }
     }
 
     #[test]

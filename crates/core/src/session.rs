@@ -5,14 +5,14 @@
 //! arrive at and leave a shared cache-partitioned platform, and the
 //! scheduler re-optimizes on every change. The one-shot
 //! [`Instance`] → [`Solver`] API forces each change through full
-//! re-validation, [`ExecModel`](crate::model::ExecModel) re-derivation and
-//! a cold solve; a [`Session`] instead keeps validated instances alive
-//! behind [`InstanceId`]s and patches the cached derived state in place:
+//! re-validation, [`EvalSet`](crate::eval::EvalSet) re-derivation and a
+//! cold solve; a [`Session`] instead keeps validated instances alive
+//! behind [`InstanceId`]s and patches the derived state in place:
 //!
 //! * [`InstanceHandle::add_app`] / [`InstanceHandle::remove_app`] /
 //!   [`InstanceHandle::update_app`] validate only the changed application
-//!   and patch **one** model entry and **one** [`EvalSet`](crate::eval::EvalSet)
-//!   column (the other `n - 1` columns are untouched);
+//!   and patch **one** [`EvalSet`](crate::eval::EvalSet) column (the other
+//!   `n - 1` columns are untouched);
 //! * [`InstanceHandle::set_platform`] is the cold path — every derived
 //!   quantity depends on the platform, so all state is rebuilt;
 //! * [`Session::resolve`] re-solves warm: the patched instance and a
@@ -26,7 +26,7 @@
 //! incremental re-solve is **bit-identical** to a cold solve of the mutated
 //! instance — for every registered solver, randomized ones included
 //! (pinned by `tests/session_golden.rs`). What the session saves is the
-//! per-change rebuild: validation, model derivation, flattening, and every
+//! per-change rebuild: validation, `EvalSet` derivation, and every
 //! allocation a cold solve pays for (see `benches/incremental.rs`).
 //!
 //! # Example

@@ -2,12 +2,12 @@
 
 use crate::error::Result;
 use crate::eval::EvalSet;
-use crate::model::{Application, ExecModel, Platform};
+use crate::model::{Application, Platform};
 
 /// A co-scheduling problem: applications plus the platform they share.
 ///
 /// Construction validates every application and the platform **once** and
-/// precomputes the per-application [`ExecModel`]s, so an `Instance` can be
+/// derives the per-application [`EvalSet`] columns, so an `Instance` can be
 /// handed to any number of [`Solver`](super::Solver)s (or to a
 /// [`Portfolio`](super::Portfolio), or across a
 /// [`solve_batch`](super::solve_batch) fan-out) without re-deriving them.
@@ -15,7 +15,6 @@ use crate::model::{Application, ExecModel, Platform};
 pub struct Instance {
     apps: Vec<Application>,
     platform: Platform,
-    models: Vec<ExecModel>,
     eval: EvalSet,
 }
 
@@ -29,12 +28,10 @@ impl Instance {
     pub fn new(apps: Vec<Application>, platform: Platform) -> Result<Self> {
         crate::model::validate_instance(&apps)?;
         platform.validate()?;
-        let models = ExecModel::of_all(&apps, &platform);
-        let eval = EvalSet::from_models(&apps, &platform, &models);
+        let eval = EvalSet::of(&apps, &platform);
         Ok(Self {
             apps,
             platform,
-            models,
             eval,
         })
     }
@@ -49,14 +46,9 @@ impl Instance {
         &self.platform
     }
 
-    /// The precomputed Theorem-3 / dominance quantities, aligned with
-    /// [`Self::apps`].
-    pub fn models(&self) -> &[ExecModel] {
-        &self.models
-    }
-
-    /// The cached struct-of-arrays view the batched Eq. 2 kernels run on
-    /// (see [`crate::eval`]), derived once at construction.
+    /// The derived per-application state — Eq. 2 inputs, Theorem-3
+    /// weights, dominance ratios — as the struct-of-arrays view every
+    /// algorithm reads (see [`crate::eval`]), derived once at construction.
     pub fn eval(&self) -> &EvalSet {
         &self.eval
     }
@@ -74,13 +66,12 @@ impl Instance {
 
     // ---- incremental patch operations (the `crate::session` layer) ----
     //
-    // Each op validates only what changed and patches the cached models
-    // and `EvalSet` columns with exactly the expressions construction
-    // uses, so a patched instance is `==` (bit-identical derived state)
+    // Each op validates only what changed and patches the `EvalSet`
+    // columns with exactly the expressions construction uses, so a patched instance is `==` (bit-identical derived state)
     // to `Instance::new` on the mutated inputs. The non-empty invariant
     // is preserved: the last application can never be removed.
 
-    /// Appends `app`, patching one model/eval column in place.
+    /// Appends `app`, patching one eval column in place.
     ///
     /// # Errors
     /// The application's own validation error (the rest of the instance is
@@ -88,9 +79,7 @@ impl Instance {
     pub(crate) fn push_app(&mut self, app: Application) -> Result<usize> {
         let index = self.apps.len();
         app.validate(index)?;
-        let model = ExecModel::of(&app, &self.platform);
-        self.eval.push_column(&app, &self.platform, &model);
-        self.models.push(model);
+        self.eval.push_column(&app, &self.platform);
         self.apps.push(app);
         Ok(index)
     }
@@ -111,7 +100,6 @@ impl Instance {
         if self.apps.len() == 1 {
             return Err(crate::error::CoschedError::EmptyInstance);
         }
-        self.models.remove(index);
         self.eval.remove_column(index);
         Ok(self.apps.remove(index))
     }
@@ -129,22 +117,19 @@ impl Instance {
             });
         }
         app.validate(index)?;
-        let model = ExecModel::of(&app, &self.platform);
-        self.eval.set_column(index, &app, &self.platform, &model);
-        self.models[index] = model;
+        self.eval.set_column(index, &app, &self.platform);
         Ok(std::mem::replace(&mut self.apps[index], app))
     }
 
-    /// Swaps the platform, re-deriving **all** cached state (every model
-    /// and eval column depends on it) — the cold path of the session API.
+    /// Swaps the platform, re-deriving **all** cached state (every eval
+    /// column depends on it) — the cold path of the session API.
     ///
     /// # Errors
     /// The platform's validation error; the instance is untouched on
     /// failure.
     pub(crate) fn swap_platform(&mut self, platform: Platform) -> Result<()> {
         platform.validate()?;
-        self.models = ExecModel::of_all(&self.apps, &platform);
-        self.eval = EvalSet::from_models(&self.apps, &platform, &self.models);
+        self.eval = EvalSet::of(&self.apps, &platform);
         self.platform = platform;
         Ok(())
     }
@@ -168,7 +153,6 @@ mod tests {
         let inst = Instance::new(apps(), platform.clone()).unwrap();
         assert_eq!(inst.len(), 2);
         assert!(!inst.is_empty());
-        assert_eq!(inst.models(), ExecModel::of_all(&apps(), &platform));
         assert_eq!(inst.eval(), &EvalSet::of(&apps(), &platform));
         assert_eq!(inst.platform(), &platform);
         assert_eq!(inst.apps(), &apps()[..]);
@@ -193,9 +177,17 @@ mod tests {
 
     #[test]
     fn invalid_platform_is_rejected() {
-        let platform = Platform::taihulight().with_processors(0.0);
-        let err = Instance::new(apps(), platform).unwrap_err();
-        assert!(matches!(err, CoschedError::InvalidPlatform(_)));
+        for platform in [
+            Platform::taihulight().with_processors(0.0),
+            Platform::taihulight().with_processors(f64::NAN),
+            Platform::taihulight().with_alpha(0.0),
+        ] {
+            let err = Instance::new(apps(), platform.clone()).unwrap_err();
+            assert!(
+                matches!(err, CoschedError::InvalidPlatform(_)),
+                "{platform:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! minimising the makespan*. This module is that framing as an API:
 //!
 //! * [`Instance`] — applications + platform, validated **once**, with the
-//!   per-application execution models precomputed and cached;
+//!   per-application derived state precomputed in one
+//!   [`EvalSet`](crate::eval::EvalSet); every algorithm, branch-and-bound
+//!   and the exact enumerators included, takes an `Instance`;
 //! * [`Solver`] — anything that maps an instance to an [`Outcome`]; the
 //!   ten paper strategies implement it (via the thin
 //!   [`Strategy`] enum), and downstream crates can

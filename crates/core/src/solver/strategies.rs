@@ -1,14 +1,14 @@
 //! [`Solver`] implementations for the paper's strategies.
 //!
 //! The algorithm bodies live here, operating on a pre-validated
-//! [`Instance`] with cached execution models.
+//! [`Instance`] and its derived [`EvalSet`](crate::eval::EvalSet) columns.
 
 use crate::algo::baselines::{all_proc_cache_core, fair_core, random_part_core, zero_cache_core};
 use crate::algo::{dominant_partition, BuildOrder, Choice, Outcome, Strategy};
 use crate::error::Result;
 use crate::model::Schedule;
 use crate::solver::{Instance, SolveCtx, Solver};
-use crate::theory::cache_alloc::{optimal_cache_fractions, optimal_cache_fractions_into};
+use crate::theory::cache_alloc::optimal_cache_fractions_into;
 use crate::theory::proc_alloc::equal_finish_split_eval;
 
 impl Solver for Strategy {
@@ -21,16 +21,15 @@ impl Solver for Strategy {
     }
 
     fn solve(&self, instance: &Instance, ctx: &mut SolveCtx) -> Result<Outcome> {
-        let (models, eval) = (instance.models(), instance.eval());
+        let eval = instance.eval();
         let before = ctx.stats();
         let mut outcome = match self {
             Self::Dominant { order, choice } => {
-                let partition = dominant_partition(models, *order, *choice, ctx.rng());
+                let partition = dominant_partition(eval, *order, *choice, ctx.rng());
                 // Theorem-3 fractions land in the scratch's reusable buffer
                 // (taken out for the duration of the solve so the kernels
-                // below can borrow the scratch mutably) — bit-identical to
-                // the boxed `optimal_cache_fractions`, allocation-free on a
-                // warm scratch.
+                // below can borrow the scratch mutably), allocation-free on
+                // a warm scratch.
                 let mut cache = std::mem::take(&mut ctx.scratch().fractions);
                 optimal_cache_fractions_into(eval.weights(), &partition, &mut cache);
                 let solved =
@@ -50,15 +49,11 @@ impl Solver for Strategy {
             }
             Self::DominantRefined { max_iters } => {
                 let partition =
-                    dominant_partition(models, BuildOrder::Forward, Choice::MinRatio, ctx.rng());
-                let cache = optimal_cache_fractions(models, &partition);
-                let refined = crate::algo::refine::refine_eval(
-                    eval,
-                    &partition,
-                    cache,
-                    *max_iters,
-                    ctx.scratch(),
-                )?;
+                    dominant_partition(eval, BuildOrder::Forward, Choice::MinRatio, ctx.rng());
+                let mut cache = Vec::new();
+                optimal_cache_fractions_into(eval.weights(), &partition, &mut cache);
+                let refined =
+                    crate::algo::refine(eval, &partition, cache, *max_iters, ctx.scratch())?;
                 Outcome {
                     makespan: refined.makespan,
                     schedule: refined.schedule,

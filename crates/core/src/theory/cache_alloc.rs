@@ -1,35 +1,24 @@
 //! Optimal cache partitioning for a fixed sharing subset
 //! (paper Lemma 4 and Theorem 3).
 
-use crate::model::{Application, ExecModel, Platform};
-use crate::theory::dominance::{partition_strength, Partition};
+use crate::eval::EvalSet;
+use crate::theory::dominance::Partition;
 
 /// Lemma 4 / Theorem 3: the cache split minimising the total sequential cost
 /// for sharing subset `IC` is
 /// `x_i = (w_i f_i d_i)^{1/(α+1)} / S(IC)` for `i ∈ IC` and `x_i = 0`
-/// otherwise.
+/// otherwise, written into `x` (resized to `weights.len()`).
+///
+/// `weights` are the Theorem-3 weights, normally
+/// [`EvalSet::weights`]; the caller owns the buffer, so enumeration loops
+/// evaluate many partitions without allocating. Strength is summed over
+/// members in the same order as
+/// [`partition_strength`](crate::theory::dominance::partition_strength).
 ///
 /// For a **dominant** `IC` this is the optimum of
 /// `CoSchedCache-Part(IC, ĪC)` (Theorem 3); for any `IC` it is the optimum
 /// of the relaxed problem `CoSchedCache-Ext`. The fractions sum to exactly 1
 /// whenever `IC ≠ ∅`.
-pub fn optimal_cache_fractions(models: &[ExecModel], partition: &Partition) -> Vec<f64> {
-    let mut x = vec![0.0; models.len()];
-    let strength = partition_strength(models, partition);
-    if strength <= 0.0 {
-        return x;
-    }
-    for &i in partition.members() {
-        x[i] = models[i].weight / strength;
-    }
-    x
-}
-
-/// Allocation-free form of [`optimal_cache_fractions`] on a raw weight
-/// slice (e.g. [`EvalSet::weights`](crate::eval::EvalSet::weights)), for
-/// enumeration loops that evaluate many partitions against one reusable
-/// buffer. Strength is summed over members in the same order as
-/// [`partition_strength`], so the fractions are bit-identical.
 pub fn optimal_cache_fractions_into(weights: &[f64], partition: &Partition, x: &mut Vec<f64>) {
     x.clear();
     x.resize(weights.len(), 0.0);
@@ -44,43 +33,35 @@ pub fn optimal_cache_fractions_into(weights: &[f64], partition: &Partition, x: &
 
 /// Footprint-aware extension (not in the paper, which assumes `a_i = ∞` in
 /// §4.2/§5): water-filling variant of Theorem 3 for applications whose
-/// memory footprint caps their useful share at `a_i / Cs`.
+/// memory footprint caps their useful share at `a_i / Cs`
+/// ([`EvalSet::caps`]).
 ///
 /// Applications whose Theorem-3 share exceeds their cap are frozen at the
 /// cap and the remaining cache is redistributed among the others by the same
 /// closed form; this repeats until a fixed point (at most `n` rounds). With
 /// all-infinite footprints it reduces exactly to
-/// [`optimal_cache_fractions`].
-pub fn optimal_cache_fractions_capped(
-    apps: &[Application],
-    platform: &Platform,
-    models: &[ExecModel],
-    partition: &Partition,
-) -> Vec<f64> {
-    let mut x = vec![0.0; models.len()];
+/// [`optimal_cache_fractions_into`].
+pub fn optimal_cache_fractions_capped(eval: &EvalSet, partition: &Partition) -> Vec<f64> {
+    let (weights, caps) = (eval.weights(), eval.caps());
+    let mut x = vec![0.0; eval.len()];
     let mut active: Vec<usize> = partition.members().to_vec();
     let mut budget = 1.0;
     loop {
-        let strength: f64 = active.iter().map(|&i| models[i].weight).sum();
+        let strength: f64 = active.iter().map(|&i| weights[i]).sum();
         if strength <= 0.0 || budget <= 0.0 {
             return x;
         }
         // Tentative Theorem-3 split of the remaining budget.
         let mut capped = Vec::new();
         for &i in &active {
-            let share = budget * models[i].weight / strength;
-            let cap = if apps[i].footprint.is_infinite() {
-                f64::INFINITY
-            } else {
-                apps[i].footprint / platform.cache_size
-            };
-            if share > cap {
-                capped.push((i, cap));
+            let share = budget * weights[i] / strength;
+            if share > caps[i] {
+                capped.push((i, caps[i]));
             }
         }
         if capped.is_empty() {
             for &i in &active {
-                x[i] = budget * models[i].weight / strength;
+                x[i] = budget * weights[i] / strength;
             }
             return x;
         }
@@ -98,30 +79,37 @@ pub fn optimal_cache_fractions_capped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::seq_cost;
+    use crate::model::{seq_cost, Application, Platform};
+    use crate::theory::dominance::partition_strength;
 
-    fn setup() -> (Vec<Application>, Platform, Vec<ExecModel>) {
+    fn setup() -> (Vec<Application>, Platform, EvalSet) {
         let pf = Platform::taihulight();
         let apps = vec![
             Application::new("CG", 5.70e10, 0.0, 0.535, 6.59e-4),
             Application::new("BT", 2.10e11, 0.0, 0.829, 7.31e-3),
             Application::new("SP", 1.38e11, 0.0, 0.762, 1.51e-2),
         ];
-        let models = ExecModel::of_all(&apps, &pf);
-        (apps, pf, models)
+        let eval = EvalSet::of(&apps, &pf);
+        (apps, pf, eval)
+    }
+
+    fn fractions(eval: &EvalSet, partition: &Partition) -> Vec<f64> {
+        let mut x = Vec::new();
+        optimal_cache_fractions_into(eval.weights(), partition, &mut x);
+        x
     }
 
     #[test]
     fn fractions_sum_to_one_on_nonempty_partition() {
         let (_, _, m) = setup();
-        let x = optimal_cache_fractions(&m, &Partition::all(3));
+        let x = fractions(&m, &Partition::all(3));
         assert!((x.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn nonmembers_get_zero() {
         let (_, _, m) = setup();
-        let x = optimal_cache_fractions(&m, &Partition::new(vec![1]));
+        let x = fractions(&m, &Partition::new(vec![1]));
         assert_eq!(x[0], 0.0);
         assert_eq!(x[2], 0.0);
         assert!((x[1] - 1.0).abs() < 1e-15);
@@ -130,17 +118,17 @@ mod tests {
     #[test]
     fn empty_partition_gets_all_zeros() {
         let (_, _, m) = setup();
-        let x = optimal_cache_fractions(&m, &Partition::empty());
+        let x = fractions(&m, &Partition::empty());
         assert!(x.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn fractions_proportional_to_weights() {
         let (_, _, m) = setup();
-        let x = optimal_cache_fractions(&m, &Partition::all(3));
+        let x = fractions(&m, &Partition::all(3));
         // x_i / x_j = weight_i / weight_j
-        assert!((x[0] / x[1] - m[0].weight / m[1].weight).abs() < 1e-12);
-        assert!((x[1] / x[2] - m[1].weight / m[2].weight).abs() < 1e-12);
+        assert!((x[0] / x[1] - m.weights()[0] / m.weights()[1]).abs() < 1e-12);
+        assert!((x[1] / x[2] - m.weights()[1] / m.weights()[2]).abs() < 1e-12);
     }
 
     #[test]
@@ -149,7 +137,7 @@ mod tests {
         // sequential cost (Lemma 3 objective) must not decrease.
         let (apps, pf, m) = setup();
         let part = Partition::all(3);
-        let x = optimal_cache_fractions(&m, &part);
+        let x = fractions(&m, &part);
         let total = |x: &[f64]| -> f64 {
             x.iter()
                 .zip(&apps)
@@ -177,25 +165,29 @@ mod tests {
     #[test]
     fn into_variant_is_bit_identical_for_every_partition() {
         let (_, _, m) = setup();
-        let weights: Vec<f64> = m.iter().map(|em| em.weight).collect();
         let mut buf = vec![99.0; 7]; // stale content must be overwritten
         for mask in 0u32..8 {
             let part = Partition::new((0..3).filter(|i| mask >> i & 1 == 1).collect());
-            let boxed = optimal_cache_fractions(&m, &part);
-            optimal_cache_fractions_into(&weights, &part, &mut buf);
+            let strength = partition_strength(&m, &part);
+            optimal_cache_fractions_into(m.weights(), &part, &mut buf);
             assert_eq!(buf.len(), 3);
-            for (u, v) in boxed.iter().zip(&buf) {
-                assert_eq!(u.to_bits(), v.to_bits(), "mask {mask}");
+            for (i, v) in buf.iter().enumerate() {
+                let expected = if part.contains(i) {
+                    m.weights()[i] / strength
+                } else {
+                    0.0
+                };
+                assert_eq!(expected.to_bits(), v.to_bits(), "mask {mask}");
             }
         }
     }
 
     #[test]
     fn capped_reduces_to_uncapped_with_infinite_footprints() {
-        let (apps, pf, m) = setup();
+        let (_, _, m) = setup();
         let part = Partition::all(3);
-        let a = optimal_cache_fractions(&m, &part);
-        let b = optimal_cache_fractions_capped(&apps, &pf, &m, &part);
+        let a = fractions(&m, &part);
+        let b = optimal_cache_fractions_capped(&m, &part);
         for (u, v) in a.iter().zip(&b) {
             assert!((u - v).abs() < 1e-15);
         }
@@ -206,17 +198,17 @@ mod tests {
         let (mut apps, pf, _) = setup();
         // Cap BT's footprint below its Theorem-3 share.
         apps[1].footprint = pf.cache_size * 0.05;
-        let m = ExecModel::of_all(&apps, &pf);
+        let m = EvalSet::of(&apps, &pf);
         let part = Partition::all(3);
-        let x = optimal_cache_fractions_capped(&apps, &pf, &m, &part);
+        let x = optimal_cache_fractions_capped(&m, &part);
         assert!((x[1] - 0.05).abs() < 1e-12, "BT frozen at its cap");
         assert!(
             (x.iter().sum::<f64>() - 1.0).abs() < 1e-12,
             "budget fully used"
         );
         // The freed cache went to the others, proportionally to weights.
-        assert!((x[0] / x[2] - m[0].weight / m[2].weight).abs() < 1e-12);
-        let unc = optimal_cache_fractions(&m, &part);
+        assert!((x[0] / x[2] - m.weights()[0] / m.weights()[2]).abs() < 1e-12);
+        let unc = fractions(&m, &part);
         assert!(x[0] > unc[0] && x[2] > unc[2]);
     }
 
@@ -226,8 +218,8 @@ mod tests {
         for a in &mut apps {
             a.footprint = pf.cache_size * 0.01;
         }
-        let m = ExecModel::of_all(&apps, &pf);
-        let x = optimal_cache_fractions_capped(&apps, &pf, &m, &Partition::all(3));
+        let m = EvalSet::of(&apps, &pf);
+        let x = optimal_cache_fractions_capped(&m, &Partition::all(3));
         for &v in &x {
             assert!((v - 0.01).abs() < 1e-12);
         }

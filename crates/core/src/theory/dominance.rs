@@ -35,7 +35,7 @@
 //!   charge `i` its full-miss cost `Exe_i^seq(0)` outright — the
 //!   strengthening that closes NPB-scale instances in `O(n)` nodes.
 
-use crate::model::ExecModel;
+use crate::eval::EvalSet;
 
 /// A cache-sharing partition: the sorted set of application indices in `IC`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -115,30 +115,30 @@ impl FromIterator<usize> for Partition {
 
 /// `S(IC) = Σ_{j ∈ IC} (w_j f_j d_j)^{1/(α+1)}` — the *strength* of the
 /// partition, i.e. the normalising denominator of Theorem 3.
-pub fn partition_strength(models: &[ExecModel], partition: &Partition) -> f64 {
-    partition.members().iter().map(|&i| models[i].weight).sum()
+pub fn partition_strength(eval: &EvalSet, partition: &Partition) -> f64 {
+    partition.members().iter().map(|&i| eval.weights()[i]).sum()
 }
 
 /// Definition 4: `IC` is dominant iff `ratio_i > S(IC)` for every `i ∈ IC`.
 ///
 /// The empty partition is vacuously dominant.
-pub fn is_dominant(models: &[ExecModel], partition: &Partition) -> bool {
-    let strength = partition_strength(models, partition);
+pub fn is_dominant(eval: &EvalSet, partition: &Partition) -> bool {
+    let strength = partition_strength(eval, partition);
     partition
         .members()
         .iter()
-        .all(|&i| models[i].ratio > strength)
+        .all(|&i| eval.ratios()[i] > strength)
 }
 
 /// Indices in `IC` that violate dominance (`ratio_i ≤ S(IC)`). Theorem 2
 /// shows each can be evicted to strictly improve the solution.
-pub fn violators(models: &[ExecModel], partition: &Partition) -> Vec<usize> {
-    let strength = partition_strength(models, partition);
+pub fn violators(eval: &EvalSet, partition: &Partition) -> Vec<usize> {
+    let strength = partition_strength(eval, partition);
     partition
         .members()
         .iter()
         .copied()
-        .filter(|&i| models[i].ratio <= strength)
+        .filter(|&i| eval.ratios()[i] <= strength)
         .collect()
 }
 
@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::model::{Application, Platform};
 
-    fn models() -> Vec<ExecModel> {
+    fn npb() -> EvalSet {
         let pf = Platform::taihulight();
         let apps = vec![
             Application::new("CG", 5.70e10, 0.0, 0.535, 6.59e-4),
@@ -157,7 +157,7 @@ mod tests {
             Application::new("MG", 1.23e10, 0.0, 0.540, 2.62e-2),
             Application::new("FT", 1.65e10, 0.0, 0.582, 1.78e-2),
         ];
-        ExecModel::of_all(&apps, &pf)
+        EvalSet::of(&apps, &pf)
     }
 
     #[test]
@@ -190,15 +190,15 @@ mod tests {
 
     #[test]
     fn strength_is_sum_of_weights() {
-        let m = models();
+        let m = npb();
         let p = Partition::new(vec![0, 2]);
-        assert!((partition_strength(&m, &p) - (m[0].weight + m[2].weight)).abs() < 1e-9);
+        assert!((partition_strength(&m, &p) - (m.weights()[0] + m.weights()[2])).abs() < 1e-9);
         assert_eq!(partition_strength(&m, &Partition::empty()), 0.0);
     }
 
     #[test]
     fn empty_partition_is_dominant() {
-        assert!(is_dominant(&models(), &Partition::empty()));
+        assert!(is_dominant(&npb(), &Partition::empty()));
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         // With the paper's 32 GB LLC the miss rates are tiny, so all six NPB
         // applications can share the cache (this matches Figure 1, where all
         // dominant heuristics coincide).
-        let m = models();
+        let m = npb();
         assert!(is_dominant(&m, &Partition::all(m.len())));
         assert!(violators(&m, &Partition::all(m.len())).is_empty());
     }
@@ -220,7 +220,7 @@ mod tests {
             Application::new("A", 1e10, 0.0, 0.5, 0.9),
             Application::new("B", 1e10, 0.0, 0.5, 0.9),
         ];
-        let m = ExecModel::of_all(&apps, &pf);
+        let m = EvalSet::of(&apps, &pf);
         let full = Partition::all(2);
         assert!(!is_dominant(&m, &full));
         assert!(!violators(&m, &full).is_empty());
@@ -231,19 +231,19 @@ mod tests {
         // ratio > weight  <=>  d^{1/alpha} < 1  <=>  d < 1.
         let pf = Platform::taihulight();
         let good = Application::new("G", 1e10, 0.0, 0.5, 1e-3);
-        let m = ExecModel::of_all(&[good], &pf);
+        let m = EvalSet::of(&[good], &pf);
         assert!(is_dominant(&m, &Partition::new(vec![0])));
 
         let pf_tiny = pf.with_cache_size(1e6); // d = m0*(40)^0.5 > 1
         let bad = Application::new("B", 1e10, 0.0, 0.5, 0.9);
-        let m = ExecModel::of_all(&[bad], &pf_tiny);
-        assert!(m[0].d > 1.0);
+        let m = EvalSet::of(&[bad], &pf_tiny);
+        assert!(m.d()[0] > 1.0);
         assert!(!is_dominant(&m, &Partition::new(vec![0])));
     }
 
     #[test]
     fn violators_subset_of_members() {
-        let m = models();
+        let m = npb();
         let p = Partition::all(m.len());
         for v in violators(&m, &p) {
             assert!(p.contains(v));
@@ -254,7 +254,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn arb_models(n: usize) -> impl Strategy<Value = Vec<ExecModel>> {
+        fn arb_models(n: usize) -> impl Strategy<Value = EvalSet> {
             proptest::collection::vec((1e8f64..1e12, 0.1f64..0.9, 1e-4f64..5e-1), 1..=n).prop_map(
                 |rows| {
                     let pf = Platform::taihulight().with_cache_size(200e6);
@@ -265,7 +265,7 @@ mod tests {
                             Application::perfectly_parallel(format!("P{i}"), w, f, m)
                         })
                         .collect();
-                    ExecModel::of_all(&apps, &pf)
+                    EvalSet::of(&apps, &pf)
                 },
             )
         }

@@ -19,7 +19,7 @@ pub mod lemma1;
 pub mod objective;
 pub mod proc_alloc;
 
-pub use cache_alloc::{optimal_cache_fractions, optimal_cache_fractions_capped};
+pub use cache_alloc::{optimal_cache_fractions_capped, optimal_cache_fractions_into};
 pub use dominance::{is_dominant, partition_strength, violators, Partition};
 pub use lemma1::{equalize, exchange_step};
 pub use objective::{normalized_objective, partition_objective};

@@ -3,7 +3,7 @@
 
 use crate::eval::{EvalScratch, EvalSet};
 use crate::model::{seq_cost, seq_cost_full_miss, Application, ExecModel, Platform};
-use crate::theory::cache_alloc::{optimal_cache_fractions, optimal_cache_fractions_into};
+use crate::theory::cache_alloc::optimal_cache_fractions_into;
 use crate::theory::dominance::Partition;
 
 /// Lemma 3: for perfectly parallel applications the makespan of the optimal
@@ -21,14 +21,20 @@ pub fn normalized_objective(apps: &[Application], platform: &Platform, cache: &[
 /// rate on their closed-form share; non-members pay full misses.
 ///
 /// For a dominant partition this equals the optimum of
-/// `CoSchedCache-Part(IC, ĪC)` (Theorem 3).
+/// `CoSchedCache-Part(IC, ĪC)` (Theorem 3). This is the scalar reference
+/// the struct-of-arrays [`partition_objective_eval`] is tested against; it
+/// derives the Theorem-3 weights with [`ExecModel::of`].
 pub fn partition_objective(
     apps: &[Application],
     platform: &Platform,
-    models: &[ExecModel],
     partition: &Partition,
 ) -> f64 {
-    let x = optimal_cache_fractions(models, partition);
+    let weights: Vec<f64> = apps
+        .iter()
+        .map(|a| ExecModel::of(a, platform).weight)
+        .collect();
+    let mut x = Vec::new();
+    optimal_cache_fractions_into(&weights, partition, &mut x);
     let mut total = 0.0;
     for (i, app) in apps.iter().enumerate() {
         total += if partition.contains(i) {
@@ -64,7 +70,7 @@ mod tests {
     use super::*;
     use crate::theory::dominance::is_dominant;
 
-    fn setup() -> (Vec<Application>, Platform, Vec<ExecModel>) {
+    fn setup() -> (Vec<Application>, Platform, EvalSet) {
         let pf = Platform::taihulight();
         let apps = vec![
             Application::perfectly_parallel("CG", 5.70e10, 0.535, 6.59e-4),
@@ -72,8 +78,8 @@ mod tests {
             Application::perfectly_parallel("SP", 1.38e11, 0.762, 1.51e-2),
             Application::perfectly_parallel("MG", 1.23e10, 0.540, 2.62e-2),
         ];
-        let models = ExecModel::of_all(&apps, &pf);
-        (apps, pf, models)
+        let eval = EvalSet::of(&apps, &pf);
+        (apps, pf, eval)
     }
 
     #[test]
@@ -86,26 +92,26 @@ mod tests {
 
     #[test]
     fn partition_objective_matches_manual_computation() {
-        let (apps, pf, models) = setup();
+        let (apps, pf, eval) = setup();
         let part = Partition::new(vec![0, 1]);
-        let x = optimal_cache_fractions(&models, &part);
+        let mut x = Vec::new();
+        optimal_cache_fractions_into(eval.weights(), &part, &mut x);
         let manual = (seq_cost(&apps[0], &pf, x[0])
             + seq_cost(&apps[1], &pf, x[1])
             + seq_cost_full_miss(&apps[2], &pf)
             + seq_cost_full_miss(&apps[3], &pf))
             / 256.0;
-        let got = partition_objective(&apps, &pf, &models, &part);
+        let got = partition_objective(&apps, &pf, &part);
         assert!((got - manual).abs() / manual < 1e-12);
     }
 
     #[test]
     fn eval_objective_is_bit_identical_for_every_partition() {
-        let (apps, pf, models) = setup();
-        let eval = EvalSet::of(&apps, &pf);
+        let (apps, pf, eval) = setup();
         let mut scratch = EvalScratch::new();
         for mask in 0u32..16 {
             let part = Partition::new((0..4).filter(|i| mask >> i & 1 == 1).collect());
-            let scalar = partition_objective(&apps, &pf, &models, &part);
+            let scalar = partition_objective(&apps, &pf, &part);
             let soa = partition_objective_eval(&eval, &part, &mut scratch);
             assert_eq!(scalar.to_bits(), soa.to_bits(), "mask {mask}");
         }
@@ -114,11 +120,11 @@ mod tests {
 
     #[test]
     fn sharing_cache_beats_no_cache_when_dominant() {
-        let (apps, pf, models) = setup();
+        let (apps, pf, eval) = setup();
         let full = Partition::all(4);
-        assert!(is_dominant(&models, &full));
-        let with_cache = partition_objective(&apps, &pf, &models, &full);
-        let without = partition_objective(&apps, &pf, &models, &Partition::empty());
+        assert!(is_dominant(&eval, &full));
+        let with_cache = partition_objective(&apps, &pf, &full);
+        let without = partition_objective(&apps, &pf, &Partition::empty());
         assert!(with_cache < without);
     }
 
@@ -144,19 +150,19 @@ mod tests {
                         Application::perfectly_parallel(format!("P{i}"), w, f, m)
                     })
                     .collect();
-                let models = ExecModel::of_all(&apps, &pf);
+                let eval = EvalSet::of(&apps, &pf);
                 let mut part = Partition::all(apps.len());
-                let mut prev = partition_objective(&apps, &pf, &models, &part);
-                while let Some(&k) = violators(&models, &part).first() {
+                let mut prev = partition_objective(&apps, &pf, &part);
+                while let Some(&k) = violators(&eval, &part).first() {
                     part.remove(k);
-                    let cur = partition_objective(&apps, &pf, &models, &part);
+                    let cur = partition_objective(&apps, &pf, &part);
                     prop_assert!(
                         cur <= prev * (1.0 + 1e-12),
                         "evicting violator {k} worsened the objective: {prev} -> {cur}"
                     );
                     prev = cur;
                 }
-                prop_assert!(is_dominant(&models, &part));
+                prop_assert!(is_dominant(&eval, &part));
             }
         }
     }
@@ -172,17 +178,17 @@ mod tests {
             Application::perfectly_parallel("B", 1e11, 0.8, 0.3),
             Application::perfectly_parallel("C", 1e8, 0.8, 0.25),
         ];
-        let models = ExecModel::of_all(&apps, &pf);
+        let eval = EvalSet::of(&apps, &pf);
         let full = Partition::all(3);
-        let viols = crate::theory::dominance::violators(&models, &full);
+        let viols = crate::theory::dominance::violators(&eval, &full);
         assert!(
             !viols.is_empty(),
             "test premise: partition must be non-dominant"
         );
-        let before = partition_objective(&apps, &pf, &models, &full);
+        let before = partition_objective(&apps, &pf, &full);
         let mut reduced = full.clone();
         reduced.remove(viols[0]);
-        let after = partition_objective(&apps, &pf, &models, &reduced);
+        let after = partition_objective(&apps, &pf, &reduced);
         assert!(
             after < before,
             "evicting violator {} should improve: {before} -> {after}",

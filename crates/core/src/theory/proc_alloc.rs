@@ -1,10 +1,12 @@
 //! Processor allocation (paper Lemma 2 and the §5 equal-finish-time
 //! bisection for Amdahl profiles).
 //!
-//! The bisection itself operates on the vector of sequential costs, which
-//! can come from the scalar reference ([`equal_finish_split`]) or from the
-//! struct-of-arrays kernels ([`equal_finish_split_eval`]); both feed the
-//! same core, so results are bit-identical.
+//! The bisection itself operates on the vector of sequential costs. The
+//! algorithms fill it from an instance's struct-of-arrays kernels
+//! ([`equal_finish_split_eval`]); the scalar [`equal_finish_split`] and
+//! [`lemma2_proc_split`] take `(apps, platform)` and stay as the references
+//! tests compare against. Both feed the same core, so results are
+//! bit-identical.
 //!
 //! The bisection visits ~40 midpoints, but evaluates the demand predicate
 //! (one O(n) pass) at only a handful of them. The predicate is monotone

@@ -805,7 +805,7 @@ fn exact_main(mut args: Args) -> CliResult {
         .with_processors(procs)
         .with_cache_size(cache_gb * 1e9);
     let start = Instant::now();
-    let sol = match branch_and_bound(&apps, &platform, &cfg) {
+    let sol = match Instance::new(apps, platform).and_then(|inst| branch_and_bound(&inst, &cfg)) {
         Ok(s) => s,
         Err(e) => return fail(format_args!("exact solve failed: {e}")),
     };

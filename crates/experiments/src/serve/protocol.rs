@@ -17,6 +17,7 @@ use std::sync::Mutex;
 
 use coschedule::model::{Application, Platform};
 use coschedule::obs;
+pub use coschedule::persist::app_to_json;
 use coschedule::session::{Session, SessionStats};
 use coschedule::solver;
 use minijson::Json;
@@ -772,22 +773,6 @@ pub fn app_from_json(v: &Json) -> Result<Application, String> {
         app = app.with_footprint(footprint);
     }
     Ok(app)
-}
-
-/// Serializes one application the way [`app_from_json`] reads it (the
-/// infinite default footprint is an absent field — JSON has no `inf`).
-pub fn app_to_json(app: &Application) -> Json {
-    let mut pairs = vec![
-        ("name".to_string(), Json::from(app.name.as_str())),
-        ("work".to_string(), Json::from(app.work)),
-        ("seq_fraction".to_string(), Json::from(app.seq_fraction)),
-        ("access_freq".to_string(), Json::from(app.access_freq)),
-        ("miss_rate_ref".to_string(), Json::from(app.miss_rate_ref)),
-    ];
-    if app.footprint.is_finite() {
-        pairs.push(("footprint".to_string(), Json::from(app.footprint)));
-    }
-    Json::Obj(pairs)
 }
 
 /// Parses a platform object for `create`: starts from

@@ -1046,6 +1046,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `read_meta` on a `meta.json` with one flipped bit, one
+        /// substituted byte, or a truncation never panics, and never
+        /// reports zero workers.
+        #[test]
+        fn mutated_meta_never_panics(
+            workers in 1usize..100,
+            kind in 0u64..3,
+            pos in 0u64..u64::MAX,
+            byte in 0u64..256,
+        ) {
+            let dir = temp_dir("meta-fuzz");
+            write_meta(&dir, workers).unwrap();
+            let path = dir.join("meta.json");
+            let mut bytes = fs::read(&path).unwrap();
+            let at = (pos % bytes.len() as u64) as usize;
+            match kind {
+                0 => bytes[at] ^= 1 << (pos % 8),
+                1 => bytes[at] = byte as u8,
+                _ => bytes.truncate(at),
+            }
+            fs::write(&path, &bytes).unwrap();
+            match read_meta(&dir) {
+                Ok(Some(w)) => prop_assert!(w >= 1),
+                Ok(None) => prop_assert!(false, "meta.json exists"),
+                Err(_) => {}
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn standby_tails_snapshots_and_logs() {
         let dir = temp_dir("standby");

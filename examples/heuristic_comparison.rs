@@ -20,19 +20,19 @@ fn main() {
     // branch-and-bound proves the optimum well beyond the old 2^n reach.
     let apps = Dataset::Random.generate(32, SeqFraction::Zero, &mut rng);
 
+    // The instance is validated and its derived state computed once, then
+    // shared by the exact solver and every solver in the registry.
+    let instance = Instance::new(apps, platform).expect("valid instance");
+
     let reference =
-        bnb::branch_and_bound(&apps, &platform, &bnb::BnbConfig::default()).expect("exact solve");
+        bnb::branch_and_bound(&instance, &bnb::BnbConfig::default()).expect("exact solve");
     assert!(reference.optimal, "default budget must close n = 32");
     println!(
         "exact optimum: {:.4e} with |IC| = {} of {} applications in cache\n",
         reference.makespan,
         reference.partition.len(),
-        apps.len()
+        instance.len()
     );
-
-    // The instance is validated and its execution models derived once,
-    // then shared by every solver in the registry.
-    let instance = Instance::new(apps, platform).expect("valid instance");
 
     let mut rows: Vec<(String, f64, usize)> = Vec::new();
     for s in solver::all() {

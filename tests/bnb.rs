@@ -6,6 +6,7 @@
 use coschedule::algo::exact::{best_partition, exact_perfectly_parallel};
 use coschedule::algo::{branch_and_bound, BnbConfig};
 use coschedule::model::{Application, Platform};
+use coschedule::solver::Instance;
 use proptest::prelude::*;
 use workloads::rng::seeded_rng;
 use workloads::synth::{Dataset, SeqFraction};
@@ -31,9 +32,9 @@ proptest! {
         let cs_mb = [45.0f64, 80.0, 100.0, 150.0, 32_000.0][cache_idx];
         let platform = platform_with_cache(cs_mb);
         let mut rng = seeded_rng(seed);
-        let apps = Dataset::Random.generate(n, SeqFraction::Zero, &mut rng);
-        let reference = exact_perfectly_parallel(&apps, &platform).unwrap();
-        let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+        let instance = Instance::new(Dataset::Random.generate(n, SeqFraction::Zero, &mut rng), platform).unwrap();
+        let reference = exact_perfectly_parallel(&instance).unwrap();
+        let sol = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
         prop_assert!(sol.optimal);
         prop_assert_eq!(sol.makespan.to_bits(), reference.makespan.to_bits());
         prop_assert_eq!(&sol.partition, &reference.partition);
@@ -50,9 +51,9 @@ proptest! {
     ) {
         let platform = platform_with_cache(120.0);
         let mut rng = seeded_rng(seed);
-        let apps = Dataset::ALL[kind].generate(n, SeqFraction::paper_default(), &mut rng);
-        let reference = best_partition(&apps, &platform).unwrap();
-        let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+        let instance = Instance::new(Dataset::ALL[kind].generate(n, SeqFraction::paper_default(), &mut rng), platform).unwrap();
+        let reference = best_partition(&instance).unwrap();
+        let sol = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
         prop_assert!(sol.optimal);
         prop_assert_eq!(sol.makespan.to_bits(), reference.makespan.to_bits());
         prop_assert_eq!(&sol.partition, &reference.partition);
@@ -69,9 +70,9 @@ proptest! {
     ) {
         let platform = platform_with_cache(60.0);
         let mut rng = seeded_rng(seed ^ 0xB0B);
-        let apps = Dataset::NpbSynth.generate(n, SeqFraction::Zero, &mut rng);
-        let reference = exact_perfectly_parallel(&apps, &platform).unwrap();
-        let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+        let instance = Instance::new(Dataset::NpbSynth.generate(n, SeqFraction::Zero, &mut rng), platform).unwrap();
+        let reference = exact_perfectly_parallel(&instance).unwrap();
+        let sol = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
         prop_assert!(sol.optimal);
         prop_assert!(sol.makespan <= reference.makespan);
         prop_assert!(sol.makespan >= reference.makespan * (1.0 - 1e-12));
@@ -87,12 +88,9 @@ proptest! {
     ) {
         let platform = platform_with_cache(100.0);
         let mut rng = seeded_rng(seed ^ 0x5EED);
-        let apps = Dataset::Random.generate(n, SeqFraction::Zero, &mut rng);
-        let serial = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
-        let parallel = branch_and_bound(
-            &apps,
-            &platform,
-            &BnbConfig::default().with_threads(threads).with_seed(seed),
+        let instance = Instance::new(Dataset::Random.generate(n, SeqFraction::Zero, &mut rng), platform).unwrap();
+        let serial = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
+        let parallel = branch_and_bound(&instance, &BnbConfig::default().with_threads(threads).with_seed(seed),
         )
         .unwrap();
         prop_assert!(serial.optimal && parallel.optimal);
@@ -111,12 +109,9 @@ proptest! {
     ) {
         let platform = platform_with_cache(80.0);
         let mut rng = seeded_rng(seed ^ 0xCAFE);
-        let apps = Dataset::Random.generate(12, SeqFraction::Zero, &mut rng);
-        let full = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
-        let cut = branch_and_bound(
-            &apps,
-            &platform,
-            &BnbConfig::default().with_max_nodes(budget),
+        let instance = Instance::new(Dataset::Random.generate(12, SeqFraction::Zero, &mut rng), platform).unwrap();
+        let full = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
+        let cut = branch_and_bound(&instance, &BnbConfig::default().with_max_nodes(budget),
         )
         .unwrap();
         prop_assert!(cut.makespan.is_finite());
@@ -150,16 +145,15 @@ fn proves_optimality_at_n_200() {
             Application::perfectly_parallel(format!("{name}-{i}"), work, f, m)
         })
         .collect();
-    let platform = Platform::taihulight();
-    let sol = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+    let instance = Instance::new(apps, Platform::taihulight()).unwrap();
+    let sol = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
     assert!(sol.optimal, "default budget must close n = 200");
     assert!(
         sol.stats.nodes_expanded < 10_000,
         "Theorem-3 + relaxed bounds should prove n = 200 in few nodes, took {}",
         sol.stats.nodes_expanded
     );
-    let parallel =
-        branch_and_bound(&apps, &platform, &BnbConfig::default().with_threads(4)).unwrap();
+    let parallel = branch_and_bound(&instance, &BnbConfig::default().with_threads(4)).unwrap();
     assert_eq!(sol.makespan.to_bits(), parallel.makespan.to_bits());
     assert_eq!(sol.partition, parallel.partition);
 }
@@ -171,23 +165,21 @@ fn proves_optimality_at_n_200() {
 /// flagged `optimal = false` instead of erroring.
 #[test]
 fn npb6_matches_the_enumerator_in_at_most_64_nodes() {
-    let apps = workloads::npb::npb6(&[0.0]);
-    let platform = Platform::taihulight();
-    let reference = exact_perfectly_parallel(&apps, &platform).unwrap();
-    let serial = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
+    let instance = Instance::new(workloads::npb::npb6(&[0.0]), Platform::taihulight()).unwrap();
+    let reference = exact_perfectly_parallel(&instance).unwrap();
+    let serial = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
     assert!(serial.optimal);
     assert_eq!(serial.makespan.to_bits(), reference.makespan.to_bits());
     assert_eq!(serial.partition, reference.partition);
     assert_eq!(serial.cache, reference.cache);
     assert!(serial.stats.nodes_expanded <= 64, "{:?}", serial.stats);
-    let parallel =
-        branch_and_bound(&apps, &platform, &BnbConfig::default().with_threads(4)).unwrap();
+    let parallel = branch_and_bound(&instance, &BnbConfig::default().with_threads(4)).unwrap();
     assert!(parallel.optimal);
     assert_eq!(parallel.makespan.to_bits(), serial.makespan.to_bits());
     assert_eq!(
         (parallel.partition, parallel.cache),
         (serial.partition, serial.cache)
     );
-    let cut = branch_and_bound(&apps, &platform, &BnbConfig::default().with_max_nodes(0)).unwrap();
+    let cut = branch_and_bound(&instance, &BnbConfig::default().with_max_nodes(0)).unwrap();
     assert!(!cut.optimal && cut.makespan.is_finite());
 }

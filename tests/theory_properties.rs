@@ -3,10 +3,10 @@
 //! checked as executable invariants.
 
 use coschedule::algo::{branch_and_bound, BnbConfig, BuildOrder, Choice, Strategy};
-use coschedule::model::{seq_cost, ExecModel, Platform, Schedule};
+use coschedule::model::{seq_cost, Platform, Schedule};
 use coschedule::solver::{Instance, SolveCtx, Solver as _};
 use coschedule::theory::{
-    equal_finish_split, equalize, is_dominant, lemma2_proc_split, optimal_cache_fractions,
+    equal_finish_split, equalize, is_dominant, lemma2_proc_split, optimal_cache_fractions_into,
     Partition,
 };
 use proptest::prelude::*;
@@ -68,10 +68,11 @@ proptest! {
         let platform = platform_with_cache(200.0);
         let mut rng = seeded_rng(seed);
         let apps = Dataset::Random.generate(n, SeqFraction::Zero, &mut rng);
-        let models = ExecModel::of_all(&apps, &platform);
+        let instance = Instance::new(apps.clone(), platform.clone()).unwrap();
         let full = Partition::all(n);
-        prop_assume!(is_dominant(&models, &full));
-        let x = optimal_cache_fractions(&models, &full);
+        prop_assume!(is_dominant(instance.eval(), &full));
+        let mut x = Vec::new();
+        optimal_cache_fractions_into(instance.eval().weights(), &full, &mut x);
         let objective = |x: &[f64]| -> f64 {
             x.iter().zip(&apps).map(|(&xi, a)| seq_cost(a, &platform, xi)).sum()
         };
@@ -97,9 +98,9 @@ proptest! {
         let platform = platform_with_cache(100.0);
         let mut rng = seeded_rng(seed);
         let apps = Dataset::Random.generate(n, SeqFraction::Zero, &mut rng);
-        let reference = branch_and_bound(&apps, &platform, &BnbConfig::default()).unwrap();
-        prop_assert!(reference.optimal);
         let inst = Instance::new(apps, platform).unwrap();
+        let reference = branch_and_bound(&inst, &BnbConfig::default()).unwrap();
+        prop_assert!(reference.optimal);
         for s in Strategy::all_coscheduling() {
             let o = s.solve(&inst, &mut SolveCtx::seeded(seed)).unwrap();
             prop_assert!(
