@@ -4,10 +4,13 @@
 //! the enumerators cannot touch.
 
 use coschedule::algo::exact::{best_partition, exact_perfectly_parallel};
-use coschedule::algo::{branch_and_bound, BnbConfig};
+use coschedule::algo::{branch_and_bound, BnbConfig, BnbSolution, BnbStats};
+use coschedule::eval::EvalStats;
 use coschedule::model::{Application, Platform};
 use coschedule::solver::Instance;
+use coschedule::theory::{optimal_cache_fractions_into, Partition};
 use proptest::prelude::*;
+use rand::RngExt as _;
 use workloads::rng::seeded_rng;
 use workloads::synth::{Dataset, SeqFraction};
 
@@ -15,6 +18,23 @@ use workloads::synth::{Dataset, SeqFraction};
 /// caches stress the partition decision (not everybody fits).
 fn platform_with_cache(cs_mb: f64) -> Platform {
     Platform::taihulight().with_cache_size(cs_mb * 1e6)
+}
+
+/// `n` uniformly random perfectly parallel applications on a 45 MB LLC:
+/// uncorrelated ratios make even `n = 30` take thousands of nodes.
+fn random_pp_45mb(seed: u64, n: usize) -> Instance {
+    let mut rng = seeded_rng(seed);
+    let apps = (0..n)
+        .map(|i| {
+            Application::perfectly_parallel(
+                format!("T{i}"),
+                10f64.powf(rng.random_range(8.0..12.0)),
+                rng.random_range(0.1..0.9),
+                10f64.powf(rng.random_range(-4.0..-0.05)),
+            )
+        })
+        .collect();
+    Instance::new(apps, platform_with_cache(45.0)).unwrap()
 }
 
 proptest! {
@@ -78,17 +98,22 @@ proptest! {
         prop_assert!(sol.makespan >= reference.makespan * (1.0 - 1e-12));
     }
 
-    /// Serial and work-stealing parallel searches return bit-identical
-    /// answers across seeds and thread counts.
+    /// Serial and parallel searches return bit-identical answers across
+    /// seeds and thread counts, on small random instances and on the
+    /// pinned 5,044-node instance of `threads_1_search_order_is_pinned`.
     #[test]
     fn serial_and_parallel_searches_agree_bit_for_bit(
         seed in 0u64..64,
         n in 2usize..13,
         threads in 2usize..7,
+        pinned in 0usize..2,
     ) {
-        let platform = platform_with_cache(100.0);
-        let mut rng = seeded_rng(seed ^ 0x5EED);
-        let instance = Instance::new(Dataset::Random.generate(n, SeqFraction::Zero, &mut rng), platform).unwrap();
+        let instance = if pinned == 1 {
+            random_pp_45mb(7, 30)
+        } else {
+            let mut rng = seeded_rng(seed ^ 0x5EED);
+            Instance::new(Dataset::Random.generate(n, SeqFraction::Zero, &mut rng), platform_with_cache(100.0)).unwrap()
+        };
         let serial = branch_and_bound(&instance, &BnbConfig::default()).unwrap();
         let parallel = branch_and_bound(&instance, &BnbConfig::default().with_threads(threads).with_seed(seed),
         )
@@ -182,4 +207,83 @@ fn npb6_matches_the_enumerator_in_at_most_64_nodes() {
     );
     let cut = branch_and_bound(&instance, &BnbConfig::default().with_max_nodes(0)).unwrap();
     assert!(!cut.optimal && cut.makespan.is_finite());
+}
+
+/// A `BnbSolution` for `members` of `instance`, with the partition's
+/// Theorem-3 fractions.
+fn solution(
+    instance: &Instance,
+    members: Vec<usize>,
+    makespan_bits: u64,
+    optimal: bool,
+    stats: BnbStats,
+    eval_stats: EvalStats,
+) -> BnbSolution {
+    let partition = Partition::new(members);
+    let mut cache = Vec::new();
+    optimal_cache_fractions_into(instance.eval().weights(), &partition, &mut cache);
+    BnbSolution {
+        partition,
+        cache,
+        makespan: f64::from_bits(makespan_bits),
+        optimal,
+        stats,
+        eval_stats,
+    }
+}
+
+/// The `threads = 1` search visits nodes in one fixed order, so its whole
+/// answer is reproducible: partition, fractions, makespan bits,
+/// optimality, and both effort counters. One instance is proved optimal
+/// after 5,044 nodes; the other is cut by a 2,000-node budget and
+/// returns its incumbent.
+#[test]
+fn threads_1_search_order_is_pinned() {
+    let instance = random_pp_45mb(7, 30);
+    let completed = solution(
+        &instance,
+        vec![
+            1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 20, 21, 23, 24, 27, 28,
+        ],
+        0x41fa_889c_b92d_ee2b,
+        true,
+        BnbStats {
+            nodes_expanded: 5044,
+            nodes_pruned_bound: 5030,
+            nodes_pruned_dominance: 5,
+            leaves_evaluated: 5,
+        },
+        EvalStats {
+            kernel_calls: 10080,
+            apps_evaluated: 302_400,
+        },
+    );
+    assert_eq!(
+        branch_and_bound(&instance, &BnbConfig::default()).unwrap(),
+        completed
+    );
+
+    let instance = random_pp_45mb(5, 30);
+    let cut = solution(
+        &instance,
+        vec![
+            0, 3, 4, 5, 6, 7, 10, 11, 12, 13, 18, 19, 20, 21, 23, 26, 27, 28, 29,
+        ],
+        0x4220_55e4_1e87_5007,
+        false,
+        BnbStats {
+            nodes_expanded: 2000,
+            nodes_pruned_bound: 728,
+            nodes_pruned_dominance: 0,
+            leaves_evaluated: 1,
+        },
+        EvalStats {
+            kernel_calls: 4001,
+            apps_evaluated: 120_030,
+        },
+    );
+    assert_eq!(
+        branch_and_bound(&instance, &BnbConfig::default().with_max_nodes(2000)).unwrap(),
+        cut
+    );
 }
