@@ -4,8 +4,8 @@
 //! Three groups:
 //!
 //! * correctness gates asserted before timing — B&B bit-identical to the
-//!   `2^n` enumerator at `n = 16`, serial bit-identical to the 4-thread
-//!   work-stealing search on a 400k-node instance;
+//!   `2^n` enumerator at `n = 16`, the 1-thread search bit-identical to
+//!   the 4-thread one on a 400k-node instance;
 //! * `exact_vs_enumerator` — wall time of the enumerator against
 //!   branch-and-bound on the same instances (`n = 12, 16, 20`);
 //! * `exact_scaling` — branch-and-bound alone on NPB-derived instances
@@ -74,31 +74,31 @@ fn bench_exact(c: &mut Criterion) {
     assert_eq!(sol.partition, reference.partition);
     assert_eq!(sol.cache, reference.cache);
 
-    // Gate 2: the work-stealing parallel search agrees with the serial
-    // one bit for bit on a genuinely hard instance (~400k nodes), and
-    // both prove optimality. Timed by hand for the serial-vs-parallel
-    // row of BENCH_exact.json.
+    // Gate 2: the 4-thread search agrees with the 1-thread one bit for
+    // bit on a genuinely hard instance (~400k nodes), and both prove
+    // optimality. Timed by hand for the 1-vs-4-thread row of
+    // BENCH_exact.json.
     let platform_45 = Platform::taihulight().with_cache_size(45e6);
     let hard = random_pp(7, 120);
     let hard_inst = Instance::new(hard.clone(), platform_45.clone()).unwrap();
     let t = Instant::now();
-    let serial = branch_and_bound(&hard_inst, &BnbConfig::default()).unwrap();
-    let serial_wall = t.elapsed();
+    let one = branch_and_bound(&hard_inst, &BnbConfig::default()).unwrap();
+    let one_wall = t.elapsed();
     let t = Instant::now();
     let parallel = branch_and_bound(&hard_inst, &BnbConfig::default().with_threads(4)).unwrap();
     let parallel_wall = t.elapsed();
-    assert!(serial.optimal && parallel.optimal);
-    assert_eq!(serial.makespan.to_bits(), parallel.makespan.to_bits());
-    assert_eq!(serial.partition, parallel.partition);
-    assert_eq!(serial.cache, parallel.cache);
+    assert!(one.optimal && parallel.optimal);
+    assert_eq!(one.makespan.to_bits(), parallel.makespan.to_bits());
+    assert_eq!(one.partition, parallel.partition);
+    assert_eq!(one.cache, parallel.cache);
     println!(
-        "hard instance (random n=120, 45 MB LLC): serial {} nodes in {:.2}s, \
+        "hard instance (random n=120, 45 MB LLC): 1-thread {} nodes in {:.2}s, \
          4-thread {} nodes in {:.2}s, speedup {:.2}x on {} available cores",
-        serial.stats.nodes_expanded,
-        serial_wall.as_secs_f64(),
+        one.stats.nodes_expanded,
+        one_wall.as_secs_f64(),
         parallel.stats.nodes_expanded,
         parallel_wall.as_secs_f64(),
-        serial_wall.as_secs_f64() / parallel_wall.as_secs_f64(),
+        one_wall.as_secs_f64() / parallel_wall.as_secs_f64(),
         std::thread::available_parallelism().map_or(1, |p| p.get()),
     );
 

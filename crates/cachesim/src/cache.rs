@@ -120,12 +120,6 @@ impl SetAssocCache {
         self.sets
     }
 
-    /// Effective capacity in bytes (`sets · ways · line_size`), which may
-    /// be below `config.size_bytes` after power-of-two rounding.
-    pub fn effective_bytes(&self) -> u64 {
-        self.sets as u64 * self.config.ways as u64 * self.config.line_size
-    }
-
     /// Aggregate statistics since construction (or the last reset).
     pub fn stats(&self) -> &AccessStats {
         &self.stats
@@ -196,11 +190,6 @@ impl SetAssocCache {
         (0..self.config.ways).any(|w| self.tags[base + w] == Some(line))
     }
 
-    /// Number of valid lines currently resident.
-    pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
-    }
-
     /// Invalidates all contents (statistics are kept).
     pub fn flush(&mut self) {
         self.tags.fill(None);
@@ -211,6 +200,17 @@ impl SetAssocCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Effective capacity in bytes (`sets · ways · line_size`), which may
+    /// be below `config.size_bytes` after power-of-two rounding.
+    fn effective_bytes(c: &SetAssocCache) -> u64 {
+        c.sets as u64 * c.config.ways as u64 * c.config.line_size
+    }
+
+    /// Number of valid lines currently resident.
+    fn occupancy(c: &SetAssocCache) -> usize {
+        c.tags.iter().filter(|t| t.is_some()).count()
+    }
 
     fn small(policy: Policy) -> SetAssocCache {
         SetAssocCache::new(CacheConfig {
@@ -225,7 +225,7 @@ mod tests {
     fn geometry() {
         let c = small(Policy::Lru);
         assert_eq!(c.sets(), 4);
-        assert_eq!(c.effective_bytes(), 1024);
+        assert_eq!(effective_bytes(&c), 1024);
         assert_eq!(c.full_mask(), 0b1111);
     }
 
@@ -238,7 +238,7 @@ mod tests {
             policy: Policy::Lru,
         });
         assert_eq!(c.sets(), 2);
-        assert!(c.effective_bytes() <= 3 * 64 * 2);
+        assert!(effective_bytes(&c) <= 3 * 64 * 2);
     }
 
     #[test]
@@ -313,9 +313,9 @@ mod tests {
     fn flush_invalidates() {
         let mut c = small(Policy::Lru);
         c.access(0x40);
-        assert_eq!(c.occupancy(), 1);
+        assert_eq!(occupancy(&c), 1);
         c.flush();
-        assert_eq!(c.occupancy(), 0);
+        assert_eq!(occupancy(&c), 0);
         assert!(!c.contains(0x40));
     }
 
@@ -388,7 +388,7 @@ mod tests {
             for &a in &addrs {
                 c.access(a);
             }
-            prop_assert!(c.occupancy() <= 16);
+            prop_assert!(occupancy(&c) <= 16);
         }
 
         #[test]

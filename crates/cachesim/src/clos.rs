@@ -68,18 +68,6 @@ pub struct ClosConfig {
     pub min_ways: u32,
 }
 
-impl ClosConfig {
-    /// A 16-CLOS, 1-way-minimum configuration for the given associativity
-    /// (typical of Xeon server parts).
-    pub fn xeon(ways: usize) -> Self {
-        Self {
-            ways,
-            max_clos: 16,
-            min_ways: 1,
-        }
-    }
-}
-
 /// A validated CLOS table: one contiguous, pairwise-disjoint mask per
 /// class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,11 +162,6 @@ impl ClosTable {
         f64::from(self.masks[i].ways()) / self.config.ways as f64
     }
 
-    /// Total ways allocated across classes.
-    pub fn allocated_ways(&self) -> u32 {
-        self.masks.iter().map(|m| m.ways()).sum()
-    }
-
     /// Renders the table as `pqos`-style allocation commands
     /// (`llc:<clos>=<hex mask>`), the format Intel's CAT userspace tool
     /// consumes — i.e. what deploying a computed schedule on real hardware
@@ -204,8 +187,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A 16-CLOS, 1-way-minimum, 16-way table (typical of Xeon server
+    /// parts).
     fn cfg() -> ClosConfig {
-        ClosConfig::xeon(16)
+        ClosConfig {
+            ways: 16,
+            max_clos: 16,
+            min_ways: 1,
+        }
+    }
+
+    /// Total ways allocated across classes.
+    fn allocated_ways(t: &ClosTable) -> u32 {
+        t.masks().iter().map(|m| m.ways()).sum()
     }
 
     #[test]
@@ -248,7 +242,7 @@ mod tests {
         assert_eq!(t.masks()[0].ways(), 8);
         assert_eq!(t.masks()[1].ways(), 4);
         assert_eq!(t.masks()[2].ways(), 4);
-        assert_eq!(t.allocated_ways(), 16);
+        assert_eq!(allocated_ways(&t), 16);
     }
 
     #[test]
@@ -257,7 +251,7 @@ mod tests {
         // largest remainder hits the target count.
         let fr = vec![0.09; 6];
         let t = ClosTable::from_fractions(cfg(), &fr).unwrap();
-        let total = t.allocated_ways();
+        let total = allocated_ways(&t);
         let target = (0.54f64 * 16.0).round() as u32;
         assert_eq!(total, target, "{t:?}");
     }
@@ -310,7 +304,7 @@ mod tests {
         ) {
             let fractions = normalized(&raw, budget);
             let t = ClosTable::from_fractions(cfg(), &fractions).unwrap();
-            prop_assert!(t.allocated_ways() <= 16);
+            prop_assert!(allocated_ways(&t) <= 16);
         }
 
         #[test]

@@ -110,11 +110,6 @@ impl PartitionedCache {
         self.masks[id]
     }
 
-    /// Whether masks are enforced (partitioned) or ignored (shared).
-    pub fn is_enforced(&self) -> bool {
-        self.enforce
-    }
-
     /// Accesses `addr` on behalf of partition `id`.
     pub fn access(&mut self, id: PartitionId, addr: u64) -> AccessOutcome {
         let mask = if self.enforce {
@@ -195,7 +190,7 @@ mod tests {
         assert_eq!(pc.mask(2).ways(), 4);
         assert!(!pc.mask(0).overlaps(pc.mask(1)));
         assert!(!pc.mask(1).overlaps(pc.mask(2)));
-        assert!(pc.is_enforced());
+        assert!(pc.enforce);
     }
 
     #[test]

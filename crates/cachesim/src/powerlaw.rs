@@ -42,13 +42,6 @@ pub struct PowerLawFit {
     pub r_squared: f64,
 }
 
-impl PowerLawFit {
-    /// Predicted miss rate at cache size `bytes` (clamped to `[0, 1]`).
-    pub fn predict(&self, bytes: f64) -> f64 {
-        (self.m0 * (self.c0_bytes / bytes).powf(self.alpha)).min(1.0)
-    }
-}
-
 /// Runs `pattern` against fully-associative LRU caches of each size in
 /// `sizes_bytes` and returns the measured curve. Each run replays the same
 /// seed, issues `warmup` unmeasured accesses and then `measured` measured
@@ -174,21 +167,6 @@ mod tests {
         let curve = pareto_curve(0.5);
         let fit = fit_power_law(&curve, 64.0 * 128.0).unwrap();
         assert!((0.3..=0.7).contains(&fit.alpha), "alpha = {}", fit.alpha);
-    }
-
-    #[test]
-    fn predict_matches_anchor() {
-        let fit = PowerLawFit {
-            c0_bytes: 1000.0,
-            m0: 0.01,
-            alpha: 0.5,
-            r_squared: 1.0,
-        };
-        assert!((fit.predict(1000.0) - 0.01).abs() < 1e-15);
-        // Quadrupling cache halves the rate at alpha = 1/2.
-        assert!((fit.predict(4000.0) - 0.005).abs() < 1e-12);
-        // Tiny caches clamp at 1.
-        assert_eq!(fit.predict(1e-9), 1.0);
     }
 
     #[test]

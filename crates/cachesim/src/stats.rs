@@ -33,15 +33,6 @@ impl AccessStats {
         }
     }
 
-    /// Hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
     /// Merges another counter into this one.
     pub fn merge(&mut self, other: &AccessStats) {
         self.accesses += other.accesses;
@@ -69,14 +60,12 @@ mod tests {
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 1);
         assert!((s.miss_rate() - 1.0 / 3.0).abs() < 1e-15);
-        assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-15);
     }
 
     #[test]
     fn empty_rates_are_zero() {
         let s = AccessStats::default();
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]
@@ -103,6 +92,6 @@ mod tests {
                 s.record_hit();
             }
         }
-        assert!((s.miss_rate() + s.hit_rate() - 1.0).abs() < 1e-15);
+        assert!((s.miss_rate() + s.hits as f64 / s.accesses as f64 - 1.0).abs() < 1e-15);
     }
 }

@@ -82,20 +82,24 @@
 //!
 //! # Determinism and parallel search
 //!
-//! The serial search pops nodes best-bound-first with seeded
-//! ([`child_seed`]) tie-breaks, then *dives* each popped node
-//! depth-first to a leaf so incumbents improve from the first pop. The work-stealing parallel search (one
-//! lock-protected deque per worker, shared atomic incumbent) visits nodes
-//! in a nondeterministic order — but because pruning is *strict* (only
-//! bounds strictly above the incumbent are cut, after shaving), every leaf
-//! tied at the optimal makespan is evaluated in **every** schedule, and
-//! the incumbent is replaced under a total order (smaller makespan, then
-//! lexicographically smaller member list). Both searches therefore return
-//! the **bit-identical** partition, fractions, and makespan whenever they
-//! run to completion. [`BnbSolution::stats`] and
-//! [`BnbSolution::eval_stats`] are deterministic for `threads = 1` and
-//! may vary across runs for `threads > 1` (incumbent timing changes what
-//! gets pruned, never what is returned).
+//! One loop runs at every thread count. Each worker pops the best-bound
+//! node of its own heap (ties broken by a seeded [`child_seed`] key, then
+//! birth order), or steals the best node of another worker's heap when
+//! its own is empty, then *dives* it depth-first to a leaf so incumbents
+//! improve from the first pop. The calling thread is worker 0 and
+//! [`BnbConfig::threads`]` − 1` helpers join it, so `threads = 1` spawns
+//! nothing, keeps one heap, and visits nodes in one fixed order:
+//! there the whole [`BnbSolution`], [`BnbSolution::stats`] and
+//! [`BnbSolution::eval_stats`] included, is deterministic. With more
+//! workers the visit order depends on timing, but pruning is *strict*
+//! (only bounds strictly above the incumbent are cut, after shaving), so
+//! every leaf tied at the optimal makespan is evaluated in **every**
+//! schedule, and the one incumbent is replaced under a total order
+//! (smaller makespan, then lexicographically smaller member list).
+//! Completed searches therefore return the **bit-identical** partition,
+//! fractions, and makespan at every thread count and seed; only the
+//! effort counters may vary (incumbent timing changes what gets pruned,
+//! never what is returned).
 //!
 //! # Budgets
 //!
@@ -106,7 +110,7 @@
 //! so a served solve degrades gracefully instead of hanging a shard.
 
 use crate::algo::{dominant_partition, BuildOrder, Choice, Outcome};
-use crate::error::{CoschedError, Result};
+use crate::error::Result;
 use crate::eval::{EvalScratch, EvalSet, EvalStats};
 use crate::model::Schedule;
 use crate::solver::{child_seed, Instance, SolveCtx, Solver};
@@ -116,7 +120,7 @@ use crate::theory::objective::partition_objective_eval;
 use crate::theory::proc_alloc::{equal_finish_makespan_eval, equal_finish_split_eval};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -139,10 +143,11 @@ pub struct BnbConfig {
     /// *stopping point* — never a completed search's answer — depend on
     /// machine speed.
     pub max_millis: Option<u64>,
-    /// Worker threads for the work-stealing search; `1` runs serially.
+    /// Workers sharing the search: the calling thread plus
+    /// `threads − 1` helpers, so `1` runs on the caller alone.
     pub threads: usize,
-    /// Seed for the serial search's heap tie-breaks (completed searches
-    /// return the same answer for every seed; see the module docs).
+    /// Seed for the heap's tie-breaks (completed searches return the
+    /// same answer for every seed; see the module docs).
     pub seed: u64,
 }
 
@@ -162,13 +167,6 @@ impl BnbConfig {
     #[must_use]
     pub fn with_max_nodes(mut self, max_nodes: u64) -> Self {
         self.max_nodes = max_nodes;
-        self
-    }
-
-    /// Returns a copy with the wall-clock budget replaced.
-    #[must_use]
-    pub fn with_max_millis(mut self, max_millis: Option<u64>) -> Self {
-        self.max_millis = max_millis;
         self
     }
 
@@ -507,313 +505,158 @@ impl Ord for HeapEntry {
     }
 }
 
-fn push_entry(heap: &mut BinaryHeap<HeapEntry>, seed: u64, counter: &mut u64, node: Node) {
-    let key = (
-        node.bound.to_bits(),
-        child_seed(seed, *counter, 0),
-        *counter,
-    );
-    *counter += 1;
-    heap.push(HeapEntry { key, node });
+/// One worker's open nodes, best bound first, and the birth counter that
+/// keys them.
+#[derive(Default)]
+struct Frontier {
+    heap: BinaryHeap<HeapEntry>,
+    counter: u64,
 }
 
-/// Serial best-first search with diving: the best-bound open node is
-/// popped, then driven depth-first all the way to a leaf along the
-/// smaller-bound child (siblings joining the heap), so good incumbents
-/// appear after the very first pop and pruning bites immediately — pure
-/// best-first on a shallow bound plateau would expand an exponential
-/// frontier before scoring a single leaf. Returns `(incumbent,
-/// completed, stats)`.
-fn search_serial(
-    sh: &Shared<'_>,
-    cfg: &BnbConfig,
-    mut best: Incumbent,
-    ws: &mut WorkerScratch,
-) -> Result<(Incumbent, bool, BnbStats)> {
-    let deadline = cfg
-        .max_millis
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut stats = BnbStats::default();
-    let mut heap = BinaryHeap::new();
-    let mut counter = 0u64;
-    let root_bound = lower_bound(sh, &[], 0, 0.0, ws).max(sh.lagr_bound(0.0));
-    push_entry(
-        &mut heap,
-        cfg.seed,
-        &mut counter,
-        Node {
-            depth: 0,
-            strength: 0.0,
-            bound: root_bound,
-            excluded_delta: 0.0,
-            members: Vec::new(),
-        },
-    );
-    let mut complete = true;
-    'search: while let Some(HeapEntry { node, .. }) = heap.pop() {
-        if node.bound * BOUND_SHAVE > best.makespan {
-            stats.nodes_pruned_bound += 1;
-            continue;
-        }
-        let mut node = node;
-        loop {
-            if stats.nodes_expanded >= cfg.max_nodes || deadline_passed(deadline) {
-                complete = false;
-                break 'search;
-            }
-            stats.nodes_expanded += 1;
-            if stats.nodes_expanded % 65_536 == 0 {
-                crate::obs::instant(
-                    "solver",
-                    "bnb_progress",
-                    stats.nodes_expanded,
-                    stats.nodes_pruned_bound + stats.nodes_pruned_dominance,
-                );
-            }
-            if is_leaf(sh, &node) {
-                let partition = Partition::new(node.members);
-                let makespan = leaf_value(sh, &partition, ws)?;
-                stats.leaves_evaluated += 1;
-                if improves(makespan, &partition, &best) {
-                    crate::obs::instant(
-                        "solver",
-                        "bnb_incumbent",
-                        stats.nodes_expanded,
-                        stats.leaves_evaluated,
-                    );
-                    best = Incumbent {
-                        makespan,
-                        partition,
-                    };
-                }
-                break;
-            }
-            let (include, exclude, dominance_pruned) = children(sh, node, ws);
-            if dominance_pruned {
-                stats.nodes_pruned_dominance += 1;
-            }
-            // Continue the dive along the smaller-bound child (ties go to
-            // include); the sibling joins the heap for best-first pops.
-            let (cont, sibling) = match include {
-                Some(inc) if inc.bound <= exclude.bound => (inc, Some(exclude)),
-                Some(inc) => (exclude, Some(inc)),
-                None => (exclude, None),
-            };
-            if let Some(sib) = sibling {
-                if sib.bound * BOUND_SHAVE > best.makespan {
-                    stats.nodes_pruned_bound += 1;
-                } else {
-                    push_entry(&mut heap, cfg.seed, &mut counter, sib);
-                }
-            }
-            if cont.bound * BOUND_SHAVE > best.makespan {
-                stats.nodes_pruned_bound += 1;
-                break;
-            }
-            node = cont;
-        }
-    }
-    Ok((best, complete, stats))
-}
-
-/// Shared coordination state of the work-stealing search.
-struct Coord<'a> {
-    queues: &'a [Mutex<VecDeque<Node>>],
-    /// Nodes alive anywhere in the system; workers exit when it hits 0.
-    pending: &'a AtomicUsize,
-    best: &'a Mutex<Incumbent>,
-    /// Fast-path copy of `best.makespan` (bits); stale reads only ever
-    /// under-prune, never over-prune.
-    best_bits: &'a AtomicU64,
-    expanded: &'a AtomicU64,
-    exhausted: &'a AtomicBool,
-    failure: &'a Mutex<Option<CoschedError>>,
+/// State shared by every worker of one search.
+struct Search<'a> {
+    sh: &'a Shared<'a>,
+    seed: u64,
     max_nodes: u64,
     deadline: Option<Instant>,
+    /// One frontier per worker: each pushes to its own and pops its own
+    /// best node first, then steals the best node of another.
+    frontiers: Vec<Mutex<Frontier>>,
+    /// Nodes in the frontiers plus nodes being dived; the search is over
+    /// when every frontier is empty and this is 0.
+    pending: AtomicUsize,
+    best: Mutex<Incumbent>,
+    /// Copy of `best.makespan` (bits) for lock-free prune checks; a stale
+    /// read only ever under-prunes.
+    best_bits: AtomicU64,
+    /// Expansions handed out so far, against `max_nodes`.
+    expanded: AtomicU64,
+    /// Set when the budget runs out or a leaf fails: every worker stops.
+    stopped: AtomicBool,
 }
 
-fn current_best(coord: &Coord<'_>) -> f64 {
-    f64::from_bits(coord.best_bits.load(Ordering::SeqCst))
-}
-
-fn offer(coord: &Coord<'_>, makespan: f64, partition: Partition) {
-    let mut guard = coord.best.lock().unwrap();
-    if improves(makespan, &partition, &guard) {
-        *guard = Incumbent {
-            makespan,
-            partition,
-        };
-        coord.best_bits.store(makespan.to_bits(), Ordering::SeqCst);
-        crate::obs::instant(
-            "solver",
-            "bnb_incumbent",
-            coord.expanded.load(Ordering::SeqCst),
-            0,
+impl Search<'_> {
+    fn push(&self, wid: usize, node: Node) {
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        let mut frontier = self.frontiers[wid].lock().expect("search worker panicked");
+        let counter = frontier.counter;
+        frontier.counter += 1;
+        let key = (
+            node.bound.to_bits(),
+            child_seed(self.seed, counter, 0),
+            counter,
         );
+        frontier.heap.push(HeapEntry { key, node });
     }
-}
 
-/// Pops LIFO from the worker's own deque, then steals FIFO from victims.
-fn pop_node(coord: &Coord<'_>, wid: usize) -> Option<Node> {
-    if let Some(node) = coord.queues[wid].lock().unwrap().pop_back() {
-        return Some(node);
-    }
-    let k = coord.queues.len();
-    for offset in 1..k {
-        let victim = (wid + offset) % k;
-        if let Some(node) = coord.queues[victim].lock().unwrap().pop_front() {
-            return Some(node);
-        }
-    }
-    None
-}
-
-fn worker(sh: &Shared<'_>, coord: &Coord<'_>, wid: usize) -> (BnbStats, EvalStats) {
-    let mut ws = WorkerScratch::new(sh.n);
-    let mut stats = BnbStats::default();
-    loop {
-        let Some(node) = pop_node(coord, wid) else {
-            if coord.pending.load(Ordering::SeqCst) == 0 {
-                break;
+    /// Worker `wid`'s best-bound open node, else the best of the first
+    /// other frontier that has one, waiting while other workers may still
+    /// push one; `None` once the search is over or stopped.
+    fn pop(&self, wid: usize) -> Option<Node> {
+        let k = self.frontiers.len();
+        while !self.stopped.load(Ordering::SeqCst) {
+            for victim in (wid..k).chain(0..wid) {
+                if let Some(entry) = self.frontiers[victim]
+                    .lock()
+                    .expect("search worker panicked")
+                    .heap
+                    .pop()
+                {
+                    return Some(entry.node);
+                }
+            }
+            if self.pending.load(Ordering::SeqCst) == 0 {
+                return None;
             }
             std::thread::yield_now();
-            continue;
-        };
-        // Every popped node decrements `pending` exactly once, and any
-        // children are registered *before* that decrement so the count
-        // can never hit 0 while work exists.
-        if coord.exhausted.load(Ordering::SeqCst) || coord.failure.lock().unwrap().is_some() {
-            coord.pending.fetch_sub(1, Ordering::SeqCst);
-            continue;
         }
-        if coord.expanded.load(Ordering::SeqCst) >= coord.max_nodes
-            || deadline_passed(coord.deadline)
-        {
-            coord.exhausted.store(true, Ordering::SeqCst);
-            coord.pending.fetch_sub(1, Ordering::SeqCst);
-            continue;
+        None
+    }
+
+    fn pruned(&self, node: &Node) -> bool {
+        node.bound * BOUND_SHAVE > f64::from_bits(self.best_bits.load(Ordering::SeqCst))
+    }
+
+    fn offer(&self, makespan: f64, partition: Partition, stats: &BnbStats) {
+        let mut best = self.best.lock().expect("search worker panicked");
+        if improves(makespan, &partition, &best) {
+            crate::obs::instant(
+                "solver",
+                "bnb_incumbent",
+                stats.nodes_expanded,
+                stats.leaves_evaluated,
+            );
+            self.best_bits.store(makespan.to_bits(), Ordering::SeqCst);
+            *best = Incumbent {
+                makespan,
+                partition,
+            };
         }
-        if node.bound * BOUND_SHAVE > current_best(coord) {
-            stats.nodes_pruned_bound += 1;
-            coord.pending.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        coord.expanded.fetch_add(1, Ordering::SeqCst);
-        stats.nodes_expanded += 1;
-        if is_leaf(sh, &node) {
-            let partition = Partition::new(node.members);
-            match leaf_value(sh, &partition, &mut ws) {
-                Ok(makespan) => {
-                    stats.leaves_evaluated += 1;
-                    offer(coord, makespan, partition);
+    }
+
+    /// Worker `wid`: pops the best-bound open node, then drives it
+    /// depth-first all the way to a leaf along the smaller-bound child
+    /// (siblings joining the frontier), so good incumbents appear after
+    /// the very first pop and pruning bites immediately — pure best-first
+    /// on a shallow bound plateau would expand an exponential frontier
+    /// before scoring a single leaf.
+    fn work(&self, wid: usize, ws: &mut WorkerScratch) -> Result<BnbStats> {
+        let sh = self.sh;
+        let mut stats = BnbStats::default();
+        while let Some(mut node) = self.pop(wid) {
+            loop {
+                if self.pruned(&node) {
+                    stats.nodes_pruned_bound += 1;
+                    break;
                 }
-                Err(e) => {
-                    let mut slot = coord.failure.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(e);
+                if self.stopped.load(Ordering::SeqCst)
+                    || self.expanded.fetch_add(1, Ordering::SeqCst) >= self.max_nodes
+                    || deadline_passed(self.deadline)
+                {
+                    self.stopped.store(true, Ordering::SeqCst);
+                    return Ok(stats);
+                }
+                stats.nodes_expanded += 1;
+                if stats.nodes_expanded % 65_536 == 0 {
+                    crate::obs::instant(
+                        "solver",
+                        "bnb_progress",
+                        stats.nodes_expanded,
+                        stats.nodes_pruned_bound + stats.nodes_pruned_dominance,
+                    );
+                }
+                if is_leaf(sh, &node) {
+                    let partition = Partition::new(node.members);
+                    let makespan = leaf_value(sh, &partition, ws)
+                        .inspect_err(|_| self.stopped.store(true, Ordering::SeqCst))?;
+                    stats.leaves_evaluated += 1;
+                    self.offer(makespan, partition, &stats);
+                    break;
+                }
+                let (include, exclude, dominance_pruned) = children(sh, node, ws);
+                if dominance_pruned {
+                    stats.nodes_pruned_dominance += 1;
+                }
+                // Continue the dive along the smaller-bound child (ties go
+                // to include); the sibling joins the frontier.
+                let (cont, sibling) = match include {
+                    Some(inc) if inc.bound <= exclude.bound => (inc, Some(exclude)),
+                    Some(inc) => (exclude, Some(inc)),
+                    None => (exclude, None),
+                };
+                if let Some(sib) = sibling {
+                    if self.pruned(&sib) {
+                        stats.nodes_pruned_bound += 1;
+                    } else {
+                        self.push(wid, sib);
                     }
                 }
+                node = cont;
             }
-            coord.pending.fetch_sub(1, Ordering::SeqCst);
-            continue;
+            self.pending.fetch_sub(1, Ordering::SeqCst);
         }
-        let (mut include, exclude, dominance_pruned) = children(sh, node, &mut ws);
-        if dominance_pruned {
-            stats.nodes_pruned_dominance += 1;
-        }
-        if include
-            .as_ref()
-            .is_some_and(|c| c.bound * BOUND_SHAVE > current_best(coord))
-        {
-            stats.nodes_pruned_bound += 1;
-            include = None;
-        }
-        let mut exclude = Some(exclude);
-        if exclude
-            .as_ref()
-            .is_some_and(|c| c.bound * BOUND_SHAVE > current_best(coord))
-        {
-            stats.nodes_pruned_bound += 1;
-            exclude = None;
-        }
-        let spawned = usize::from(include.is_some()) + usize::from(exclude.is_some());
-        if spawned > 0 {
-            coord.pending.fetch_add(spawned, Ordering::SeqCst);
-            let mut queue = coord.queues[wid].lock().unwrap();
-            // Exclude first so LIFO pops follow the include spine toward
-            // the warm start's neighbourhood.
-            if let Some(c) = exclude {
-                queue.push_back(c);
-            }
-            if let Some(c) = include {
-                queue.push_back(c);
-            }
-        }
-        coord.pending.fetch_sub(1, Ordering::SeqCst);
+        Ok(stats)
     }
-    (stats, ws.scratch.stats)
-}
-
-/// Work-stealing parallel search. Completed runs return the bit-identical
-/// answer of [`search_serial`]; see the module docs for the argument.
-fn search_parallel(
-    sh: &Shared<'_>,
-    cfg: &BnbConfig,
-    warm: Incumbent,
-    threads: usize,
-    ws: &mut WorkerScratch,
-) -> Result<(Incumbent, bool, BnbStats, EvalStats)> {
-    let deadline = cfg
-        .max_millis
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let root_bound = lower_bound(sh, &[], 0, 0.0, ws).max(sh.lagr_bound(0.0));
-    let queues: Vec<Mutex<VecDeque<Node>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    queues[0].lock().unwrap().push_back(Node {
-        depth: 0,
-        strength: 0.0,
-        bound: root_bound,
-        excluded_delta: 0.0,
-        members: Vec::new(),
-    });
-    let pending = AtomicUsize::new(1);
-    let best_bits = AtomicU64::new(warm.makespan.to_bits());
-    let best = Mutex::new(warm);
-    let expanded = AtomicU64::new(0);
-    let exhausted = AtomicBool::new(false);
-    let failure = Mutex::new(None);
-    let coord = Coord {
-        queues: &queues,
-        pending: &pending,
-        best: &best,
-        best_bits: &best_bits,
-        expanded: &expanded,
-        exhausted: &exhausted,
-        failure: &failure,
-        max_nodes: cfg.max_nodes,
-        deadline,
-    };
-    let mut stats = BnbStats::default();
-    let mut eval_stats = EvalStats::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|wid| {
-                let coord = &coord;
-                s.spawn(move || worker(sh, coord, wid))
-            })
-            .collect();
-        for handle in handles {
-            let (worker_stats, worker_eval) = handle.join().expect("search worker panicked");
-            stats.merge(worker_stats);
-            eval_stats.merge(worker_eval);
-        }
-    });
-    if let Some(e) = failure.lock().unwrap().take() {
-        return Err(e);
-    }
-    let complete = !exhausted.load(Ordering::SeqCst);
-    let best = best.into_inner().unwrap();
-    Ok((best, complete, stats, eval_stats))
 }
 
 /// Exact optimum by branch-and-bound.
@@ -844,13 +687,63 @@ pub fn branch_and_bound(instance: &Instance, cfg: &BnbConfig) -> Result<BnbSolut
         partition: warm_partition,
     };
     let threads = cfg.threads.max(1);
-    let (best, complete, stats, mut eval_stats) = if threads == 1 {
-        let (best, complete, stats) = search_serial(&sh, cfg, warm, &mut ws)?;
-        (best, complete, stats, EvalStats::default())
-    } else {
-        search_parallel(&sh, cfg, warm, threads, &mut ws)?
+    let search = Search {
+        sh: &sh,
+        seed: cfg.seed,
+        max_nodes: cfg.max_nodes,
+        deadline: cfg
+            .max_millis
+            .map(|ms| Instant::now() + Duration::from_millis(ms)),
+        frontiers: (0..threads).map(|_| Mutex::default()).collect(),
+        pending: AtomicUsize::new(0),
+        best_bits: AtomicU64::new(warm.makespan.to_bits()),
+        best: Mutex::new(warm),
+        expanded: AtomicU64::new(0),
+        stopped: AtomicBool::new(false),
     };
-    eval_stats.merge(ws.scratch.stats);
+    let root_bound = lower_bound(&sh, &[], 0, 0.0, &mut ws).max(sh.lagr_bound(0.0));
+    search.push(
+        0,
+        Node {
+            depth: 0,
+            strength: 0.0,
+            bound: root_bound,
+            excluded_delta: 0.0,
+            members: Vec::new(),
+        },
+    );
+    // The calling thread is worker 0; `threads - 1` helpers join it.
+    let outcomes = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|wid| {
+                let search = &search;
+                s.spawn(move || {
+                    let mut ws = WorkerScratch::new(sh.n);
+                    search
+                        .work(wid, &mut ws)
+                        .map(|stats| (stats, ws.scratch.stats))
+                })
+            })
+            .collect();
+        let mut outcomes = vec![search
+            .work(0, &mut ws)
+            .map(|stats| (stats, EvalStats::default()))];
+        outcomes.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("search worker panicked")),
+        );
+        outcomes
+    });
+    let mut stats = BnbStats::default();
+    let mut eval_stats = ws.scratch.stats;
+    for outcome in outcomes {
+        let (worker_stats, worker_eval) = outcome?;
+        stats.merge(worker_stats);
+        eval_stats.merge(worker_eval);
+    }
+    let complete = !search.stopped.into_inner();
+    let best = search.best.into_inner().expect("search worker panicked");
     search_sp.set_args(
         stats.nodes_expanded,
         stats.nodes_pruned_bound + stats.nodes_pruned_dominance,

@@ -396,14 +396,6 @@ impl EvalScratch {
         &self.costs
     }
 
-    /// Recording wrapper over [`EvalSet::exec_times_into`] using the
-    /// [`Self::times`] buffer.
-    pub fn exec_times(&mut self, eval: &EvalSet, procs: &[f64], cache: &[f64]) -> &[f64] {
-        eval.exec_times_into(procs, cache, &mut self.times);
-        self.stats.record(eval.len());
-        &self.times
-    }
-
     /// Recording wrapper over [`EvalSet::makespan`].
     pub fn makespan(&mut self, eval: &EvalSet, procs: &[f64], cache: &[f64]) -> f64 {
         self.stats.record(eval.len());
@@ -621,11 +613,10 @@ mod tests {
         let cache = [0.25, 0.25, 0.25, 0.25];
         let procs = [64.0; 4];
         let _ = scratch.seq_costs(&eval, &cache);
-        let _ = scratch.exec_times(&eval, &procs, &cache);
         let m = scratch.makespan(&eval, &procs, &cache);
         assert!(m.is_finite());
-        assert_eq!(scratch.stats.kernel_calls, 3);
-        assert_eq!(scratch.stats.apps_evaluated, 12);
+        assert_eq!(scratch.stats.kernel_calls, 2);
+        assert_eq!(scratch.stats.apps_evaluated, 8);
         let cap = scratch.costs.capacity();
         let recycled = scratch.recycle();
         assert_eq!(recycled.stats, EvalStats::default());

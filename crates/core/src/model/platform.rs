@@ -51,19 +51,6 @@ impl Platform {
         }
     }
 
-    /// An Intel Xeon E5-2690-like CMP: 8 cores sharing a 20 MB LLC — the
-    /// cache configuration the paper's Table 2 instrumentation represents.
-    pub fn xeon_e5_2690() -> Self {
-        Self {
-            processors: 8.0,
-            cache_size: 20e6,
-            ref_cache_size: 40e6,
-            latency_cache: 0.17,
-            latency_mem: 1.0,
-            alpha: 0.5,
-        }
-    }
-
     /// Returns a copy with a different processor count.
     #[must_use]
     pub fn with_processors(mut self, p: f64) -> Self {
@@ -158,11 +145,6 @@ mod tests {
         assert_eq!(b.cache_size, 1e9);
         assert_eq!(a.processors, b.processors);
         assert_eq!(a.alpha, b.alpha);
-    }
-
-    #[test]
-    fn xeon_preset_is_valid() {
-        assert!(Platform::xeon_e5_2690().validate().is_ok());
     }
 
     #[test]

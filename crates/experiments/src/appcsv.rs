@@ -29,10 +29,12 @@ impl std::error::Error for CsvError {}
 
 /// Parses application rows from CSV text.
 ///
-/// Empty lines and `#` comments are skipped; a leading header row (second
-/// column not numeric) is skipped automatically.
+/// Empty lines and `#` comments are skipped. The first remaining line is
+/// skipped as a header iff none of its four numeric columns is a number;
+/// every later line must be a valid row.
 pub fn parse_applications(text: &str) -> Result<Vec<Application>, CsvError> {
     let mut apps = Vec::new();
+    let mut first = true;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -49,8 +51,7 @@ pub fn parse_applications(text: &str) -> Result<Vec<Application>, CsvError> {
                 ),
             });
         }
-        // Header detection: the work column of a header is not a number.
-        if apps.is_empty() && fields[1].parse::<f64>().is_err() {
+        if std::mem::take(&mut first) && fields[1..].iter().all(|f| f.parse::<f64>().is_err()) {
             continue;
         }
         let num = |i: usize, what: &str| -> Result<f64, CsvError> {
@@ -79,19 +80,6 @@ pub fn parse_applications(text: &str) -> Result<Vec<Application>, CsvError> {
         });
     }
     Ok(apps)
-}
-
-/// Serialises applications back to CSV (inverse of
-/// [`parse_applications`]).
-pub fn to_csv(apps: &[Application]) -> String {
-    let mut out = String::from("name,work,seq_fraction,access_freq,miss_rate_40mb\n");
-    for a in apps {
-        out.push_str(&format!(
-            "{},{:e},{},{},{:e}\n",
-            a.name, a.work, a.seq_fraction, a.access_freq, a.miss_rate_ref
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -148,11 +136,14 @@ BT,2.10e11,0.05,0.829,7.31e-3
     }
 
     #[test]
-    fn roundtrip() {
-        let apps = parse_applications(SAMPLE).unwrap();
-        let text = to_csv(&apps);
-        let again = parse_applications(&text).unwrap();
-        assert_eq!(apps, again);
+    fn malformed_first_row_is_an_error_not_a_header() {
+        let row1 = "CG,5.7e1O,0.05,0.535,6.59e-4\n";
+        let row2 = "BT,2.10e11,0.05,0.829,7.31e-3\n";
+        let err = parse_applications(&format!("{row1}{row2}")).unwrap_err();
+        assert_eq!(err.to_string(), "line 1: work '5.7e1O' is not a number");
+        let header = "name,work,seq_fraction,access_freq,miss_rate_40mb\n";
+        let err = parse_applications(&format!("{header}{row1}{row2}")).unwrap_err();
+        assert_eq!(err.to_string(), "line 2: work '5.7e1O' is not a number");
     }
 
     #[test]

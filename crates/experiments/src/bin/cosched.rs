@@ -765,8 +765,9 @@ fn tune_main(mut args: Args) -> CliResult {
 
 /// `cosched exact`: prove an optimum by branch-and-bound. The instance is
 /// a seeded random perfectly-parallel workload of `--n` applications;
-/// `--nodes` / `--millis` bound the search and `--threads` enables the
-/// work-stealing parallel variant.
+/// `--nodes` / `--millis` bound the search and `--threads` sets how many
+/// workers share it (a completed search proves the same optimum at any
+/// count).
 fn exact_main(mut args: Args) -> CliResult {
     use coschedule::algo::{branch_and_bound, BnbConfig};
     use rand::rngs::StdRng;

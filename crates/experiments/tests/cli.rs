@@ -5,7 +5,8 @@
 //! in-process run. This is the only test of a real `kill -9` and of the
 //! CLI's `--restore` path, which takes its worker count from the
 //! directory's `meta.json`. The library- and socket-level cut-point
-//! sweeps live in the root `tests/serve_recover.rs`.
+//! sweeps live in the root `tests/serve_recover.rs`. `cosched exact` must
+//! prove the same optimum at one and two threads.
 
 use experiments::serve::{app_to_json, Client, Server};
 use minijson::Json;
@@ -170,4 +171,33 @@ fn malformed_flags_are_usage_errors() {
             "{args}: {stderr}"
         );
     }
+}
+
+#[test]
+fn exact_proves_the_same_optimum_at_one_and_two_threads() {
+    let answer = |threads: &str| {
+        let out = Command::new(COSCHED)
+            .args([
+                "exact",
+                "--n",
+                "60",
+                "--cache-gb",
+                "0.045",
+                "--threads",
+                threads,
+            ])
+            .output()
+            .expect("run exact");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8");
+        assert!(out.status.success(), "--threads {threads}: {stdout}");
+        let lines: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.starts_with("makespan ") || l.starts_with("|IC| = "))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(lines.len(), 2, "--threads {threads}: {stdout}");
+        assert!(lines[0].ends_with("(proven optimal)"), "{stdout}");
+        lines
+    };
+    assert_eq!(answer("1"), answer("2"));
 }

@@ -161,11 +161,6 @@ impl Json {
         }
     }
 
-    /// `true` iff this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Builds an object from `(key, value)` pairs, preserving order.
     pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
