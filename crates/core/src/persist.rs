@@ -392,7 +392,12 @@ fn history_to_json(history: &History, member_names: &[String]) -> Json {
         ("stats", tuner_stats_to_json(&history.stats())),
         (
             "members",
-            Json::Arr(member_names.iter().map(Json::str).collect()),
+            Json::Arr(
+                member_names
+                    .iter()
+                    .map(|name| Json::from(name.as_str()))
+                    .collect(),
+            ),
         ),
         ("buckets", Json::Arr(buckets.collect())),
     ])

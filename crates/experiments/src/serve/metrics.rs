@@ -3,7 +3,7 @@
 //! renderers.
 //!
 //! Each shard counts its requests and times their dispatch in plain
-//! [`ServeState`] fields, bumped by `protocol::respond` (which every
+//! [`ServeState`] fields, bumped by `protocol::respond_routed` (which every
 //! shard-routed request passes through) under the shard's lock.
 //! Solve-tier counters (memo / incremental / cold), the aggregated
 //! [`EvalStats`](coschedule::eval::EvalStats) and the tuner counters come
@@ -24,11 +24,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coschedule::session::SessionStats;
-use minijson::Json;
-
-use super::protocol::{ServeState, ShardSet};
+use super::protocol::{ServeState, ShardSet, Writer};
 use super::wal::WalStats;
+use coschedule::session::SessionStats;
 
 /// Lock-free network counters of one reactor (= one shard's event
 /// loop). The reactor thread bumps them; the `metrics` op reads them.
@@ -362,10 +360,10 @@ pub(super) fn shard_reports<S: ShardSet + ?Sized>(
     reports
 }
 
-/// Serializes the `metrics` op response: one row per shard (`shard`, the
+/// Writes the `metrics` op response: one row per shard (`shard`, the
 /// registry's columns, the latency percentiles) plus the totals. A lone
 /// [`ServeState`] reports itself as one shard of one.
-pub(super) fn metrics_body(reports: &[ShardReport]) -> Json {
+pub(super) fn metrics_body(w: &mut Writer<'_>, reports: &[ShardReport]) {
     let total: u64 = reports.iter().map(|r| r.requests).sum();
     // Per-shard histograms merge exactly, so the top-level percentiles
     // are computed over every recorded request, not averaged estimates.
@@ -373,37 +371,36 @@ pub(super) fn metrics_body(reports: &[ShardReport]) -> Json {
     for hist in reports.iter().filter_map(|r| r.latency.as_ref()) {
         merged.merge(hist);
     }
-    let rows = reports.iter().map(|r| {
-        let mut row = vec![("shard".to_string(), Json::from(r.shard))];
-        row.extend(
-            r.columns()
-                .into_iter()
-                .map(|(name, _, _, value)| (name.to_string(), Json::from(value))),
-        );
-        if let Some(hist) = &r.latency {
-            push_latency(&mut row, hist);
+    w.begin_object();
+    w.key("ok").bool(true);
+    w.key("workers").int(reports.len() as u64);
+    w.key("requests").int(total);
+    w.key("shards").begin_array();
+    for r in reports {
+        w.begin_object();
+        w.key("shard").int(r.shard as u64);
+        for (name, _, _, value) in r.columns() {
+            w.key(name).int(value);
         }
-        Json::Obj(row)
-    });
-    let mut body = vec![
-        ("ok".to_string(), Json::from(true)),
-        ("workers".to_string(), Json::from(reports.len())),
-        ("requests".to_string(), Json::from(total)),
-        ("shards".to_string(), Json::arr(rows)),
-    ];
-    if merged.count() > 0 {
-        push_latency(&mut body, &merged);
+        if let Some(hist) = &r.latency {
+            write_latency(w, hist);
+        }
+        w.end_object();
     }
-    Json::Obj(body)
+    w.end_array();
+    if merged.count() > 0 {
+        write_latency(w, &merged);
+    }
+    w.end_object();
 }
 
 /// The `latency_count` / `latency_p{50,95,99}_ns` columns.
-fn push_latency(pairs: &mut Vec<(String, Json)>, hist: &LatencyHistogram) {
+fn write_latency(w: &mut Writer<'_>, hist: &LatencyHistogram) {
     let lat = hist.report();
-    pairs.push(("latency_count".to_string(), Json::from(lat.count)));
-    pairs.push(("latency_p50_ns".to_string(), Json::from(lat.p50_ns)));
-    pairs.push(("latency_p95_ns".to_string(), Json::from(lat.p95_ns)));
-    pairs.push(("latency_p99_ns".to_string(), Json::from(lat.p99_ns)));
+    w.key("latency_count").int(lat.count);
+    w.key("latency_p50_ns").int(lat.p50_ns);
+    w.key("latency_p95_ns").int(lat.p95_ns);
+    w.key("latency_p99_ns").int(lat.p99_ns);
 }
 
 fn push_seconds(ns: u64, out: &mut String) {
@@ -489,6 +486,14 @@ pub fn prometheus_body(uptime_s: f64, reports: &[ShardReport], trace_dropped: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minijson::{Json, JsonWriter};
+
+    /// The `metrics` body over `reports`, parsed back.
+    fn metrics_json(reports: &[ShardReport]) -> Json {
+        let mut out = String::new();
+        metrics_body(&mut JsonWriter::new(&mut out), reports);
+        Json::parse(&out).expect("the metrics body is JSON")
+    }
 
     #[test]
     fn body_sums_requests_across_shards() {
@@ -506,7 +511,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let v = metrics_body(&rows);
+        let v = metrics_json(&rows);
         assert_eq!(v.get("workers").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("requests").and_then(Json::as_u64), Some(7));
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
@@ -534,7 +539,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let v = metrics_body(&[row]);
+        let v = metrics_json(&[row]);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(shards[0].get("wal_records").and_then(Json::as_u64), Some(5));
         assert_eq!(shards[0].get("wal_bytes").and_then(Json::as_u64), Some(99));
@@ -567,7 +572,7 @@ mod tests {
             net: Some(net.report()),
             ..Default::default()
         };
-        let v = metrics_body(&[row]);
+        let v = metrics_json(&[row]);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(
             shards[0].get("open_connections").and_then(Json::as_u64),
@@ -644,7 +649,7 @@ mod tests {
                 ..base
             },
         ];
-        let v = metrics_body(&rows);
+        let v = metrics_json(&rows);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(
             shards[0].get("latency_count").and_then(Json::as_u64),
@@ -659,7 +664,7 @@ mod tests {
         );
         assert_eq!(v.get("latency_p50_ns").and_then(Json::as_u64), Some(127));
         // Idle shards opt out: no latency columns anywhere.
-        let idle = metrics_body(&[ShardReport {
+        let idle = metrics_json(&[ShardReport {
             latency: None,
             ..rows[0].clone()
         }]);

@@ -3,10 +3,17 @@
 //!
 //! Everything here is transport-free by construction — [`handle_line`]
 //! maps one request string to one response string, so the whole protocol
-//! is testable without sockets. The server's shards funnel into
-//! [`respond`] too (behind the [`router`](super::router)), so a
-//! server at any worker count answers every request with the same bytes
-//! a [`handle_line`] replay on one fresh state produces.
+//! is testable without sockets. The server's shards funnel into the same
+//! functions (behind the [`router`](super::router)), so a server at any
+//! worker count answers every request with the same bytes a
+//! [`handle_line`] replay on one fresh state produces.
+//!
+//! Replies are written, not built: every op writes its reply field by
+//! field with [`minijson::JsonWriter`], straight into a `String` the
+//! caller supplies (the server reuses one per reactor). No [`Json`] tree
+//! is assembled for a reply; the tree is for parsing requests. The
+//! writer's bytes are `Json`'s `Display` bytes, so the wire format is
+//! the one the tree used to print.
 //!
 //! Error responses echo the request's `"id"` field whenever the request
 //! parsed and carried a numeric one, so a client multiplexing several
@@ -20,7 +27,7 @@ use coschedule::obs;
 pub use coschedule::persist::app_to_json;
 use coschedule::session::{Session, SessionStats};
 use coschedule::solver;
-use minijson::Json;
+use minijson::{Json, JsonWriter};
 
 use super::metrics::{metrics_body, shard_reports, LatencyHistogram};
 use super::wal::{WalStats, WalWriter};
@@ -81,7 +88,7 @@ pub struct ServeState {
     /// serves the shard, so the `trace` op drains this shard's timeline.
     trace_ring: obs::RingHandle,
     /// Write-ahead log, attached when the server runs with `--durability
-    /// log|fsync`. [`respond`] appends every shard-routed request to it
+    /// log|fsync`. `respond_routed` appends every shard-routed request to it
     /// *before* dispatching; the transport layer calls
     /// [`ServeState::wal_commit`] before the reply escapes.
     wal: Option<WalWriter>,
@@ -146,7 +153,7 @@ impl ServeState {
     /// Resumes from a recovered snapshot ([`super::wal::recover_shard`]):
     /// the restored session plus the request counter and latency
     /// histogram the crashed server had reached when it took the snapshot
-    /// (replaying the WAL tail through [`respond`] then advances both
+    /// (replaying the WAL tail through `respond_routed` then advances both
     /// exactly as the original ops did).
     pub(super) fn resume(&mut self, session: Session, requests: u64, latency: LatencyHistogram) {
         self.session = session;
@@ -284,34 +291,72 @@ impl GlobalOp {
     }
 }
 
-/// Handles one request line, returning the response line (without the
-/// trailing newline). Never panics on malformed input.
-pub fn handle_line(state: &mut ServeState, line: &str) -> String {
-    let response = match Json::parse(line) {
-        Ok(request) => respond(state, &request),
-        Err(e) => error_response(&format!("malformed request: {e}"), None),
-    };
-    response.to_string()
+/// The writer every reply is written with: straight into the caller's
+/// `String`, no [`Json`] tree in between.
+pub(super) type Writer<'a> = JsonWriter<&'a mut String>;
+
+/// What a shard-routed reply said, for the router: whether it is
+/// `"ok":true`, and the id a successful `create` made. The router acts on
+/// these without reading the reply text back.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Replied {
+    pub ok: bool,
+    pub created: Option<u64>,
 }
 
-/// Answers one parsed request: `dispatch` plus the error envelope. The
-/// router calls this directly for shard-routed requests (it already
-/// parsed the line to route it), `handle_line` after parsing.
-pub fn respond(state: &mut ServeState, request: &Json) -> Json {
-    if let Some(op) = GlobalOp::of(request) {
-        // The lone state is the whole shard set. The router answers the
-        // same ops with the same functions over its shard locks.
-        return match op {
-            GlobalOp::Stats => stats_reply(state),
-            GlobalOp::List => list_reply(state),
-            GlobalOp::Solvers => solvers_reply(),
-            GlobalOp::Metrics => metrics_body(&shard_reports(state, |_| None)),
-            GlobalOp::Shutdown => shutdown_reply(request, state.allow_shutdown, || {
-                state.shutdown_requested = true
-            }),
-            GlobalOp::Batch => batch_reply(request, |sub| respond(state, sub)),
-        };
+/// Handles one request line, returning the response line (without the
+/// trailing newline). Never panics on malformed input. This is the
+/// byte-identity oracle: a server at any worker count answers a
+/// lock-step trace with the bytes a `handle_line` replay on one fresh
+/// state produces.
+pub fn handle_line(state: &mut ServeState, line: &str) -> String {
+    let mut out = String::new();
+    let w = &mut JsonWriter::new(&mut out);
+    match Json::parse(line) {
+        Ok(request) => respond_into(state, &request, w),
+        Err(e) => write_error(w, &format!("malformed request: {e}"), None, None),
     }
+    out
+}
+
+/// Answers one parsed request and returns the reply line: what
+/// [`handle_line`] does after parsing.
+pub fn respond(state: &mut ServeState, request: &Json) -> String {
+    let mut out = String::new();
+    respond_into(state, request, &mut JsonWriter::new(&mut out));
+    out
+}
+
+/// Writes the reply to one parsed request on a lone state: the
+/// server-wide ops over the state as a set of one shard, everything else
+/// through [`respond_routed`].
+fn respond_into(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) {
+    let Some(op) = GlobalOp::of(request) else {
+        respond_routed(state, request, w);
+        return;
+    };
+    // The lone state is the whole shard set. The router answers the same
+    // ops with the same functions over its shard locks.
+    match op {
+        GlobalOp::Stats => stats_reply(w, state),
+        GlobalOp::List => list_reply(w, state),
+        GlobalOp::Solvers => solvers_reply(w),
+        GlobalOp::Metrics => metrics_body(w, &shard_reports(state, |_| None)),
+        GlobalOp::Shutdown => shutdown_reply(w, request, state.allow_shutdown, || {
+            state.shutdown_requested = true
+        }),
+        GlobalOp::Batch => batch_reply(w, request, |w, sub| respond_into(state, sub, w)),
+    }
+}
+
+/// Writes the reply to one shard-routed request: WAL append, `dispatch`,
+/// the error envelope and the `trace_id` echo. The router calls this
+/// under the owning shard's lock.
+pub(super) fn respond_routed(
+    state: &mut ServeState,
+    request: &Json,
+    w: &mut Writer<'_>,
+) -> Replied {
     let op = request.get("op").and_then(Json::as_str).unwrap_or("");
     let mut request_sp = obs::span("serve", op_span_name(op));
     request_sp.set_args(obs::current_trace_id(), state.shard as u64);
@@ -329,7 +374,9 @@ pub fn respond(state: &mut ServeState, request: &Json) -> Json {
     }
     let wal_ns = wal_started.elapsed().as_nanos() as u64;
     let started = std::time::Instant::now();
-    let result = dispatch(state, request);
+    let mark = w.mark();
+    w.begin_object();
+    let result = dispatch(state, request, w);
     let dispatch_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     state.requests += 1;
     state.latency.record(dispatch_ns);
@@ -345,16 +392,20 @@ pub fn respond(state: &mut ServeState, request: &Json) -> Json {
             );
         }
     }
-    let mut body = match result {
-        Ok(body) => body,
-        Err(message) => error_response(&message, id_of(request)),
-    };
-    if state.echo_trace {
-        if let Json::Obj(pairs) = &mut body {
-            pairs.push(("trace_id".to_string(), Json::from(obs::current_trace_id())));
+    let trace_id = state.echo_trace.then(obs::current_trace_id);
+    match result {
+        Ok(created) => {
+            end_reply(w, trace_id);
+            Replied { ok: true, created }
+        }
+        Err(message) => {
+            // Ops write nothing before they succeed; the rewind drops the
+            // opening brace.
+            w.rewind(mark);
+            write_error(w, &message, id_of(request), trace_id);
+            Replied::default()
         }
     }
-    body
 }
 
 /// Static span name for a shard-routed op (ring events hold only
@@ -374,32 +425,59 @@ fn op_span_name(op: &str) -> &'static str {
     }
 }
 
-/// `{"ok":false,…}` with the offending request's instance id echoed when
-/// it carried one (a multiplexing client needs it to correlate failures).
-pub(super) fn error_response(message: &str, id: Option<u64>) -> Json {
-    let mut pairs = vec![("ok".to_string(), Json::from(false))];
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), Json::from(id)));
+/// Closes a shard-routed reply, echoing the request's trace id first when
+/// the server runs with `--trace`.
+fn end_reply(w: &mut Writer<'_>, trace_id: Option<u64>) {
+    if let Some(trace_id) = trace_id {
+        w.key("trace_id").int(trace_id);
     }
-    pairs.push(("error".to_string(), Json::from(message)));
-    Json::Obj(pairs)
+    w.end_object();
 }
 
-fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
+/// `{"ok":false,…}` with the offending request's instance id echoed when
+/// it carried one (a multiplexing client needs it to correlate failures),
+/// and the trace id when the reply is a shard-routed one under `--trace`.
+pub(super) fn write_error(
+    w: &mut Writer<'_>,
+    message: &str,
+    id: Option<u64>,
+    trace_id: Option<u64>,
+) {
+    w.begin_object();
+    w.key("ok").bool(false);
+    if let Some(id) = id {
+        w.key("id").int(id);
+    }
+    w.key("error").str(message);
+    end_reply(w, trace_id);
+}
+
+/// Runs a shard-routed op, writing its fields into the reply object
+/// [`respond_routed`] opened. An op writes nothing until it has
+/// succeeded, so a failure leaves only the brace to rewind. Returns the
+/// id a `create` made.
+fn dispatch(
+    state: &mut ServeState,
+    request: &Json,
+    w: &mut Writer<'_>,
+) -> Result<Option<u64>, String> {
     let op = request
         .get("op")
         .and_then(Json::as_str)
         .ok_or("missing \"op\" field")?;
     match op {
-        "create" => op_create(state, request),
-        "mutate" => op_mutate(state, request),
+        "create" => op_create(state, request, w).map(Some),
+        "mutate" => op_mutate(state, request, w).map(|()| None),
         // Direct aliases so scripts can skip the "mutate" envelope.
         "add_app" | "remove_app" | "update_app" | "set_platform" => {
-            apply_mutation(state, request, op)
+            apply_mutation(state, request, op, w).map(|()| None)
         }
-        "solve" => op_solve(state, request),
-        "trace" => Ok(op_trace(state)),
-        "close" => op_close(state, request),
+        "solve" => op_solve(state, request, w).map(|()| None),
+        "trace" => {
+            op_trace(state, w);
+            Ok(None)
+        }
+        "close" => op_close(state, request, w).map(|()| None),
         other => Err(format!(
             "unknown op {other:?}; available: {}",
             OPS.join(", ")
@@ -409,32 +487,38 @@ fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
 
 /// The `batch` op: several requests in one line, one combined response.
 /// Each element of `"requests"` is answered by `respond` exactly as if it
-/// had arrived on its own line, in order, and its response lands at the
-/// same index of `"responses"` — byte-identical to the sequential
-/// exchanges (pinned by the loopback tests). Sub-requests keep the
-/// envelope's trace id. One level only: a batch inside a batch answers an
-/// error at its slot (unbounded nesting would be a recursion hazard).
-pub(super) fn batch_reply(request: &Json, mut respond: impl FnMut(&Json) -> Json) -> Json {
+/// had arrived on its own line, in order, and its response is written in
+/// place at the same index of `"responses"` — byte-identical to the
+/// sequential exchanges (pinned by the loopback tests). Sub-requests keep
+/// the envelope's trace id. One level only: a batch inside a batch
+/// answers an error at its slot (unbounded nesting would be a recursion
+/// hazard).
+pub(super) fn batch_reply(
+    w: &mut Writer<'_>,
+    request: &Json,
+    mut respond: impl FnMut(&mut Writer<'_>, &Json),
+) {
     let Some(subs) = request.get("requests").and_then(Json::as_array) else {
-        return error_response("missing \"requests\" array", id_of(request));
+        return write_error(w, "missing \"requests\" array", id_of(request), None);
     };
-    let responses: Vec<Json> = subs
-        .iter()
-        .map(|sub| match GlobalOp::of(sub) {
-            Some(GlobalOp::Batch) => error_response("nested batch is not supported", id_of(sub)),
-            _ => respond(sub),
-        })
-        .collect();
-    Json::obj([
-        ("ok", Json::from(true)),
-        ("count", Json::from(responses.len())),
-        ("responses", Json::Arr(responses)),
-    ])
+    w.begin_object();
+    w.key("ok").bool(true);
+    w.key("count").int(subs.len() as u64);
+    w.key("responses").begin_array();
+    for sub in subs {
+        match GlobalOp::of(sub) {
+            Some(GlobalOp::Batch) => {
+                write_error(w, "nested batch is not supported", id_of(sub), None)
+            }
+            _ => respond(w, sub),
+        }
+    }
+    w.end_array().end_object();
 }
 
 /// The `stats` op: live instances and the sessions' counters, summed
 /// over the shards.
-pub(super) fn stats_reply<S: ShardSet + ?Sized>(shards: &S) -> Json {
+pub(super) fn stats_reply<S: ShardSet + ?Sized>(w: &mut Writer<'_>, shards: &S) {
     let mut live = 0;
     let mut stats = SessionStats::default();
     shards.visit(|state| {
@@ -443,23 +527,23 @@ pub(super) fn stats_reply<S: ShardSet + ?Sized>(shards: &S) -> Json {
             stats.merge(state.session.stats());
         }
     });
-    Json::obj([
-        ("ok", Json::from(true)),
-        ("instances", Json::from(live)),
-        ("instances_created", Json::from(stats.instances_created)),
-        ("mutations", Json::from(stats.mutations)),
-        ("solves", Json::from(stats.solves)),
-        ("incremental_solves", Json::from(stats.incremental_solves)),
-        ("cold_solves", Json::from(stats.cold_solves)),
-        ("memo_hits", Json::from(stats.memo_hits)),
-        ("kernel_calls", Json::from(stats.eval.kernel_calls)),
-        ("apps_evaluated", Json::from(stats.eval.apps_evaluated)),
-    ])
+    w.begin_object();
+    w.key("ok").bool(true);
+    w.key("instances").int(live as u64);
+    w.key("instances_created").int(stats.instances_created);
+    w.key("mutations").int(stats.mutations);
+    w.key("solves").int(stats.solves);
+    w.key("incremental_solves").int(stats.incremental_solves);
+    w.key("cold_solves").int(stats.cold_solves);
+    w.key("memo_hits").int(stats.memo_hits);
+    w.key("kernel_calls").int(stats.eval.kernel_calls);
+    w.key("apps_evaluated").int(stats.eval.apps_evaluated);
+    w.end_object();
 }
 
 /// The `list` op: every shard's instance summaries, in ascending id
 /// order (ids interleave mod the shard count).
-pub(super) fn list_reply<S: ShardSet + ?Sized>(shards: &S) -> Json {
+pub(super) fn list_reply<S: ShardSet + ?Sized>(w: &mut Writer<'_>, shards: &S) {
     let mut infos = Vec::new();
     shards.visit(|state| {
         if let Some(state) = state {
@@ -467,45 +551,53 @@ pub(super) fn list_reply<S: ShardSet + ?Sized>(shards: &S) -> Json {
         }
     });
     infos.sort_by_key(|info| info.id.raw());
-    Json::obj([
-        ("ok", Json::from(true)),
-        (
-            "instances",
-            Json::arr(infos.iter().map(|info| {
-                Json::obj([
-                    ("id", Json::from(info.id.raw())),
-                    ("revision", Json::from(info.revision)),
-                    ("apps", Json::from(info.apps)),
-                    ("processors", Json::from(info.processors)),
-                    ("cache_size", Json::from(info.cache_size)),
-                ])
-            })),
-        ),
-    ])
+    w.begin_object();
+    w.key("ok").bool(true);
+    w.key("instances").begin_array();
+    for info in &infos {
+        w.begin_object();
+        w.key("id").int(info.id.raw());
+        w.key("revision").int(info.revision);
+        w.key("apps").int(info.apps as u64);
+        w.key("processors").num(info.processors);
+        w.key("cache_size").num(info.cache_size);
+        w.end_object();
+    }
+    w.end_array().end_object();
 }
 
 /// The `solvers` op (static: the registry contents).
-pub(super) fn solvers_reply() -> Json {
-    Json::obj([
-        ("ok", Json::from(true)),
-        (
-            "solvers",
-            Json::arr(solver::names().into_iter().map(Json::from)),
-        ),
-    ])
+pub(super) fn solvers_reply(w: &mut Writer<'_>) {
+    w.begin_object();
+    w.key("ok").bool(true);
+    w.key("solvers").begin_array();
+    for name in solver::names() {
+        w.str(&name);
+    }
+    w.end_array().end_object();
 }
 
 /// The `shutdown` op: refused unless `allowed`; otherwise runs `accept`
 /// (which flags the server to stop) and acknowledges.
-pub(super) fn shutdown_reply(request: &Json, allowed: bool, accept: impl FnOnce()) -> Json {
+pub(super) fn shutdown_reply(
+    w: &mut Writer<'_>,
+    request: &Json,
+    allowed: bool,
+    accept: impl FnOnce(),
+) {
     if !allowed {
-        return error_response("shutdown is not enabled on this server", id_of(request));
+        return write_error(
+            w,
+            "shutdown is not enabled on this server",
+            id_of(request),
+            None,
+        );
     }
     accept();
-    Json::obj([
-        ("ok", Json::from(true)),
-        ("shutting_down", Json::from(true)),
-    ])
+    w.begin_object();
+    w.key("ok").bool(true);
+    w.key("shutting_down").bool(true);
+    w.end_object();
 }
 
 /// The request's numeric `"id"`, when it carries one.
@@ -517,40 +609,34 @@ fn id_of(request: &Json) -> Option<u64> {
 /// server the op is routed like any other shard op (an optional
 /// `"shard"` field picks the target, default 0) and the shard's own ring
 /// is installed while it is served, so the drained timeline is that
-/// shard's; on a lone state it is the calling thread's. Returns the
+/// shard's; on a lone state it is the calling thread's. Writes the
 /// events plus how many were lost to ring overwrite since the previous
 /// drain, and whether tracing is even on.
-fn op_trace(state: &ServeState) -> Json {
+fn op_trace(state: &ServeState, w: &mut Writer<'_>) {
     let chunk = obs::drain_local();
-    Json::obj([
-        ("ok", Json::from(true)),
-        ("shard", Json::from(state.shard)),
-        ("enabled", Json::from(obs::enabled())),
-        ("dropped", Json::from(chunk.dropped)),
-        (
-            "events",
-            Json::arr(chunk.events.iter().map(|ev| {
-                Json::obj([
-                    ("name", Json::from(ev.name)),
-                    ("cat", Json::from(ev.cat)),
-                    (
-                        "ph",
-                        Json::from(match ev.kind {
-                            obs::EventKind::Span => "X",
-                            obs::EventKind::Instant => "i",
-                        }),
-                    ),
-                    ("ts_ns", Json::from(ev.ts_ns)),
-                    ("dur_ns", Json::from(ev.dur_ns)),
-                    ("span_id", Json::from(ev.span_id)),
-                    ("parent_id", Json::from(ev.parent_id)),
-                    ("trace_id", Json::from(ev.trace_id)),
-                    ("arg0", Json::from(ev.arg0)),
-                    ("arg1", Json::from(ev.arg1)),
-                ])
-            })),
-        ),
-    ])
+    w.key("ok").bool(true);
+    w.key("shard").int(state.shard as u64);
+    w.key("enabled").bool(obs::enabled());
+    w.key("dropped").int(chunk.dropped);
+    w.key("events").begin_array();
+    for ev in &chunk.events {
+        w.begin_object();
+        w.key("name").str(ev.name);
+        w.key("cat").str(ev.cat);
+        w.key("ph").str(match ev.kind {
+            obs::EventKind::Span => "X",
+            obs::EventKind::Instant => "i",
+        });
+        w.key("ts_ns").int(ev.ts_ns);
+        w.key("dur_ns").int(ev.dur_ns);
+        w.key("span_id").int(ev.span_id);
+        w.key("parent_id").int(ev.parent_id);
+        w.key("trace_id").int(ev.trace_id);
+        w.key("arg0").int(ev.arg0);
+        w.key("arg1").int(ev.arg1);
+        w.end_object();
+    }
+    w.end_array();
 }
 
 fn require_id(
@@ -570,23 +656,18 @@ fn require_id(
         .map(|_| id)
 }
 
-/// `{"ok":true,"id":…,"revision":…,"apps":…}` plus op-specific extras.
-fn state_header(state: &ServeState, id: coschedule::session::InstanceId) -> Vec<(String, Json)> {
-    vec![
-        ("ok".into(), Json::from(true)),
-        ("id".into(), Json::from(id.raw())),
-        (
-            "revision".into(),
-            Json::from(state.session.revision(id).expect("live id")),
-        ),
-        (
-            "apps".into(),
-            Json::from(state.session.instance(id).expect("live id").len()),
-        ),
-    ]
+/// `"ok":true,"id":…,"revision":…,"apps":…`, the fields every instance
+/// op's reply opens with.
+fn write_header(w: &mut Writer<'_>, state: &ServeState, id: coschedule::session::InstanceId) {
+    w.key("ok").bool(true);
+    w.key("id").int(id.raw());
+    w.key("revision")
+        .int(state.session.revision(id).expect("live id"));
+    w.key("apps")
+        .int(state.session.instance(id).expect("live id").len() as u64);
 }
 
-fn op_create(state: &mut ServeState, request: &Json) -> Result<Json, String> {
+fn op_create(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<u64, String> {
     let apps = request
         .get("apps")
         .and_then(Json::as_array)
@@ -600,28 +681,38 @@ fn op_create(state: &mut ServeState, request: &Json) -> Result<Json, String> {
         .session
         .create(apps, platform)
         .map_err(|e| e.to_string())?;
-    Ok(Json::Obj(state_header(state, id)))
+    write_header(w, state, id);
+    Ok(id.raw())
 }
 
-fn op_mutate(state: &mut ServeState, request: &Json) -> Result<Json, String> {
+fn op_mutate(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<(), String> {
     let action = request
         .get("action")
         .and_then(Json::as_str)
         .ok_or("missing \"action\" field (add_app, remove_app, update_app, set_platform)")?
         // `get` borrows `request`; dispatching needs an owned copy.
         .to_string();
-    apply_mutation(state, request, &action)
+    apply_mutation(state, request, &action, w)
 }
 
-fn apply_mutation(state: &mut ServeState, request: &Json, action: &str) -> Result<Json, String> {
+fn apply_mutation(
+    state: &mut ServeState,
+    request: &Json,
+    action: &str,
+    w: &mut Writer<'_>,
+) -> Result<(), String> {
     let id = require_id(state, request)?;
     let mut handle = state.session.handle(id).map_err(|e| e.to_string())?;
-    let mut extras: Vec<(String, Json)> = Vec::new();
-    match action {
+    /// The field a mutation's reply carries after the header.
+    enum Extra {
+        Index(usize),
+        Name(&'static str, String),
+    }
+    let extra = match action {
         "add_app" => {
             let app = app_from_json(request.get("app").ok_or("missing \"app\" object")?)?;
             let index = handle.add_app(app).map_err(|e| e.to_string())?;
-            extras.push(("index".into(), Json::from(index)));
+            Some(Extra::Index(index))
         }
         "remove_app" => {
             let index = request
@@ -629,7 +720,7 @@ fn apply_mutation(state: &mut ServeState, request: &Json, action: &str) -> Resul
                 .and_then(Json::as_usize)
                 .ok_or("missing or non-integer \"index\" field")?;
             let removed = handle.remove_app(index).map_err(|e| e.to_string())?;
-            extras.push(("removed".into(), Json::from(removed.name)));
+            Some(Extra::Name("removed", removed.name))
         }
         "update_app" => {
             let index = request
@@ -638,7 +729,7 @@ fn apply_mutation(state: &mut ServeState, request: &Json, action: &str) -> Resul
                 .ok_or("missing or non-integer \"index\" field")?;
             let app = app_from_json(request.get("app").ok_or("missing \"app\" object")?)?;
             let old = handle.update_app(index, app).map_err(|e| e.to_string())?;
-            extras.push(("replaced".into(), Json::from(old.name)));
+            Some(Extra::Name("replaced", old.name))
         }
         "set_platform" => {
             // Overrides apply on top of the instance's *current* platform:
@@ -650,6 +741,7 @@ fn apply_mutation(state: &mut ServeState, request: &Json, action: &str) -> Resul
                     .ok_or("missing \"platform\" object")?,
             )?;
             handle.set_platform(platform).map_err(|e| e.to_string())?;
+            None
         }
         other => {
             return Err(format!(
@@ -657,13 +749,21 @@ fn apply_mutation(state: &mut ServeState, request: &Json, action: &str) -> Resul
                 MUTATIONS.join(", ")
             ))
         }
+    };
+    write_header(w, state, id);
+    match extra {
+        Some(Extra::Index(index)) => {
+            w.key("index").int(index as u64);
+        }
+        Some(Extra::Name(key, name)) => {
+            w.key(key).str(&name);
+        }
+        None => {}
     }
-    let mut body = state_header(state, id);
-    body.extend(extras);
-    Ok(Json::Obj(body))
+    Ok(())
 }
 
-fn op_solve(state: &mut ServeState, request: &Json) -> Result<Json, String> {
+fn op_solve(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<(), String> {
     let id = require_id(state, request)?;
     let solver_name = match request.get("solver") {
         Some(v) => v.as_str().ok_or("\"solver\" must be a string")?.to_string(),
@@ -694,59 +794,42 @@ fn op_solve(state: &mut ServeState, request: &Json) -> Result<Json, String> {
         "cold"
     };
 
-    let mut body = state_header(state, id);
-    body.extend([
-        ("solver".into(), Json::from(solver_name)),
-        ("seed".into(), Json::from(seed)),
-        ("mode".into(), Json::from(mode)),
-        ("makespan".into(), Json::from(outcome.makespan)),
-        ("concurrent".into(), Json::from(outcome.concurrent)),
-        ("optimal".into(), Json::from(outcome.optimal)),
-        (
-            "partition".into(),
-            Json::arr(outcome.partition.members().iter().map(|&i| Json::from(i))),
-        ),
-        (
-            "eval_stats".into(),
-            Json::obj([
-                ("kernel_calls", Json::from(outcome.eval_stats.kernel_calls)),
-                (
-                    "apps_evaluated",
-                    Json::from(outcome.eval_stats.apps_evaluated),
-                ),
-            ]),
-        ),
-    ]);
+    write_header(w, state, id);
+    w.key("solver").str(&solver_name);
+    w.key("seed").int(seed);
+    w.key("mode").str(mode);
+    w.key("makespan").num(outcome.makespan);
+    w.key("concurrent").bool(outcome.concurrent);
+    w.key("optimal").bool(outcome.optimal);
+    w.key("partition")
+        .int_array(outcome.partition.members().iter().map(|&i| i as u64));
+    w.key("eval_stats").begin_object();
+    w.key("kernel_calls").int(outcome.eval_stats.kernel_calls);
+    w.key("apps_evaluated")
+        .int(outcome.eval_stats.apps_evaluated);
+    w.end_object();
     if include_schedule {
         let instance = state.session.instance(id).expect("live id");
-        body.push((
-            "assignments".into(),
-            Json::arr(
-                instance
-                    .apps()
-                    .iter()
-                    .zip(&outcome.schedule.assignments)
-                    .map(|(app, asg)| {
-                        Json::obj([
-                            ("name", Json::from(app.name.as_str())),
-                            ("procs", Json::from(asg.procs)),
-                            ("cache", Json::from(asg.cache)),
-                        ])
-                    }),
-            ),
-        ));
+        w.key("assignments").begin_array();
+        for (app, asg) in instance.apps().iter().zip(&outcome.schedule.assignments) {
+            w.begin_object();
+            w.key("name").str(&app.name);
+            w.key("procs").num(asg.procs);
+            w.key("cache").num(asg.cache);
+            w.end_object();
+        }
+        w.end_array();
     }
-    Ok(Json::Obj(body))
+    Ok(())
 }
 
-fn op_close(state: &mut ServeState, request: &Json) -> Result<Json, String> {
+fn op_close(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<(), String> {
     let id = require_id(state, request)?;
     state.session.close(id).map_err(|e| e.to_string())?;
-    Ok(Json::obj([
-        ("ok", Json::from(true)),
-        ("id", Json::from(id.raw())),
-        ("closed", Json::from(true)),
-    ]))
+    w.key("ok").bool(true);
+    w.key("id").int(id.raw());
+    w.key("closed").bool(true);
+    Ok(())
 }
 
 fn field(v: &Json, key: &str) -> Result<f64, String> {

@@ -18,9 +18,10 @@
 //!   an idle connection costs no wakeups;
 //! * **run to completion**: every complete request is answered inline on
 //!   this thread by the [`router`](super::router), which locks the owning
-//!   shard, solves, commits the WAL and returns the reply. The reply goes
-//!   straight onto the connection's write buffer, so replies leave in
-//!   request order by construction.
+//!   shard, solves, writes the reply into the reactor's one reused reply
+//!   buffer and commits the WAL. The reply is copied onto the
+//!   connection's write buffer, so replies leave in request order by
+//!   construction.
 //!
 //! One eventfd per reactor remains, for the accept loop's connection
 //! hand-off and for shutdown.
@@ -57,8 +58,10 @@ use std::time::{Duration, Instant};
 
 use miniepoll::{Epoll, Event, EventFd, Interest};
 
+use minijson::JsonWriter;
+
 use super::metrics::NetMetrics;
-use super::protocol::error_response;
+use super::protocol::write_error;
 use super::router::Router;
 
 /// Registration token reserved for the reactor's own wake eventfd.
@@ -119,6 +122,7 @@ impl Reactor {
             wake_addr,
             conns: HashMap::new(),
             read_chunk: vec![0u8; READ_CHUNK],
+            reply: String::new(),
             rotations: Vec::new(),
         };
         let handle = std::thread::Builder::new()
@@ -259,6 +263,9 @@ struct Loop {
     /// Reusable scratch for socket reads — allocated (and zeroed) once,
     /// not 16 KiB re-zeroed per readable event.
     read_chunk: Vec<u8>,
+    /// Reusable scratch: the reply being written. It keeps its capacity,
+    /// so a ~20 KB solve reply costs no allocation per request.
+    reply: String,
     /// Reusable scratch: the shards a reply left due for a WAL snapshot.
     rotations: Vec<usize>,
 }
@@ -430,10 +437,14 @@ impl Loop {
                 NextLine::Line(line) => line,
                 NextLine::Pending => return,
                 NextLine::TooLong => {
-                    let error =
-                        error_response(&format!("request line exceeds {MAX_LINE_LEN} bytes"), None);
-                    conn.write_buf
-                        .extend_from_slice(error.to_string().as_bytes());
+                    self.reply.clear();
+                    write_error(
+                        &mut JsonWriter::new(&mut self.reply),
+                        &format!("request line exceeds {MAX_LINE_LEN} bytes"),
+                        None,
+                        None,
+                    );
+                    conn.write_buf.extend_from_slice(self.reply.as_bytes());
                     conn.write_buf.push(b'\n');
                     conn.read_closed = true;
                     return;
@@ -459,8 +470,10 @@ impl Loop {
         // Trace ids stay unique while a connection has issued fewer
         // than 2^32 requests.
         let trace = (token << 32) | (seq & u64::from(u32::MAX));
-        let reply = self.router.dispatch(line, trace, &mut self.rotations);
-        conn.write_buf.extend_from_slice(reply.as_bytes());
+        self.reply.clear();
+        self.router
+            .dispatch(line, trace, &mut self.rotations, &mut self.reply);
+        conn.write_buf.extend_from_slice(self.reply.as_bytes());
         conn.write_buf.push(b'\n');
         if !self.rotations.is_empty() {
             // The reply goes out before the snapshot is written.

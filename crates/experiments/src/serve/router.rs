@@ -3,9 +3,10 @@
 //! The router owns the shards — one [`ServeState`] behind a mutex each —
 //! the instance directory (global instance id → owning shard), and the
 //! round-robin create cursor. Every request is answered **inline, on the
-//! reactor thread that read it**: the router locks the owning shard, runs
-//! [`protocol::respond`] and the WAL commit, unlocks, and returns the
-//! reply.
+//! reactor thread that read it**: the router locks the owning shard, has
+//! the protocol write the reply into the reactor's buffer, commits the
+//! WAL, and unlocks. The protocol tells it whether the reply is ok and
+//! which id a `create` made; the router never reads reply text back.
 //!
 //! * `create` requests are dealt **round-robin** over the shards; the
 //!   router holds the create cursor while the shard answers, so the new
@@ -38,9 +39,11 @@
 //!
 //! Fault containment: each lock-and-respond runs inside one
 //! `catch_unwind`. A panic answers its own request with an `internal:`
-//! error and poisons only that shard's mutex; from then on the shard
-//! answers `"shard worker died"`, while the reactors and the other shards
-//! keep serving.
+//! error in place of whatever part of the reply was written, and poisons
+//! only that shard's mutex; from then on the shard answers
+//! `"shard worker died"`, while the reactors and the other shards keep
+//! serving. Under `--trace` both errors carry the request's `trace_id`,
+//! like every other shard-routed reply.
 //!
 //! [`Session::with_id_stride`]: coschedule::session::Session::with_id_stride
 
@@ -50,10 +53,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use minijson::Json;
+use minijson::{Json, JsonWriter};
 
 use super::metrics::{metrics_body, shard_reports, NetMetrics, ShardReport};
-use super::protocol::{self, error_response, GlobalOp, ServeState};
+use super::protocol::{self, GlobalOp, ServeState, Writer};
 use super::ServeConfig;
 
 /// The shared routing core of a server; one per [`Server`]
@@ -69,6 +72,8 @@ pub(super) struct Router {
     create_cursor: Mutex<u64>,
     shutdown: AtomicBool,
     allow_shutdown: bool,
+    /// `--trace`: the router's own error replies echo the trace id too.
+    echo_trace: bool,
     /// The reactors' per-shard hooks (registered once they are up): each
     /// reactor's inbox — signalled on shutdown so sleeping reactors wake
     /// and drain — and its network counters for the `metrics` op.
@@ -93,6 +98,7 @@ impl Router {
             create_cursor: Mutex::new(create_cursor),
             shutdown: AtomicBool::new(false),
             allow_shutdown: config.allow_shutdown,
+            echo_trace: config.trace,
             reactors: Mutex::new(Vec::new()),
         }
     }
@@ -109,32 +115,38 @@ impl Router {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Answers one raw request line. `trace` is the server-wide request
-    /// id the shard's spans and `trace_id` echo carry (the reactor mints
-    /// it from the connection id and the request's sequence number).
-    /// Shards the request left due for a WAL snapshot are added to
-    /// `rotations`; the caller flushes the reply first, then calls
-    /// [`Self::rotate`] for each.
-    pub fn dispatch(&self, line: &str, trace: u64, rotations: &mut Vec<usize>) -> String {
+    /// Answers one raw request line, appending the reply to `out`.
+    /// `trace` is the server-wide request id the shard's spans and
+    /// `trace_id` echo carry (the reactor mints it from the connection id
+    /// and the request's sequence number). Shards the request left due
+    /// for a WAL snapshot are added to `rotations`; the caller flushes
+    /// the reply first, then calls [`Self::rotate`] for each.
+    pub fn dispatch(&self, line: &str, trace: u64, rotations: &mut Vec<usize>, out: &mut String) {
+        let w = &mut JsonWriter::new(out);
         match Json::parse(line) {
-            Ok(request) => self.dispatch_parsed(&request, trace, rotations),
-            Err(e) => error_response(&format!("malformed request: {e}"), None),
+            Ok(request) => self.dispatch_parsed(&request, trace, rotations, w),
+            Err(e) => protocol::write_error(w, &format!("malformed request: {e}"), None, None),
         }
-        .to_string()
     }
 
     /// Routes one parsed request (see [`Self::dispatch`]).
-    fn dispatch_parsed(&self, request: &Json, trace: u64, rotations: &mut Vec<usize>) -> Json {
+    fn dispatch_parsed(
+        &self,
+        request: &Json,
+        trace: u64,
+        rotations: &mut Vec<usize>,
+        w: &mut Writer<'_>,
+    ) {
         if let Some(op) = GlobalOp::of(request) {
-            // The same functions `protocol::respond` answers a lone state
-            // with, here over every shard lock.
+            // The same functions the protocol answers a lone state with,
+            // here over every shard lock.
             return match op {
-                GlobalOp::Stats => protocol::stats_reply(&self.shards[..]),
-                GlobalOp::List => protocol::list_reply(&self.shards[..]),
-                GlobalOp::Solvers => protocol::solvers_reply(),
-                GlobalOp::Metrics => metrics_body(&self.reports()),
+                GlobalOp::Stats => protocol::stats_reply(w, &self.shards[..]),
+                GlobalOp::List => protocol::list_reply(w, &self.shards[..]),
+                GlobalOp::Solvers => protocol::solvers_reply(w),
+                GlobalOp::Metrics => metrics_body(w, &self.reports()),
                 GlobalOp::Shutdown => {
-                    protocol::shutdown_reply(request, self.allow_shutdown, || {
+                    protocol::shutdown_reply(w, request, self.allow_shutdown, || {
                         self.shutdown.store(true, Ordering::SeqCst);
                         // Wake every reactor (they may be asleep in
                         // epoll_wait) so each can observe the flag, drain,
@@ -147,13 +159,13 @@ impl Router {
                 // Sub-requests inherit the envelope's trace id, so their
                 // spans (and `trace_id` echoes) correlate to the one
                 // client line that carried them.
-                GlobalOp::Batch => protocol::batch_reply(request, |sub| {
-                    self.dispatch_parsed(sub, trace, rotations)
+                GlobalOp::Batch => protocol::batch_reply(w, request, |w, sub| {
+                    self.dispatch_parsed(sub, trace, rotations, w)
                 }),
             };
         }
         match request.get("op").and_then(Json::as_str) {
-            Some("create") => self.dispatch_create(request, trace, rotations),
+            Some("create") => self.dispatch_create(request, trace, rotations, w),
             // Instance ops (and anything unroutable — unknown ops,
             // missing or dead ids): the owning shard, or shard 0, whose
             // dispatch reports the identical error a single session would.
@@ -170,18 +182,17 @@ impl Router {
                         .unwrap_or(0)
                 };
                 let closes = op == Some("close");
-                self.on_shard(shard, trace, id, rotations, |state| {
-                    let response = protocol::respond(state, request);
+                self.on_shard(shard, trace, id, rotations, w, |state, w| {
+                    let replied = protocol::respond_routed(state, request, w);
                     // Unregister a closed instance before the client can
                     // see the response (a stale entry would still be
                     // answered correctly — the session rejects the dead id
                     // — but the directory should not outlive the instance).
-                    if closes && is_ok(&response) {
+                    if closes && replied.ok {
                         if let Some(id) = id {
                             self.directory().remove(&id);
                         }
                     }
-                    response
                 })
             }
         }
@@ -192,34 +203,39 @@ impl Router {
     /// commits the WAL — the durability contract: the op is on disk
     /// before the reply can reach the client.
     ///
-    /// The lock and `f` run inside one `catch_unwind`. A panic answers
-    /// `{"ok":false,…,"error":"internal: …"}` (echoing `id`) and poisons
-    /// this shard's mutex only; a poisoned shard answers
-    /// `"shard worker died"` from then on.
+    /// The lock and `f` run inside one `catch_unwind`. A panic rewinds
+    /// whatever `f` wrote and answers
+    /// `{"ok":false,…,"error":"internal: …"}` (echoing `id`, and `trace`
+    /// under `--trace`) instead, and poisons this shard's mutex only; a
+    /// poisoned shard answers `"shard worker died"` from then on.
     fn on_shard(
         &self,
         shard: usize,
         trace: u64,
         id: Option<u64>,
         rotations: &mut Vec<usize>,
-        f: impl FnOnce(&mut ServeState) -> Json,
-    ) -> Json {
+        w: &mut Writer<'_>,
+        f: impl FnOnce(&mut ServeState, &mut Writer<'_>),
+    ) {
+        let mark = w.mark();
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut state = self.shards[shard].lock().ok()?;
             let _ring = state.install_trace_ring();
             coschedule::obs::set_trace_id(trace);
-            let response = f(&mut state);
+            f(&mut state, w);
             state.wal_commit();
             if state.wal_rotation_due() && !rotations.contains(&shard) {
                 rotations.push(shard);
             }
-            Some(response)
+            Some(())
         }));
-        match outcome {
-            Ok(Some(response)) => response,
-            Ok(None) => error_response("shard worker died", id),
-            Err(panic) => error_response(&format!("internal: {}", panic_message(&*panic)), id),
-        }
+        let message = match outcome {
+            Ok(Some(())) => return,
+            Ok(None) => "shard worker died".to_string(),
+            Err(panic) => format!("internal: {}", panic_message(&*panic)),
+        };
+        w.rewind(mark);
+        protocol::write_error(w, &message, id, self.echo_trace.then_some(trace));
     }
 
     /// Rotates shard `shard`'s WAL to a fresh snapshot if one is due (see
@@ -237,18 +253,20 @@ impl Router {
     /// create cursor is held, so the directory registration happens
     /// before the response escapes (a pipelining client may address the
     /// new id on its very next line).
-    fn dispatch_create(&self, request: &Json, trace: u64, rotations: &mut Vec<usize>) -> Json {
+    fn dispatch_create(
+        &self,
+        request: &Json,
+        trace: u64,
+        rotations: &mut Vec<usize>,
+        w: &mut Writer<'_>,
+    ) {
         let mut cursor = self.create_cursor.lock().expect("create cursor lock");
         let shard = (*cursor % self.shards.len() as u64) as usize;
-        self.on_shard(shard, trace, None, rotations, |state| {
-            let response = protocol::respond(state, request);
-            if is_ok(&response) {
-                if let Some(id) = response.get("id").and_then(Json::as_u64) {
-                    self.directory().insert(id, shard);
-                    *cursor += 1;
-                }
+        self.on_shard(shard, trace, None, rotations, w, |state, w| {
+            if let Some(id) = protocol::respond_routed(state, request, w).created {
+                self.directory().insert(id, shard);
+                *cursor += 1;
             }
-            response
         })
     }
 
@@ -269,10 +287,6 @@ impl Router {
     fn directory(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
         self.directory.lock().expect("directory lock")
     }
-}
-
-fn is_ok(response: &Json) -> bool {
-    response.get("ok").and_then(Json::as_bool) == Some(true)
 }
 
 /// The message of a caught panic (`panic!` payloads are `&str` or
@@ -299,36 +313,69 @@ mod tests {
         Json::parse(line).expect("router replies are JSON")
     }
 
-    #[test]
-    fn a_panic_answers_an_error_and_poisons_only_its_shard() {
+    /// A fresh two-worker router.
+    fn two_shards(trace: bool) -> Router {
         let mut config = ServeConfig {
             workers: 2,
+            trace,
             ..ServeConfig::default()
         };
         let states = super::super::build_states(&mut config).expect("fresh states");
-        let router = Router::new(&config, states);
-        let mut rotations = Vec::new();
-        // Round-robin: instance 0 lands on shard 0, instance 1 on shard 1.
+        Router::new(&config, states)
+    }
+
+    /// The reply the router writes for `line` under trace id `trace`.
+    fn reply(router: &Router, line: &str, trace: u64, rotations: &mut Vec<usize>) -> String {
+        let mut out = String::new();
+        router.dispatch(line, trace, rotations, &mut out);
+        out
+    }
+
+    /// Creates instances 0 and 1 (round-robin: shard 0, then shard 1),
+    /// injects a panic into shard 0 under trace id 7, and asks shard 0
+    /// for a solve under trace id 8. Returns those two replies.
+    fn panic_then_poisoned(router: &Router, rotations: &mut Vec<usize>) -> (String, String) {
         for name in ["A", "C"] {
-            let created = parse(&router.dispatch(&create_line(name), 0, &mut rotations));
+            let created = parse(&reply(router, &create_line(name), 0, rotations));
             assert_eq!(created.get("ok").and_then(Json::as_bool), Some(true));
         }
+        let mut panicked = String::new();
+        router.on_shard(
+            0,
+            7,
+            Some(0),
+            rotations,
+            &mut JsonWriter::new(&mut panicked),
+            |_, w| {
+                // Half a reply is on the buffer when the fault hits.
+                w.begin_object().key("ok");
+                panic!("injected solver fault")
+            },
+        );
+        let poisoned = reply(router, r#"{"op":"solve","id":0}"#, 8, rotations);
+        (panicked, poisoned)
+    }
 
-        let reply = router.on_shard(0, 7, Some(0), &mut rotations, |_| {
-            panic!("injected solver fault")
-        });
+    #[test]
+    fn a_panic_answers_an_error_and_poisons_only_its_shard() {
+        let router = two_shards(false);
+        let mut rotations = Vec::new();
+        let (panicked, poisoned) = panic_then_poisoned(&router, &mut rotations);
         assert_eq!(
-            reply.to_string(),
+            panicked,
             r#"{"ok":false,"id":0,"error":"internal: injected solver fault"}"#
         );
-
-        let later = router.dispatch(r#"{"op":"solve","id":0}"#, 8, &mut rotations);
         assert_eq!(
-            later, r#"{"ok":false,"id":0,"error":"shard worker died"}"#,
+            poisoned, r#"{"ok":false,"id":0,"error":"shard worker died"}"#,
             "the poisoned shard keeps answering, with an error"
         );
 
-        let other = parse(&router.dispatch(r#"{"op":"solve","id":1}"#, 9, &mut rotations));
+        let other = parse(&reply(
+            &router,
+            r#"{"op":"solve","id":1}"#,
+            9,
+            &mut rotations,
+        ));
         assert_eq!(
             other.get("ok").and_then(Json::as_bool),
             Some(true),
@@ -339,25 +386,44 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_answers_an_error_and_poisons_only_its_shard_with_trace() {
+        let router = two_shards(true);
+        let mut rotations = Vec::new();
+        let (panicked, poisoned) = panic_then_poisoned(&router, &mut rotations);
+        assert_eq!(
+            panicked,
+            r#"{"ok":false,"id":0,"error":"internal: injected solver fault","trace_id":7}"#
+        );
+        assert_eq!(
+            poisoned,
+            r#"{"ok":false,"id":0,"error":"shard worker died","trace_id":8}"#
+        );
+        let other = reply(&router, r#"{"op":"solve","id":1}"#, 9, &mut rotations);
+        assert!(other.ends_with(r#","trace_id":9}"#), "{other}");
+    }
+
+    #[test]
     fn a_poisoned_shard_reports_a_zero_row_and_no_samples() {
-        let mut config = ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        };
-        let states = super::super::build_states(&mut config).expect("fresh states");
-        let router = Router::new(&config, states);
+        let router = two_shards(false);
         let mut rotations = Vec::new();
         for name in ["A", "C"] {
-            router.dispatch(&create_line(name), 0, &mut rotations);
+            reply(&router, &create_line(name), 0, &mut rotations);
         }
-        router.on_shard(0, 1, Some(0), &mut rotations, |_| panic!("injected"));
+        router.on_shard(
+            0,
+            1,
+            Some(0),
+            &mut rotations,
+            &mut JsonWriter::new(&mut String::new()),
+            |_, _| panic!("injected"),
+        );
 
-        let metrics = parse(&router.dispatch(r#"{"op":"metrics"}"#, 2, &mut rotations));
+        let metrics = parse(&reply(&router, r#"{"op":"metrics"}"#, 2, &mut rotations));
         let rows = metrics.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(rows[0].get("requests").and_then(Json::as_u64), Some(0));
         assert_eq!(rows[0].get("instances").and_then(Json::as_u64), Some(0));
         assert_eq!(rows[1].get("requests").and_then(Json::as_u64), Some(1));
-        let list = router.dispatch(r#"{"op":"list"}"#, 3, &mut rotations);
+        let list = reply(&router, r#"{"op":"list"}"#, 3, &mut rotations);
         assert!(
             list.contains(r#""id":1"#) && !list.contains(r#""id":0"#),
             "{list}"

@@ -3,8 +3,15 @@
 //! The build is fully offline (no crates.io), so — like the `rand`,
 //! `proptest` and `criterion` shims next door — this crate implements
 //! exactly the surface the workspace needs: a [`Json`] value type, a
-//! recursive-descent parser ([`Json::parse`]) and a compact serializer
-//! (`Display`), plus typed accessors for unpacking requests.
+//! recursive-descent parser ([`Json::parse`]), typed accessors for
+//! unpacking requests, and one compact serializer, the streaming
+//! [`JsonWriter`].
+//!
+//! There is one writer. A server writes its replies with it field by
+//! field, straight into a `String`, with no [`Json`] tree in between;
+//! `Json`'s `Display` walks the tree through the same writer. So the crate
+//! has one number formatter and one string escaper, and a reply written
+//! either way has the same bytes.
 //!
 //! Deliberate properties:
 //!
@@ -170,17 +177,6 @@ impl Json {
     pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
         Json::Arr(items.into_iter().collect())
     }
-
-    /// A number (the `From<f64>` impl, spelled for call sites that read
-    /// better with a name).
-    pub fn num(n: f64) -> Json {
-        Json::Num(n)
-    }
-
-    /// A string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
 }
 
 impl From<f64> for Json {
@@ -233,56 +229,267 @@ impl From<String> for Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(true) => f.write_str("true"),
-            Json::Bool(false) => f.write_str("false"),
-            Json::Num(n) => write_num(f, *n),
-            Json::Str(s) => write_str(f, s),
+        let mut w = JsonWriter::new(f);
+        w.value(self);
+        w.finish()
+    }
+}
+
+/// Integers below this magnitude are exact in an `f64` and print as
+/// integers; everything else takes the float path.
+const INT_LIMIT: u64 = 1 << 53;
+
+/// A streaming JSON writer: values go straight into `out` (a `String`, a
+/// `fmt::Formatter`, any [`fmt::Write`]), with no [`Json`] tree in
+/// between. It is the crate's only serializer — `Json`'s `Display` runs
+/// through [`JsonWriter::value`] — so a reply written field by field has
+/// the same bytes as the tree it replaces.
+///
+/// Commas are the writer's job: every value and every [`Self::key`]
+/// inside an object or array is preceded by one unless it is the first.
+/// Balancing `begin_*`/`end_*` and pairing keys with values is the
+/// caller's. The first error `out` reports is kept, later writes are
+/// skipped, and [`Self::finish`] returns it (writing to a `String` never
+/// fails).
+///
+/// ```
+/// use minijson::JsonWriter;
+///
+/// let mut out = String::new();
+/// let mut w = JsonWriter::new(&mut out);
+/// w.begin_object();
+/// w.key("ok").bool(true);
+/// w.key("partition").int_array([0, 2, 5]);
+/// w.key("makespan").num(1.5e10);
+/// w.end_object();
+/// assert_eq!(out, r#"{"ok":true,"partition":[0,2,5],"makespan":15000000000}"#);
+/// ```
+pub struct JsonWriter<W> {
+    out: W,
+    /// Whether the next value or key needs a comma before it.
+    comma: bool,
+    result: fmt::Result,
+}
+
+/// A position in a `String`-backed [`JsonWriter`], to return to with
+/// [`JsonWriter::rewind`].
+#[derive(Debug, Clone, Copy)]
+pub struct Mark {
+    len: usize,
+    comma: bool,
+}
+
+impl<W: fmt::Write> JsonWriter<W> {
+    /// A writer appending to `out`, expecting one value at top level.
+    pub fn new(out: W) -> Self {
+        Self {
+            out,
+            comma: false,
+            result: Ok(()),
+        }
+    }
+
+    /// The first error `out` reported, if any.
+    pub fn finish(self) -> fmt::Result {
+        self.result
+    }
+
+    fn raw(&mut self, s: &str) {
+        if self.result.is_ok() {
+            self.result = self.out.write_str(s);
+        }
+    }
+
+    /// The comma owed before a value or key.
+    fn separate(&mut self) {
+        if self.comma {
+            self.raw(",");
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.separate();
+        self.raw("{");
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.raw("}");
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.separate();
+        self.raw("[");
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.raw("]");
+        self.comma = true;
+        self
+    }
+
+    /// An object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        if self.result.is_ok() {
+            self.result = write_str(&mut self.out, key).and_then(|()| self.out.write_str(":"));
+        }
+        self.comma = false;
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.separate();
+        self.raw("null");
+        self.comma = true;
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.separate();
+        self.raw(if b { "true" } else { "false" });
+        self.comma = true;
+        self
+    }
+
+    /// A number, with the same bytes as `Json::Num(n)`.
+    pub fn num(&mut self, n: f64) -> &mut Self {
+        self.separate();
+        if self.result.is_ok() {
+            self.result = write_num(&mut self.out, n);
+        }
+        self.comma = true;
+        self
+    }
+
+    /// An integer, with the same bytes as `Json::from(n)` (which stores
+    /// it as an `f64`: at and above 2^53 the float path prints it).
+    pub fn int(&mut self, n: u64) -> &mut Self {
+        if n >= INT_LIMIT {
+            return self.num(n as f64);
+        }
+        self.separate();
+        let mut buf = [0u8; 20];
+        self.raw(int_digits(n, &mut buf));
+        self.comma = true;
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.separate();
+        if self.result.is_ok() {
+            self.result = write_str(&mut self.out, s);
+        }
+        self.comma = true;
+        self
+    }
+
+    /// An array of integers, each as [`Self::int`] writes it. The digits
+    /// go through a stack buffer that reaches `out` a few KB at a time, so
+    /// a 4096-index partition costs a handful of writes, not thousands.
+    pub fn int_array(&mut self, items: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.begin_array();
+        let mut chunk = [0u8; 4096];
+        let mut len = 0;
+        for n in items {
+            // Room for a comma and 20 digits, or flush first.
+            if len + 21 > chunk.len() || n >= INT_LIMIT {
+                self.raw(ascii(&chunk[..len]));
+                len = 0;
+            }
+            if n >= INT_LIMIT {
+                self.num(n as f64);
+                continue;
+            }
+            if self.comma {
+                chunk[len] = b',';
+                len += 1;
+            }
+            let end = len + digit_count(n);
+            fill_digits(n, &mut chunk[len..end]);
+            len = end;
+            self.comma = true;
+        }
+        self.raw(ascii(&chunk[..len]));
+        self.end_array()
+    }
+
+    /// A whole [`Json`] value.
+    pub fn value(&mut self, v: &Json) -> &mut Self {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
             Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    item.fmt(f)?;
+                self.begin_array();
+                for item in items {
+                    self.value(item);
                 }
-                f.write_str("]")
+                self.end_array()
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_str(f, k)?;
-                    f.write_str(":")?;
-                    v.fmt(f)?;
+                self.begin_object();
+                for (k, v) in pairs {
+                    self.key(k).value(v);
                 }
-                f.write_str("}")
+                self.end_object()
             }
         }
     }
 }
 
+impl JsonWriter<&mut String> {
+    /// The current position, to [`Self::rewind`] to.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            len: self.out.len(),
+            comma: self.comma,
+        }
+    }
+
+    /// Drops everything written since `mark` was taken, so a value that
+    /// went wrong halfway can be written again from the same spot.
+    pub fn rewind(&mut self, mark: Mark) {
+        self.out.truncate(mark.len);
+        self.comma = mark.comma;
+    }
+}
+
+/// The chunk buffer holds only ASCII digits, commas and signs.
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("ASCII digits and commas")
+}
+
 /// Serializes a number. JSON cannot represent non-finite values; they
 /// become `null` (senders are expected to gate them out beforehand).
-fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
+fn write_num<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
-        return f.write_str("null");
+        return out.write_str("null");
     }
     // Integers within the f64-exact window print without a fraction so ids
     // and counters look like integers on the wire; everything else uses
-    // Rust's shortest round-trip representation. `-0.0` keeps its sign
-    // (the `as i64` cast would drop it).
-    if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        if n == 0.0 && n.is_sign_negative() {
-            f.write_str("-0")
-        } else {
-            write_int(f, n as i64)
+    // Rust's shortest round-trip representation. `-0.0` keeps its sign.
+    if n.fract() == 0.0 && n.abs() < INT_LIMIT as f64 {
+        if n.is_sign_negative() {
+            out.write_str("-")?;
         }
+        let mut buf = [0u8; 20];
+        out.write_str(int_digits(n.abs() as u64, &mut buf))
     } else {
-        write!(f, "{n}")
+        write!(out, "{n}")
     }
 }
 
@@ -298,58 +505,70 @@ const DIGIT_PAIRS: [u8; 200] = {
     pairs
 };
 
-/// Writes `n` exactly as `write!(f, "{n}")` would, two digits at a time
-/// into a stack buffer and then in one `write_str`, without the
-/// formatting machinery (a solve reply carries thousands of indices).
-fn write_int(f: &mut fmt::Formatter<'_>, n: i64) -> fmt::Result {
-    // i64::MIN has 19 digits; with its sign that is 20 bytes.
-    let mut buf = [0u8; 20];
-    let mut pos = buf.len();
-    let mut m = n.unsigned_abs();
-    while m >= 100 {
-        let d = (m % 100) as usize * 2;
-        m /= 100;
-        pos -= 2;
-        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+/// How many decimal digits `n` has.
+fn digit_count(n: u64) -> usize {
+    let mut count = 1;
+    let mut bound = 10u64;
+    while count < 20 && n >= bound {
+        count += 1;
+        bound = bound.wrapping_mul(10);
     }
-    if m >= 10 {
-        let d = m as usize * 2;
-        pos -= 2;
-        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
-    } else {
-        pos -= 1;
-        buf[pos] = b'0' + m as u8;
-    }
-    if n < 0 {
-        pos -= 1;
-        buf[pos] = b'-';
-    }
-    f.write_str(std::str::from_utf8(&buf[pos..]).expect("ASCII digits and sign"))
+    count
 }
 
-fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes the decimal digits of `n`, exactly as `format!("{n}")` prints
+/// them, into `dst`, which holds exactly [`digit_count`]`(n)` bytes: two
+/// digits at a time from the end, without the formatting machinery (a
+/// solve reply carries thousands of indices).
+fn fill_digits(mut n: u64, dst: &mut [u8]) {
+    let mut pos = dst.len();
+    while n >= 100 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        pos -= 2;
+        dst[pos] = DIGIT_PAIRS[d];
+        dst[pos + 1] = DIGIT_PAIRS[d + 1];
+    }
+    if n >= 10 {
+        let d = n as usize * 2;
+        dst[0] = DIGIT_PAIRS[d];
+        dst[1] = DIGIT_PAIRS[d + 1];
+    } else {
+        dst[0] = b'0' + n as u8;
+    }
+}
+
+/// The decimal digits of `n`, written into `buf`.
+fn int_digits(n: u64, buf: &mut [u8; 20]) -> &str {
+    let digits = &mut buf[..digit_count(n)];
+    fill_digits(n, digits);
+    ascii(digits)
+}
+
+/// Writes `s` as a quoted, escaped JSON string.
+fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
     // Mirror the parser's fast path: emit contiguous runs of plain
     // characters in one call, dropping to per-character work only at the
     // (rare) escapes.
     let mut rest = s;
     while let Some(pos) = rest.find(|c: char| c == '"' || c == '\\' || (c as u32) < 0x20) {
-        f.write_str(&rest[..pos])?;
+        out.write_str(&rest[..pos])?;
         let c = rest[pos..].chars().next().expect("found char");
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c => write!(f, "\\u{:04x}", c as u32)?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            '\u{08}' => out.write_str("\\b")?,
+            '\u{0C}' => out.write_str("\\f")?,
+            c => write!(out, "\\u{:04x}", c as u32)?,
         }
         rest = &rest[pos + c.len_utf8()..];
     }
-    f.write_str(rest)?;
-    f.write_str("\"")
+    out.write_str(rest)?;
+    out.write_str("\"")
 }
 
 struct Parser<'a> {
@@ -749,6 +968,80 @@ mod tests {
             let magnitude = (raw & ((1u64 << bits) - 1)) as i64;
             let n = if negative == 1 { -magnitude } else { magnitude };
             prop_assert_eq!(Json::Num(n as f64).to_string(), format!("{}", n));
+        }
+    }
+
+    /// Writes one value through a `String`-backed writer.
+    fn written(f: impl FnOnce(&mut JsonWriter<&mut String>)) -> String {
+        let mut out = String::new();
+        f(&mut JsonWriter::new(&mut out));
+        out
+    }
+
+    #[test]
+    fn writer_fields_match_the_tree() {
+        let tree = Json::obj([
+            ("ok", Json::from(true)),
+            ("id", Json::from(3u64)),
+            ("big", Json::from(u64::MAX)),
+            ("edge", Json::from(1u64 << 53)),
+            ("x", Json::from(-0.0)),
+            ("inf", Json::from(f64::INFINITY)),
+            ("name", Json::from("q\"\\\n\u{1}é")),
+            ("none", Json::Null),
+            ("empty", Json::arr([])),
+            ("nested", Json::arr([Json::obj([("a", Json::from(1.5))])])),
+        ]);
+        let fields = written(|w| {
+            w.begin_object();
+            w.key("ok").bool(true);
+            w.key("id").int(3);
+            w.key("big").int(u64::MAX);
+            w.key("edge").int(1 << 53);
+            w.key("x").num(-0.0);
+            w.key("inf").num(f64::INFINITY);
+            w.key("name").str("q\"\\\n\u{1}é");
+            w.key("none").null();
+            w.key("empty").begin_array().end_array();
+            w.key("nested").begin_array().begin_object();
+            w.key("a").num(1.5);
+            w.end_object().end_array();
+            w.end_object();
+        });
+        assert_eq!(fields, tree.to_string());
+        assert_eq!(
+            written(|w| {
+                w.value(&tree);
+            }),
+            tree.to_string()
+        );
+    }
+
+    #[test]
+    fn rewind_drops_a_half_written_value() {
+        let out = written(|w| {
+            w.begin_array().int(1);
+            let mark = w.mark();
+            w.begin_object().key("half");
+            w.rewind(mark);
+            w.int(2).end_array();
+        });
+        assert_eq!(out, "[1,2]");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The chunked integer array has the tree's bytes at every length,
+        /// across chunk boundaries and past the f64-exact window.
+        fn int_arrays_match_the_tree(len in 0usize..1500, bits in 0u32..64, seed in 0u64..u64::MAX) {
+            let items: Vec<u64> = (0..len as u64)
+                .map(|i| (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> (63 - bits))
+                .collect();
+            let tree = Json::arr(items.iter().map(|&n| Json::from(n)));
+            prop_assert_eq!(written(|w| {
+                w.int_array(items.iter().copied());
+            }), tree.to_string());
         }
     }
 
