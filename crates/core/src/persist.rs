@@ -392,12 +392,7 @@ fn history_to_json(history: &History, member_names: &[String]) -> Json {
         ("stats", tuner_stats_to_json(&history.stats())),
         (
             "members",
-            Json::Arr(
-                member_names
-                    .iter()
-                    .map(|name| Json::from(name.as_str()))
-                    .collect(),
-            ),
+            Json::arr(member_names.iter().map(|name| Json::from(name.as_str()))),
         ),
         ("buckets", Json::Arr(buckets.collect())),
     ])

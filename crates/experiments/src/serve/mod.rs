@@ -35,8 +35,9 @@
 //!
 //! The module tree separates the layers:
 //!
-//! * [`protocol`] — request/response types and the minijson codec glue;
-//!   transport-free ([`handle_line`] maps a request string to a response
+//! * [`protocol`] — request parsing and the reply writers: every op
+//!   writes its reply with [`minijson::JsonWriter`] straight into a
+//!   `String`, no `Json` tree in between; transport-free ([`handle_line`] maps a request string to a response
 //!   string against a [`ServeState`]), so the protocol is testable
 //!   without sockets — and it is the byte-identity oracle the socket
 //!   tests replay against;

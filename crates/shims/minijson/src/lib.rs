@@ -300,77 +300,65 @@ impl<W: fmt::Write> JsonWriter<W> {
         }
     }
 
-    /// The comma owed before a value or key.
-    fn separate(&mut self) {
+    /// Writes one value (or key, when `comma_after` is false) with
+    /// `write`, after the comma it owes.
+    fn item(&mut self, comma_after: bool, write: impl FnOnce(&mut W) -> fmt::Result) -> &mut Self {
         if self.comma {
             self.raw(",");
         }
+        if self.result.is_ok() {
+            self.result = write(&mut self.out);
+        }
+        self.comma = comma_after;
+        self
+    }
+
+    fn close(&mut self, bracket: &str) -> &mut Self {
+        self.raw(bracket);
+        self.comma = true;
+        self
     }
 
     /// Opens an object.
     pub fn begin_object(&mut self) -> &mut Self {
-        self.separate();
-        self.raw("{");
-        self.comma = false;
-        self
+        self.item(false, |out| out.write_str("{"))
     }
 
     /// Closes the innermost object.
     pub fn end_object(&mut self) -> &mut Self {
-        self.raw("}");
-        self.comma = true;
-        self
+        self.close("}")
     }
 
     /// Opens an array.
     pub fn begin_array(&mut self) -> &mut Self {
-        self.separate();
-        self.raw("[");
-        self.comma = false;
-        self
+        self.item(false, |out| out.write_str("["))
     }
 
     /// Closes the innermost array.
     pub fn end_array(&mut self) -> &mut Self {
-        self.raw("]");
-        self.comma = true;
-        self
+        self.close("]")
     }
 
     /// An object key; the next call writes its value.
     pub fn key(&mut self, key: &str) -> &mut Self {
-        self.separate();
-        if self.result.is_ok() {
-            self.result = write_str(&mut self.out, key).and_then(|()| self.out.write_str(":"));
-        }
-        self.comma = false;
-        self
+        self.item(false, |out| {
+            write_str(out, key).and_then(|()| out.write_str(":"))
+        })
     }
 
     /// `null`.
     pub fn null(&mut self) -> &mut Self {
-        self.separate();
-        self.raw("null");
-        self.comma = true;
-        self
+        self.item(true, |out| out.write_str("null"))
     }
 
     /// `true` or `false`.
     pub fn bool(&mut self, b: bool) -> &mut Self {
-        self.separate();
-        self.raw(if b { "true" } else { "false" });
-        self.comma = true;
-        self
+        self.item(true, |out| out.write_str(if b { "true" } else { "false" }))
     }
 
     /// A number, with the same bytes as `Json::Num(n)`.
     pub fn num(&mut self, n: f64) -> &mut Self {
-        self.separate();
-        if self.result.is_ok() {
-            self.result = write_num(&mut self.out, n);
-        }
-        self.comma = true;
-        self
+        self.item(true, |out| write_num(out, n))
     }
 
     /// An integer, with the same bytes as `Json::from(n)` (which stores
@@ -379,21 +367,12 @@ impl<W: fmt::Write> JsonWriter<W> {
         if n >= INT_LIMIT {
             return self.num(n as f64);
         }
-        self.separate();
-        let mut buf = [0u8; 20];
-        self.raw(int_digits(n, &mut buf));
-        self.comma = true;
-        self
+        self.item(true, |out| out.write_str(int_digits(n, &mut [0; 20])))
     }
 
     /// A string, escaped.
     pub fn str(&mut self, s: &str) -> &mut Self {
-        self.separate();
-        if self.result.is_ok() {
-            self.result = write_str(&mut self.out, s);
-        }
-        self.comma = true;
-        self
+        self.item(true, |out| write_str(out, s))
     }
 
     /// An array of integers, each as [`Self::int`] writes it. The digits
