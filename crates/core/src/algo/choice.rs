@@ -33,12 +33,7 @@ impl Choice {
             Self::MinRatio => candidates
                 .iter()
                 .copied()
-                .min_by(|&a, &b| {
-                    ratios[a]
-                        .partial_cmp(&ratios[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                })
+                .min_by(|&a, &b| ratio_order(ratios, a, b))
                 .expect("non-empty"),
             Self::MaxRatio => candidates
                 .iter()
@@ -64,6 +59,16 @@ impl Choice {
 
     /// The three choice functions, in paper order.
     pub const ALL: [Choice; 3] = [Self::Random, Self::MinRatio, Self::MaxRatio];
+}
+
+/// The `(ratio, index)` order `MinRatio` picks the least candidate of. A
+/// NaN ratio compares equal to every ratio, so this is a total order only
+/// when no ratio is NaN.
+pub(crate) fn ratio_order(ratios: &[f64], a: usize, b: usize) -> std::cmp::Ordering {
+    ratios[a]
+        .partial_cmp(&ratios[b])
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.cmp(&b))
 }
 
 #[cfg(test)]

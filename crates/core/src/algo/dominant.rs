@@ -1,6 +1,6 @@
 //! Algorithms 1 and 2: greedy construction of dominant partitions (§5).
 
-use crate::algo::choice::Choice;
+use crate::algo::choice::{ratio_order, Choice};
 use crate::eval::EvalSet;
 use crate::theory::dominance::{is_dominant, violators, Partition};
 use rand::Rng;
@@ -54,12 +54,77 @@ pub fn dominant_partition<R: Rng + ?Sized>(
 }
 
 fn forward<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
+    match choice {
+        Choice::MinRatio => forward_min_ratio(eval),
+        _ => None,
+    }
+    .unwrap_or_else(|| evict_until_dominant(eval, choice, rng))
+}
+
+/// Algorithm 1 as printed: evict `choice(IC)` while `IC` has a violator,
+/// one strength pass per eviction.
+fn evict_until_dominant<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
     let mut ic = Partition::all(eval.len());
     while !ic.is_empty() && !violators(eval, &ic).is_empty() {
         let k = choice.pick(ic.members(), eval.ratios(), rng);
         ic.remove(k);
     }
     ic
+}
+
+/// Algorithm 1 with `MinRatio`: the partition [`evict_until_dominant`]
+/// ends at, found by a binary search instead of one O(n) pass per
+/// eviction. A dominant full set costs one strength pass and no sort.
+///
+/// `MinRatio` evicts in `(ratio, index)` order, so after `k` evictions
+/// `IC_k` is that order without its first `k` entries, and `IC_k` is
+/// dominant iff the smallest ratio left, `ratio[order[k]]`, exceeds
+/// `S(IC_k)`. That test is monotone in `k` as computed. The ratios rise
+/// along the order. `S(IC_k)` is summed over members in index order, as
+/// [`partition_strength`](crate::theory::dominance::partition_strength)
+/// does; with every weight `≥ 0` and rounded addition monotone in each
+/// operand, the sum over a subset is at most the sum over its superset,
+/// so `S` falls as `k` grows. Once `ratio[order[k]] > S(IC_k)` holds, it
+/// holds for every larger `k`, and the loop stops at the least such `k`.
+///
+/// Returns `None`, leaving the loop to run, when a ratio is NaN (the
+/// order is then not the loop's) or a weight is NaN or negative.
+fn forward_min_ratio(eval: &EvalSet) -> Option<Partition> {
+    // A dominant set has no violator, so the loop would keep it too.
+    let n = eval.len();
+    let all = Partition::all(n);
+    if is_dominant(eval, &all) {
+        return Some(all);
+    }
+    let (weights, ratios) = (eval.weights(), eval.ratios());
+    if ratios
+        .iter()
+        .zip(weights)
+        .any(|(r, w)| r.is_nan() || w.is_nan() || *w < 0.0)
+    {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| ratio_order(ratios, a, b));
+    let mut rank = vec![0; n];
+    for (position, &i) in order.iter().enumerate() {
+        rank[i] = position;
+    }
+    let dominant_after = |k: usize| {
+        let strength: f64 = (0..n).filter(|&i| rank[i] >= k).map(|i| weights[i]).sum();
+        k == n || ratios[order[k]] > strength
+    };
+    // Not dominant after 0 evictions, always dominant after n.
+    let (mut lo, mut hi) = (0, n);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if dominant_after(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some((0..n).filter(|&i| rank[i] >= hi).collect())
 }
 
 fn reverse<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
@@ -87,19 +152,133 @@ fn reverse<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Part
 mod tests {
     use super::*;
     use crate::model::{Application, Platform};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt as _, SeedableRng};
+
+    /// The six NPB rows of Table 2, `(name, w, f, m at 40 MB)`.
+    const NPB: [(&str, f64, f64, f64); 6] = [
+        ("CG", 5.70e10, 0.535, 6.59e-4),
+        ("BT", 2.10e11, 0.829, 7.31e-3),
+        ("LU", 1.52e11, 0.750, 1.51e-3),
+        ("SP", 1.38e11, 0.762, 1.51e-2),
+        ("MG", 1.23e10, 0.540, 2.62e-2),
+        ("FT", 1.65e10, 0.582, 1.78e-2),
+    ];
+
+    /// Random instances around the search's corners: NPB-SYNTH rows or
+    /// fully random ones on LLCs from 1 MB to 1 GB, repeated rows (tied
+    /// ratios), `d = 0` (ratio `+∞`), `f = 0` (weight 0), and one case in
+    /// eight with a NaN or negative work, which the search leaves to the
+    /// loop.
+    fn random_instance(seed: u64) -> EvalSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = if rng.random_range(0..4) == 0 {
+            rng.random_range(100..=600)
+        } else {
+            rng.random_range(1..=40)
+        };
+        let cs = [1e6, 10e6, 45e6, 100e6, 1e9][rng.random_range(0..5usize)];
+        let mut apps: Vec<Application> = Vec::with_capacity(n);
+        for i in 0..n {
+            let (name, _, mut f, mut m) = NPB[i % 6];
+            let w = 10f64.powf(rng.random_range(8.0..=12.0));
+            if rng.random_range(0..2) == 0 {
+                f = rng.random_range(0.1..=0.9);
+                m = rng.random_range(9e-4..=1e-2);
+            }
+            match rng.random_range(0..24) {
+                0 => m = 0.0,
+                1 => f = 0.0,
+                2 if i > 0 => {
+                    let twin = apps[rng.random_range(0..i)].clone();
+                    apps.push(twin);
+                    continue;
+                }
+                _ => {}
+            }
+            apps.push(Application::new(format!("{name}-{i}"), w, 0.05, f, m));
+        }
+        if rng.random_range(0..8) == 0 {
+            let i = rng.random_range(0..n);
+            apps[i].work = if rng.random_range(0..2) == 0 {
+                f64::NAN
+            } else {
+                -1e9
+            };
+        }
+        EvalSet::of(&apps, &Platform::taihulight().with_cache_size(cs))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every Forward variant returns the eviction loop's partition
+        /// and draws the same random numbers doing so: for `MinRatio` the
+        /// loop is the reference the search is pinned to.
+        fn forward_matches_the_eviction_loop(seed in 0u64..u64::MAX) {
+            let eval = random_instance(seed);
+            for choice in Choice::ALL {
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let fast = forward(&eval, choice, &mut r1);
+                prop_assert_eq!(&fast, &evict_until_dominant(&eval, choice, &mut r2), "{}", choice.name());
+                prop_assert_eq!(r1.random_range(0..u64::MAX), r2.random_range(0..u64::MAX));
+            }
+        }
+    }
+
+    #[test]
+    fn a_ratio_equal_to_the_strength_is_evicted() {
+        // With m0 = 1 on an LLC of C0 = 40 MB, d = threshold = 1 and the
+        // ratio is the weight itself. Once A is evicted, S({B}) = ratio_B
+        // exactly, so B violates dominance too and nobody keeps cache.
+        let pf = Platform::taihulight().with_cache_size(40e6);
+        let apps = vec![
+            Application::perfectly_parallel("A", 1e9, 0.5, 1.0),
+            Application::perfectly_parallel("B", 1e10, 0.5, 1.0),
+        ];
+        let eval = EvalSet::of(&apps, &pf);
+        assert_eq!(eval.ratios()[1].to_bits(), eval.weights()[1].to_bits());
+        let mut rng = StdRng::seed_from_u64(0);
+        let fast = forward(&eval, Choice::MinRatio, &mut rng);
+        assert_eq!(
+            fast,
+            evict_until_dominant(&eval, Choice::MinRatio, &mut rng)
+        );
+        assert!(fast.is_empty());
+    }
+
+    #[test]
+    fn min_ratio_search_matches_the_loop_on_a_small_llc() {
+        // 4096 NPB-SYNTH applications on a 10 MB LLC: the loop makes
+        // one pass per eviction, over 1700 of them.
+        let mut rng = StdRng::seed_from_u64(1);
+        let apps: Vec<Application> = (0..4096)
+            .map(|i| {
+                let (name, _, f, m) = NPB[i % 6];
+                let w = rng.random_range(1e8..=1e12);
+                Application::new(format!("{name}-{i}"), w, 0.08, f, m)
+            })
+            .collect();
+        let eval = EvalSet::of(&apps, &Platform::taihulight().with_cache_size(10e6));
+        let fast = forward_min_ratio(&eval).expect("finite ratios and weights");
+        let reference =
+            evict_until_dominant(&eval, Choice::MinRatio, &mut StdRng::seed_from_u64(0));
+        assert!(
+            fast.len() < eval.len() - 1700,
+            "{} of {} kept",
+            fast.len(),
+            eval.len()
+        );
+        assert_eq!(fast, reference);
+    }
 
     fn npb_models(cs: f64) -> EvalSet {
         let pf = Platform::taihulight().with_cache_size(cs);
-        let apps = vec![
-            Application::perfectly_parallel("CG", 5.70e10, 0.535, 6.59e-4),
-            Application::perfectly_parallel("BT", 2.10e11, 0.829, 7.31e-3),
-            Application::perfectly_parallel("LU", 1.52e11, 0.750, 1.51e-3),
-            Application::perfectly_parallel("SP", 1.38e11, 0.762, 1.51e-2),
-            Application::perfectly_parallel("MG", 1.23e10, 0.540, 2.62e-2),
-            Application::perfectly_parallel("FT", 1.65e10, 0.582, 1.78e-2),
-        ];
+        let apps: Vec<Application> = NPB
+            .iter()
+            .map(|&(name, w, f, m)| Application::perfectly_parallel(name, w, f, m))
+            .collect();
         EvalSet::of(&apps, &pf)
     }
 

@@ -275,12 +275,36 @@ impl EvalSet {
     /// Batched `Exe_i^seq(x_i)`: fills `out` with the sequential cost of
     /// every application under the cache vector.
     ///
+    /// Two passes, so that the libm calls do not hold up the rest. The
+    /// first writes only `x_eff^α` (`x_eff = min(x_i, cap_i)`), one `powf`
+    /// per application; those calls fix the bits and are most of the
+    /// time. The second repeats [`Self::seq_cost_at`]'s other operations
+    /// elementwise and in its order: `x_eff` again, `m = 1` when
+    /// `x_eff ≤ 0` (the power written for it is then ignored), else
+    /// `min(d_i / x_eff^α, 1)`, then `w_i·(1 + f_i·(l_c + l_m·m))`. With no
+    /// call and no branch in it, that pass vectorises. Each IEEE operation
+    /// is rounded elementwise however the loop is compiled, so the bits
+    /// are [`Self::seq_cost_at`]'s.
+    ///
     /// # Panics
     /// Panics if `cache.len() != self.len()`.
     pub fn seq_costs_into(&self, cache: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(cache.len(), self.len(), "cache vector length mismatch");
+        let n = self.len();
+        assert_eq!(cache.len(), n, "cache vector length mismatch");
+        // Equal-length slices let the compiler drop the bounds checks.
+        let (cap, d) = (&self.cap[..n], &self.d[..n]);
+        let (work, freq) = (&self.work[..n], &self.access_freq[..n]);
+        let (lc, lm) = (self.latency_cache, self.latency_mem);
         out.clear();
-        out.extend((0..self.len()).map(|i| self.seq_cost_at(i, cache[i])));
+        out.extend((0..n).map(|i| cache[i].min(cap[i]).powf(self.alpha)));
+        let out = &mut out[..n];
+        for i in 0..n {
+            // Divide first and select after: a branch around the division
+            // keeps the loop scalar. The quotient is unused when x_eff ≤ 0.
+            let m = (d[i] / out[i]).min(1.0);
+            let m = if cache[i].min(cap[i]) <= 0.0 { 1.0 } else { m };
+            out[i] = work[i] * (1.0 + freq[i] * (lc + lm * m));
+        }
     }
 
     /// Batched `Exe_i(p_i, x_i)`: fills `out` with the execution time of
