@@ -1,1 +1,3 @@
 //! Benchmark crate: see `benches/` for the Criterion targets.
+
+#![forbid(unsafe_code)]

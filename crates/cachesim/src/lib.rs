@@ -39,6 +39,8 @@
 //! assert!(cache.stats().accesses == 10_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod clos;
 pub mod kernels;

@@ -53,6 +53,8 @@
 //! assert!(report.outcome.makespan <= outcome.makespan);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod cluster;
 pub mod error;

@@ -1,5 +1,5 @@
 //! Zero-dependency structured tracing: spans, instants, and per-thread
-//! lock-free ring buffers.
+//! ring buffers.
 //!
 //! Every layer of the crate (session resolve tiers, portfolio members,
 //! branch-and-bound phases, the §5 bisection, the serve path, the cluster
@@ -12,18 +12,19 @@
 //! # Design
 //!
 //! * **Per-thread rings.** Each recording thread lazily allocates one
-//!   bounded ring buffer and registers it in a global registry. Recording
-//!   is wait-free for the owning thread (plain atomic stores guarded by a
-//!   per-slot sequence word, seqlock style); a full ring overwrites its
-//!   oldest slot and the loss is surfaced through a drop counter — the
-//!   hot path never blocks and never allocates after the first event.
+//!   bounded ring buffer and registers it in a global registry. A ring is
+//!   a queue of at most [`RING_CAPACITY`] events behind one mutex; a push
+//!   into a full ring drops its oldest event and counts the loss, which
+//!   the next drain reports.
 //! * **Owned rings.** A [`RingHandle`] is a ring owned by a piece of
 //!   state rather than a thread (a server shard, which any thread may
 //!   serve while it holds the shard's lock). [`RingHandle::install`]
 //!   makes it the calling thread's ring until the returned guard drops.
-//! * **Draining** ([`drain`], [`drain_local`]) walks the registered rings
-//!   under a registry lock (contention-free for producers), discarding
-//!   torn slots (counted as dropped) via the sequence-word double check.
+//! * **Draining** ([`drain`], [`drain_local`]) takes a ring's queued
+//!   events and its pending drop count under that ring's lock. The lock
+//!   is uncontended in practice: a ring is drained by the thread that
+//!   writes it, under the same shard lock as its writer, or after its
+//!   writers are done.
 //! * **Deterministic span ids.** A span's id depends only on the ambient
 //!   trace id and its structural position (root index on the thread,
 //!   then per-parent child index), never on time or thread identity — the
@@ -52,15 +53,13 @@
 //! ```
 
 use std::cell::RefCell;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Events each ring can hold before it starts overwriting its oldest.
+/// Events each ring can hold before it starts dropping its oldest.
 pub const RING_CAPACITY: usize = 8192;
-
-/// Words per encoded event (see [`SpanEvent::encode`]).
-const WORDS: usize = 12;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
@@ -95,8 +94,8 @@ pub enum EventKind {
 }
 
 /// One recorded trace event. `Copy` plain-old-data on purpose: names are
-/// `&'static str` so events can live in lock-free rings without owning
-/// heap data.
+/// `&'static str`, so an event owns no heap data and is copied into its
+/// ring as is.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanEvent {
     /// Short category (`"serve"`, `"session"`, `"solver"`, `"wal"`, …).
@@ -123,159 +122,47 @@ pub struct SpanEvent {
     pub tid: u64,
 }
 
-impl SpanEvent {
-    fn encode(&self) -> [u64; WORDS] {
-        [
-            self.cat.as_ptr() as u64,
-            self.cat.len() as u64,
-            self.name.as_ptr() as u64,
-            self.name.len() as u64,
-            match self.kind {
-                EventKind::Span => 0,
-                EventKind::Instant => 1,
-            },
-            self.ts_ns,
-            self.dur_ns,
-            self.span_id,
-            self.parent_id,
-            self.trace_id,
-            self.arg0,
-            self.arg1,
-        ]
-    }
-
-    fn decode(words: &[u64; WORDS], tid: u64) -> SpanEvent {
-        // Safety: the words were written by `encode` from `&'static str`
-        // parts and the caller validated the slot's seqlock word around
-        // the read, so `(ptr, len)` pairs are internally consistent and
-        // point into static string data that lives for the whole process.
-        let cat = unsafe {
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                words[0] as *const u8,
-                words[1] as usize,
-            ))
-        };
-        let name = unsafe {
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                words[2] as *const u8,
-                words[3] as usize,
-            ))
-        };
-        SpanEvent {
-            cat,
-            name,
-            kind: if words[4] == 0 {
-                EventKind::Span
-            } else {
-                EventKind::Instant
-            },
-            ts_ns: words[5],
-            dur_ns: words[6],
-            span_id: words[7],
-            parent_id: words[8],
-            trace_id: words[9],
-            arg0: words[10],
-            arg1: words[11],
-            tid,
-        }
-    }
-}
-
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-/// One bounded event ring. Written by one thread at a time — its owning
-/// thread, or whoever holds the lock guarding an installed
-/// [`RingHandle`]; drained by anyone holding the registry lock.
-/// Overwrite-on-full with torn reads detected (and counted as drops)
-/// through per-slot seqlocks.
+/// One bounded event ring: the newest [`RING_CAPACITY`] events of its
+/// writer, plus what it lost making room for them.
 struct Ring {
     tid: u64,
-    /// Next event ordinal (monotonic; slot = `head % RING_CAPACITY`).
-    head: AtomicU64,
-    /// First ordinal not yet drained.
-    read_tail: AtomicU64,
-    /// Events lost to overwrite or torn reads, accumulated by drains.
-    dropped: AtomicU64,
-    slots: Box<[Slot]>,
+    state: Mutex<RingState>,
+}
+
+#[derive(Default)]
+struct RingState {
+    events: VecDeque<SpanEvent>,
+    /// Events pushed out of the full ring since the last drain.
+    pending_drops: u64,
+    /// Drops that earlier drains reported ([`dropped_total`] sums these).
+    drained_drops: u64,
 }
 
 impl Ring {
-    fn new(tid: u64) -> Ring {
-        let slots = (0..RING_CAPACITY)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                words: std::array::from_fn(|_| AtomicU64::new(0)),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring {
-            tid,
-            head: AtomicU64::new(0),
-            read_tail: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots,
-        }
+    /// Recorders never panic holding the lock, so poisoning is ignored.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Single-writer publication: mark the slot in-progress (odd
-    /// seq), store the payload, mark it valid for this ordinal (even
-    /// seq), then advance `head`.
-    fn push(&self, event: &SpanEvent) {
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h as usize) % RING_CAPACITY];
-        slot.seq.store(2 * h + 1, Ordering::Release);
-        for (cell, word) in slot.words.iter().zip(event.encode()) {
-            cell.store(word, Ordering::Relaxed);
+    fn push(&self, event: SpanEvent) {
+        let mut state = self.lock();
+        if state.events.len() == RING_CAPACITY {
+            state.events.pop_front();
+            state.pending_drops += 1;
         }
-        slot.seq.store(2 * h + 2, Ordering::Release);
-        self.head.store(h + 1, Ordering::Release);
+        state.events.push_back(event);
     }
 
-    /// Drains every intact event recorded since the previous drain.
-    /// Caller holds the registry lock (drains never race each other).
-    fn drain_into(&self, out: &mut Vec<SpanEvent>) {
-        let head = self.head.load(Ordering::Acquire);
-        let mut tail = self.read_tail.load(Ordering::Relaxed);
-        let mut dropped = 0u64;
-        if head.saturating_sub(tail) > RING_CAPACITY as u64 {
-            let lost = head - RING_CAPACITY as u64 - tail;
-            dropped += lost;
-            tail = head - RING_CAPACITY as u64;
-        }
-        for idx in tail..head {
-            let slot = &self.slots[(idx as usize) % RING_CAPACITY];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != 2 * idx + 2 {
-                // Overwritten by a later lap (or mid-write): lost.
-                dropped += 1;
-                continue;
-            }
-            let mut words = [0u64; WORDS];
-            for (word, cell) in words.iter_mut().zip(slot.words.iter()) {
-                *word = cell.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 == s2 {
-                out.push(SpanEvent::decode(&words, self.tid));
-            } else {
-                dropped += 1;
-            }
-        }
-        self.read_tail.store(head, Ordering::Relaxed);
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
+    /// Moves every event recorded since the previous drain, and the drops
+    /// since then, into `chunk`.
+    fn drain_into(&self, chunk: &mut TraceChunk) {
+        let mut state = self.lock();
+        chunk.events.extend(state.events.drain(..));
+        let dropped = std::mem::take(&mut state.pending_drops);
+        state.drained_drops += dropped;
+        chunk.dropped += dropped;
     }
 }
-
-// The registry hands `Arc<Ring>`s across threads for draining; all shared
-// state inside is atomic (the seqlock protocol guards the payload words).
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
 
 struct Frame {
     span_id: u64,
@@ -310,25 +197,27 @@ fn with_ctx<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> R {
 
 /// Allocates a ring and registers it for [`drain`].
 fn register_ring() -> Arc<Ring> {
-    let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
+    let ring = Arc::new(Ring {
+        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        state: Mutex::default(),
+    });
     REGISTRY.lock().unwrap().push(Arc::clone(&ring));
     ring
 }
 
-fn record(event: &SpanEvent) {
+fn record(mut event: SpanEvent) {
     with_ctx(|ctx| {
         let ring = ctx.ring.get_or_insert_with(register_ring);
-        let mut ev = *event;
-        ev.tid = ring.tid;
-        ring.push(&ev);
+        event.tid = ring.tid;
+        ring.push(event);
     });
 }
 
-/// A ring owned by a piece of state instead of a thread. The owner must
-/// serialize its users (a mutex around the owning state): a ring has one
-/// writer at a time. The ring is allocated on the first
-/// [`install`](Self::install) with tracing enabled, so an owner that is
-/// never traced costs nothing.
+/// A ring owned by a piece of state instead of a thread. The owner
+/// should serialize its users (a mutex around the owning state), so that
+/// the ring holds one timeline, in the order its spans closed. The ring
+/// is allocated on the first [`install`](Self::install) with tracing
+/// enabled, so an owner that is never traced costs nothing.
 #[derive(Default)]
 pub struct RingHandle(OnceLock<Arc<Ring>>);
 
@@ -473,7 +362,7 @@ impl Drop for Span {
                 ctx.stack.truncate(pos);
             }
         });
-        record(&SpanEvent {
+        record(SpanEvent {
             cat: self.cat,
             name: self.name,
             kind: EventKind::Span,
@@ -496,7 +385,7 @@ pub fn instant(cat: &'static str, name: &'static str, arg0: u64, arg1: u64) {
     }
     let (parent_id, trace_id) =
         with_ctx(|ctx| (ctx.stack.last().map_or(0, |f| f.span_id), ctx.trace_id));
-    record(&SpanEvent {
+    record(SpanEvent {
         cat,
         name,
         kind: EventKind::Instant,
@@ -512,10 +401,10 @@ pub fn instant(cat: &'static str, name: &'static str, arg0: u64, arg1: u64) {
 }
 
 /// A batch of drained events plus how many were lost since the previous
-/// drain (ring overwrite or torn slots).
+/// drain to full rings.
 #[derive(Debug, Default)]
 pub struct TraceChunk {
-    /// Intact events, in per-ring record order (rings concatenated).
+    /// Events, in per-ring record order (rings concatenated).
     pub events: Vec<SpanEvent>,
     /// Events dropped since the last drain over the drained rings.
     pub dropped: u64,
@@ -523,13 +412,10 @@ pub struct TraceChunk {
 
 /// Drains every registered ring (all threads that ever recorded).
 pub fn drain() -> TraceChunk {
-    let registry = REGISTRY.lock().unwrap();
     let mut chunk = TraceChunk::default();
-    let before = total_dropped_locked(&registry);
-    for ring in registry.iter() {
-        ring.drain_into(&mut chunk.events);
+    for ring in REGISTRY.lock().unwrap().iter() {
+        ring.drain_into(&mut chunk);
     }
-    chunk.dropped = total_dropped_locked(&registry) - before;
     chunk
 }
 
@@ -537,28 +423,22 @@ pub fn drain() -> TraceChunk {
 /// [`RingHandle`] installed on it (the `trace` protocol op drains the
 /// addressed shard's ring this way).
 pub fn drain_local() -> TraceChunk {
-    let ring = with_ctx(|ctx| ctx.ring.clone());
     let mut chunk = TraceChunk::default();
-    if let Some(ring) = ring {
-        let _guard = REGISTRY.lock().unwrap();
-        let before = ring.dropped.load(Ordering::Relaxed);
-        ring.drain_into(&mut chunk.events);
-        chunk.dropped = ring.dropped.load(Ordering::Relaxed) - before;
+    if let Some(ring) = with_ctx(|ctx| ctx.ring.clone()) {
+        ring.drain_into(&mut chunk);
     }
     chunk
 }
 
-fn total_dropped_locked(registry: &[Arc<Ring>]) -> u64 {
-    registry
-        .iter()
-        .map(|r| r.dropped.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Total events ever dropped across all rings (exposed by the Prometheus
-/// endpoint as `cosched_trace_dropped_total`).
+/// Total events ever dropped across all rings, as found by drains
+/// (exposed by the Prometheus endpoint as `cosched_trace_dropped_total`).
 pub fn dropped_total() -> u64 {
-    total_dropped_locked(&REGISTRY.lock().unwrap())
+    REGISTRY
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|ring| ring.lock().drained_drops)
+        .sum()
 }
 
 fn escape_json(s: &str, out: &mut String) {
@@ -712,6 +592,49 @@ mod tests {
         assert_eq!(args, [0, 1], "both threads recorded into the handle's ring");
         assert_eq!(own.events.len(), 1, "the thread's own ring is restored");
         assert_eq!(own.events[0].arg0, 7);
+    }
+
+    #[test]
+    fn a_drain_racing_a_recorder_sees_whole_ordered_events() {
+        let _gate = GATE.lock().unwrap();
+        set_enabled(true);
+        let handle = RingHandle::default();
+        let recorded = 4 * RING_CAPACITY as u64;
+        let finished = AtomicBool::new(false);
+        let (events, dropped) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _ring = handle.install();
+                for i in 0..recorded {
+                    instant("t", "race", i, i);
+                }
+                finished.store(true, Ordering::Release);
+            });
+            s.spawn(|| {
+                let _ring = handle.install();
+                let (mut events, mut dropped) = (Vec::new(), 0);
+                loop {
+                    let last = finished.load(Ordering::Acquire);
+                    let chunk = drain_local();
+                    events.extend(chunk.events);
+                    dropped += chunk.dropped;
+                    if last {
+                        return (events, dropped);
+                    }
+                }
+            })
+            .join()
+            .expect("drain thread")
+        });
+        set_enabled(false);
+        for ev in &events {
+            assert_eq!((ev.cat, ev.name), ("t", "race"));
+            assert_eq!(ev.arg0, ev.arg1, "a torn event");
+        }
+        assert!(
+            events.windows(2).all(|w| w[0].arg0 < w[1].arg0),
+            "events out of order across drains"
+        );
+        assert_eq!(events.len() as u64 + dropped, recorded);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl Partition {
             self.in_cache.insert(pos, index);
         }
     }
-
-    /// Complement `I \ IC` for an instance of `n` applications.
-    pub fn complement(&self, n: usize) -> Vec<usize> {
-        (0..n).filter(|i| !self.contains(*i)).collect()
-    }
 }
 
 impl FromIterator<usize> for Partition {
@@ -172,7 +167,6 @@ mod tests {
         p.insert(0);
         p.insert(0);
         assert_eq!(p.members(), &[0, 1, 3]);
-        assert_eq!(p.complement(5), vec![2, 4]);
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! (a real `kill -9` and `--restore`, usage errors) is pinned by
 //! `crates/experiments/tests/cli.rs`.
 
+#![forbid(unsafe_code)]
+
 use cachesim::clos::{ClosConfig, ClosTable};
 use coschedule::eval::EvalStats;
 use coschedule::model::Platform;

@@ -6,6 +6,8 @@
 //! run_experiments fig1 fig5 table2 [--reps N] [--out DIR]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use experiments::{registry, ExpConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -22,6 +22,8 @@
 //! which drives the [`coschedule::tune`] autotuner over an NPB-6
 //! mutation/solve trace and prints the learned table.
 
+#![forbid(unsafe_code)]
+
 pub mod appcsv;
 pub mod cluster;
 pub mod config;

@@ -8,6 +8,8 @@
 //! in a criterion-like one-line format. There are no statistics, plots, or
 //! saved baselines.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -37,6 +37,8 @@
 //! assert_eq!(Json::parse(&echo).unwrap(), v);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts.

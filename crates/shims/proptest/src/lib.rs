@@ -11,6 +11,8 @@
 //! reproducible run-to-run. There is **no shrinking** — a failing case is
 //! reported as-is.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use std::ops::{Range, RangeInclusive};

@@ -11,6 +11,8 @@
 //! real `rand` crate — every experiment in this workspace derives its
 //! randomness from explicit `u64` seeds, so only self-consistency matters.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level uniform bit source.

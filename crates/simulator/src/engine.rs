@@ -40,14 +40,6 @@ pub struct CoSimConfig {
     /// Enforce way masks (`true` = cache partitioning as decided by the
     /// schedule; `false` = fully shared LLC, co-runners interfere).
     pub enforce_partitions: bool,
-    /// Fraction of data accesses that are writes (extension beyond the
-    /// paper's read-only cost model). Dirty lines evicted from the LLC pay
-    /// [`Self::writeback_cost`] extra. `0.0` (the default) reproduces the
-    /// paper's accounting exactly.
-    pub write_ratio: f64,
-    /// Latency charged per dirty-line write-back (only with
-    /// `write_ratio > 0`); defaults to the memory latency `ll = 1`.
-    pub writeback_cost: f64,
     /// RNG seed for the reference streams.
     pub seed: u64,
 }
@@ -61,8 +53,6 @@ impl Default for CoSimConfig {
             work_scale: 1e-6,
             block_ops: 256,
             enforce_partitions: true,
-            write_ratio: 0.0,
-            writeback_cost: 1.0,
             seed: 0x0C05_C4ED,
         }
     }
@@ -79,9 +69,6 @@ pub struct SimOutcome {
     pub miss_rates: Vec<f64>,
     /// The way-rounded cache fraction each application effectively held.
     pub effective_fractions: Vec<f64>,
-    /// Dirty-line write-backs per application (zero unless
-    /// [`CoSimConfig::write_ratio`] is positive).
-    pub writebacks: Vec<u64>,
 }
 
 struct AppState {
@@ -89,16 +76,12 @@ struct AppState {
     remaining_ops: f64,
     /// Fractional-access accumulator (`f_i` accesses per op).
     access_carry: f64,
-    /// Fractional-write accumulator (`write_ratio` writes per access).
-    write_carry: f64,
     /// Virtual clock.
     clock: f64,
     generator: TraceGenerator,
     /// Base offset making this application's address space disjoint from
     /// the others' (the paper's model assumes no data sharing).
     addr_base: u64,
-    /// Write-backs charged to this application.
-    writebacks: u64,
     done: bool,
 }
 
@@ -110,8 +93,6 @@ pub struct CoSimulator {
     states: Vec<AppState>,
     platform: Platform,
     fractions: Vec<f64>,
-    /// Lines written but not yet written back (write-back extension).
-    dirty: std::collections::HashSet<u64>,
 }
 
 impl CoSimulator {
@@ -185,14 +166,12 @@ impl CoSimulator {
                 AppState {
                     remaining_ops: per_proc_ops,
                     access_carry: 0.0,
-                    write_carry: 0.0,
                     clock: 0.0,
                     generator: TraceGenerator::new(
                         pattern,
                         config.seed.wrapping_add(i as u64 * 0x9E37),
                     ),
                     addr_base: (i as u64 + 1) << 50,
-                    writebacks: 0,
                     done: false,
                 }
             })
@@ -205,7 +184,6 @@ impl CoSimulator {
             states,
             platform: platform.clone(),
             fractions,
-            dirty: std::collections::HashSet::new(),
         }
     }
 
@@ -258,13 +236,11 @@ impl CoSimulator {
         } else {
             self.fractions.clone()
         };
-        let writebacks = self.states.iter().map(|s| s.writebacks).collect();
         SimOutcome {
             completion_times,
             makespan,
             miss_rates,
             effective_fractions,
-            writebacks,
         }
     }
 
@@ -281,23 +257,8 @@ impl CoSimulator {
             while state.access_carry >= 1.0 {
                 state.access_carry -= 1.0;
                 let addr = state.addr_base | state.generator.next_address();
-                let outcome = self.llc.access(idx, addr);
-                cost += ls + if outcome.is_hit() { 0.0 } else { ll };
-                if self.config.write_ratio > 0.0 {
-                    // Write-back extension: dirty evictions pay extra.
-                    if let cachesim::cache::AccessOutcome::Miss { evicted: Some(e) } = outcome {
-                        if self.dirty.remove(&e) {
-                            state.writebacks += 1;
-                            cost += self.config.writeback_cost;
-                        }
-                    }
-                    state.write_carry += self.config.write_ratio;
-                    if state.write_carry >= 1.0 {
-                        state.write_carry -= 1.0;
-                        let line = addr & !(cachesim::trace::LINE_SIZE - 1);
-                        self.dirty.insert(line);
-                    }
-                }
+                let hit = self.llc.access(idx, addr).is_hit();
+                cost += ls + if hit { 0.0 } else { ll };
             }
             state.remaining_ops -= 1.0;
             ops_done += 1.0;
@@ -450,43 +411,6 @@ mod tests {
             CoSimulator::new(&apps, &platform(), &sched, config).run()
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn write_ratio_zero_matches_paper_accounting() {
-        // Default config: no write-backs recorded, cost identical to the
-        // read-only model.
-        let apps = vec![app("A", 1e6, 0.5, 0.2)];
-        let sched = schedule(&[(1.0, 0.5)]);
-        let config = CoSimConfig {
-            work_scale: 1e-2,
-            ..CoSimConfig::default()
-        };
-        let out = CoSimulator::new(&apps, &platform(), &sched, config).run();
-        assert_eq!(out.writebacks, vec![0]);
-    }
-
-    #[test]
-    fn writes_generate_writeback_traffic_and_cost() {
-        let apps = vec![app("A", 1e6, 0.8, 0.4)];
-        let sched = schedule(&[(1.0, 0.25)]);
-        let base_cfg = CoSimConfig {
-            work_scale: 1e-2,
-            ..CoSimConfig::default()
-        };
-        let read_only = CoSimulator::new(&apps, &platform(), &sched, base_cfg.clone()).run();
-        let wb_cfg = CoSimConfig {
-            write_ratio: 0.5,
-            ..base_cfg
-        };
-        let writey = CoSimulator::new(&apps, &platform(), &sched, wb_cfg).run();
-        assert!(writey.writebacks[0] > 0, "expected write-back traffic");
-        assert!(
-            writey.makespan > read_only.makespan,
-            "write-backs should cost time: {} vs {}",
-            writey.makespan,
-            read_only.makespan
-        );
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`engine`] — the co-execution loop;
 //! * [`validate`] — model-vs-simulation reports.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod validate;
 

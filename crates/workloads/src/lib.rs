@@ -12,6 +12,8 @@
 //! Unless a dataset is requested perfectly parallel, each application draws
 //! a sequential fraction `s_i` uniformly in `[0.01, 0.15]` (§6.1).
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod npb;
 pub mod rng;

@@ -11,8 +11,8 @@
 //! names that need escaping. It ends with `shutdown`.
 //!
 //! The transcript is replayed three ways: through `handle_line`, through
-//! `handle_line` with the trace echo on, and through a two-worker server
-//! over loopback. A 4096-app `NpbSynth` instance, generated here from a
+//! `handle_line` with the trace echo on, and through servers of 1, 2 and
+//! 4 workers over loopback. A 4096-app `NpbSynth` instance, generated here from a
 //! fixed seed, pins the large solve reply by length and FNV-1a-64 digest.
 //!
 //! The other serve suites compare transports with one another; this one
@@ -100,18 +100,24 @@ fn handle_line_with_the_trace_echo_reproduces_the_traced_transcript() {
 }
 
 #[test]
-fn a_two_worker_server_reproduces_the_transcript() {
+fn a_server_reproduces_the_transcript_at_every_worker_count() {
     let exchanges = transcript();
     let requests: Vec<String> = exchanges.iter().map(|ex| ex.request.clone()).collect();
-    let (addr, handle) = spawn_server(2);
-    // The transcript ends with `shutdown`, so the server exits after it.
-    let replies = Client::default()
-        .exchange(addr, &requests)
-        .expect("loopback exchange");
-    handle.join().expect("server thread").expect("server run");
-    assert_eq!(replies.len(), exchanges.len());
-    for (i, (ex, reply)) in exchanges.iter().zip(&replies).enumerate() {
-        assert_eq!(reply, &ex.reply, "line {i}: {}", ex.request);
+    for workers in [1, 2, 4] {
+        let (addr, handle) = spawn_server(workers);
+        // The transcript ends with `shutdown`, so the server exits after it.
+        let replies = Client::default()
+            .exchange(addr, &requests)
+            .expect("loopback exchange");
+        handle.join().expect("server thread").expect("server run");
+        assert_eq!(replies.len(), exchanges.len(), "{workers} workers");
+        for (i, (ex, reply)) in exchanges.iter().zip(&replies).enumerate() {
+            assert_eq!(
+                reply, &ex.reply,
+                "{workers} workers, line {i}: {}",
+                ex.request
+            );
+        }
     }
 }
 
