@@ -8,7 +8,11 @@
 //! kind: malformed JSON, unknown op, id and solver, `schedule:true` and
 //! `schedule:false` solves by every solver (`"auto"` included), a `batch`
 //! with a nested batch, `close`, `stats`/`list`/`solvers`/`trace`, and app
-//! names that need escaping. It ends with `shutdown`.
+//! names that need escaping. Before its closing `shutdown` it pins the
+//! order of the checks: a dead id together with a bad field (alone and
+//! inside a batch) reports the dead id, except a `mutate` with no
+//! `action`; a duplicate `"op"` or `"id"` key answers by the first one;
+//! and keys may come in any order.
 //!
 //! The transcript is replayed three ways: through `handle_line`, through
 //! `handle_line` with the trace echo on, and through servers of 1, 2 and
