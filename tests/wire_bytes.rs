@@ -14,9 +14,10 @@
 //! `action`; a duplicate `"op"` or `"id"` key answers by the first one;
 //! and keys may come in any order.
 //!
-//! The transcript is replayed three ways: through `handle_line`, through
-//! `handle_line` with the trace echo on, and through servers of 1, 2 and
-//! 4 workers over loopback. A 4096-app `NpbSynth` instance, generated here from a
+//! The transcript is replayed four ways: through `handle_line`, through
+//! `handle_line` with the trace echo on, through servers of 1, 2 and 4
+//! workers over loopback, and through a server with a write-ahead log
+//! that is stopped halfway and restarted with `--restore`. A 4096-app `NpbSynth` instance, generated here from a
 //! fixed seed, pins the large solve reply by length and FNV-1a-64 digest.
 //!
 //! The other serve suites compare transports with one another; this one
@@ -25,8 +26,11 @@
 
 mod common;
 
-use common::spawn_server;
-use experiments::serve::{app_to_json, handle_line, Client, ServeState};
+use common::{shutdown, spawn_server, spawn_server_with};
+use experiments::serve::wal::read_wal_records;
+use experiments::serve::{
+    app_to_json, build_states, handle_line, Client, Durability, ServeConfig, ServeState,
+};
 use minijson::Json;
 use workloads::{seeded_rng, Dataset, SeqFraction};
 
@@ -125,6 +129,50 @@ fn a_server_reproduces_the_transcript_at_every_worker_count() {
     }
 }
 
+#[test]
+fn a_server_restored_mid_transcript_reproduces_the_rest() {
+    let exchanges = transcript();
+    let requests: Vec<String> = exchanges.iter().map(|ex| ex.request.clone()).collect();
+    let split = requests.len() / 2;
+    for workers in [1, 2] {
+        let dir = std::env::temp_dir().join(format!(
+            "cosched-wire-restore-{}-{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = |restore: bool| {
+            let dir = dir.clone();
+            spawn_server_with(move |config| {
+                config.workers = workers;
+                config.durability = Durability::Log;
+                config.wal_dir = Some(dir);
+                config.restore = restore;
+            })
+        };
+        let (addr, handle) = durable(false);
+        let mut replies = Client::default()
+            .exchange(addr, &requests[..split])
+            .expect("first half");
+        shutdown(addr, handle);
+        let (addr, handle) = durable(true);
+        replies.extend(
+            Client::default()
+                .exchange(addr, &requests[split..])
+                .expect("second half"),
+        );
+        handle.join().expect("server thread").expect("server run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(replies.len(), exchanges.len(), "{workers} workers");
+        for (i, (ex, reply)) in exchanges.iter().zip(&replies).enumerate() {
+            assert_eq!(
+                reply, &ex.reply,
+                "{workers} workers, restored at line {split}, line {i}: {}",
+                ex.request
+            );
+        }
+    }
+}
+
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
@@ -201,3 +249,55 @@ fn a_4096_app_instance_pins_its_create_and_solve_replies() {
     handle.join().expect("server thread").expect("server run");
     assert_synth4096_replies(&replies, "two-worker server");
 }
+
+/// A lone durable state's log: what a create, an `update_app`, a batch
+/// of two sub-requests, a failing op, a server-wide op and a request with
+/// reordered keys and an unknown field, and one with a duplicate `"op"`
+/// key append, record by record. Each
+/// routed request is logged in the canonical serialization of its parse
+/// (keys in their order on the line, numbers printed round-trip), failed
+/// ones included; the batch envelope and the server-wide op are not.
+#[test]
+fn a_durable_state_logs_the_pinned_records() {
+    let dir = std::env::temp_dir().join(format!("cosched-wire-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServeConfig {
+        durability: Durability::Log,
+        wal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let mut state = build_states(&mut config).expect("durable state").remove(0);
+    for line in [
+        r#"{"op":"create","apps":[{"name":"A \"1\"","work":1e10,"seq_fraction":0.1,"access_freq":0.5,"miss_rate_ref":1e-3},{"name":"B","work":2.5e10,"access_freq":0.6,"miss_rate_ref":2e-3,"footprint":3e8}],"platform":{"processors":64}}"#,
+        r#"{"op":"update_app","id":0,"index":1,"app":{"name":"B2","work":2.25e10,"seq_fraction":0.05,"access_freq":0.6,"miss_rate_ref":2e-3}}"#,
+        r#"{"op":"batch","requests":[{"op":"solve","id":0,"seed":1,"schedule":false},{"op":"remove_app","id":0,"index":0}]}"#,
+        r#"{"op":"solve","id":9,"solver":5}"#,
+        r#"{"op":"stats"}"#,
+        r#"{"seed":2,"id":0,"extra":[1,{"k":null}],"op":"solve","schedule":false}"#,
+        r#"{"op":"solve","op":"stats","id":0,"schedule":false}"#,
+    ] {
+        handle_line(&mut state, line);
+        state.wal_commit();
+    }
+    let records = read_wal_records(&dir.join("shard-0.wal.0.log")).expect("read the log");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(records, WAL_RECORDS);
+}
+
+const WAL_RECORDS: [&str; 7] = [
+    concat!(
+        r#"{"op":"create","apps":[{"name":"A \"1\"","work":10000000000,"seq_fraction":0.1,"#,
+        r#""access_freq":0.5,"miss_rate_ref":0.001},{"name":"B","work":25000000000,"#,
+        r#""access_freq":0.6,"miss_rate_ref":0.002,"footprint":300000000}],"#,
+        r#""platform":{"processors":64}}"#,
+    ),
+    concat!(
+        r#"{"op":"update_app","id":0,"index":1,"app":{"name":"B2","work":22500000000,"#,
+        r#""seq_fraction":0.05,"access_freq":0.6,"miss_rate_ref":0.002}}"#,
+    ),
+    r#"{"op":"solve","id":0,"seed":1,"schedule":false}"#,
+    r#"{"op":"remove_app","id":0,"index":0}"#,
+    r#"{"op":"solve","id":9,"solver":5}"#,
+    r#"{"seed":2,"id":0,"extra":[1,{"k":null}],"op":"solve","schedule":false}"#,
+    r#"{"op":"solve","op":"stats","id":0,"schedule":false}"#,
+];
