@@ -35,16 +35,18 @@
 //!
 //! The module tree separates the layers:
 //!
-//! * [`protocol`] — request parsing and the reply writers: every op
-//!   writes its reply with [`minijson::JsonWriter`] straight into a
-//!   `String`, no `Json` tree in between; transport-free ([`handle_line`] maps a request string to a response
-//!   string against a [`ServeState`]), so the protocol is testable
-//!   without sockets — and it is the byte-identity oracle the socket
-//!   tests replay against;
+//! * [`protocol`] — the op table, request decoding and the reply
+//!   writers: each request is decoded once into its op and id, and every
+//!   op writes its reply with [`minijson::JsonWriter`] straight into a
+//!   `String`, no `Json` tree in between; transport-free ([`handle_line`]
+//!   maps a request string to a response string against a
+//!   [`ServeState`]), so the protocol is testable without sockets — and
+//!   it is the byte-identity oracle the socket tests replay against;
 //! * [`router`] — the shards, one single-threaded [`Session`] each behind
 //!   a mutex (ids strided per shard, so the id sequence is 0, 1, 2, … at
 //!   any worker count), and the deterministic `InstanceId → shard`
-//!   mapping: round-robin creates and instance pinning. The server-wide
+//!   mapping, made from the decoded op and id the protocol then answers
+//!   with: round-robin creates and instance pinning. The server-wide
 //!   ops (`stats`, `list`, `solvers`, `metrics`, `shutdown`, `batch`) are
 //!   written once, in [`protocol`], over a set of shards read one lock at
 //!   a time: the router passes its shard locks, [`handle_line`] its lone
@@ -519,54 +521,23 @@ fn serve_metrics_scrape(
 /// final one. Ends with `shutdown`, so the serving side must allow it.
 pub fn smoke_script() -> Vec<String> {
     let apps = Json::arr(workloads::npb::npb6(&[0.05]).iter().map(app_to_json));
-    [
-        Json::obj([("op", Json::from("create")), ("apps", apps)]),
-        Json::obj([
-            ("op", Json::from("solve")),
-            ("id", Json::from(0u64)),
-            ("solver", Json::from("DominantMinRatio")),
-            ("seed", Json::from(42u64)),
-        ]),
-        Json::obj([
-            ("op", Json::from("mutate")),
-            ("id", Json::from(0u64)),
-            ("action", Json::from("remove_app")),
-            ("index", Json::from(1u64)),
-        ]),
-        Json::obj([
-            ("op", Json::from("solve")),
-            ("id", Json::from(0u64)),
-            ("solver", Json::from("DominantMinRatio")),
-            ("seed", Json::from(42u64)),
-        ]),
-        Json::obj([
-            ("op", Json::from("mutate")),
-            ("id", Json::from(0u64)),
-            ("action", Json::from("add_app")),
-            (
-                "app",
-                Json::obj([
-                    ("name", Json::from("HACC-io")),
-                    ("work", Json::from(3.1e10)),
-                    ("seq_fraction", Json::from(0.02)),
-                    ("access_freq", Json::from(0.61)),
-                    ("miss_rate_ref", Json::from(4.2e-3)),
-                ]),
+    let mut script = vec![format!(r#"{{"op":"create","apps":{apps}}}"#)];
+    script.extend(
+        [
+            r#"{"op":"solve","id":0,"solver":"DominantMinRatio","seed":42}"#,
+            r#"{"op":"mutate","id":0,"action":"remove_app","index":1}"#,
+            r#"{"op":"solve","id":0,"solver":"DominantMinRatio","seed":42}"#,
+            concat!(
+                r#"{"op":"mutate","id":0,"action":"add_app","app":{"name":"HACC-io","#,
+                r#""work":31000000000,"seq_fraction":0.02,"access_freq":0.61,"miss_rate_ref":0.0042}}"#
             ),
-        ]),
-        Json::obj([
-            ("op", Json::from("solve")),
-            ("id", Json::from(0u64)),
-            ("solver", Json::from("Portfolio")),
-            ("seed", Json::from(42u64)),
-            ("schedule", Json::from(false)),
-        ]),
-        Json::obj([("op", Json::from("stats"))]),
-        Json::obj([("op", Json::from("list"))]),
-        Json::obj([("op", Json::from("metrics"))]),
-        Json::obj([("op", Json::from("shutdown"))]),
-    ]
-    .into_iter()
-    .map(|v| v.to_string())
-    .collect()
+            r#"{"op":"solve","id":0,"solver":"Portfolio","seed":42,"schedule":false}"#,
+            r#"{"op":"stats"}"#,
+            r#"{"op":"list"}"#,
+            r#"{"op":"metrics"}"#,
+            r#"{"op":"shutdown"}"#,
+        ]
+        .map(String::from),
+    );
+    script
 }

@@ -15,6 +15,13 @@
 //! writer's bytes are `Json`'s `Display` bytes, so the wire format is
 //! the one the tree used to print.
 //!
+//! Each request, and each `batch` sub-request, is decoded once into a
+//! `Request`: its op, looked up in the one op table (`OPS`: wire name,
+//! op, span name), and its numeric `"id"`. Routing, dispatch, spans and
+//! error replies read those two fields; each op reads its own other
+//! fields from the parsed body, after checking the id, so a dead id is
+//! reported before a bad field.
+//!
 //! Error responses echo the request's `"id"` field whenever the request
 //! parsed and carried a numeric one, so a client multiplexing several
 //! instances over one connection can attribute a failure without relying
@@ -32,30 +39,104 @@ use minijson::{Json, JsonWriter};
 use super::metrics::{metrics_body, shard_reports, LatencyHistogram};
 use super::wal::{WalStats, WalWriter};
 
-/// Every op the protocol understands, in dispatch order — the single
-/// source of truth behind unknown-op errors, which list the available
-/// ops the same way [`coschedule::error::CoschedError::UnknownSolver`]
-/// lists the registered solvers.
-pub const OPS: &[&str] = &[
-    "create",
-    "mutate",
-    "add_app",
-    "remove_app",
-    "update_app",
-    "set_platform",
-    "solve",
-    "batch",
-    "stats",
-    "list",
-    "solvers",
-    "metrics",
-    "trace",
-    "close",
-    "shutdown",
+/// A request's op: what its `"op"` field names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Op {
+    Create,
+    /// The `mutate` envelope, whose `"action"` names the mutation.
+    Mutate,
+    /// A mutation named directly, so scripts can skip the envelope.
+    Mutation(Mutation),
+    Solve,
+    Batch,
+    Stats,
+    List,
+    Solvers,
+    Metrics,
+    Trace,
+    Close,
+    Shutdown,
+}
+
+/// The mutations `mutate` (and its direct aliases) applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Mutation {
+    AddApp,
+    RemoveApp,
+    UpdateApp,
+    SetPlatform,
+}
+
+/// Every op with its name on the wire and the span a shard-routed
+/// request with it is timed under: the one place the op vocabulary is
+/// written. In the order unknown-op errors list the ops, the way
+/// [`coschedule::error::CoschedError::UnknownSolver`] lists the
+/// registered solvers. The server-wide ops never open their span.
+#[rustfmt::skip]
+const OPS: [(&str, Op, &str); 15] = [
+    ("create", Op::Create, "op_create"),
+    ("mutate", Op::Mutate, "op_mutate"),
+    ("add_app", Op::Mutation(Mutation::AddApp), "op_add_app"),
+    ("remove_app", Op::Mutation(Mutation::RemoveApp), "op_remove_app"),
+    ("update_app", Op::Mutation(Mutation::UpdateApp), "op_update_app"),
+    ("set_platform", Op::Mutation(Mutation::SetPlatform), "op_set_platform"),
+    ("solve", Op::Solve, "op_solve"),
+    ("batch", Op::Batch, "op_batch"),
+    ("stats", Op::Stats, "op_stats"),
+    ("list", Op::List, "op_list"),
+    ("solvers", Op::Solvers, "op_solvers"),
+    ("metrics", Op::Metrics, "op_metrics"),
+    ("trace", Op::Trace, "op_trace"),
+    ("close", Op::Close, "op_close"),
+    ("shutdown", Op::Shutdown, "op_shutdown"),
 ];
 
-/// The actions the `mutate` envelope (and its aliases) accepts.
-pub const MUTATIONS: &[&str] = &["add_app", "remove_app", "update_app", "set_platform"];
+impl Op {
+    /// The op named `name` on the wire.
+    fn named(name: &str) -> Option<Op> {
+        OPS.iter().find(|row| row.0 == name).map(|row| row.1)
+    }
+
+    /// This op's name on the wire and the span it is timed under.
+    fn names(&self) -> (&'static str, &'static str) {
+        let row = OPS.iter().find(|row| row.1 == *self).expect("a row per op");
+        (row.0, row.2)
+    }
+}
+
+/// The wire names of the ops `keep` selects, in table order, as an error
+/// lists them.
+fn op_names(keep: impl Fn(Op) -> bool) -> String {
+    let rows = OPS.iter().filter(|row| keep(row.1));
+    rows.map(|row| row.0).collect::<Vec<_>>().join(", ")
+}
+
+/// One request, decoded once: its op and instance id, beside the parsed
+/// body each op reads its own fields from. [`respond`] and the router
+/// decode each line, and `batch` each sub-request, exactly once; routing,
+/// dispatch and the error replies all read the decoded fields.
+pub(super) struct Request<'a> {
+    /// The op, or the error a request without a known op answers.
+    pub op: Result<Op, String>,
+    /// The numeric `"id"`, when the request carries one.
+    pub id: Option<u64>,
+    /// The parsed request, which each op reads its other fields from.
+    pub body: &'a Json,
+}
+
+impl<'a> Request<'a> {
+    /// Decodes `body`'s op and id (a duplicate key answers by its first
+    /// occurrence).
+    pub fn decode(body: &'a Json) -> Request<'a> {
+        let op = match body.get("op").and_then(Json::as_str) {
+            None => Err("missing \"op\" field".to_string()),
+            Some(name) => Op::named(name)
+                .ok_or_else(|| format!("unknown op {name:?}; available: {}", op_names(|_| true))),
+        };
+        let id = body.get("id").and_then(Json::as_u64);
+        Request { op, id, body }
+    }
+}
 
 /// Solver a `solve` request that names none runs, unless the server is
 /// configured otherwise ([`super::ServeConfig::default_solver`]).
@@ -75,7 +156,6 @@ pub struct ServeState {
     /// Whether the `shutdown` op is honoured (`cosched serve
     /// --allow-shutdown`, and always in loopback smoke tests).
     pub allow_shutdown: bool,
-    shutdown_requested: bool,
     /// Shard-routed requests handled (what the `metrics` op reports;
     /// server-wide ops like `stats` are not counted). Persisted in WAL
     /// snapshots and carried across `--restore`.
@@ -126,7 +206,6 @@ impl ServeState {
             default_solver: DEFAULT_SOLVER.to_string(),
             default_seed: DEFAULT_SEED,
             allow_shutdown: false,
-            shutdown_requested: false,
             requests: 0,
             latency: LatencyHistogram::default(),
             trace_ring: obs::RingHandle::default(),
@@ -217,11 +296,6 @@ impl ServeState {
         self.wal.as_ref().map(WalWriter::stats)
     }
 
-    /// `true` once a `shutdown` request has been accepted.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_requested
-    }
-
     /// The underlying session (e.g. for post-test assertions).
     pub fn session(&self) -> &Session {
         &self.session
@@ -263,34 +337,6 @@ impl ShardSet for [Mutex<ServeState>] {
     }
 }
 
-/// The server-wide ops: answered over the whole shard set rather than by
-/// one shard, so they are neither counted, timed nor WAL-logged. `batch`
-/// is an envelope — only its sub-requests count.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum GlobalOp {
-    Stats,
-    List,
-    Solvers,
-    Metrics,
-    Shutdown,
-    Batch,
-}
-
-impl GlobalOp {
-    /// The request's op, when it is a server-wide one.
-    pub(super) fn of(request: &Json) -> Option<GlobalOp> {
-        Some(match request.get("op").and_then(Json::as_str)? {
-            "stats" => GlobalOp::Stats,
-            "list" => GlobalOp::List,
-            "solvers" => GlobalOp::Solvers,
-            "metrics" => GlobalOp::Metrics,
-            "shutdown" => GlobalOp::Shutdown,
-            "batch" => GlobalOp::Batch,
-            _ => return None,
-        })
-    }
-}
-
 /// The writer every reply is written with: straight into the caller's
 /// `String`, no [`Json`] tree in between.
 pub(super) type Writer<'a> = JsonWriter<&'a mut String>;
@@ -313,7 +359,7 @@ pub fn handle_line(state: &mut ServeState, line: &str) -> String {
     let mut out = String::new();
     let w = &mut JsonWriter::new(&mut out);
     match Json::parse(line) {
-        Ok(request) => respond_into(state, &request, w),
+        Ok(body) => respond_into(state, &Request::decode(&body), w),
         Err(e) => write_error(w, &format!("malformed request: {e}"), None, None),
     }
     out
@@ -323,29 +369,27 @@ pub fn handle_line(state: &mut ServeState, line: &str) -> String {
 /// [`handle_line`] does after parsing.
 pub fn respond(state: &mut ServeState, request: &Json) -> String {
     let mut out = String::new();
-    respond_into(state, request, &mut JsonWriter::new(&mut out));
+    let w = &mut JsonWriter::new(&mut out);
+    respond_into(state, &Request::decode(request), w);
     out
 }
 
-/// Writes the reply to one parsed request on a lone state: the
-/// server-wide ops over the state as a set of one shard, everything else
-/// through [`respond_routed`].
-fn respond_into(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) {
-    let Some(op) = GlobalOp::of(request) else {
-        respond_routed(state, request, w);
-        return;
-    };
+/// Writes the reply to one request on a lone state: the server-wide ops
+/// over the state as a set of one shard, everything else through
+/// [`respond_routed`].
+fn respond_into(state: &mut ServeState, request: &Request<'_>, w: &mut Writer<'_>) {
     // The lone state is the whole shard set. The router answers the same
     // ops with the same functions over its shard locks.
-    match op {
-        GlobalOp::Stats => stats_reply(w, state),
-        GlobalOp::List => list_reply(w, state),
-        GlobalOp::Solvers => solvers_reply(w),
-        GlobalOp::Metrics => metrics_body(w, &shard_reports(state, |_| None)),
-        GlobalOp::Shutdown => shutdown_reply(w, request, state.allow_shutdown, || {
-            state.shutdown_requested = true
-        }),
-        GlobalOp::Batch => batch_reply(w, request, |w, sub| respond_into(state, sub, w)),
+    match request.op {
+        Ok(Op::Stats) => stats_reply(w, state),
+        Ok(Op::List) => list_reply(w, state),
+        Ok(Op::Solvers) => solvers_reply(w),
+        Ok(Op::Metrics) => metrics_body(w, &shard_reports(state, |_| None)),
+        Ok(Op::Shutdown) => shutdown_reply(w, request.id, state.allow_shutdown, || {}),
+        Ok(Op::Batch) => batch_reply(w, request, |w, sub| respond_into(state, sub, w)),
+        _ => {
+            respond_routed(state, request, w);
+        }
     }
 }
 
@@ -354,11 +398,11 @@ fn respond_into(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) {
 /// under the owning shard's lock.
 pub(super) fn respond_routed(
     state: &mut ServeState,
-    request: &Json,
+    request: &Request<'_>,
     w: &mut Writer<'_>,
 ) -> Replied {
-    let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-    let mut request_sp = obs::span("serve", op_span_name(op));
+    let (op, span) = request.op.as_ref().map_or(("other", "op_other"), Op::names);
+    let mut request_sp = obs::span("serve", span);
     request_sp.set_args(obs::current_trace_id(), state.shard as u64);
     // Log before dispatch, in the canonical serialization — replaying
     // the log re-enters here and reproduces the dispatch bit for bit.
@@ -368,7 +412,7 @@ pub(super) fn respond_routed(
     let wal_started = std::time::Instant::now();
     if let Some(wal) = &mut state.wal {
         let append_sp = obs::span("wal", "wal_append");
-        wal.append(&request.to_string())
+        wal.append(&request.body.to_string())
             .expect("write-ahead log append failed");
         drop(append_sp);
     }
@@ -402,26 +446,9 @@ pub(super) fn respond_routed(
             // Ops write nothing before they succeed; the rewind drops the
             // opening brace.
             w.rewind(mark);
-            write_error(w, &message, id_of(request), trace_id);
+            write_error(w, &message, request.id, trace_id);
             Replied::default()
         }
-    }
-}
-
-/// Static span name for a shard-routed op (ring events hold only
-/// `&'static str`).
-fn op_span_name(op: &str) -> &'static str {
-    match op {
-        "create" => "op_create",
-        "mutate" => "op_mutate",
-        "add_app" => "op_add_app",
-        "remove_app" => "op_remove_app",
-        "update_app" => "op_update_app",
-        "set_platform" => "op_set_platform",
-        "solve" => "op_solve",
-        "trace" => "op_trace",
-        "close" => "op_close",
-        _ => "op_other",
     }
 }
 
@@ -458,59 +485,50 @@ pub(super) fn write_error(
 /// id a `create` made.
 fn dispatch(
     state: &mut ServeState,
-    request: &Json,
+    request: &Request<'_>,
     w: &mut Writer<'_>,
 ) -> Result<Option<u64>, String> {
-    let op = request
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("missing \"op\" field")?;
-    match op {
-        "create" => op_create(state, request, w).map(Some),
-        "mutate" => op_mutate(state, request, w).map(|()| None),
-        // Direct aliases so scripts can skip the "mutate" envelope.
-        "add_app" | "remove_app" | "update_app" | "set_platform" => {
-            apply_mutation(state, request, op, w).map(|()| None)
-        }
-        "solve" => op_solve(state, request, w).map(|()| None),
-        "trace" => {
+    match request.op.clone()? {
+        Op::Create => op_create(state, request.body, w).map(Some),
+        Op::Mutate => op_mutate(state, request, w).map(|()| None),
+        Op::Mutation(mutation) => apply_mutation(state, request, mutation, w).map(|()| None),
+        Op::Solve => op_solve(state, request, w).map(|()| None),
+        Op::Trace => {
             op_trace(state, w);
             Ok(None)
         }
-        "close" => op_close(state, request, w).map(|()| None),
-        other => Err(format!(
-            "unknown op {other:?}; available: {}",
-            OPS.join(", ")
-        )),
+        Op::Close => op_close(state, request, w).map(|()| None),
+        Op::Batch | Op::Stats | Op::List | Op::Solvers | Op::Metrics | Op::Shutdown => {
+            unreachable!("server-wide ops are answered over the shard set")
+        }
     }
 }
 
 /// The `batch` op: several requests in one line, one combined response.
-/// Each element of `"requests"` is answered by `respond` exactly as if it
-/// had arrived on its own line, in order, and its response is written in
-/// place at the same index of `"responses"` — byte-identical to the
-/// sequential exchanges (pinned by the loopback tests). Sub-requests keep
-/// the envelope's trace id. One level only: a batch inside a batch
-/// answers an error at its slot (unbounded nesting would be a recursion
-/// hazard).
+/// Each element of `"requests"` is decoded and answered by `respond`
+/// exactly as if it had arrived on its own line, in order, and its
+/// response is written in place at the same index of `"responses"` —
+/// byte-identical to the sequential exchanges (pinned by the loopback
+/// tests). Sub-requests keep the envelope's trace id. One level only: a
+/// batch inside a batch answers an error at its slot (unbounded nesting
+/// would be a recursion hazard).
 pub(super) fn batch_reply(
     w: &mut Writer<'_>,
-    request: &Json,
-    mut respond: impl FnMut(&mut Writer<'_>, &Json),
+    request: &Request<'_>,
+    mut respond: impl FnMut(&mut Writer<'_>, &Request<'_>),
 ) {
-    let Some(subs) = request.get("requests").and_then(Json::as_array) else {
-        return write_error(w, "missing \"requests\" array", id_of(request), None);
+    let Some(subs) = request.body.get("requests").and_then(Json::as_array) else {
+        return write_error(w, "missing \"requests\" array", request.id, None);
     };
     w.begin_object();
     w.key("ok").bool(true);
     w.key("count").int(subs.len() as u64);
     w.key("responses").begin_array();
     for sub in subs {
-        match GlobalOp::of(sub) {
-            Some(GlobalOp::Batch) => {
-                write_error(w, "nested batch is not supported", id_of(sub), None)
-            }
-            _ => respond(w, sub),
+        let sub = Request::decode(sub);
+        match sub.op {
+            Ok(Op::Batch) => write_error(w, "nested batch is not supported", sub.id, None),
+            _ => respond(w, &sub),
         }
     }
     w.end_array().end_object();
@@ -577,32 +595,23 @@ pub(super) fn solvers_reply(w: &mut Writer<'_>) {
     w.end_array().end_object();
 }
 
-/// The `shutdown` op: refused unless `allowed`; otherwise runs `accept`
-/// (which flags the server to stop) and acknowledges.
+/// The `shutdown` op: refused (echoing the request's `id`) unless
+/// `allowed`; otherwise runs `accept` (which flags the server to stop)
+/// and acknowledges.
 pub(super) fn shutdown_reply(
     w: &mut Writer<'_>,
-    request: &Json,
+    id: Option<u64>,
     allowed: bool,
     accept: impl FnOnce(),
 ) {
     if !allowed {
-        return write_error(
-            w,
-            "shutdown is not enabled on this server",
-            id_of(request),
-            None,
-        );
+        return write_error(w, "shutdown is not enabled on this server", id, None);
     }
     accept();
     w.begin_object();
     w.key("ok").bool(true);
     w.key("shutting_down").bool(true);
     w.end_object();
-}
-
-/// The request's numeric `"id"`, when it carries one.
-fn id_of(request: &Json) -> Option<u64> {
-    request.get("id").and_then(Json::as_u64)
 }
 
 /// The `trace` op: drains the handling thread's span ring buffer. On the
@@ -641,12 +650,9 @@ fn op_trace(state: &ServeState, w: &mut Writer<'_>) {
 
 fn require_id(
     state: &ServeState,
-    request: &Json,
+    request: &Request<'_>,
 ) -> Result<coschedule::session::InstanceId, String> {
-    let raw = request
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("missing or non-integer \"id\" field")?;
+    let raw = request.id.ok_or("missing or non-integer \"id\" field")?;
     let id = coschedule::session::InstanceId::from_raw(raw);
     // Resolve eagerly so every op reports a dead id the same way.
     state
@@ -685,22 +691,42 @@ fn op_create(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Resu
     Ok(id.raw())
 }
 
-fn op_mutate(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<(), String> {
+fn op_mutate(
+    state: &mut ServeState,
+    request: &Request<'_>,
+    w: &mut Writer<'_>,
+) -> Result<(), String> {
+    let mutations = || op_names(|op| matches!(op, Op::Mutation(_)));
     let action = request
+        .body
         .get("action")
         .and_then(Json::as_str)
-        .ok_or("missing \"action\" field (add_app, remove_app, update_app, set_platform)")?
-        // `get` borrows `request`; dispatching needs an owned copy.
-        .to_string();
-    apply_mutation(state, request, &action, w)
+        .ok_or_else(|| format!("missing \"action\" field ({})", mutations()))?;
+    match Op::named(action) {
+        Some(Op::Mutation(mutation)) => apply_mutation(state, request, mutation, w),
+        _ => {
+            // A dead id is reported first, as every mutation reports it.
+            require_id(state, request)?;
+            Err(format!(
+                "unknown mutation action {action:?}; available: {}",
+                mutations()
+            ))
+        }
+    }
 }
 
 fn apply_mutation(
     state: &mut ServeState,
-    request: &Json,
-    action: &str,
+    request: &Request<'_>,
+    mutation: Mutation,
     w: &mut Writer<'_>,
 ) -> Result<(), String> {
+    let body = request.body;
+    let index = || {
+        body.get("index")
+            .and_then(Json::as_usize)
+            .ok_or("missing or non-integer \"index\" field")
+    };
     let id = require_id(state, request)?;
     let mut handle = state.session.handle(id).map_err(|e| e.to_string())?;
     /// The field a mutation's reply carries after the header.
@@ -708,46 +734,31 @@ fn apply_mutation(
         Index(usize),
         Name(&'static str, String),
     }
-    let extra = match action {
-        "add_app" => {
-            let app = app_from_json(request.get("app").ok_or("missing \"app\" object")?)?;
+    let extra = match mutation {
+        Mutation::AddApp => {
+            let app = app_from_json(body.get("app").ok_or("missing \"app\" object")?)?;
             let index = handle.add_app(app).map_err(|e| e.to_string())?;
             Some(Extra::Index(index))
         }
-        "remove_app" => {
-            let index = request
-                .get("index")
-                .and_then(Json::as_usize)
-                .ok_or("missing or non-integer \"index\" field")?;
-            let removed = handle.remove_app(index).map_err(|e| e.to_string())?;
+        Mutation::RemoveApp => {
+            let removed = handle.remove_app(index()?).map_err(|e| e.to_string())?;
             Some(Extra::Name("removed", removed.name))
         }
-        "update_app" => {
-            let index = request
-                .get("index")
-                .and_then(Json::as_usize)
-                .ok_or("missing or non-integer \"index\" field")?;
-            let app = app_from_json(request.get("app").ok_or("missing \"app\" object")?)?;
+        Mutation::UpdateApp => {
+            let index = index()?;
+            let app = app_from_json(body.get("app").ok_or("missing \"app\" object")?)?;
             let old = handle.update_app(index, app).map_err(|e| e.to_string())?;
             Some(Extra::Name("replaced", old.name))
         }
-        "set_platform" => {
+        Mutation::SetPlatform => {
             // Overrides apply on top of the instance's *current* platform:
             // a partial spec changes only the named fields.
             let platform = platform_overrides_from_json(
                 handle.instance().platform().clone(),
-                request
-                    .get("platform")
-                    .ok_or("missing \"platform\" object")?,
+                body.get("platform").ok_or("missing \"platform\" object")?,
             )?;
             handle.set_platform(platform).map_err(|e| e.to_string())?;
             None
-        }
-        other => {
-            return Err(format!(
-                "unknown mutation action {other:?}; available: {}",
-                MUTATIONS.join(", ")
-            ))
         }
     };
     write_header(w, state, id);
@@ -763,27 +774,29 @@ fn apply_mutation(
     Ok(())
 }
 
-fn op_solve(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<(), String> {
+fn op_solve(
+    state: &mut ServeState,
+    request: &Request<'_>,
+    w: &mut Writer<'_>,
+) -> Result<(), String> {
+    let body = request.body;
     let id = require_id(state, request)?;
-    let solver_name = match request.get("solver") {
-        Some(v) => v.as_str().ok_or("\"solver\" must be a string")?.to_string(),
-        None => state.default_solver.clone(),
+    let solver_name = match body.get("solver") {
+        Some(v) => v.as_str().ok_or("\"solver\" must be a string")?,
+        None => &state.default_solver,
     };
-    let seed = match request.get("seed") {
+    let seed = match body.get("seed") {
         Some(v) => v
             .as_u64()
             .ok_or("\"seed\" must be a non-negative integer")?,
         None => state.default_seed,
     };
-    let include_schedule = request
-        .get("schedule")
-        .and_then(Json::as_bool)
-        .unwrap_or(true);
+    let include_schedule = body.get("schedule").and_then(Json::as_bool).unwrap_or(true);
 
     let before = state.session.stats();
     let outcome = state
         .session
-        .resolve_by_name(id, &solver_name, seed)
+        .resolve_by_name(id, solver_name, seed)
         .map_err(|e| e.to_string())?;
     let after = state.session.stats();
     let mode = if after.memo_hits > before.memo_hits {
@@ -795,7 +808,7 @@ fn op_solve(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Resul
     };
 
     write_header(w, state, id);
-    w.key("solver").str(&solver_name);
+    w.key("solver").str(solver_name);
     w.key("seed").int(seed);
     w.key("mode").str(mode);
     w.key("makespan").num(outcome.makespan);
@@ -823,7 +836,11 @@ fn op_solve(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Resul
     Ok(())
 }
 
-fn op_close(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<(), String> {
+fn op_close(
+    state: &mut ServeState,
+    request: &Request<'_>,
+    w: &mut Writer<'_>,
+) -> Result<(), String> {
     let id = require_id(state, request)?;
     state.session.close(id).map_err(|e| e.to_string())?;
     w.key("ok").bool(true);
@@ -1021,7 +1038,6 @@ mod tests {
             let error = v.get("error").and_then(Json::as_str).unwrap();
             assert!(error.contains(needle), "{line}: {error}");
         }
-        assert!(!state.shutdown_requested());
         // Unknown solver errors carry the registry.
         let _ = ok(&handle_line(&mut state, &npb_create_line()));
         let v = Json::parse(&handle_line(
@@ -1121,8 +1137,8 @@ mod tests {
         let mut state = ServeState::new();
         let v = Json::parse(&handle_line(&mut state, r#"{"op":"frobnicate"}"#)).unwrap();
         let error = v.get("error").and_then(Json::as_str).unwrap();
-        for op in OPS {
-            assert!(error.contains(op), "{op} missing from {error}");
+        for (name, ..) in OPS {
+            assert!(error.contains(name), "{name} missing from {error}");
         }
         let _ = ok(&handle_line(&mut state, &npb_create_line()));
         let v = Json::parse(&handle_line(
@@ -1131,8 +1147,17 @@ mod tests {
         ))
         .unwrap();
         let error = v.get("error").and_then(Json::as_str).unwrap();
-        for action in MUTATIONS {
-            assert!(error.contains(action), "{action} missing from {error}");
+        for (name, op, _) in OPS {
+            let listed = error.contains(&format!(" {name}"));
+            assert_eq!(listed, matches!(op, Op::Mutation(_)), "{name} in {error}");
+        }
+    }
+
+    #[test]
+    fn every_op_decodes_from_its_own_row() {
+        for (name, op, span) in OPS {
+            assert_eq!(Op::named(name), Some(op), "{name}");
+            assert_eq!(op.names(), (name, span), "{name}");
         }
     }
 
@@ -1278,7 +1303,6 @@ mod tests {
             responses[1].get("shutting_down").and_then(Json::as_bool),
             Some(true)
         );
-        assert!(state.shutdown_requested());
     }
 
     #[test]
@@ -1347,10 +1371,10 @@ mod tests {
         state.allow_shutdown = true;
         let script = super::super::smoke_script();
         for (i, line) in script.iter().enumerate() {
-            let _ = ok(&handle_line(&mut state, line));
+            let reply = ok(&handle_line(&mut state, line));
             assert_eq!(
-                state.shutdown_requested(),
-                i == script.len() - 1,
+                reply.get("shutting_down").and_then(Json::as_bool),
+                (i == script.len() - 1).then_some(true),
                 "shutdown only at the end"
             );
         }

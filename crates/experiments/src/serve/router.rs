@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use minijson::{Json, JsonWriter};
 
 use super::metrics::{metrics_body, shard_reports, NetMetrics, ShardReport};
-use super::protocol::{self, GlobalOp, ServeState, Writer};
+use super::protocol::{self, Op, Request, ServeState, Writer};
 use super::ServeConfig;
 
 /// The shared routing core of a server; one per [`Server`]
@@ -124,78 +124,78 @@ impl Router {
     pub fn dispatch(&self, line: &str, trace: u64, rotations: &mut Vec<usize>, out: &mut String) {
         let w = &mut JsonWriter::new(out);
         match Json::parse(line) {
-            Ok(request) => self.dispatch_parsed(&request, trace, rotations, w),
+            Ok(body) => self.dispatch_parsed(&Request::decode(&body), trace, rotations, w),
             Err(e) => protocol::write_error(w, &format!("malformed request: {e}"), None, None),
         }
     }
 
-    /// Routes one parsed request (see [`Self::dispatch`]).
+    /// Routes one decoded request (see [`Self::dispatch`]).
     fn dispatch_parsed(
         &self,
-        request: &Json,
+        request: &Request<'_>,
         trace: u64,
         rotations: &mut Vec<usize>,
         w: &mut Writer<'_>,
     ) {
-        if let Some(op) = GlobalOp::of(request) {
-            // The same functions the protocol answers a lone state with,
-            // here over every shard lock.
-            return match op {
-                GlobalOp::Stats => protocol::stats_reply(w, &self.shards[..]),
-                GlobalOp::List => protocol::list_reply(w, &self.shards[..]),
-                GlobalOp::Solvers => protocol::solvers_reply(w),
-                GlobalOp::Metrics => metrics_body(w, &self.reports()),
-                GlobalOp::Shutdown => {
-                    protocol::shutdown_reply(w, request, self.allow_shutdown, || {
-                        self.shutdown.store(true, Ordering::SeqCst);
-                        // Wake every reactor (they may be asleep in
-                        // epoll_wait) so each can observe the flag, drain,
-                        // and exit.
-                        for (inbox, _) in self.reactors.lock().expect("reactor hooks").iter() {
-                            inbox.signal();
-                        }
-                    })
-                }
-                // Sub-requests inherit the envelope's trace id, so their
-                // spans (and `trace_id` echoes) correlate to the one
-                // client line that carried them.
-                GlobalOp::Batch => protocol::batch_reply(w, request, |w, sub| {
+        let shard = match request.op {
+            // The server-wide ops: the same functions the protocol answers
+            // a lone state with, here over every shard lock.
+            Ok(Op::Stats) => return protocol::stats_reply(w, &self.shards[..]),
+            Ok(Op::List) => return protocol::list_reply(w, &self.shards[..]),
+            Ok(Op::Solvers) => return protocol::solvers_reply(w),
+            Ok(Op::Metrics) => return metrics_body(w, &self.reports()),
+            Ok(Op::Shutdown) => {
+                return protocol::shutdown_reply(w, request.id, self.allow_shutdown, || {
+                    self.shutdown.store(true, Ordering::SeqCst);
+                    // Wake every reactor (they may be asleep in
+                    // epoll_wait) so each can observe the flag, drain,
+                    // and exit.
+                    for (inbox, _) in self.reactors.lock().expect("reactor hooks").iter() {
+                        inbox.signal();
+                    }
+                });
+            }
+            // Sub-requests inherit the envelope's trace id, so their
+            // spans (and `trace_id` echoes) correlate to the one client
+            // line that carried them.
+            Ok(Op::Batch) => {
+                return protocol::batch_reply(w, request, |w, sub| {
                     self.dispatch_parsed(sub, trace, rotations, w)
-                }),
-            };
-        }
-        match request.get("op").and_then(Json::as_str) {
-            Some("create") => self.dispatch_create(request, trace, rotations, w),
-            // Instance ops (and anything unroutable — unknown ops,
-            // missing or dead ids): the owning shard, or shard 0, whose
-            // dispatch reports the identical error a single session would.
+                })
+            }
+            Ok(Op::Create) => return self.dispatch_create(request, trace, rotations, w),
             // The `trace` op is shard-addressed by an explicit `"shard"`
             // field (it drains the addressed shard's ring buffer), not by
             // instance id.
-            op => {
-                let id = request.get("id").and_then(Json::as_u64);
-                let shard = if op == Some("trace") {
-                    let asked = request.get("shard").and_then(Json::as_u64).unwrap_or(0);
-                    (asked as usize) % self.shards.len()
-                } else {
-                    id.and_then(|id| self.directory().get(&id).copied())
-                        .unwrap_or(0)
-                };
-                let closes = op == Some("close");
-                self.on_shard(shard, trace, id, rotations, w, |state, w| {
-                    let replied = protocol::respond_routed(state, request, w);
-                    // Unregister a closed instance before the client can
-                    // see the response (a stale entry would still be
-                    // answered correctly — the session rejects the dead id
-                    // — but the directory should not outlive the instance).
-                    if closes && replied.ok {
-                        if let Some(id) = id {
-                            self.directory().remove(&id);
-                        }
-                    }
-                })
+            Ok(Op::Trace) => {
+                let asked = request
+                    .body
+                    .get("shard")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0);
+                (asked as usize) % self.shards.len()
             }
-        }
+            // Instance ops (and anything unroutable — unknown ops,
+            // missing or dead ids): the owning shard, or shard 0, whose
+            // dispatch reports the identical error a single session would.
+            _ => request
+                .id
+                .and_then(|id| self.directory().get(&id).copied())
+                .unwrap_or(0),
+        };
+        let closes = matches!(request.op, Ok(Op::Close));
+        self.on_shard(shard, trace, request.id, rotations, w, |state, w| {
+            let replied = protocol::respond_routed(state, request, w);
+            // Unregister a closed instance before the client can see the
+            // response (a stale entry would still be answered correctly —
+            // the session rejects the dead id — but the directory should
+            // not outlive the instance).
+            if closes && replied.ok {
+                if let Some(id) = request.id {
+                    self.directory().remove(&id);
+                }
+            }
+        })
     }
 
     /// Locks shard `shard` and runs `f` on it, with the request's trace
@@ -255,7 +255,7 @@ impl Router {
     /// new id on its very next line).
     fn dispatch_create(
         &self,
-        request: &Json,
+        request: &Request<'_>,
         trace: u64,
         rotations: &mut Vec<usize>,
         w: &mut Writer<'_>,

@@ -33,12 +33,14 @@
 //!
 //! # What is logged
 //!
-//! Exactly the shard-routed ops — every op but the server-wide ones
-//! (`protocol::GlobalOp`) — including *failed* ones: failures bump
-//! the `requests` counter and the evaluation stats, so skipping them
-//! would make a recovered server's counters drift from the original. The
-//! `batch` envelope is never logged; its sub-requests are, one record
-//! each, as [`protocol::respond`] recurses.
+//! Every shard-routed request: all but the server-wide ops (`stats`,
+//! `list`, `solvers`, `metrics`, `shutdown`), unknown and *failed*
+//! requests included. Failures bump the `requests` counter and the
+//! evaluation stats, so skipping them would make a recovered server's
+//! counters drift from the original. A `batch` envelope is never logged;
+//! its sub-requests are, one record each, as [`protocol::respond`]
+//! recurses. A record is the request's parsed body printed back, so its
+//! keys keep their order on the line, duplicate keys included.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
