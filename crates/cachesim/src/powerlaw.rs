@@ -15,20 +15,6 @@ pub struct MissCurve {
     pub miss_rates: Vec<f64>,
 }
 
-impl MissCurve {
-    /// Miss rate at the size closest to `bytes` (panics on empty curve).
-    pub fn nearest(&self, bytes: u64) -> f64 {
-        let i = self
-            .sizes_bytes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &s)| s.abs_diff(bytes))
-            .map(|(i, _)| i)
-            .expect("empty curve");
-        self.miss_rates[i]
-    }
-}
-
 /// A power-law fit `m(C) = m0 (C0/C)^α` with its goodness of fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
@@ -194,17 +180,6 @@ mod tests {
             miss_rates: vec![1.0, 0.5],
         };
         assert!(fit_power_law(&single, 64.0).is_none());
-    }
-
-    #[test]
-    fn nearest_lookup() {
-        let c = MissCurve {
-            sizes_bytes: vec![100, 200, 400],
-            miss_rates: vec![0.3, 0.2, 0.1],
-        };
-        assert_eq!(c.nearest(90), 0.3);
-        assert_eq!(c.nearest(210), 0.2);
-        assert_eq!(c.nearest(10_000), 0.1);
     }
 
     #[test]

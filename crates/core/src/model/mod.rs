@@ -24,5 +24,5 @@ pub(crate) use application::validate_instance;
 pub use application::Application;
 pub use exec::{exec_time, seq_cost, seq_cost_full_miss, ExecModel};
 pub use platform::Platform;
-pub use powerlaw::{effective_fraction, miss_rate, scaled_miss_rate, useful_threshold};
+pub use powerlaw::{effective_fraction, miss_rate};
 pub use schedule::{sequential_makespan, Assignment, Schedule};

@@ -13,22 +13,6 @@ pub fn miss_rate(d: f64, x: f64, alpha: f64) -> f64 {
     (d / x.powf(alpha)).min(1.0)
 }
 
-/// Generic form of Eq. 1: miss rate for a cache of size `c` given the rate
-/// `m0` at reference size `c0`.
-pub fn scaled_miss_rate(m0: f64, c0: f64, c: f64, alpha: f64) -> f64 {
-    if c <= 0.0 {
-        return 1.0;
-    }
-    (m0 * (c0 / c).powf(alpha)).min(1.0)
-}
-
-/// The *useful-cache threshold* `d^{1/α}` of Eq. 3: fractions at or below
-/// this value are wasted (the `min` clamps the miss rate to 1), hence the
-/// optimal solution has `x_i = 0` or `x_i > d^{1/α}`.
-pub fn useful_threshold(d: f64, alpha: f64) -> f64 {
-    d.powf(1.0 / alpha)
-}
-
 /// The fraction of the LLC the application can actually exploit: a share
 /// beyond its memory footprint `a` buys nothing (Eq. 2, second case), so the
 /// effective fraction is `min(x, a / Cs)`.
@@ -70,28 +54,18 @@ mod tests {
     #[test]
     fn power_law_halves_miss_rate_for_4x_cache_at_alpha_half() {
         // m ∝ C^{-1/2}: quadrupling the cache halves the miss rate.
-        let m1 = scaled_miss_rate(1e-2, 40e6, 40e6, 0.5);
-        let m4 = scaled_miss_rate(1e-2, 40e6, 160e6, 0.5);
+        let m1 = miss_rate(1e-2, 0.25, 0.5);
+        let m4 = miss_rate(1e-2, 1.0, 0.5);
         assert!((m1 / m4 - 2.0).abs() < 1e-12);
     }
 
     #[test]
-    fn scaled_miss_rate_clamps() {
-        assert_eq!(scaled_miss_rate(0.9, 40e6, 1.0, 0.5), 1.0);
-        assert_eq!(scaled_miss_rate(0.9, 40e6, 0.0, 0.5), 1.0);
-    }
-
-    #[test]
     fn useful_threshold_is_where_min_saturates() {
-        let (d, alpha) = (1e-2, 0.5);
-        let t = useful_threshold(d, alpha);
+        // Eq. 3: fractions at or below `d^{1/α}` are wasted.
+        let (d, alpha) = (1e-2_f64, 0.5);
+        let t = d.powf(1.0 / alpha);
         assert_eq!(miss_rate(d, t, alpha), 1.0);
         assert!(miss_rate(d, t * 1.01, alpha) < 1.0);
-    }
-
-    #[test]
-    fn threshold_at_alpha_half_is_d_squared() {
-        assert!((useful_threshold(0.1, 0.5) - 0.01).abs() < 1e-15);
     }
 
     #[test]

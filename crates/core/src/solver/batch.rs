@@ -2,7 +2,7 @@
 
 use crate::algo::Outcome;
 use crate::error::Result;
-use crate::eval::{EvalScratch, EvalStats};
+use crate::eval::EvalScratch;
 use crate::parallel::parallel_map_with;
 use crate::solver::{child_seed, Instance, SolveCtx, Solver};
 use rand::rngs::StdRng;
@@ -110,19 +110,6 @@ pub fn solve_batch(
     per_rep.into_iter().collect()
 }
 
-/// Aggregates the per-outcome [`EvalStats`] of a [`solve_batch`] result
-/// into one counter per solver (column-wise over repetitions).
-pub fn batch_eval_stats(outcomes: &[Vec<Outcome>]) -> Vec<EvalStats> {
-    let cols = outcomes.first().map_or(0, Vec::len);
-    let mut agg = vec![EvalStats::default(); cols];
-    for row in outcomes {
-        for (acc, o) in agg.iter_mut().zip(row) {
-            acc.merge(o.eval_stats);
-        }
-    }
-    agg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,23 +172,6 @@ mod tests {
         let a = solve_batch(&source, &refs(&s), &BatchSpec::new(2, 7).with_stream(0)).unwrap();
         let b = solve_batch(&source, &refs(&s), &BatchSpec::new(2, 7).with_stream(1)).unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn eval_stats_aggregate_per_solver_column() {
-        let s = solvers();
-        let outcomes = solve_batch(&source, &refs(&s), &BatchSpec::new(5, 3)).unwrap();
-        let agg = batch_eval_stats(&outcomes);
-        assert_eq!(agg.len(), 3);
-        for (col, acc) in agg.iter().enumerate() {
-            let expected: u64 = outcomes
-                .iter()
-                .map(|r| r[col].eval_stats.kernel_calls)
-                .sum();
-            assert_eq!(acc.kernel_calls, expected);
-            assert!(acc.kernel_calls >= 5, "each rep contributes at least once");
-        }
-        assert!(batch_eval_stats(&[]).is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod instance;
 mod portfolio;
 mod strategies;
 
-pub use batch::{batch_eval_stats, solve_batch, BatchSpec, InstanceSource};
+pub use batch::{solve_batch, BatchSpec, InstanceSource};
 pub use ctx::{child_seed, SolveCtx};
 pub use instance::Instance;
 pub use portfolio::{MemberOutcome, Portfolio, PortfolioOutcome};

@@ -1,7 +1,6 @@
 //! Optimal cache partitioning for a fixed sharing subset
 //! (paper Lemma 4 and Theorem 3).
 
-use crate::eval::EvalSet;
 use crate::theory::dominance::Partition;
 
 /// Lemma 4 / Theorem 3: the cache split minimising the total sequential cost
@@ -10,7 +9,7 @@ use crate::theory::dominance::Partition;
 /// otherwise, written into `x` (resized to `weights.len()`).
 ///
 /// `weights` are the Theorem-3 weights, normally
-/// [`EvalSet::weights`]; the caller owns the buffer, so enumeration loops
+/// [`EvalSet::weights`](crate::eval::EvalSet::weights); the caller owns the buffer, so enumeration loops
 /// evaluate many partitions without allocating. Strength is summed over
 /// members in the same order as
 /// [`partition_strength`](crate::theory::dominance::partition_strength).
@@ -31,54 +30,10 @@ pub fn optimal_cache_fractions_into(weights: &[f64], partition: &Partition, x: &
     }
 }
 
-/// Footprint-aware extension (not in the paper, which assumes `a_i = ∞` in
-/// §4.2/§5): water-filling variant of Theorem 3 for applications whose
-/// memory footprint caps their useful share at `a_i / Cs`
-/// ([`EvalSet::caps`]).
-///
-/// Applications whose Theorem-3 share exceeds their cap are frozen at the
-/// cap and the remaining cache is redistributed among the others by the same
-/// closed form; this repeats until a fixed point (at most `n` rounds). With
-/// all-infinite footprints it reduces exactly to
-/// [`optimal_cache_fractions_into`].
-pub fn optimal_cache_fractions_capped(eval: &EvalSet, partition: &Partition) -> Vec<f64> {
-    let (weights, caps) = (eval.weights(), eval.caps());
-    let mut x = vec![0.0; eval.len()];
-    let mut active: Vec<usize> = partition.members().to_vec();
-    let mut budget = 1.0;
-    loop {
-        let strength: f64 = active.iter().map(|&i| weights[i]).sum();
-        if strength <= 0.0 || budget <= 0.0 {
-            return x;
-        }
-        // Tentative Theorem-3 split of the remaining budget.
-        let mut capped = Vec::new();
-        for &i in &active {
-            let share = budget * weights[i] / strength;
-            if share > caps[i] {
-                capped.push((i, caps[i]));
-            }
-        }
-        if capped.is_empty() {
-            for &i in &active {
-                x[i] = budget * weights[i] / strength;
-            }
-            return x;
-        }
-        for &(i, cap) in &capped {
-            x[i] = cap;
-            budget -= cap;
-        }
-        active.retain(|i| !capped.iter().any(|&(c, _)| c == *i));
-        if active.is_empty() {
-            return x;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalSet;
     use crate::model::{seq_cost, Application, Platform};
     use crate::theory::dominance::partition_strength;
 
@@ -180,49 +135,5 @@ mod tests {
                 assert_eq!(expected.to_bits(), v.to_bits(), "mask {mask}");
             }
         }
-    }
-
-    #[test]
-    fn capped_reduces_to_uncapped_with_infinite_footprints() {
-        let (_, _, m) = setup();
-        let part = Partition::all(3);
-        let a = fractions(&m, &part);
-        let b = optimal_cache_fractions_capped(&m, &part);
-        for (u, v) in a.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn capped_respects_footprints_and_redistributes() {
-        let (mut apps, pf, _) = setup();
-        // Cap BT's footprint below its Theorem-3 share.
-        apps[1].footprint = pf.cache_size * 0.05;
-        let m = EvalSet::of(&apps, &pf);
-        let part = Partition::all(3);
-        let x = optimal_cache_fractions_capped(&m, &part);
-        assert!((x[1] - 0.05).abs() < 1e-12, "BT frozen at its cap");
-        assert!(
-            (x.iter().sum::<f64>() - 1.0).abs() < 1e-12,
-            "budget fully used"
-        );
-        // The freed cache went to the others, proportionally to weights.
-        assert!((x[0] / x[2] - m.weights()[0] / m.weights()[2]).abs() < 1e-12);
-        let unc = fractions(&m, &part);
-        assert!(x[0] > unc[0] && x[2] > unc[2]);
-    }
-
-    #[test]
-    fn capped_all_tiny_footprints_leaves_slack() {
-        let (mut apps, pf, _) = setup();
-        for a in &mut apps {
-            a.footprint = pf.cache_size * 0.01;
-        }
-        let m = EvalSet::of(&apps, &pf);
-        let x = optimal_cache_fractions_capped(&m, &Partition::all(3));
-        for &v in &x {
-            assert!((v - 0.01).abs() < 1e-12);
-        }
-        assert!(x.iter().sum::<f64>() < 1.0);
     }
 }

@@ -19,8 +19,8 @@ pub mod lemma1;
 pub mod objective;
 pub mod proc_alloc;
 
-pub use cache_alloc::{optimal_cache_fractions_capped, optimal_cache_fractions_into};
+pub use cache_alloc::optimal_cache_fractions_into;
 pub use dominance::{is_dominant, partition_strength, violators, Partition};
 pub use lemma1::{equalize, exchange_step};
-pub use objective::{normalized_objective, partition_objective};
+pub use objective::partition_objective;
 pub use proc_alloc::{equal_finish_split, lemma2_proc_split, EqualFinish};

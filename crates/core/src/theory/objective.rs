@@ -6,16 +6,6 @@ use crate::model::{seq_cost, seq_cost_full_miss, Application, ExecModel, Platfor
 use crate::theory::cache_alloc::optimal_cache_fractions_into;
 use crate::theory::dominance::Partition;
 
-/// Lemma 3: for perfectly parallel applications the makespan of the optimal
-/// schedule built on cache fractions `x` is `(1/p) Σ_i Exe_i(1, x_i)`.
-pub fn normalized_objective(apps: &[Application], platform: &Platform, cache: &[f64]) -> f64 {
-    apps.iter()
-        .zip(cache)
-        .map(|(a, &x)| seq_cost(a, platform, x))
-        .sum::<f64>()
-        / platform.processors
-}
-
 /// Definition 3 objective: the Lemma-3 makespan of partition `IC` under its
 /// Theorem-3 optimal cache split. Members of `IC` pay the power-law miss
 /// rate on their closed-form share; non-members pay full misses.
@@ -80,14 +70,6 @@ mod tests {
         ];
         let eval = EvalSet::of(&apps, &pf);
         (apps, pf, eval)
-    }
-
-    #[test]
-    fn normalized_objective_is_average_seq_cost_over_p() {
-        let (apps, pf, _) = setup();
-        let x = vec![0.25; 4];
-        let direct: f64 = apps.iter().map(|a| seq_cost(a, &pf, 0.25)).sum::<f64>() / 256.0;
-        assert!((normalized_objective(&apps, &pf, &x) - direct).abs() < 1e-9);
     }
 
     #[test]

@@ -120,23 +120,16 @@ pub fn sample_arrivals(profile: &RateProfile, horizon: f64, seed: u64) -> Vec<f6
     }
 }
 
-/// Pairs sampled arrival times with NPB-derived applications: arrival
-/// rank `k` runs NPB app `k mod 6` (Table 2, sequential fraction 0.05)
-/// with its work re-scaled by a seeded factor in `[0.7, 1.3)` — enough
-/// churn that no two jobs are identical, small enough that instances
-/// stay within one tuner signature bucket most of the time.
+/// Pairs arrival times with applications from `table`: arrival rank `k`
+/// runs `table[k mod len]` with its work re-scaled by a seeded factor in
+/// `[0.7, 1.3)` — enough churn that no two jobs are identical, small
+/// enough that instances stay within one tuner signature bucket most of
+/// the time. Swapping the table mid-trace composes custom mixes (e.g. the
+/// bench's drifting workload).
 ///
-/// The profile RNG stream is derived from `seed` independently of the
+/// The work RNG stream is derived from `seed` independently of the
 /// arrival-time stream, so the `k`-th job's application is the same
 /// whichever rate profile produced the `k`-th arrival.
-pub fn npb_jobs(profile: &RateProfile, horizon: f64, seed: u64) -> Vec<JobSpec> {
-    let table = crate::npb::npb6(&[0.05]);
-    jobs_from_arrivals(&sample_arrivals(profile, horizon, seed), &table, seed)
-}
-
-/// [`npb_jobs`] over pre-sampled arrival times and an explicit app
-/// table — the composition point for custom mixes (e.g. the bench's
-/// drifting workload swaps the table mid-trace).
 pub fn jobs_from_arrivals(arrivals: &[f64], table: &[Application], seed: u64) -> Vec<JobSpec> {
     let mut rng = seeded_rng(child_seed(seed, 0, JOB_STREAM));
     arrivals
@@ -225,11 +218,11 @@ mod tests {
     #[test]
     fn jobs_cycle_the_npb_table_with_seeded_work_churn() {
         let profile = RateProfile::Constant { rate: 1.0 };
-        let jobs = npb_jobs(&profile, 30.0, 11);
-        let again = npb_jobs(&profile, 30.0, 11);
-        assert_eq!(jobs, again);
-        assert!(!jobs.is_empty());
         let table = crate::npb::npb6(&[0.05]);
+        let arrivals = sample_arrivals(&profile, 30.0, 11);
+        let jobs = jobs_from_arrivals(&arrivals, &table, 11);
+        assert_eq!(jobs, jobs_from_arrivals(&arrivals, &table, 11));
+        assert!(!jobs.is_empty());
         for (k, job) in jobs.iter().enumerate() {
             let base = &table[k % table.len()];
             assert!(job.app.name.starts_with(base.name.as_str()));

@@ -19,7 +19,7 @@ pub mod npb;
 pub mod rng;
 pub mod synth;
 
-pub use arrivals::{jobs_from_arrivals, npb_jobs, sample_arrivals, RateProfile};
+pub use arrivals::{jobs_from_arrivals, sample_arrivals, RateProfile};
 pub use npb::{npb6, NpbBenchmark, NPB_TABLE};
 pub use rng::seeded_rng;
 pub use synth::{Dataset, SeqFraction};

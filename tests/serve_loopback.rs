@@ -260,48 +260,6 @@ fn batch_op_is_byte_identical_to_sequential_exchanges_at_any_worker_count() {
     }
 }
 
-#[test]
-fn errors_do_not_poison_the_connection() {
-    let script: Vec<String> = vec![
-        r#"{"op":"solve","id":5}"#.into(), // unknown instance
-        "garbage".into(),                  // malformed JSON
-        "   ".into(),                      // blank line: still one response
-        r#"{"op":"solvers"}"#.into(),      // still served afterwards
-        r#"{"op":"shutdown"}"#.into(),
-    ];
-    for workers in [1, 4] {
-        let responses = run_script(workers, &script);
-        let unknown = Json::parse(&responses[0]).unwrap();
-        assert_eq!(unknown.get("ok").and_then(Json::as_bool), Some(false));
-        // Regression (multiplexing clients correlate by id): the error
-        // echoes the id the request carried.
-        assert_eq!(
-            unknown.get("id").and_then(Json::as_u64),
-            Some(5),
-            "workers={workers}: {}",
-            responses[0]
-        );
-        assert_eq!(
-            Json::parse(&responses[1])
-                .unwrap()
-                .get("ok")
-                .and_then(Json::as_bool),
-            Some(false)
-        );
-        assert_eq!(
-            Json::parse(&responses[2])
-                .unwrap()
-                .get("ok")
-                .and_then(Json::as_bool),
-            Some(false),
-            "blank line must be answered, not skipped"
-        );
-        let solvers = Json::parse(&responses[3]).unwrap();
-        assert_eq!(solvers.get("ok").and_then(Json::as_bool), Some(true));
-        assert!(solvers.get("solvers").unwrap().as_array().unwrap().len() >= 11);
-    }
-}
-
 /// The reactor's socket read granularity (16 KiB per `read`).
 const READ_CHUNK: usize = 16 * 1024;
 
