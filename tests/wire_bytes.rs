@@ -129,6 +129,9 @@ fn a_server_reproduces_the_transcript_at_every_worker_count() {
     }
 }
 
+/// A logged server stopped after the first half of the transcript and
+/// restarted with `restore` answers the second half with the recorded
+/// bytes: recovery replays the log through the same request path.
 #[test]
 fn a_server_restored_mid_transcript_reproduces_the_rest() {
     let exchanges = transcript();
@@ -250,13 +253,13 @@ fn a_4096_app_instance_pins_its_create_and_solve_replies() {
     assert_synth4096_replies(&replies, "two-worker server");
 }
 
-/// A lone durable state's log: what a create, an `update_app`, a batch
-/// of two sub-requests, a failing op, a server-wide op and a request with
-/// reordered keys and an unknown field, and one with a duplicate `"op"`
-/// key append, record by record. Each
-/// routed request is logged in the canonical serialization of its parse
-/// (keys in their order on the line, numbers printed round-trip), failed
-/// ones included; the batch envelope and the server-wide op are not.
+/// A lone durable state's log, record by record, after a create, an
+/// `update_app`, a batch of two sub-requests, a failing op, a server-wide
+/// op, a request with reordered keys and an unknown field, and one with a
+/// duplicate `"op"` key. Each routed request is logged in the canonical
+/// serialization of its parse (keys in their order on the line, numbers
+/// printed round-trip), failed ones included; the batch envelope and the
+/// server-wide op are not.
 #[test]
 fn a_durable_state_logs_the_pinned_records() {
     let dir = std::env::temp_dir().join(format!("cosched-wire-wal-{}", std::process::id()));
