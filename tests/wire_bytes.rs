@@ -304,3 +304,53 @@ const WAL_RECORDS: [&str; 7] = [
     r#"{"seed":2,"id":0,"extra":[1,{"k":null}],"op":"solve","schedule":false}"#,
     r#"{"op":"solve","op":"stats","id":0,"schedule":false}"#,
 ];
+
+/// A lone durable state's log after lines that are not in canonical
+/// form: whitespace between tokens, `\/`, `\u0041`, `\u000a` and
+/// upper-case `\u001F` escapes, `1.50`, `-0`, `1E+2`, `0e0`, an integer
+/// past 2^53, and a `batch` whose sub-requests are not canonical either.
+/// Each record is the canonical form of its request (the bytes the parse
+/// prints back), failed requests included.
+#[test]
+fn a_durable_state_logs_the_canonical_form_of_each_record() {
+    let dir = std::env::temp_dir().join(format!("cosched-wire-canon-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServeConfig {
+        durability: Durability::Log,
+        wal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let mut state = build_states(&mut config).expect("durable state").remove(0);
+    for line in [
+        concat!(
+            " {\"op\" : \"create\",\t\"apps\" : [ {\"name\":\"A\\/1\\u0041\",\"work\":1.50e10,",
+            "\"seq_fraction\":-0,\"access_freq\":0.50,\"miss_rate_ref\":1E-3} ,",
+            "{\"name\":\"B\",\"work\":2e10,\"access_freq\":0.6,\"miss_rate_ref\":0.002}],",
+            "\"platform\":{\"processors\":1E+2}} ",
+        ),
+        r#"{"op":"batch","requests":[ {"op":"solve", "id":0e0, "seed":1.0, "schedule":false} , {"op":"remove_app","id":0,"index":1.00}]}"#,
+        r#"{"op":"solve","id":9,"solver":"Dominant","note":"a\u000ab\u001Fc\tdé"}"#,
+        r#"{"op":"solve","id":0,"schedule":false,"x":[9007199254740993,-0.0,1.5E30,0.000001]}"#,
+    ] {
+        handle_line(&mut state, line);
+        state.wal_commit();
+    }
+    let records = read_wal_records(&dir.join("shard-0.wal.0.log")).expect("read the log");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(records, CANONICAL_RECORDS);
+}
+
+const CANONICAL_RECORDS: [&str; 5] = [
+    concat!(
+        r#"{"op":"create","apps":[{"name":"A/1A","work":15000000000,"seq_fraction":-0,"#,
+        r#""access_freq":0.5,"miss_rate_ref":0.001},{"name":"B","work":20000000000,"#,
+        r#""access_freq":0.6,"miss_rate_ref":0.002}],"platform":{"processors":100}}"#,
+    ),
+    r#"{"op":"solve","id":0,"seed":1,"schedule":false}"#,
+    r#"{"op":"remove_app","id":0,"index":1}"#,
+    r#"{"op":"solve","id":9,"solver":"Dominant","note":"a\nb\u001fc\tdé"}"#,
+    concat!(
+        r#"{"op":"solve","id":0,"schedule":false,"#,
+        r#""x":[9007199254740992,-0,1500000000000000000000000000000,0.000001]}"#,
+    ),
+];
