@@ -35,8 +35,9 @@
 //!
 //! The module tree separates the layers:
 //!
-//! * [`protocol`] — the op table, request decoding and the reply
-//!   writers: each request is decoded once into its op and id, and every
+//! * [`protocol`] — the op table, request reading and the reply
+//!   writers: each request line is read once, straight into its op, id
+//!   and the fields its op reads, with no `Json` tree, and every
 //!   op writes its reply with [`minijson::JsonWriter`] straight into a
 //!   `String`, no `Json` tree in between; transport-free ([`handle_line`]
 //!   maps a request string to a response string against a

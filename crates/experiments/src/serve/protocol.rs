@@ -1,4 +1,4 @@
-//! Request/response layer of the serve protocol: one parsed JSON request
+//! Request/response layer of the serve protocol: one JSON request line
 //! in, one JSON response out, against a [`ServeState`].
 //!
 //! Everything here is transport-free by construction — [`handle_line`]
@@ -11,16 +11,26 @@
 //! Replies are written, not built: every op writes its reply field by
 //! field with [`minijson::JsonWriter`], straight into a `String` the
 //! caller supplies (the server reuses one per reactor). No [`Json`] tree
-//! is assembled for a reply; the tree is for parsing requests. The
-//! writer's bytes are `Json`'s `Display` bytes, so the wire format is
-//! the one the tree used to print.
+//! is assembled for a reply, nor for a request. The writer's bytes are
+//! `Json`'s `Display` bytes, so the wire format is the one the tree used
+//! to print.
 //!
-//! Each request, and each `batch` sub-request, is decoded once into a
-//! `Request`: its op, looked up in the one op table (`OPS`: wire name,
-//! op, span name), and its numeric `"id"`. Routing, dispatch, spans and
-//! error replies read those two fields; each op reads its own other
-//! fields from the parsed body, after checking the id, so a dead id is
-//! reported before a bad field.
+//! Requests are read, not parsed into a tree: [`minijson::Reader`] walks
+//! each line once into a `Request`, with each `batch` sub-request inside
+//! it. A `Request` holds the op, looked up in the one op table (`OPS`:
+//! wire name, op, span name), the numeric `"id"`, the first occurrence of
+//! every other field an op reads (a `create`'s applications already
+//! built), and the request's span on the line. The reader checks the
+//! whole line as [`Json::parse`] does, so a malformed line answers the
+//! same error, and a duplicate key answers by its first occurrence, as
+//! [`Json::get`] does. The application and platform field rules are
+//! written once, over the fields however they were read, and
+//! [`app_from_json`] and [`platform_from_json`] apply them to a tree.
+//! Routing, dispatch, spans and error replies read the op and id; each op
+//! reads its other fields after checking the id, so a dead id is
+//! reported before a bad field. The WAL logs each routed request as
+//! [`minijson::canonical`] of its span: the span itself when it is
+//! already in canonical form, as every line `minijson` prints is.
 //!
 //! Error responses echo the request's `"id"` field whenever the request
 //! parsed and carried a numeric one, so a client multiplexing several
@@ -34,7 +44,7 @@ use coschedule::obs;
 pub use coschedule::persist::app_to_json;
 use coschedule::session::{Session, SessionStats};
 use coschedule::solver;
-use minijson::{Json, JsonWriter};
+use minijson::{Json, JsonWriter, ParseError, Reader, Value};
 
 use super::metrics::{metrics_body, shard_reports, LatencyHistogram};
 use super::wal::{WalStats, WalWriter};
@@ -111,31 +121,224 @@ fn op_names(keep: impl Fn(Op) -> bool) -> String {
     rows.map(|row| row.0).collect::<Vec<_>>().join(", ")
 }
 
-/// One request, decoded once: its op and instance id, beside the parsed
-/// body each op reads its own fields from. [`respond`] and the router
-/// decode each line, and `batch` each sub-request, exactly once; routing,
-/// dispatch and the error replies all read the decoded fields.
+/// The scalar fields a request's ops read, by index into
+/// [`Request::fields`].
+const REQUEST_KEYS: [&str; 8] = [
+    "op", "id", "action", "index", "solver", "seed", "schedule", "shard",
+];
+const OP: usize = 0;
+const ID: usize = 1;
+const ACTION: usize = 2;
+const INDEX: usize = 3;
+const SOLVER: usize = 4;
+const SEED: usize = 5;
+const SCHEDULE: usize = 6;
+const SHARD: usize = 7;
+
+/// An application object's fields, in the order their errors are checked.
+const APP_KEYS: [&str; 6] = [
+    "name",
+    "work",
+    "seq_fraction",
+    "access_freq",
+    "miss_rate_ref",
+    "footprint",
+];
+
+/// A platform object's fields, in the order they apply.
+const PLATFORM_KEYS: [&str; 7] = [
+    "processors",
+    "cache_size",
+    "cache_gb",
+    "ref_cache_size",
+    "latency_cache",
+    "latency_mem",
+    "alpha",
+];
+
+/// The first occurrence of each of `N` keys in one object, whatever its
+/// type, as [`Json::get`] finds it: a later duplicate is read and
+/// checked, then dropped. A value that is not an object has none.
+struct Fields<'a, const N: usize>([Option<Value<'a>>; N]);
+
+impl<'a, const N: usize> Fields<'a, N> {
+    fn new() -> Self {
+        Fields(std::array::from_fn(|_| None))
+    }
+
+    /// Reads one whole value, keeping the fields `keys` names.
+    fn read(keys: &[&str; N], reader: &mut Reader<'a>) -> Result<Self, ParseError> {
+        let mut fields = Fields::new();
+        match reader.value()? {
+            Value::Obj => reader.fields(|reader, key| fields.offer(keys, &key, reader))?,
+            other => reader.skip_contents(&other)?,
+        }
+        Ok(fields)
+    }
+
+    /// Reads the value of field `key`: kept if `keys` names it and it is
+    /// the first, otherwise checked and dropped.
+    fn offer(
+        &mut self,
+        keys: &[&str; N],
+        key: &str,
+        reader: &mut Reader<'a>,
+    ) -> Result<(), ParseError> {
+        match keys.iter().position(|k| *k == key) {
+            Some(i) if self.0[i].is_none() => {
+                self.0[i] = Some(reader.scalar()?);
+                Ok(())
+            }
+            _ => reader.skip(),
+        }
+    }
+
+    /// The fields `keys` names in a parsed object.
+    fn of_json(keys: &[&str; N], v: &'a Json) -> Self {
+        Fields(keys.map(|key| v.get(key).map(Json::as_value)))
+    }
+
+    fn get(&self, i: usize) -> Option<&Value<'a>> {
+        self.0[i].as_ref()
+    }
+}
+
+/// One request, read once, straight from its line: its op and instance
+/// id, the first occurrence of every other field an op reads, and its
+/// bytes on the line. [`handle_line`] and the router read each line, and
+/// `batch` each sub-request, exactly once; routing, dispatch, the ops and
+/// the error replies all read the decoded fields.
 pub(super) struct Request<'a> {
     /// The op, or the error a request without a known op answers.
     pub op: Result<Op, String>,
     /// The numeric `"id"`, when the request carries one.
     pub id: Option<u64>,
-    /// The parsed request, which each op reads its other fields from.
-    pub body: &'a Json,
+    /// The request's bytes on the line, which the WAL logs in canonical
+    /// form.
+    span: &'a str,
+    /// The scalar fields [`REQUEST_KEYS`] names.
+    fields: Fields<'a, 8>,
+    /// `"apps"`: `None` when absent, `Some(None)` when not an array, else
+    /// its applications or the first one's error.
+    apps: Option<Option<Result<Vec<Application>, String>>>,
+    /// `"app"`: its application, or the error reading it gave.
+    app: Option<Result<Application, String>>,
+    /// `"platform"`'s fields.
+    platform: Option<Fields<'a, 7>>,
+    /// `"requests"`: `None` when absent, `Some(None)` when not an array.
+    requests: Option<Option<Vec<Request<'a>>>>,
 }
 
 impl<'a> Request<'a> {
-    /// Decodes `body`'s op and id (a duplicate key answers by its first
-    /// occurrence).
-    pub fn decode(body: &'a Json) -> Request<'a> {
-        let op = match body.get("op").and_then(Json::as_str) {
+    /// Reads one request line, checked exactly as [`Json::parse`] checks
+    /// it.
+    pub fn read_line(line: &'a str) -> Result<Request<'a>, ParseError> {
+        let mut reader = Reader::new(line);
+        let request = Request::read(&mut reader, line)?;
+        reader.finish()?;
+        Ok(request)
+    }
+
+    /// Reads one whole value of `line` as a request. A value that is not
+    /// an object has no fields, so it answers a missing op.
+    fn read(reader: &mut Reader<'a>, line: &'a str) -> Result<Request<'a>, ParseError> {
+        let start = reader.offset();
+        let mut fields = Fields::new();
+        let mut apps = None;
+        let mut app = None;
+        let mut platform = None;
+        let mut requests = None;
+        match reader.value()? {
+            Value::Obj => reader.fields(|reader, key| match &*key {
+                "apps" if apps.is_none() => {
+                    apps = Some(read_apps(reader)?);
+                    Ok(())
+                }
+                "app" if app.is_none() => {
+                    app = Some(app_from_fields(&Fields::read(&APP_KEYS, reader)?));
+                    Ok(())
+                }
+                "platform" if platform.is_none() => {
+                    platform = Some(Fields::read(&PLATFORM_KEYS, reader)?);
+                    Ok(())
+                }
+                "requests" if requests.is_none() => {
+                    requests = Some(read_requests(reader, line)?);
+                    Ok(())
+                }
+                key => fields.offer(&REQUEST_KEYS, key, reader),
+            })?,
+            other => reader.skip_contents(&other)?,
+        }
+        let op = match fields.get(OP).and_then(Value::as_str) {
             None => Err("missing \"op\" field".to_string()),
             Some(name) => Op::named(name)
                 .ok_or_else(|| format!("unknown op {name:?}; available: {}", op_names(|_| true))),
         };
-        let id = body.get("id").and_then(Json::as_u64);
-        Request { op, id, body }
+        Ok(Request {
+            op,
+            id: fields.get(ID).and_then(Value::as_u64),
+            span: &line[start..reader.offset()],
+            fields,
+            apps,
+            app,
+            platform,
+            requests,
+        })
     }
+
+    /// The scalar field at `i` in [`REQUEST_KEYS`].
+    fn field(&self, i: usize) -> Option<&Value<'a>> {
+        self.fields.get(i)
+    }
+
+    /// The `"shard"` a `trace` request addresses, 0 by default.
+    pub fn shard(&self) -> u64 {
+        self.field(SHARD).and_then(Value::as_u64).unwrap_or(0)
+    }
+}
+
+/// Reads `"apps"`: each element as an application object, keeping the
+/// first error in place of the list.
+fn read_apps(
+    reader: &mut Reader<'_>,
+) -> Result<Option<Result<Vec<Application>, String>>, ParseError> {
+    let value = reader.value()?;
+    if value != Value::Arr {
+        reader.skip_contents(&value)?;
+        return Ok(None);
+    }
+    let mut apps = Ok(Vec::new());
+    reader.elements(|reader| {
+        let app = app_from_fields(&Fields::read(&APP_KEYS, reader)?);
+        if let Ok(list) = &mut apps {
+            match app {
+                Ok(app) => list.push(app),
+                Err(e) => apps = Err(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(Some(apps))
+}
+
+/// Reads a `batch`'s `"requests"`: each element as a request, with its
+/// own span of `line`.
+fn read_requests<'a>(
+    reader: &mut Reader<'a>,
+    line: &'a str,
+) -> Result<Option<Vec<Request<'a>>>, ParseError> {
+    let value = reader.value()?;
+    if value != Value::Arr {
+        reader.skip_contents(&value)?;
+        return Ok(None);
+    }
+    let mut subs = Vec::new();
+    reader.elements(|reader| {
+        subs.push(Request::read(reader, line)?);
+        Ok(())
+    })?;
+    Ok(Some(subs))
 }
 
 /// Solver a `solve` request that names none runs, unless the server is
@@ -358,26 +561,24 @@ pub(super) struct Replied {
 pub fn handle_line(state: &mut ServeState, line: &str) -> String {
     let mut out = String::new();
     let w = &mut JsonWriter::new(&mut out);
-    match Json::parse(line) {
-        Ok(body) => respond_into(state, &Request::decode(&body), w),
+    match Request::read_line(line) {
+        Ok(mut request) => respond_into(state, &mut request, w),
         Err(e) => write_error(w, &format!("malformed request: {e}"), None, None),
     }
     out
 }
 
-/// Answers one parsed request and returns the reply line: what
-/// [`handle_line`] does after parsing.
+/// Answers one parsed request and returns the reply line: the tree is
+/// printed and the line answered by [`handle_line`]. (Any tree
+/// [`Json::parse`] returns prints back to a line that reads the same.)
 pub fn respond(state: &mut ServeState, request: &Json) -> String {
-    let mut out = String::new();
-    let w = &mut JsonWriter::new(&mut out);
-    respond_into(state, &Request::decode(request), w);
-    out
+    handle_line(state, &request.to_string())
 }
 
 /// Writes the reply to one request on a lone state: the server-wide ops
 /// over the state as a set of one shard, everything else through
 /// [`respond_routed`].
-fn respond_into(state: &mut ServeState, request: &Request<'_>, w: &mut Writer<'_>) {
+fn respond_into(state: &mut ServeState, request: &mut Request<'_>, w: &mut Writer<'_>) {
     // The lone state is the whole shard set. The router answers the same
     // ops with the same functions over its shard locks.
     match request.op {
@@ -398,7 +599,7 @@ fn respond_into(state: &mut ServeState, request: &Request<'_>, w: &mut Writer<'_
 /// under the owning shard's lock.
 pub(super) fn respond_routed(
     state: &mut ServeState,
-    request: &Request<'_>,
+    request: &mut Request<'_>,
     w: &mut Writer<'_>,
 ) -> Replied {
     let (op, span) = request.op.as_ref().map_or(("other", "op_other"), Op::names);
@@ -406,14 +607,15 @@ pub(super) fn respond_routed(
     request_sp.set_args(obs::current_trace_id(), state.shard as u64);
     // Log before dispatch, in the canonical serialization — replaying
     // the log re-enters here and reproduces the dispatch bit for bit.
-    // Failed ops are logged too: they bump counters and eval stats,
-    // and recovery must reproduce those. Fail-stop on I/O error (see
+    // A line already in that form is logged as it came. Failed ops are
+    // logged too: they bump counters and eval stats, and recovery must
+    // reproduce those. Fail-stop on I/O error (see
     // [`ServeState::wal_commit`]).
     let wal_started = std::time::Instant::now();
     if let Some(wal) = &mut state.wal {
         let append_sp = obs::span("wal", "wal_append");
-        wal.append(&request.body.to_string())
-            .expect("write-ahead log append failed");
+        let record = minijson::canonical(request.span).expect("a request's span was read whole");
+        wal.append(&record).expect("write-ahead log append failed");
         drop(append_sp);
     }
     let wal_ns = wal_started.elapsed().as_nanos() as u64;
@@ -485,11 +687,11 @@ pub(super) fn write_error(
 /// id a `create` made.
 fn dispatch(
     state: &mut ServeState,
-    request: &Request<'_>,
+    request: &mut Request<'_>,
     w: &mut Writer<'_>,
 ) -> Result<Option<u64>, String> {
     match request.op.clone()? {
-        Op::Create => op_create(state, request.body, w).map(Some),
+        Op::Create => op_create(state, request, w).map(Some),
         Op::Mutate => op_mutate(state, request, w).map(|()| None),
         Op::Mutation(mutation) => apply_mutation(state, request, mutation, w).map(|()| None),
         Op::Solve => op_solve(state, request, w).map(|()| None),
@@ -505,19 +707,19 @@ fn dispatch(
 }
 
 /// The `batch` op: several requests in one line, one combined response.
-/// Each element of `"requests"` is decoded and answered by `respond`
-/// exactly as if it had arrived on its own line, in order, and its
-/// response is written in place at the same index of `"responses"` —
+/// Each element of `"requests"` was read with the line and is answered by
+/// `respond` exactly as if it had arrived on its own line, in order, and
+/// its response is written in place at the same index of `"responses"` —
 /// byte-identical to the sequential exchanges (pinned by the loopback
 /// tests). Sub-requests keep the envelope's trace id. One level only: a
 /// batch inside a batch answers an error at its slot (unbounded nesting
 /// would be a recursion hazard).
 pub(super) fn batch_reply(
     w: &mut Writer<'_>,
-    request: &Request<'_>,
-    mut respond: impl FnMut(&mut Writer<'_>, &Request<'_>),
+    request: &mut Request<'_>,
+    mut respond: impl FnMut(&mut Writer<'_>, &mut Request<'_>),
 ) {
-    let Some(subs) = request.body.get("requests").and_then(Json::as_array) else {
+    let Some(Some(subs)) = &mut request.requests else {
         return write_error(w, "missing \"requests\" array", request.id, None);
     };
     w.begin_object();
@@ -525,10 +727,9 @@ pub(super) fn batch_reply(
     w.key("count").int(subs.len() as u64);
     w.key("responses").begin_array();
     for sub in subs {
-        let sub = Request::decode(sub);
         match sub.op {
             Ok(Op::Batch) => write_error(w, "nested batch is not supported", sub.id, None),
-            _ => respond(w, &sub),
+            _ => respond(w, sub),
         }
     }
     w.end_array().end_object();
@@ -673,14 +874,18 @@ fn write_header(w: &mut Writer<'_>, state: &ServeState, id: coschedule::session:
         .int(state.session.instance(id).expect("live id").len() as u64);
 }
 
-fn op_create(state: &mut ServeState, request: &Json, w: &mut Writer<'_>) -> Result<u64, String> {
+fn op_create(
+    state: &mut ServeState,
+    request: &mut Request<'_>,
+    w: &mut Writer<'_>,
+) -> Result<u64, String> {
     let apps = request
-        .get("apps")
-        .and_then(Json::as_array)
-        .ok_or("missing \"apps\" array")?;
-    let apps: Vec<Application> = apps.iter().map(app_from_json).collect::<Result<_, _>>()?;
-    let platform = match request.get("platform") {
-        Some(spec) => platform_from_json(spec)?,
+        .apps
+        .take()
+        .flatten()
+        .ok_or("missing \"apps\" array")??;
+    let platform = match &request.platform {
+        Some(spec) => platform_from_fields(Platform::taihulight(), spec)?,
         None => Platform::taihulight(),
     };
     let id = state
@@ -698,9 +903,8 @@ fn op_mutate(
 ) -> Result<(), String> {
     let mutations = || op_names(|op| matches!(op, Op::Mutation(_)));
     let action = request
-        .body
-        .get("action")
-        .and_then(Json::as_str)
+        .field(ACTION)
+        .and_then(Value::as_str)
         .ok_or_else(|| format!("missing \"action\" field ({})", mutations()))?;
     match Op::named(action) {
         Some(Op::Mutation(mutation)) => apply_mutation(state, request, mutation, w),
@@ -721,12 +925,13 @@ fn apply_mutation(
     mutation: Mutation,
     w: &mut Writer<'_>,
 ) -> Result<(), String> {
-    let body = request.body;
     let index = || {
-        body.get("index")
-            .and_then(Json::as_usize)
+        request
+            .field(INDEX)
+            .and_then(Value::as_usize)
             .ok_or("missing or non-integer \"index\" field")
     };
+    let app = || request.app.clone().ok_or("missing \"app\" object")?;
     let id = require_id(state, request)?;
     let mut handle = state.session.handle(id).map_err(|e| e.to_string())?;
     /// The field a mutation's reply carries after the header.
@@ -736,8 +941,7 @@ fn apply_mutation(
     }
     let extra = match mutation {
         Mutation::AddApp => {
-            let app = app_from_json(body.get("app").ok_or("missing \"app\" object")?)?;
-            let index = handle.add_app(app).map_err(|e| e.to_string())?;
+            let index = handle.add_app(app()?).map_err(|e| e.to_string())?;
             Some(Extra::Index(index))
         }
         Mutation::RemoveApp => {
@@ -746,16 +950,20 @@ fn apply_mutation(
         }
         Mutation::UpdateApp => {
             let index = index()?;
-            let app = app_from_json(body.get("app").ok_or("missing \"app\" object")?)?;
-            let old = handle.update_app(index, app).map_err(|e| e.to_string())?;
+            let old = handle
+                .update_app(index, app()?)
+                .map_err(|e| e.to_string())?;
             Some(Extra::Name("replaced", old.name))
         }
         Mutation::SetPlatform => {
             // Overrides apply on top of the instance's *current* platform:
             // a partial spec changes only the named fields.
-            let platform = platform_overrides_from_json(
+            let platform = platform_from_fields(
                 handle.instance().platform().clone(),
-                body.get("platform").ok_or("missing \"platform\" object")?,
+                request
+                    .platform
+                    .as_ref()
+                    .ok_or("missing \"platform\" object")?,
             )?;
             handle.set_platform(platform).map_err(|e| e.to_string())?;
             None
@@ -779,19 +987,21 @@ fn op_solve(
     request: &Request<'_>,
     w: &mut Writer<'_>,
 ) -> Result<(), String> {
-    let body = request.body;
     let id = require_id(state, request)?;
-    let solver_name = match body.get("solver") {
+    let solver_name = match request.field(SOLVER) {
         Some(v) => v.as_str().ok_or("\"solver\" must be a string")?,
         None => &state.default_solver,
     };
-    let seed = match body.get("seed") {
+    let seed = match request.field(SEED) {
         Some(v) => v
             .as_u64()
             .ok_or("\"seed\" must be a non-negative integer")?,
         None => state.default_seed,
     };
-    let include_schedule = body.get("schedule").and_then(Json::as_bool).unwrap_or(true);
+    let include_schedule = request
+        .field(SCHEDULE)
+        .and_then(Value::as_bool)
+        .unwrap_or(true);
 
     let before = state.session.stats();
     let outcome = state
@@ -849,27 +1059,31 @@ fn op_close(
     Ok(())
 }
 
-fn field(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("app is missing numeric field {key:?}"))
-}
-
 /// Parses one application object. `seq_fraction` defaults to 0 (perfectly
 /// parallel) and `footprint` to unbounded, matching [`Application::new`].
 pub fn app_from_json(v: &Json) -> Result<Application, String> {
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
+    app_from_fields(&Fields::of_json(&APP_KEYS, v))
+}
+
+/// The rules of an application object, however it was read.
+fn app_from_fields(fields: &Fields<'_, 6>) -> Result<Application, String> {
+    let [name, work, seq_fraction, access_freq, miss_rate_ref, footprint] = &fields.0;
+    let num = |v: &Option<Value<'_>>| v.as_ref().and_then(Value::as_f64);
+    let required = |v: &Option<Value<'_>>, key: &str| {
+        num(v).ok_or_else(|| format!("app is missing numeric field {key:?}"))
+    };
+    let name = name
+        .as_ref()
+        .and_then(Value::as_str)
         .ok_or("app is missing string field \"name\"")?;
     let mut app = Application::new(
         name,
-        field(v, "work")?,
-        v.get("seq_fraction").and_then(Json::as_f64).unwrap_or(0.0),
-        field(v, "access_freq")?,
-        field(v, "miss_rate_ref")?,
+        required(work, "work")?,
+        num(seq_fraction).unwrap_or(0.0),
+        required(access_freq, "access_freq")?,
+        required(miss_rate_ref, "miss_rate_ref")?,
     );
-    if let Some(footprint) = v.get("footprint").and_then(Json::as_f64) {
+    if let Some(footprint) = num(footprint) {
         app = app.with_footprint(footprint);
     }
     Ok(app)
@@ -888,35 +1102,42 @@ pub fn platform_from_json(v: &Json) -> Result<Platform, String> {
 /// only the named fields of the instance's current platform (not silently
 /// reset the rest to the Taihulight defaults).
 pub fn platform_overrides_from_json(base: Platform, v: &Json) -> Result<Platform, String> {
-    let num = |key: &str| -> Result<Option<f64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(value) => value
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("platform field {key:?} must be a number")),
+    platform_from_fields(base, &Fields::of_json(&PLATFORM_KEYS, v))
+}
+
+/// The rules of a platform object, however it was read: each field
+/// present must be a number, checked in [`PLATFORM_KEYS`] order, and
+/// overrides `base`.
+fn platform_from_fields(base: Platform, fields: &Fields<'_, 7>) -> Result<Platform, String> {
+    let mut numbers = [None; 7];
+    for ((number, key), value) in numbers.iter_mut().zip(PLATFORM_KEYS).zip(&fields.0) {
+        if let Some(value) = value {
+            let n = value.as_f64();
+            *number = Some(n.ok_or_else(|| format!("platform field {key:?} must be a number"))?);
         }
-    };
+    }
+    let [processors, cache_size, cache_gb, ref_cache_size, latency_cache, latency_mem, alpha] =
+        numbers;
     let mut platform = base;
-    if let Some(p) = num("processors")? {
+    if let Some(p) = processors {
         platform.processors = p;
     }
-    if let Some(cs) = num("cache_size")? {
+    if let Some(cs) = cache_size {
         platform.cache_size = cs;
     }
-    if let Some(gb) = num("cache_gb")? {
+    if let Some(gb) = cache_gb {
         platform.cache_size = gb * 1e9;
     }
-    if let Some(c0) = num("ref_cache_size")? {
+    if let Some(c0) = ref_cache_size {
         platform.ref_cache_size = c0;
     }
-    if let Some(ls) = num("latency_cache")? {
+    if let Some(ls) = latency_cache {
         platform.latency_cache = ls;
     }
-    if let Some(ll) = num("latency_mem")? {
+    if let Some(ll) = latency_mem {
         platform.latency_mem = ll;
     }
-    if let Some(alpha) = num("alpha")? {
+    if let Some(alpha) = alpha {
         platform.alpha = alpha;
     }
     Ok(platform)
@@ -926,6 +1147,7 @@ pub fn platform_overrides_from_json(base: Platform, v: &Json) -> Result<Platform
 mod tests {
     use super::*;
     use coschedule::solver::{Instance, SolveCtx};
+    use proptest::prelude::*;
 
     fn npb_create_line() -> String {
         Json::obj([
@@ -1291,6 +1513,18 @@ mod tests {
     }
 
     #[test]
+    fn batches_nested_to_the_depth_cap_answer_one_line() {
+        // Each batch is two levels (its object and its array): 64 of them
+        // reach the cap, 65 pass it.
+        let mut state = ServeState::new();
+        for (levels, ok) in [(64, true), (65, false)] {
+            let line = r#"{"op":"batch","requests":["#.repeat(levels) + &"]}".repeat(levels);
+            let reply = handle_line(&mut state, &line);
+            assert_eq!(reply.starts_with(r#"{"ok":true"#), ok, "{levels}: {reply}");
+        }
+    }
+
+    #[test]
     fn shutdown_inside_a_batch_still_shuts_down() {
         let mut state = ServeState::new();
         state.allow_shutdown = true;
@@ -1377,6 +1611,214 @@ mod tests {
                 (i == script.len() - 1).then_some(true),
                 "shutdown only at the end"
             );
+        }
+    }
+
+    /// SplitMix64: the request generator's stream, seeded per case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    /// Any value an op could meet in a field: every scalar type, numbers
+    /// that are and are not exact integers, and small containers.
+    fn any_value(mix: &mut Mix) -> Json {
+        match mix.below(9) {
+            0 => Json::Null,
+            1 => Json::Bool(mix.below(2) == 0),
+            2 => Json::from(mix.below(4)),
+            3 => {
+                Json::from(mix.pick(&[-1.0, 0.5, -0.0, 1e300, 2f64.powi(53), 2f64.powi(53) + 2.0]))
+            }
+            4 => Json::from(f64::from_bits(mix.next() >> 2)),
+            5 => Json::from(mix.pick(&["", "x", "create", "solve", "auto", "remove_app", "\"é\n"])),
+            6 => Json::arr([Json::from(1u64), Json::Null]),
+            7 => Json::obj([("k", Json::from(1u64))]),
+            _ => Json::from(1.5),
+        }
+    }
+
+    /// An object with up to `keys.len() + 2` fields drawn from `keys`
+    /// (so some repeat) and an unknown one, each with `value`'s draw.
+    fn object(
+        mix: &mut Mix,
+        keys: &[&'static str],
+        mut value: impl FnMut(&mut Mix, &str) -> Json,
+    ) -> Json {
+        let count = mix.below(keys.len() as u64 + 3);
+        Json::Obj(
+            (0..count)
+                .map(|_| {
+                    let key = if mix.below(8) == 0 {
+                        "extra"
+                    } else {
+                        mix.pick(keys)
+                    };
+                    (key.to_string(), value(mix, key))
+                })
+                .collect(),
+        )
+    }
+
+    /// An application object: mostly numbers, sometimes a wrong type, a
+    /// missing field or a duplicate; sometimes not an object at all.
+    fn any_app(mix: &mut Mix) -> Json {
+        if mix.below(10) == 0 {
+            return any_value(mix);
+        }
+        object(mix, &APP_KEYS, |mix, key| match (key, mix.below(5)) {
+            (_, 0) => any_value(mix),
+            ("name", _) => Json::from(mix.pick(&["A", "B \"2\""])),
+            _ => Json::from(mix.below(1000) as f64 / 7.0),
+        })
+    }
+
+    /// A request with fields from every op, `"apps"`, `"app"`,
+    /// `"platform"` and (down to `depth`) `"requests"` among them.
+    fn any_request(mix: &mut Mix, depth: u32) -> Json {
+        let keys = [
+            "op", "id", "action", "index", "solver", "seed", "schedule", "shard", "apps", "app",
+            "platform", "requests",
+        ];
+        object(mix, &keys, |mix, key| match (key, mix.below(6)) {
+            (_, 0) => any_value(mix),
+            ("op" | "action", _) => {
+                Json::from(mix.pick(&["create", "solve", "batch", "update_app", "mutate"]))
+            }
+            ("apps", _) => Json::Arr((0..mix.below(4)).map(|_| any_app(mix)).collect()),
+            ("app", _) => any_app(mix),
+            ("platform", _) => object(mix, &PLATFORM_KEYS, |mix, _| match mix.below(4) {
+                0 => any_value(mix),
+                _ => Json::from(mix.below(100) as f64),
+            }),
+            ("requests", _) if depth > 0 => Json::Arr(
+                (0..mix.below(3))
+                    .map(|_| any_request(mix, depth - 1))
+                    .collect(),
+            ),
+            _ => any_value(mix),
+        })
+    }
+
+    /// `v` printed with whitespace drawn between its tokens.
+    fn spell(v: &Json, mix: &mut Mix, out: &mut String) {
+        if mix.below(6) == 0 {
+            out.push_str(mix.pick(&[" ", "\t", "\r\n"]));
+        }
+        match v {
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    spell(item, mix, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&Json::from(key.as_str()).to_string());
+                    out.push(':');
+                    spell(value, mix, out);
+                }
+                out.push('}');
+            }
+            scalar => out.push_str(&scalar.to_string()),
+        }
+    }
+
+    /// Asserts that `request`, read from text, holds what the tree `v`
+    /// of the same text gives through [`Json::get`] and the `as_*`
+    /// accessors, sub-requests included.
+    fn assert_reads_like_the_tree(request: &Request<'_>, v: &Json) -> Result<(), TestCaseError> {
+        let op = match v.get("op").and_then(Json::as_str) {
+            None => Err("missing \"op\" field".to_string()),
+            Some(name) => Op::named(name)
+                .ok_or_else(|| format!("unknown op {name:?}; available: {}", op_names(|_| true))),
+        };
+        prop_assert_eq!(&request.op, &op);
+        prop_assert_eq!(request.id, v.get("id").and_then(Json::as_u64));
+        for (i, key) in REQUEST_KEYS.iter().enumerate() {
+            let expected = v.get(key).map(Json::as_value);
+            prop_assert_eq!(request.field(i), expected.as_ref(), "{}", key);
+        }
+        let apps = v.get("apps").map(|apps| {
+            apps.as_array().map(|items| {
+                items
+                    .iter()
+                    .map(app_from_json)
+                    .collect::<Result<Vec<_>, _>>()
+            })
+        });
+        prop_assert_eq!(&request.apps, &apps);
+        prop_assert_eq!(&request.app, &v.get("app").map(app_from_json));
+        let platform = v
+            .get("platform")
+            .map(|p| Fields::of_json(&PLATFORM_KEYS, p).0);
+        prop_assert_eq!(request.platform.as_ref().map(|p| &p.0), platform.as_ref());
+        prop_assert_eq!(&Json::parse(request.span).expect("a span is one value"), v);
+        let subs = v.get("requests").map(Json::as_array);
+        prop_assert_eq!(
+            request
+                .requests
+                .as_ref()
+                .map(|subs| subs.as_ref().map(Vec::len)),
+            subs.map(|subs| subs.map(<[Json]>::len))
+        );
+        if let (Some(Some(read)), Some(Some(parsed))) = (&request.requests, subs) {
+            for (sub, v) in read.iter().zip(parsed) {
+                assert_reads_like_the_tree(sub, v)?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// A request read from its line holds what [`Json::parse`] and
+        /// [`Json::get`] give for the same line, and a line the reader
+        /// refuses is one the parser refuses, at the same byte.
+        fn a_request_reads_like_its_parse(seed in 0u64..u64::MAX, mangled in 0u8..4) {
+            let mix = &mut Mix(seed);
+            let mut line = String::new();
+            spell(&any_request(mix, 2), mix, &mut line);
+            if mangled == 0 {
+                let mut bytes = line.into_bytes();
+                for _ in 0..1 + mix.below(3) {
+                    let at = mix.below(bytes.len() as u64) as usize;
+                    match mix.below(3) {
+                        0 => bytes[at] ^= 1 << mix.below(8),
+                        1 => bytes[at] = mix.below(256) as u8,
+                        _ => bytes.truncate(at.max(1)),
+                    }
+                }
+                line = String::from_utf8_lossy(&bytes).into_owned();
+            }
+            match (Request::read_line(&line), Json::parse(&line)) {
+                (Ok(request), Ok(v)) => assert_reads_like_the_tree(&request, &v)?,
+                (read, parsed) => prop_assert_eq!(read.err(), parsed.err(), "{:?}", line),
+            }
         }
     }
 }

@@ -53,7 +53,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use minijson::{Json, JsonWriter};
+use minijson::JsonWriter;
 
 use super::metrics::{metrics_body, shard_reports, NetMetrics, ShardReport};
 use super::protocol::{self, Op, Request, ServeState, Writer};
@@ -123,8 +123,8 @@ impl Router {
     /// the reply first, then calls [`Self::rotate`] for each.
     pub fn dispatch(&self, line: &str, trace: u64, rotations: &mut Vec<usize>, out: &mut String) {
         let w = &mut JsonWriter::new(out);
-        match Json::parse(line) {
-            Ok(body) => self.dispatch_parsed(&Request::decode(&body), trace, rotations, w),
+        match Request::read_line(line) {
+            Ok(mut request) => self.dispatch_parsed(&mut request, trace, rotations, w),
             Err(e) => protocol::write_error(w, &format!("malformed request: {e}"), None, None),
         }
     }
@@ -132,7 +132,7 @@ impl Router {
     /// Routes one decoded request (see [`Self::dispatch`]).
     fn dispatch_parsed(
         &self,
-        request: &Request<'_>,
+        request: &mut Request<'_>,
         trace: u64,
         rotations: &mut Vec<usize>,
         w: &mut Writer<'_>,
@@ -167,14 +167,7 @@ impl Router {
             // The `trace` op is shard-addressed by an explicit `"shard"`
             // field (it drains the addressed shard's ring buffer), not by
             // instance id.
-            Ok(Op::Trace) => {
-                let asked = request
-                    .body
-                    .get("shard")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                (asked as usize) % self.shards.len()
-            }
+            Ok(Op::Trace) => (request.shard() as usize) % self.shards.len(),
             // Instance ops (and anything unroutable — unknown ops,
             // missing or dead ids): the owning shard, or shard 0, whose
             // dispatch reports the identical error a single session would.
@@ -184,14 +177,15 @@ impl Router {
                 .unwrap_or(0),
         };
         let closes = matches!(request.op, Ok(Op::Close));
-        self.on_shard(shard, trace, request.id, rotations, w, |state, w| {
+        let id = request.id;
+        self.on_shard(shard, trace, id, rotations, w, |state, w| {
             let replied = protocol::respond_routed(state, request, w);
             // Unregister a closed instance before the client can see the
             // response (a stale entry would still be answered correctly —
             // the session rejects the dead id — but the directory should
             // not outlive the instance).
             if closes && replied.ok {
-                if let Some(id) = request.id {
+                if let Some(id) = id {
                     self.directory().remove(&id);
                 }
             }
@@ -255,7 +249,7 @@ impl Router {
     /// new id on its very next line).
     fn dispatch_create(
         &self,
-        request: &Request<'_>,
+        request: &mut Request<'_>,
         trace: u64,
         rotations: &mut Vec<usize>,
         w: &mut Writer<'_>,
@@ -302,6 +296,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minijson::Json;
 
     fn create_line(name: &str) -> String {
         format!(

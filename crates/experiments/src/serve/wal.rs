@@ -22,7 +22,8 @@
 //!
 //! An 8-byte magic (`COSWAL01`), then length-delimited records:
 //! `[u32 LE length][u32 LE FNV-1a checksum][payload]`, where the payload
-//! is the canonical [`minijson`] serialization of one mutating request.
+//! is the canonical [`minijson`] serialization of one mutating request
+//! ([`minijson::canonical`]).
 //! `minijson` prints floats round-trip-exactly, so replaying the
 //! canonical form through [`protocol::handle_line`] reproduces the
 //! original dispatch bit for bit. A torn tail (half-written final record
@@ -39,8 +40,13 @@
 //! evaluation stats, so skipping them would make a recovered server's
 //! counters drift from the original. A `batch` envelope is never logged;
 //! its sub-requests are, one record each, as [`protocol::respond`]
-//! recurses. A record is the request's parsed body printed back, so its
-//! keys keep their order on the line, duplicate keys included.
+//! recurses. A record is the canonical form of the request's bytes on the
+//! line: what [`minijson::JsonWriter`] prints for its value, keys in
+//! their order on the line, duplicate keys included. That is the line's
+//! own bytes, logged without a copy, when the line is already canonical
+//! (no whitespace between tokens, only the writer's escapes, numbers
+//! spelled as the writer spells them), as every line `minijson` prints
+//! is; any other line is parsed and printed back.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};

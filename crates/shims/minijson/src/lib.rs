@@ -2,16 +2,27 @@
 //!
 //! The build is fully offline (no crates.io), so — like the `rand`,
 //! `proptest` and `criterion` shims next door — this crate implements
-//! exactly the surface the workspace needs: a [`Json`] value type, a
-//! recursive-descent parser ([`Json::parse`]), typed accessors for
-//! unpacking requests, and one compact serializer, the streaming
-//! [`JsonWriter`].
+//! exactly the surface the workspace needs: one tokenizer, the pull
+//! [`Reader`], with two consumers, the [`Json`] tree ([`Json::parse`],
+//! with typed accessors) and whatever typed reader a caller writes over
+//! [`Reader`]; one compact serializer, the streaming [`JsonWriter`]; and
+//! [`canonical`], which tells whether a text is already what the writer
+//! prints for it.
+//!
+//! There is one tokenizer. The tree is for tests, clients and snapshot
+//! documents; a server reads each request line straight into the fields
+//! its op uses, with no tree in between. Both check a text the same way,
+//! so a malformed line fails with the same [`ParseError`] whichever reads
+//! it, and both parse numbers with the same routine, so a float has the
+//! same bits either way.
 //!
 //! There is one writer. A server writes its replies with it field by
 //! field, straight into a `String`, with no [`Json`] tree in between;
 //! `Json`'s `Display` walks the tree through the same writer. So the crate
 //! has one number formatter and one string escaper, and a reply written
-//! either way has the same bytes.
+//! either way has the same bytes. [`canonical`] compares a text's tokens
+//! with those bytes: a server logs a request line as its canonical form,
+//! which is the line itself, borrowed, when the line is already canonical.
 //!
 //! Deliberate properties:
 //!
@@ -39,6 +50,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts.
@@ -83,17 +95,49 @@ impl Json {
     /// Parses one JSON document; trailing content (other than whitespace)
     /// is an error.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing content"));
+        let mut reader = Reader::new(text);
+        let value = Json::read(&mut reader)?;
+        reader.finish()?;
+        Ok(value)
+    }
+
+    /// Reads one whole value into a tree.
+    fn read(reader: &mut Reader<'_>) -> Result<Json, ParseError> {
+        Ok(match reader.value()? {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(b),
+            Value::Num(n) => Json::Num(n),
+            Value::Str(s) => Json::Str(s.into_owned()),
+            Value::Arr => {
+                let mut items = Vec::new();
+                reader.elements(|reader| {
+                    items.push(Json::read(reader)?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Value::Obj => {
+                let mut pairs = Vec::new();
+                reader.fields(|reader, key| {
+                    pairs.push((key.into_owned(), Json::read(reader)?));
+                    Ok(())
+                })?;
+                Json::Obj(pairs)
+            }
+        })
+    }
+
+    /// This value as a [`Reader`] would read it: a scalar with its
+    /// payload (a string borrowed), a container by its kind.
+    pub fn as_value(&self) -> Value<'_> {
+        match self {
+            Json::Null => Value::Null,
+            Json::Bool(b) => Value::Bool(*b),
+            Json::Num(n) => Value::Num(*n),
+            Json::Str(s) => Value::Str(Cow::Borrowed(s)),
+            Json::Arr(_) => Value::Arr,
+            Json::Obj(_) => Value::Obj,
         }
-        Ok(v)
     }
 
     /// Object field lookup (first match); `None` on non-objects.
@@ -124,12 +168,7 @@ impl Json {
     /// value is not a number, is negative, has a fractional part, or does
     /// not fit `u64` losslessly).
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
-            Some(n as u64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The numeric payload as an exact `usize` (same rules as
@@ -178,6 +217,16 @@ impl Json {
     /// Builds an array.
     pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
         Json::Arr(items.into_iter().collect())
+    }
+}
+
+/// `n` as an exact non-negative integer: finite, `>= 0`, without a
+/// fractional part, and at most 2^53.
+fn exact_u64(n: f64) -> Option<u64> {
+    if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
+        Some(n as u64)
+    } else {
+        None
     }
 }
 
@@ -552,12 +601,258 @@ fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_str("\"")
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON text: the crate's only tokenizer.
+///
+/// [`Json::parse`] builds its tree with it, and a caller that wants a few
+/// typed fields reads them straight from the text: [`Self::value`] reads
+/// the next value's first token, and a container it opens is walked with
+/// [`Self::elements`] or [`Self::fields`], whose closure reads each
+/// element or field value in turn. Strings are borrowed from the text
+/// unless they hold an escape, and numbers are parsed once, exactly as the
+/// tree stores them.
+///
+/// Whatever the caller reads or skips, the reader checks the text the way
+/// [`Json::parse`] does, in the same order: a malformed text fails with
+/// the same [`ParseError`], offset and reason, at any depth (the cap
+/// included) and in any value, skipped ones too.
+///
+/// ```
+/// use minijson::{Reader, Value};
+///
+/// let text = r#"{"op":"solve","id":3,"extra":[1,{"k":null}],"id":4}"#;
+/// let mut reader = Reader::new(text);
+/// let mut id = None;
+/// assert_eq!(reader.value().unwrap(), Value::Obj);
+/// reader
+///     .fields(|reader, key| match &*key {
+///         "id" if id.is_none() => {
+///             id = reader.scalar()?.as_u64();
+///             Ok(())
+///         }
+///         _ => reader.skip(),
+///     })
+///     .unwrap();
+/// reader.finish().unwrap();
+/// assert_eq!(id, Some(3));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Containers open around the next value.
+    depth: usize,
+    /// Whether every byte read so far, numbers aside, is what
+    /// [`JsonWriter`] would print for it: no whitespace between tokens,
+    /// and only the escapes the writer uses. [`canonical`] reads it.
+    plain: bool,
 }
 
-impl Parser<'_> {
+/// One value as [`Reader::value`] reads it: a scalar with its payload, or
+/// the kind of a container it has opened.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string: borrowed from the text unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// An array; its elements follow.
+    Arr,
+    /// An object; its fields follow.
+    Obj,
+}
+
+impl Value<'_> {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as an exact non-negative integer, by
+    /// [`Json::as_u64`]'s rules.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    /// The numeric payload as an exact `usize`, by [`Json::as_usize`]'s
+    /// rules.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`'s one value, past any leading
+    /// whitespace.
+    pub fn new(text: &'a str) -> Self {
+        let mut reader = Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            plain: true,
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    /// The byte offset of the next unread byte. Read before and after a
+    /// value, it gives the value's span in the text.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Checks that only whitespace follows the value read.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing content"));
+        }
+        Ok(())
+    }
+
+    /// Reads the next value's first token. A scalar is read whole; for
+    /// [`Value::Arr`] and [`Value::Obj`] the bracket is read, and the
+    /// caller goes on with [`Self::elements`], [`Self::fields`] or
+    /// [`Self::skip_contents`].
+    #[inline]
+    pub fn value(&mut self) -> Result<Value<'a>, ParseError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Value::Arr)
+            }
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Value::Obj)
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Num),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    /// Reads the elements of the array [`Self::value`] just opened, up to
+    /// its `]`: `each` is called once per element and must read exactly
+    /// that element.
+    pub fn elements(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            each(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Reads the fields of the object [`Self::value`] just opened, up to
+    /// its `}`, in their order in the text, duplicates included: `each`
+    /// is called with each key and must read exactly its value.
+    pub fn fields(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected '\"'"));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.err("expected ':' after object key"));
+            }
+            self.pos += 1;
+            self.skip_ws();
+            each(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// Reads whatever remains of `value`, which [`Self::value`] just
+    /// returned: a container's elements or fields, nothing for a scalar.
+    pub fn skip_contents(&mut self, value: &Value<'_>) -> Result<(), ParseError> {
+        match value {
+            Value::Arr => self.elements(Self::skip),
+            Value::Obj => self.fields(|reader, _| reader.skip()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Reads one whole value, checked and discarded.
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        let value = self.value()?;
+        self.skip_contents(&value)
+    }
+
+    /// Reads one whole value: a scalar with its payload, a container
+    /// checked and reported by its kind alone.
+    pub fn scalar(&mut self) -> Result<Value<'a>, ParseError> {
+        let value = self.value()?;
+        self.skip_contents(&value)?;
+        Ok(value)
+    }
+
     fn err(&self, reason: &'static str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -565,27 +860,30 @@ impl Parser<'_> {
         }
     }
 
+    #[inline]
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        let spaces = self.bytes()[self.pos..]
+            .iter()
+            .take_while(|&&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+        if spaces > 0 {
+            self.pos += spaces;
+            self.plain = false;
         }
     }
 
-    fn expect(&mut self, byte: u8, reason: &'static str) -> Result<(), ParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(reason))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, value: Value<'a>) -> Result<Value<'a>, ParseError> {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -593,92 +891,35 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
+    /// Moves past the run of plain string bytes at the position: up to
+    /// the next quote, backslash or control character.
+    #[inline]
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let run = self.bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+        self.pos = run.map_or(self.text.len(), |n| start + n);
+        // The run ends at an ASCII byte or at the end, so on a char
+        // boundary of the `str`.
+        &self.text[start..self.pos]
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+    /// A string token, its opening quote at the position.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.pos += 1;
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Cow::Borrowed(run));
         }
+        let mut out = String::from(run);
         loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'{', "expected '{'")?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes up to the next quote/escape.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            // The slice is valid UTF-8 because the input is a &str and we
-            // only stopped on ASCII boundaries.
-            out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8"));
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -687,6 +928,7 @@ impl Parser<'_> {
                 Some(_) => return Err(self.err("raw control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
+            out.push_str(self.plain_run());
         }
     }
 
@@ -696,19 +938,35 @@ impl Parser<'_> {
         Ok(match c {
             b'"' => '"',
             b'\\' => '\\',
-            b'/' => '/',
+            b'/' => {
+                self.plain = false;
+                '/'
+            }
             b'b' => '\u{08}',
             b'f' => '\u{0C}',
             b'n' => '\n',
             b'r' => '\r',
             b't' => '\t',
             b'u' => {
+                let digits = self.pos;
                 let hi = self.hex4()?;
+                // The writer spells out only the control characters that
+                // have no short escape, in lower-case hex.
+                let spelled = &self.bytes()[digits..self.pos];
+                if hi >= 0x20
+                    || matches!(hi, 0x08 | 0x09 | 0x0A | 0x0C | 0x0D)
+                    || spelled.iter().any(u8::is_ascii_uppercase)
+                {
+                    self.plain = false;
+                }
                 if (0xD800..0xDC00).contains(&hi) {
                     // High surrogate: require the paired \uXXXX low half.
                     if self.peek() == Some(b'\\') {
                         self.pos += 1;
-                        self.expect(b'u', "expected low surrogate escape")?;
+                        if self.peek() != Some(b'u') {
+                            return Err(self.err("expected low surrogate escape"));
+                        }
+                        self.pos += 1;
                         let lo = self.hex4()?;
                         if !(0xDC00..0xE000).contains(&lo) {
                             return Err(self.err("invalid low surrogate"));
@@ -743,13 +1001,13 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    #[inline]
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let int_digits = self.digits();
-        if int_digits == 0 {
+        if self.digits() == 0 {
             return Err(self.err("expected digits"));
         }
         if self.peek() == Some(b'.') {
@@ -767,22 +1025,187 @@ impl Parser<'_> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8");
         // `f64::from_str` saturates overflow to ±∞ instead of erroring;
         // gate it out so non-finite values can never enter the value space
         // (the module's documented invariant).
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
             _ => Err(self.err("number out of range")),
         }
     }
 
+    #[inline]
     fn digits(&mut self) -> usize {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let count = self.bytes()[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += count;
+        count
+    }
+}
+
+/// `Json::parse(text)?.to_string()`: the bytes [`JsonWriter`] prints for
+/// `text`'s value. Borrowed from `text`, without a copy, when `text` is
+/// already those bytes; a server logs each request line in this form.
+///
+/// The check reads `text` once, comparing each token with what the
+/// writer would print for it: no whitespace, only the writer's escapes,
+/// and each number spelled as the writer spells its `f64`. Any other
+/// text is parsed and printed, so the result is the same either way.
+///
+/// ```
+/// use std::borrow::Cow;
+///
+/// let line = r#"{"op":"solve","id":0,"seed":1}"#;
+/// assert!(matches!(minijson::canonical(line), Ok(Cow::Borrowed(_))));
+/// let spaced = r#"{ "op":"solve", "id":0e0, "seed":1.0 }"#;
+/// assert_eq!(minijson::canonical(spaced).unwrap(), line);
+/// ```
+pub fn canonical(text: &str) -> Result<Cow<'_, str>, ParseError> {
+    let mut reader = Reader::new(text);
+    let mut numbers = true;
+    let walked = canonical_value(&mut reader, &mut numbers);
+    if walked.is_ok() && numbers && reader.plain && reader.offset() == text.len() {
+        return Ok(Cow::Borrowed(text));
+    }
+    Json::parse(text).map(|value| Cow::Owned(value.to_string()))
+}
+
+/// Reads one value, clearing `numbers` at a number the writer would spell
+/// differently.
+fn canonical_value(reader: &mut Reader<'_>, numbers: &mut bool) -> Result<(), ParseError> {
+    let start = reader.pos;
+    let value = reader.value()?;
+    match value {
+        Value::Num(n) => *numbers &= number_is_canonical(&reader.text[start..reader.pos], n),
+        Value::Arr => reader.elements(|reader| canonical_value(reader, numbers))?,
+        Value::Obj => reader.fields(|reader, _| canonical_value(reader, numbers))?,
+        _ => {}
+    }
+    Ok(())
+}
+
+/// Whether `write_num(n)` prints `token`, the text `n` was parsed from.
+/// The common spellings are settled by [`settle_number`]; any other
+/// token is compared with what the writer prints.
+fn number_is_canonical(token: &str, n: f64) -> bool {
+    if let Some(canonical) = settle_number(token, n) {
+        return canonical;
+    }
+    let mut rest = Matches(token.as_bytes());
+    write_num(&mut rest, n).is_ok() && rest.0.is_empty()
+}
+
+/// Settles without printing whether the writer spells `n` as `token`, or
+/// `None` when that takes printing.
+///
+/// The writer never prints an exponent, a leading zero before another
+/// digit, or a trailing zero after the point. An integer of at most 15
+/// digits prints as itself. So does a decimal fraction of at most 15
+/// significant digits in the normal range: no two such decimals parse to
+/// the same `f64` (15 is `f64::DIGITS`), so the shortest spelling that
+/// parses back to `n`, which the writer prints, is this one. A longer
+/// fraction of up to 19 digits goes to [`shortest_and_closest`].
+fn settle_number(token: &str, n: f64) -> Option<bool> {
+    let unsigned = token.strip_prefix('-').unwrap_or(token);
+    let (int, frac) = unsigned.split_once('.').unwrap_or((unsigned, ""));
+    if unsigned.contains(['e', 'E'])
+        || (int.len() > 1 && int.starts_with('0'))
+        || frac.ends_with('0')
+    {
+        return Some(false);
+    }
+    if frac.is_empty() {
+        return (int.len() <= 15).then_some(true);
+    }
+    let zeros = if int == "0" {
+        frac.len() - frac.trim_start_matches('0').len()
+    } else {
+        0
+    };
+    let significant = if int == "0" { 0 } else { int.len() } + frac.len() - zeros;
+    if significant <= 15 && zeros < 300 {
+        return Some(true);
+    }
+    if significant > 19 {
+        return None;
+    }
+    let digits = int.bytes().chain(frac.bytes());
+    let d = digits.fold(0u64, |d, b| d * 10 + u64::from(b - b'0'));
+    shortest_and_closest(d, u32::try_from(frac.len()).ok()?, n.abs())
+}
+
+/// Whether `d × 10^-e10`, which parses to `x` (`d` at least 16 digits,
+/// without a trailing zero), is what the writer prints for `x`: the
+/// spelling with the fewest significant digits that parses back to `x`,
+/// and of those the closest to `x`. `Some(true)` when no decimal with one
+/// digit fewer parses to `x` and no other decimal with as many digits is
+/// as close; `None` when that cannot be settled here (a neighbour is as
+/// close or closer, `x` is subnormal or at least 2^53, or the integers
+/// compared would overflow).
+///
+/// Every quantity is scaled by `10^e10 · 2^(1-q)`, where `x = m · 2^q`,
+/// so that all of them are integers: `x` is `2m · 10^e10`, a step of the
+/// last digit is `2^(1-q)`, and half a step of `x`'s binade is `10^e10`.
+/// A decimal parses to `x` when it lies within half a step of `x`, ties
+/// included when `m` is even (ties round to even); below a power of two
+/// the step down is half as wide.
+fn shortest_and_closest(d: u64, e10: u32, x: f64) -> Option<bool> {
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as i32;
+    let m = (bits & ((1 << 52) - 1)) | (1 << 52);
+    let shift = u32::try_from(1076 - biased).ok()?;
+    if biased == 0 || shift < 2 {
+        return None;
+    }
+    let pow10 = 10u128.checked_pow(e10)?;
+    // Room below 2^126 for the largest value scaled, the decimal one
+    // step of the coarser grid above `d`.
+    let top = u128::from(d) + 10;
+    if top.leading_zeros() < shift + 2 {
+        return None;
+    }
+    let x_scaled = (2 * u128::from(m)).checked_mul(pow10)?;
+    if x_scaled >= 1 << 126 {
+        return None;
+    }
+    let step = 1u128 << shift;
+    if 2 * (u128::from(d) << shift).abs_diff(x_scaled) >= step {
+        return None;
+    }
+    let up = pow10;
+    let down = if m == 1 << 52 && biased > 1 {
+        pow10 / 2
+    } else {
+        pow10
+    };
+    let ties = m.is_multiple_of(2);
+    let parses_to_x = |g: u128| {
+        let (gap, half) = if g >= x_scaled {
+            (g - x_scaled, up)
+        } else {
+            (x_scaled - g, down)
+        };
+        gap < half || (ties && gap == half)
+    };
+    let below = u128::from(d - d % 10) << shift;
+    Some(!parses_to_x(below) && !parses_to_x(below + (10 << shift)))
+}
+
+/// A [`fmt::Write`] that accepts only the bytes of its slice, in order,
+/// and keeps what it has not matched yet.
+struct Matches<'a>(&'a [u8]);
+
+impl fmt::Write for Matches<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match self.0.strip_prefix(s.as_bytes()) {
+            Some(rest) => {
+                self.0 = rest;
+                Ok(())
+            }
+            None => Err(fmt::Error),
         }
-        self.pos - start
     }
 }
 
@@ -1036,5 +1459,274 @@ mod tests {
         // 2^53 is outside the window and takes the float path.
         assert_eq!(Json::Num(2f64.powi(53)).to_string(), "9007199254740992");
         assert_eq!(Json::Num(-(2f64.powi(53))).to_string(), "-9007199254740992");
+    }
+
+    /// SplitMix64: the document generator's stream, seeded per case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    /// Whitespace between tokens: mostly none, so that a good share of
+    /// the documents is canonical.
+    fn space(mix: &mut Mix, out: &mut String) {
+        if mix.below(8) == 0 {
+            out.push_str(mix.pick(&[" ", "\t", "\r\n", "  "]));
+        }
+    }
+
+    /// A number: an interesting `f64`, spelled the writer's way or
+    /// another way that parses to it, or a spelling the writer never
+    /// uses (a leading zero, an integer past 2^53, an exponent).
+    fn number(mix: &mut Mix, out: &mut String) {
+        let n = match mix.below(11) {
+            0 => f64::from_bits(mix.next()),
+            // Full 53-bit mantissas between 2^-40 and 2^53: fractions of
+            // 16 and 17 significant digits.
+            9 | 10 => (mix.next() >> 11) as f64 / 2f64.powi(mix.below(94) as i32),
+            1 => (mix.next() >> mix.below(64)) as f64,
+            2 => -((mix.next() >> (11 + mix.below(53))) as f64),
+            3 => mix.pick(&[0.0, -0.0, 0.05, 0.535, 6.59e-4, 1.5, 100.0, 1e-310, 5e-324]),
+            4 => (mix.below(2_000_001) as f64 - 1e6) / 10f64.powi(mix.below(8) as i32),
+            5 => 2f64.powi(53) + mix.below(5) as f64 - 2.0,
+            6 => f64::from_bits(mix.next()) * 1e-300,
+            7 => mix.below(1 << 20) as f64 * 10f64.powi(mix.below(40) as i32 - 20),
+            _ => (mix.next() as f64) / 7.0,
+        };
+        let n = if n.is_finite() { n } else { 1.25 };
+        let canonical = Json::Num(n).to_string();
+        let spelled = match mix.below(10) {
+            0..=2 => canonical,
+            // The writer's digits with the last one moved by one, and the
+            // value rounded to 15 to 19 digits after the point: spellings
+            // that may or may not parse back to `n`, one digit off the
+            // writer's or longer.
+            8 => {
+                let mut bytes = canonical.into_bytes();
+                let last = bytes.len() - 1;
+                bytes[last] = match bytes[last] {
+                    b'0' => b'1',
+                    b'9' => b'8',
+                    digit if mix.below(2) == 0 => digit + 1,
+                    digit => digit - 1,
+                };
+                String::from_utf8(bytes).expect("ASCII")
+            }
+            9 => format!("{n:.*}", 15 + mix.below(5) as usize),
+            3 => format!("{n:e}"),
+            4 => format!("{n:E}").replace('E', "E+").replace("E+-", "E-"),
+            5 if canonical.contains('.') => canonical + "0",
+            5 => canonical + ".0",
+            6 => mix
+                .pick(&[
+                    "01",
+                    "-00",
+                    "1E+2",
+                    "0e0",
+                    "-0.0",
+                    "9007199254740993",
+                    "1.50",
+                ])
+                .to_string(),
+            _ => format!("{n:?}"),
+        };
+        out.push_str(&spelled);
+    }
+
+    /// A string token: plain characters, the ones the writer escapes,
+    /// control characters and non-ASCII ones, each either raw (where the
+    /// grammar allows it) or escaped in one of the ways that decode to it.
+    fn string(mix: &mut Mix, out: &mut String) {
+        out.push('"');
+        for _ in 0..mix.below(6) {
+            let c = mix.pick(&[
+                'a', 'Z', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '😀',
+            ]);
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\n' => Some("\\n"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            let raw_ok = !matches!(c, '"' | '\\') && c >= ' ';
+            match (mix.below(3), short) {
+                (0, _) if raw_ok => out.push(c),
+                (1, Some(short)) => out.push_str(short),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        let hex = format!("\\u{:04x}", unit);
+                        out.push_str(&if mix.below(2) == 0 {
+                            hex.to_uppercase().replace("\\U", "\\u")
+                        } else {
+                            hex
+                        });
+                    }
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    /// A document: scalars, and arrays and objects up to `depth` deep,
+    /// objects drawing keys from a small set so that some repeat.
+    fn document(mix: &mut Mix, depth: u32, out: &mut String) {
+        space(mix, out);
+        match mix.below(if depth == 0 { 6 } else { 8 }) {
+            0 => out.push_str(mix.pick(&["null", "true", "false"])),
+            1..=3 => number(mix, out),
+            4 | 5 => string(mix, out),
+            6 => {
+                out.push('[');
+                for i in 0..mix.below(4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    document(mix, depth - 1, out);
+                }
+                space(mix, out);
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for i in 0..mix.below(4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    space(mix, out);
+                    out.push_str(mix.pick(&[
+                        "\"op\"",
+                        "\"id\"",
+                        "\"a\\u0062\"",
+                        "\"\"",
+                        "\"k\\n\"",
+                    ]));
+                    space(mix, out);
+                    out.push(':');
+                    document(mix, depth - 1, out);
+                }
+                space(mix, out);
+                out.push('}');
+            }
+        }
+        space(mix, out);
+    }
+
+    /// `wire_fuzz`'s edits: flip a bit, substitute a byte or truncate,
+    /// then decode lossily.
+    fn mangle(text: &str, mix: &mut Mix) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..mix.below(4) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = mix.below(bytes.len() as u64) as usize;
+            match mix.below(3) {
+                0 => bytes[at] ^= 1 << mix.below(8),
+                1 => bytes[at] = mix.below(256) as u8,
+                _ => bytes.truncate(at),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `canonical` is the parse printed back, errors included, and
+        /// borrows exactly when the text is already that.
+        fn canonical_is_the_parse_printed_back(seed in 0u64..u64::MAX, mangled in 0u8..4) {
+            let mix = &mut Mix(seed);
+            let mut text = String::new();
+            document(mix, 4, &mut text);
+            if mangled == 0 {
+                text = mangle(&text, mix);
+            }
+            let printed = Json::parse(&text).map(|v| v.to_string());
+            let got = canonical(&text);
+            prop_assert_eq!(
+                matches!(got, Ok(Cow::Borrowed(_))),
+                printed.as_deref() == Ok(text.as_str()),
+                "{:?}",
+                text
+            );
+            prop_assert_eq!(got.map(Cow::into_owned), printed, "{:?}", text);
+        }
+
+        /// Every number spelling, alone: the fast paths of the check
+        /// agree with printing.
+        fn canonical_numbers_match_the_writer(seed in 0u64..u64::MAX) {
+            let mix = &mut Mix(seed);
+            let mut text = String::new();
+            number(mix, &mut text);
+            let printed = Json::parse(&text).map(|v| v.to_string());
+            let got = canonical(&text);
+            prop_assert_eq!(
+                matches!(got, Ok(Cow::Borrowed(_))),
+                printed.as_deref() == Ok(text.as_str()),
+                "{:?}",
+                text
+            );
+            prop_assert_eq!(got.map(Cow::into_owned), printed, "{:?}", text);
+        }
+
+        /// Reading a document and skipping it fail at the same byte with
+        /// the same reason as parsing it, and the tree a reader builds
+        /// value by value is the parse.
+        fn the_reader_checks_what_the_parser_checks(seed in 0u64..u64::MAX) {
+            let mix = &mut Mix(seed);
+            let mut text = String::new();
+            document(mix, 4, &mut text);
+            let text = mangle(&text, mix);
+            let mut reader = Reader::new(&text);
+            let skipped = reader.skip().and_then(|()| reader.finish());
+            prop_assert_eq!(skipped, Json::parse(&text).map(|_| ()), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn canonical_borrows_the_writers_own_bytes() {
+        for text in [
+            r#"{"op":"create","apps":[{"name":"A \"1\"\\\n\u001f","work":747130005686.6029}]}"#,
+            "[0,-0,0.5,-1.25,123456789012345,0.000659,0.12362570224346385,9007199254740992]",
+            "[]",
+            "{}",
+            "\"é😀\u{7f}\"",
+        ] {
+            assert!(matches!(canonical(text), Ok(Cow::Borrowed(_))), "{text}");
+            assert_eq!(Json::parse(text).unwrap().to_string(), text);
+        }
+        for (text, printed) in [
+            (" 1", "1"),
+            ("1.50", "1.5"),
+            ("-0.0", "-0"),
+            ("1E+2", "100"),
+            ("01", "1"),
+            (r#""\/A\u000a\u001F""#, r#""/A\n\u001f""#),
+            ("[1 ,2]", "[1,2]"),
+            ("9007199254740993", "9007199254740992"),
+        ] {
+            assert_eq!(canonical(text).unwrap(), printed, "{text}");
+        }
+        assert_eq!(canonical("[1,]"), Err(Json::parse("[1,]").unwrap_err()));
+        let deep = "[".repeat(130) + &"]".repeat(130);
+        assert_eq!(canonical(&deep), Err(Json::parse(&deep).unwrap_err()));
     }
 }
