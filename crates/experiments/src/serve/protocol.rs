@@ -901,6 +901,9 @@ fn op_mutate(
     request: &Request<'_>,
     w: &mut Writer<'_>,
 ) -> Result<(), String> {
+    // A dead id is reported before a missing or unknown action, as every
+    // op reports it before a bad field.
+    require_id(state, request)?;
     let mutations = || op_names(|op| matches!(op, Op::Mutation(_)));
     let action = request
         .field(ACTION)
@@ -908,14 +911,10 @@ fn op_mutate(
         .ok_or_else(|| format!("missing \"action\" field ({})", mutations()))?;
     match Op::named(action) {
         Some(Op::Mutation(mutation)) => apply_mutation(state, request, mutation, w),
-        _ => {
-            // A dead id is reported first, as every mutation reports it.
-            require_id(state, request)?;
-            Err(format!(
-                "unknown mutation action {action:?}; available: {}",
-                mutations()
-            ))
-        }
+        _ => Err(format!(
+            "unknown mutation action {action:?}; available: {}",
+            mutations()
+        )),
     }
 }
 

@@ -10,9 +10,9 @@
 //! with a nested batch, `close`, `stats`/`list`/`solvers`/`trace`, and app
 //! names that need escaping. Before its closing `shutdown` it pins the
 //! order of the checks: a dead id together with a bad field (alone and
-//! inside a batch) reports the dead id, except a `mutate` with no
-//! `action`; a duplicate `"op"` or `"id"` key answers by the first one;
-//! and keys may come in any order.
+//! inside a batch) reports the dead id, a `mutate` with a missing or
+//! unknown `action` included; a duplicate `"op"` or `"id"` key answers by
+//! the first one; and keys may come in any order.
 //!
 //! The transcript is replayed four ways: through `handle_line`, through
 //! `handle_line` with the trace echo on, through servers of 1, 2 and 4
