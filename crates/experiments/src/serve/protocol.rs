@@ -219,8 +219,8 @@ pub(super) struct Request<'a> {
     /// The scalar fields [`REQUEST_KEYS`] names.
     fields: Fields<'a, 8>,
     /// `"apps"`: `None` when absent, `Some(None)` when not an array, else
-    /// its applications or the first one's error.
-    apps: Option<Option<Result<Vec<Application>, String>>>,
+    /// each element's application or the error reading it gave.
+    apps: Option<Option<Vec<Result<Application, String>>>>,
     /// `"app"`: its application, or the error reading it gave.
     app: Option<Result<Application, String>>,
     /// `"platform"`'s fields.
@@ -251,7 +251,9 @@ impl<'a> Request<'a> {
         match reader.value()? {
             Value::Obj => reader.fields(|reader, key| match &*key {
                 "apps" if apps.is_none() => {
-                    apps = Some(read_apps(reader)?);
+                    apps = Some(read_array(reader, |reader| {
+                        Ok(app_from_fields(&Fields::read(&APP_KEYS, reader)?))
+                    })?);
                     Ok(())
                 }
                 "app" if app.is_none() => {
@@ -263,7 +265,7 @@ impl<'a> Request<'a> {
                     Ok(())
                 }
                 "requests" if requests.is_none() => {
-                    requests = Some(read_requests(reader, line)?);
+                    requests = Some(read_array(reader, |reader| Request::read(reader, line))?);
                     Ok(())
                 }
                 key => fields.offer(&REQUEST_KEYS, key, reader),
@@ -298,47 +300,23 @@ impl<'a> Request<'a> {
     }
 }
 
-/// Reads `"apps"`: each element as an application object, keeping the
-/// first error in place of the list.
-fn read_apps(
-    reader: &mut Reader<'_>,
-) -> Result<Option<Result<Vec<Application>, String>>, ParseError> {
-    let value = reader.value()?;
-    if value != Value::Arr {
-        reader.skip_contents(&value)?;
-        return Ok(None);
-    }
-    let mut apps = Ok(Vec::new());
-    reader.elements(|reader| {
-        let app = app_from_fields(&Fields::read(&APP_KEYS, reader)?);
-        if let Ok(list) = &mut apps {
-            match app {
-                Ok(app) => list.push(app),
-                Err(e) => apps = Err(e),
-            }
-        }
-        Ok(())
-    })?;
-    Ok(Some(apps))
-}
-
-/// Reads a `batch`'s `"requests"`: each element as a request, with its
-/// own span of `line`.
-fn read_requests<'a>(
+/// Reads one whole value as an array, one `item` per element; `None`
+/// when the value is not an array.
+fn read_array<'a, T>(
     reader: &mut Reader<'a>,
-    line: &'a str,
-) -> Result<Option<Vec<Request<'a>>>, ParseError> {
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, ParseError>,
+) -> Result<Option<Vec<T>>, ParseError> {
     let value = reader.value()?;
     if value != Value::Arr {
         reader.skip_contents(&value)?;
         return Ok(None);
     }
-    let mut subs = Vec::new();
+    let mut items = Vec::new();
     reader.elements(|reader| {
-        subs.push(Request::read(reader, line)?);
+        items.push(item(reader)?);
         Ok(())
     })?;
-    Ok(Some(subs))
+    Ok(Some(items))
 }
 
 /// Solver a `solve` request that names none runs, unless the server is
@@ -883,7 +861,8 @@ fn op_create(
         .apps
         .take()
         .flatten()
-        .ok_or("missing \"apps\" array")??;
+        .ok_or("missing \"apps\" array")?;
+    let apps = apps.into_iter().collect::<Result<Vec<_>, _>>()?;
     let platform = match &request.platform {
         Some(spec) => platform_from_fields(Platform::taihulight(), spec)?,
         None => Platform::taihulight(),
@@ -1762,12 +1741,8 @@ mod tests {
             prop_assert_eq!(request.field(i), expected.as_ref(), "{}", key);
         }
         let apps = v.get("apps").map(|apps| {
-            apps.as_array().map(|items| {
-                items
-                    .iter()
-                    .map(app_from_json)
-                    .collect::<Result<Vec<_>, _>>()
-            })
+            apps.as_array()
+                .map(|items| items.iter().map(app_from_json).collect::<Vec<_>>())
         });
         prop_assert_eq!(&request.apps, &apps);
         prop_assert_eq!(&request.app, &v.get("app").map(app_from_json));

@@ -158,24 +158,19 @@ impl Json {
 
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
+        self.as_value().as_f64()
     }
 
-    /// The numeric payload as an exact non-negative integer (`None` if the
-    /// value is not a number, is negative, has a fractional part, or does
-    /// not fit `u64` losslessly).
+    /// The numeric payload as an exact non-negative integer, by
+    /// [`Value::as_u64`]'s rules.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(exact_u64)
+        self.as_value().as_u64()
     }
 
-    /// The numeric payload as an exact `usize` (same rules as
-    /// [`Self::as_u64`], plus the value must fit `usize` — which on 32-bit
-    /// targets is narrower than the f64-exact window).
+    /// The numeric payload as an exact `usize`, by [`Value::as_usize`]'s
+    /// rules.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
+        self.as_value().as_usize()
     }
 
     /// The numeric payload as an exact signed integer (`None` if the value
@@ -195,10 +190,7 @@ impl Json {
 
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
+        self.as_value().as_bool()
     }
 
     /// The element list, if this is an array.
@@ -217,16 +209,6 @@ impl Json {
     /// Builds an array.
     pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
         Json::Arr(items.into_iter().collect())
-    }
-}
-
-/// `n` as an exact non-negative integer: finite, `>= 0`, without a
-/// fractional part, and at most 2^53.
-fn exact_u64(n: f64) -> Option<u64> {
-    if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
-        Some(n as u64)
-    } else {
-        None
     }
 }
 
@@ -682,14 +664,21 @@ impl Value<'_> {
         }
     }
 
-    /// The numeric payload as an exact non-negative integer, by
-    /// [`Json::as_u64`]'s rules.
+    /// The numeric payload as an exact non-negative integer (`None` if the
+    /// value is not a number, is negative, has a fractional part, or does
+    /// not fit `u64` losslessly).
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(exact_u64)
+        let n = self.as_f64()?;
+        if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
+            Some(n as u64)
+        } else {
+            None
+        }
     }
 
-    /// The numeric payload as an exact `usize`, by [`Json::as_usize`]'s
-    /// rules.
+    /// The numeric payload as an exact `usize` (same rules as
+    /// [`Self::as_u64`], plus the value must fit `usize` — which on 32-bit
+    /// targets is narrower than the f64-exact window).
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
