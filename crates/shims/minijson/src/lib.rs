@@ -617,7 +617,7 @@ fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 /// reader.finish().unwrap();
 /// assert_eq!(id, Some(3));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
