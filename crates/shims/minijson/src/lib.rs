@@ -1137,9 +1137,14 @@ fn settle_number(token: &str, n: f64) -> Option<bool> {
 /// Every quantity is scaled by `10^e10 · 2^(1-q)`, where `x = m · 2^q`,
 /// so that all of them are integers: `x` is `2m · 10^e10`, a step of the
 /// last digit is `2^(1-q)`, and half a step of `x`'s binade is `10^e10`.
-/// A decimal parses to `x` when it lies within half a step of `x`, ties
-/// included when `m` is even (ties round to even); below a power of two
-/// the step down is half as wide.
+/// A decimal parses to `x` when it lies within half a step of `x`. Two
+/// finer points of rounding never decide the answer here. No decimal
+/// compared lies exactly half a step away, where ties round to even: that
+/// point has `53 - k` decimals for `x` in `[2^k, 2^(k+1))`, which puts a
+/// decimal with them more than ten of `d`'s last-digit steps from `x`.
+/// And below a power of two the step down is half as wide, but no
+/// decimal compared lies between the two half steps (the tests run every
+/// spelling of every power of two that reaches this check).
 fn shortest_and_closest(d: u64, e10: u32, x: f64) -> Option<bool> {
     let bits = x.to_bits();
     let biased = (bits >> 52) as i32;
@@ -1163,21 +1168,7 @@ fn shortest_and_closest(d: u64, e10: u32, x: f64) -> Option<bool> {
     if 2 * (u128::from(d) << shift).abs_diff(x_scaled) >= step {
         return None;
     }
-    let up = pow10;
-    let down = if m == 1 << 52 && biased > 1 {
-        pow10 / 2
-    } else {
-        pow10
-    };
-    let ties = m.is_multiple_of(2);
-    let parses_to_x = |g: u128| {
-        let (gap, half) = if g >= x_scaled {
-            (g - x_scaled, up)
-        } else {
-            (x_scaled - g, down)
-        };
-        gap < half || (ties && gap == half)
-    };
+    let parses_to_x = |g: u128| g.abs_diff(x_scaled) < pow10;
     let below = u128::from(d - d % 10) << shift;
     Some(!parses_to_x(below) && !parses_to_x(below + (10 << shift)))
 }
@@ -1702,8 +1693,36 @@ mod tests {
             assert!(matches!(canonical(text), Ok(Cow::Borrowed(_))), "{text}");
             assert_eq!(Json::parse(text).unwrap().to_string(), text);
         }
+        // Every power of two in the normal range and its neighbours (the
+        // step down from a power of two is half its step up), each spelled
+        // with every count of decimals that gives 15 to 20 significant
+        // digits and parses back to it.
+        for k in -1022..1024 {
+            let x = 2f64.powi(k);
+            for x in [x.next_down(), x, x.next_up()] {
+                let text = Json::Num(x).to_string();
+                assert!(matches!(canonical(&text), Ok(Cow::Borrowed(_))), "{text}");
+                let magnitude = x.log10().floor() as i32;
+                for decimals in (14 - magnitude).max(1)..(21 - magnitude).max(1) {
+                    let decimals = decimals as usize;
+                    let text = format!("{x:.decimals$}");
+                    let digits = text.replace('.', "").trim_start_matches('0').len();
+                    if !(15..=20).contains(&digits) || Json::parse(&text) != Ok(Json::Num(x)) {
+                        continue;
+                    }
+                    let printed = Json::Num(x).to_string();
+                    let got = canonical(&text).unwrap();
+                    assert_eq!(matches!(got, Cow::Borrowed(_)), printed == text, "{text}");
+                    assert_eq!(got, printed, "{text}");
+                }
+            }
+        }
         for (text, printed) in [
             (" 1", "1"),
+            (r#""a\/b""#, r#""a/b""#),
+            (r#""\u0041""#, r#""A""#),
+            (r#""\u000a""#, r#""\n""#),
+            (r#""\u001F""#, r#""\u001f""#),
             ("1.50", "1.5"),
             ("-0.0", "-0"),
             ("1E+2", "100"),
