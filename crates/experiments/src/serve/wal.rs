@@ -46,7 +46,8 @@
 //! own bytes, logged without a copy, when the line is already canonical
 //! (no whitespace between tokens, only the writer's escapes, numbers
 //! spelled as the writer spells them), as every line `minijson` prints
-//! is; any other line is parsed and printed back.
+//! is. The check stops at the first token that differs; such a line is
+//! then read again and printed through the writer, with no tree.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
