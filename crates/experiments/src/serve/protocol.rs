@@ -218,9 +218,9 @@ pub(super) struct Request<'a> {
     span: &'a str,
     /// The scalar fields [`REQUEST_KEYS`] names.
     fields: Fields<'a, 8>,
-    /// `"apps"`: `None` when absent, `Some(None)` when not an array, else
-    /// each element's application or the error reading it gave.
-    apps: Option<Option<Vec<Result<Application, String>>>>,
+    /// `"apps"`: its applications, or the first error reading them gave
+    /// (every element is read and checked all the same).
+    apps: Option<Result<Vec<Application>, String>>,
     /// `"app"`: its application, or the error reading it gave.
     app: Option<Result<Application, String>>,
     /// `"platform"`'s fields.
@@ -251,9 +251,10 @@ impl<'a> Request<'a> {
         match reader.value()? {
             Value::Obj => reader.fields(|reader, key| match &*key {
                 "apps" if apps.is_none() => {
-                    apps = Some(read_array(reader, |reader| {
+                    let read = read_array(reader, |reader| {
                         Ok(app_from_fields(&Fields::read(&APP_KEYS, reader)?))
-                    })?);
+                    })?;
+                    apps = Some(read.map_or(Err(MISSING_APPS.into()), FromIterator::from_iter));
                     Ok(())
                 }
                 "app" if app.is_none() => {
@@ -299,6 +300,9 @@ impl<'a> Request<'a> {
         self.field(SHARD).and_then(Value::as_u64).unwrap_or(0)
     }
 }
+
+/// What a `create` without an `"apps"` array answers.
+const MISSING_APPS: &str = "missing \"apps\" array";
 
 /// Reads one whole value as an array, one `item` per element; `None`
 /// when the value is not an array.
@@ -857,12 +861,7 @@ fn op_create(
     request: &mut Request<'_>,
     w: &mut Writer<'_>,
 ) -> Result<u64, String> {
-    let apps = request
-        .apps
-        .take()
-        .flatten()
-        .ok_or("missing \"apps\" array")?;
-    let apps = apps.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let apps = request.apps.take().unwrap_or(Err(MISSING_APPS.into()))?;
     let platform = match &request.platform {
         Some(spec) => platform_from_fields(Platform::taihulight(), spec)?,
         None => Platform::taihulight(),
@@ -1740,9 +1739,9 @@ mod tests {
             let expected = v.get(key).map(Json::as_value);
             prop_assert_eq!(request.field(i), expected.as_ref(), "{}", key);
         }
-        let apps = v.get("apps").map(|apps| {
-            apps.as_array()
-                .map(|items| items.iter().map(app_from_json).collect::<Vec<_>>())
+        let apps = v.get("apps").map(|apps| match apps.as_array() {
+            Some(items) => items.iter().map(app_from_json).collect(),
+            None => Err(MISSING_APPS.to_string()),
         });
         prop_assert_eq!(&request.apps, &apps);
         prop_assert_eq!(&request.app, &v.get("app").map(app_from_json));
