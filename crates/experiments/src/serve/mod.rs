@@ -98,10 +98,7 @@ pub mod router;
 pub mod wal;
 
 pub use conn::{Client, ExchangeStats, DEFAULT_CLIENT_RETRIES};
-pub use protocol::{
-    app_from_json, app_to_json, handle_line, platform_from_json, platform_overrides_from_json,
-    ServeState,
-};
+pub use protocol::{app_from_json, app_to_json, handle_line, ServeState};
 pub use wal::{Durability, Standby};
 
 use minijson::Json;

@@ -25,12 +25,12 @@
 //! same error, and a duplicate key answers by its first occurrence, as
 //! [`Json::get`] does. The application and platform field rules are
 //! written once, over the fields however they were read, and
-//! [`app_from_json`] and [`platform_from_json`] apply them to a tree.
-//! Routing, dispatch, spans and error replies read the op and id; each op
-//! reads its other fields after checking the id, so a dead id is
-//! reported before a bad field. The WAL logs each routed request as
-//! [`minijson::canonical`] of its span: the span itself when it is
-//! already in canonical form, as every line `minijson` prints is.
+//! [`app_from_json`] applies them to a tree. Routing, dispatch, spans and
+//! error replies read the op and id; each op reads its other fields after
+//! checking the id, so a dead id is reported before a bad field. The WAL
+//! logs each routed request as its span, the bytes the reader consumed for
+//! it: read alone, a span reads as the same request, so replaying it
+//! through [`handle_line`] dispatches it as it was dispatched live.
 //!
 //! Error responses echo the request's `"id"` field whenever the request
 //! parsed and carried a numeric one, so a client multiplexing several
@@ -213,8 +213,8 @@ pub(super) struct Request<'a> {
     pub op: Result<Op, String>,
     /// The numeric `"id"`, when the request carries one.
     pub id: Option<u64>,
-    /// The request's bytes on the line, which the WAL logs in canonical
-    /// form.
+    /// The request's bytes on the line, from its first token to its last,
+    /// exactly as read: the WAL record.
     span: &'a str,
     /// The scalar fields [`REQUEST_KEYS`] names.
     fields: Fields<'a, 8>,
@@ -587,17 +587,16 @@ pub(super) fn respond_routed(
     let (op, span) = request.op.as_ref().map_or(("other", "op_other"), Op::names);
     let mut request_sp = obs::span("serve", span);
     request_sp.set_args(obs::current_trace_id(), state.shard as u64);
-    // Log before dispatch, in the canonical serialization — replaying
-    // the log re-enters here and reproduces the dispatch bit for bit.
-    // A line already in that form is logged as it came. Failed ops are
-    // logged too: they bump counters and eval stats, and recovery must
-    // reproduce those. Fail-stop on I/O error (see
-    // [`ServeState::wal_commit`]).
+    // Log before dispatch, the request's bytes as read: the span reads
+    // as the same request, so replaying the log re-enters here and
+    // reproduces the dispatch bit for bit. Failed ops are logged too:
+    // they bump counters and eval stats, and recovery must reproduce
+    // those. Fail-stop on I/O error (see [`ServeState::wal_commit`]).
     let wal_started = std::time::Instant::now();
     if let Some(wal) = &mut state.wal {
         let append_sp = obs::span("wal", "wal_append");
-        let record = minijson::canonical(request.span).expect("a request's span was read whole");
-        wal.append(&record).expect("write-ahead log append failed");
+        wal.append(request.span)
+            .expect("write-ahead log append failed");
         drop(append_sp);
     }
     let wal_ns = wal_started.elapsed().as_nanos() as u64;
@@ -1066,25 +1065,12 @@ fn app_from_fields(fields: &Fields<'_, 6>) -> Result<Application, String> {
     Ok(app)
 }
 
-/// Parses a platform object for `create`: starts from
-/// [`Platform::taihulight`] and overrides any of `processors`,
-/// `cache_size` (bytes), `cache_gb`, `ref_cache_size`, `latency_cache`,
-/// `latency_mem`, `alpha`.
-pub fn platform_from_json(v: &Json) -> Result<Platform, String> {
-    platform_overrides_from_json(Platform::taihulight(), v)
-}
-
-/// Applies a platform object's fields as **overrides of `base`** —
-/// the `set_platform` mutation path, where a partial spec must change
-/// only the named fields of the instance's current platform (not silently
-/// reset the rest to the Taihulight defaults).
-pub fn platform_overrides_from_json(base: Platform, v: &Json) -> Result<Platform, String> {
-    platform_from_fields(base, &Fields::of_json(&PLATFORM_KEYS, v))
-}
-
 /// The rules of a platform object, however it was read: each field
 /// present must be a number, checked in [`PLATFORM_KEYS`] order, and
-/// overrides `base`.
+/// overrides `base` (`cache_gb` in GB, `cache_size` in bytes). A `create`
+/// starts from [`Platform::taihulight`], a `set_platform` from the
+/// instance's current platform, so a partial spec changes only the fields
+/// it names.
 fn platform_from_fields(base: Platform, fields: &Fields<'_, 7>) -> Result<Platform, String> {
     let mut numbers = [None; 7];
     for ((number, key), value) in numbers.iter_mut().zip(PLATFORM_KEYS).zip(&fields.0) {
@@ -1362,15 +1348,16 @@ mod tests {
 
     #[test]
     fn platform_overrides_apply() {
-        let p = platform_from_json(
-            &Json::parse(r#"{"processors":64,"cache_gb":1,"alpha":0.4}"#).unwrap(),
-        )
-        .unwrap();
+        let platform = |text: &str| {
+            let v = Json::parse(text).unwrap();
+            platform_from_fields(Platform::taihulight(), &Fields::of_json(&PLATFORM_KEYS, &v))
+        };
+        let p = platform(r#"{"processors":64,"cache_gb":1,"alpha":0.4}"#).unwrap();
         assert_eq!(p.processors, 64.0);
         assert_eq!(p.cache_size, 1e9);
         assert_eq!(p.alpha, 0.4);
         assert_eq!(p.latency_cache, Platform::taihulight().latency_cache);
-        assert!(platform_from_json(&Json::parse(r#"{"alpha":"x"}"#).unwrap()).is_err());
+        assert!(platform(r#"{"alpha":"x"}"#).is_err());
     }
 
     #[test]
@@ -1692,11 +1679,16 @@ mod tests {
         })
     }
 
-    /// `v` printed with whitespace drawn between its tokens.
-    fn spell(v: &Json, mix: &mut Mix, out: &mut String) {
+    /// Sometimes whitespace: what [`spell`] draws between two tokens.
+    fn space(mix: &mut Mix, out: &mut String) {
         if mix.below(6) == 0 {
             out.push_str(mix.pick(&[" ", "\t", "\r\n"]));
         }
+    }
+
+    /// `v` printed with whitespace drawn between its tokens.
+    fn spell(v: &Json, mix: &mut Mix, out: &mut String) {
+        space(mix, out);
         match v {
             Json::Arr(items) => {
                 out.push('[');
@@ -1706,6 +1698,7 @@ mod tests {
                     }
                     spell(item, mix, out);
                 }
+                space(mix, out);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -1714,20 +1707,35 @@ mod tests {
                     if i > 0 {
                         out.push(',');
                     }
+                    space(mix, out);
                     out.push_str(&Json::from(key.as_str()).to_string());
+                    space(mix, out);
                     out.push(':');
                     spell(value, mix, out);
                 }
+                space(mix, out);
                 out.push('}');
             }
             scalar => out.push_str(&scalar.to_string()),
         }
+        space(mix, out);
     }
 
     /// Asserts that `request`, read from text, holds what the tree `v`
     /// of the same text gives through [`Json::get`] and the `as_*`
-    /// accessors, sub-requests included.
-    fn assert_reads_like_the_tree(request: &Request<'_>, v: &Json) -> Result<(), TestCaseError> {
+    /// accessors, sub-requests included. Unless `alone`, the request's
+    /// span, read as a line of its own, must hold the same: what the WAL
+    /// logs replays as the request it logged.
+    fn assert_reads_like_the_tree(
+        request: &Request<'_>,
+        v: &Json,
+        alone: bool,
+    ) -> Result<(), TestCaseError> {
+        if !alone {
+            let span = Request::read_line(request.span)
+                .map_err(|e| TestCaseError::Fail(format!("{:?}: {e}", request.span)))?;
+            assert_reads_like_the_tree(&span, v, true)?;
+        }
         let op = match v.get("op").and_then(Json::as_str) {
             None => Err("missing \"op\" field".to_string()),
             Some(name) => Op::named(name)
@@ -1760,7 +1768,7 @@ mod tests {
         );
         if let (Some(Some(read)), Some(Some(parsed))) = (&request.requests, subs) {
             for (sub, v) in read.iter().zip(parsed) {
-                assert_reads_like_the_tree(sub, v)?;
+                assert_reads_like_the_tree(sub, v, alone)?;
             }
         }
         Ok(())
@@ -1789,7 +1797,7 @@ mod tests {
                 line = String::from_utf8_lossy(&bytes).into_owned();
             }
             match (Request::read_line(&line), Json::parse(&line)) {
-                (Ok(request), Ok(v)) => assert_reads_like_the_tree(&request, &v)?,
+                (Ok(request), Ok(v)) => assert_reads_like_the_tree(&request, &v, false)?,
                 (read, parsed) => prop_assert_eq!(read.err(), parsed.err(), "{:?}", line),
             }
         }

@@ -22,11 +22,10 @@
 //!
 //! An 8-byte magic (`COSWAL01`), then length-delimited records:
 //! `[u32 LE length][u32 LE FNV-1a checksum][payload]`, where the payload
-//! is the canonical [`minijson`] serialization of one mutating request
-//! ([`minijson::canonical`]).
-//! `minijson` prints floats round-trip-exactly, so replaying the
-//! canonical form through [`protocol::handle_line`] reproduces the
-//! original dispatch bit for bit. A torn tail (half-written final record
+//! is one shard-routed request's bytes, exactly as the server read them.
+//! Read alone, those bytes read as the same request, so replaying them
+//! through [`protocol::handle_line`] reproduces the original dispatch bit
+//! for bit. A torn tail (half-written final record
 //! after a crash) fails its length or checksum and is dropped; records
 //! before it are intact because [`WalWriter::commit`] is called before
 //! the response escapes to the client — an acknowledged op is always
@@ -39,15 +38,12 @@
 //! requests included. Failures bump the `requests` counter and the
 //! evaluation stats, so skipping them would make a recovered server's
 //! counters drift from the original. A `batch` envelope is never logged;
-//! its sub-requests are, one record each, as [`protocol::respond`]
-//! recurses. A record is the canonical form of the request's bytes on the
-//! line: what [`minijson::JsonWriter`] prints for its value, keys in
-//! their order on the line, duplicate keys included. That is the line's
-//! own bytes, logged without a copy, when the line is already canonical
-//! (no whitespace between tokens, only the writer's escapes, numbers
-//! spelled as the writer spells them), as every line `minijson` prints
-//! is. The check stops at the first token that differs; such a line is
-//! then read again and printed through the writer, with no tree.
+//! its sub-requests are, one record each. A record is the request's span: its bytes on the line from
+//! its first token to its last, spelled as the client spelled them,
+//! whitespace, escapes and number spellings included, and never printed
+//! again. Logs whose records are the canonical form instead, what
+//! [`minijson::JsonWriter`] prints for each request, replay the same way:
+//! a canonical record is an ordinary request line.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -220,8 +216,8 @@ impl WalWriter {
         Ok(writer)
     }
 
-    /// Buffers one record (the canonical serialization of a mutating
-    /// request). Not durable until [`Self::commit`].
+    /// Buffers one record (a shard-routed request's bytes, as read). Not
+    /// durable until [`Self::commit`].
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
         let bytes = payload.as_bytes();
         let len = u32::try_from(bytes.len())

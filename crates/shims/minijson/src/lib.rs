@@ -5,24 +5,22 @@
 //! exactly the surface the workspace needs: one tokenizer, the pull
 //! [`Reader`], with two consumers, the [`Json`] tree ([`Json::parse`],
 //! with typed accessors) and whatever typed reader a caller writes over
-//! [`Reader`]; one compact serializer, the streaming [`JsonWriter`]; and
-//! [`canonical`], which tells whether a text is already what the writer
-//! prints for it.
+//! [`Reader`]; and one compact serializer, the streaming [`JsonWriter`].
 //!
 //! There is one tokenizer. The tree is for tests, clients and snapshot
 //! documents; a server reads each request line straight into the fields
 //! its op uses, with no tree in between. Both check a text the same way,
 //! so a malformed line fails with the same [`ParseError`] whichever reads
 //! it, and both parse numbers with the same routine, so a float has the
-//! same bits either way.
+//! same bits either way. A value's bytes in the text, read again alone,
+//! read as the same value: a server logs each request as the bytes it
+//! read.
 //!
 //! There is one writer. A server writes its replies with it field by
 //! field, straight into a `String`, with no [`Json`] tree in between;
 //! `Json`'s `Display` walks the tree through the same writer. So the crate
 //! has one number formatter and one string escaper, and a reply written
-//! either way has the same bytes. [`canonical`] compares a text's tokens
-//! with those bytes: a server logs a request line as its canonical form,
-//! which is the line itself, borrowed, when the line is already canonical.
+//! either way has the same bytes.
 //!
 //! Deliberate properties:
 //!
@@ -173,19 +171,13 @@ impl Json {
         self.as_value().as_usize()
     }
 
-    /// The numeric payload as an exact signed integer (`None` if the value
-    /// is not a number, has a fractional part, or lies outside the
-    /// f64-exact window `±2^53`). The signed counterpart of
+    /// The numeric payload as an exact signed integer, by
+    /// [`Value::as_i64`]'s rules. The signed counterpart of
     /// [`Self::as_u64`] — what the tuner's signature buckets need, whose
     /// `⌊log2⌋` classes are negative for sub-unit quantities (and
     /// `i32::MIN` for the degenerate bucket).
     pub fn as_i64(&self) -> Option<i64> {
-        let n = self.as_f64()?;
-        if n.is_finite() && n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-            Some(n as i64)
-        } else {
-            None
-        }
+        self.as_value().as_i64()
     }
 
     /// The boolean payload, if this is a boolean.
@@ -598,6 +590,10 @@ fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 /// the same [`ParseError`], offset and reason, at any depth (the cap
 /// included) and in any value, skipped ones too.
 ///
+/// A value's span, the bytes between [`Self::offset`] before and after it,
+/// is itself a text that reads as the same value: a caller keeps a value's
+/// bytes rather than printing it again.
+///
 /// ```
 /// use minijson::{Reader, Value};
 ///
@@ -623,10 +619,6 @@ pub struct Reader<'a> {
     pos: usize,
     /// Containers open around the next value.
     depth: usize,
-    /// Whether every byte read so far, numbers aside, is what
-    /// [`JsonWriter`] would print for it: no whitespace between tokens,
-    /// and only the escapes the writer uses. [`canonical`] reads it.
-    plain: bool,
 }
 
 /// One value as [`Reader::value`] reads it: a scalar with its payload, or
@@ -664,16 +656,19 @@ impl Value<'_> {
         }
     }
 
-    /// The numeric payload as an exact non-negative integer (`None` if the
-    /// value is not a number, is negative, has a fractional part, or does
-    /// not fit `u64` losslessly).
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The numeric payload as an exact signed integer (`None` if the value
+    /// is not a number, has a fractional part, or lies outside the
+    /// f64-exact window `±2^53`).
+    pub fn as_i64(&self) -> Option<i64> {
         let n = self.as_f64()?;
-        if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
-            Some(n as u64)
-        } else {
-            None
-        }
+        let exact = n.is_finite() && n.fract() == 0.0 && n.abs() <= 2f64.powi(53);
+        exact.then_some(n as i64)
+    }
+
+    /// The numeric payload as an exact non-negative integer: what
+    /// [`Self::as_i64`] gives, unless it is negative.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
     }
 
     /// The numeric payload as an exact `usize` (same rules as
@@ -700,7 +695,6 @@ impl<'a> Reader<'a> {
             text,
             pos: 0,
             depth: 0,
-            plain: true,
         };
         reader.skip_ws();
         reader
@@ -861,14 +855,10 @@ impl<'a> Reader<'a> {
 
     #[inline]
     fn skip_ws(&mut self) {
-        let spaces = self.bytes()[self.pos..]
+        self.pos += self.bytes()[self.pos..]
             .iter()
             .take_while(|&&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
             .count();
-        if spaces > 0 {
-            self.pos += spaces;
-            self.plain = false;
-        }
     }
 
     fn literal(&mut self, lit: &str, value: Value<'a>) -> Result<Value<'a>, ParseError> {
@@ -927,27 +917,14 @@ impl<'a> Reader<'a> {
         Ok(match c {
             b'"' => '"',
             b'\\' => '\\',
-            b'/' => {
-                self.plain = false;
-                '/'
-            }
+            b'/' => '/',
             b'b' => '\u{08}',
             b'f' => '\u{0C}',
             b'n' => '\n',
             b'r' => '\r',
             b't' => '\t',
             b'u' => {
-                let digits = self.pos;
                 let hi = self.hex4()?;
-                // The writer spells out only the control characters that
-                // have no short escape, in lower-case hex.
-                let spelled = &self.bytes()[digits..self.pos];
-                if hi >= 0x20
-                    || matches!(hi, 0x08 | 0x09 | 0x0A | 0x0C | 0x0D)
-                    || spelled.iter().any(u8::is_ascii_uppercase)
-                {
-                    self.plain = false;
-                }
                 if (0xD800..0xDC00).contains(&hi) {
                     // High surrogate: require the paired \uXXXX low half.
                     if self.peek() == Some(b'\\') {
@@ -1031,99 +1008,6 @@ impl<'a> Reader<'a> {
             .count();
         self.pos += count;
         count
-    }
-}
-
-/// `Json::parse(text)?.to_string()`: the bytes [`JsonWriter`] prints for
-/// `text`'s value. Borrowed from `text`, without a copy, when `text` is
-/// already those bytes; a server logs each request line in this form.
-///
-/// The check reads `text`, comparing each token with what the writer
-/// would print for it: no whitespace, only the writer's escapes, and each
-/// number matched against the writer's bytes for its `f64`. It stops at
-/// the first token that differs; such a text is then read again and
-/// printed token by token through the writer, which is what parsing it
-/// and printing the tree give.
-///
-/// ```
-/// use std::borrow::Cow;
-///
-/// let line = r#"{"op":"solve","id":0,"seed":1}"#;
-/// assert!(matches!(minijson::canonical(line), Ok(Cow::Borrowed(_))));
-/// let spaced = r#"{ "op":"solve", "id":0e0, "seed":1.0 }"#;
-/// assert_eq!(minijson::canonical(spaced).unwrap(), line);
-/// ```
-pub fn canonical(text: &str) -> Result<Cow<'_, str>, ParseError> {
-    let mut reader = Reader::new(text);
-    if canonical_value(&mut reader).is_ok() && reader.plain && reader.offset() == text.len() {
-        return Ok(Cow::Borrowed(text));
-    }
-    let mut out = String::with_capacity(text.len());
-    let mut reader = Reader::new(text);
-    print_value(&mut reader, &mut JsonWriter::new(&mut out))?;
-    reader.finish()?;
-    Ok(Cow::Owned(out))
-}
-
-/// Reads one value and writes it as the writer prints it: what
-/// [`Json::parse`] and `Display` give, without the tree in between.
-fn print_value(reader: &mut Reader<'_>, w: &mut JsonWriter<&mut String>) -> Result<(), ParseError> {
-    match reader.value()? {
-        Value::Null => w.null(),
-        Value::Bool(b) => w.bool(b),
-        Value::Num(n) => w.num(n),
-        Value::Str(s) => w.str(&s),
-        Value::Arr => {
-            w.begin_array();
-            reader.elements(|reader| print_value(reader, w))?;
-            w.end_array()
-        }
-        Value::Obj => {
-            w.begin_object();
-            reader.fields(|reader, key| {
-                w.key(&key);
-                print_value(reader, w)
-            })?;
-            w.end_object()
-        }
-    };
-    Ok(())
-}
-
-/// Reads one value as the writer prints it, failing at the first token
-/// the writer would print differently (or at a malformed one), so a text
-/// that is not canonical is not read further.
-fn canonical_value(reader: &mut Reader<'_>) -> Result<(), ParseError> {
-    let start = reader.pos;
-    let value = reader.value()?;
-    let printed = |token: &str, n: f64| {
-        let mut rest = Matches(token.as_bytes());
-        write_num(&mut rest, n).is_ok() && rest.0.is_empty()
-    };
-    match value {
-        _ if !reader.plain => Err(reader.err("not canonical")),
-        Value::Num(n) if !printed(&reader.text[start..reader.pos], n) => {
-            Err(reader.err("not canonical"))
-        }
-        Value::Arr => reader.elements(canonical_value),
-        Value::Obj => reader.fields(|reader, _| canonical_value(reader)),
-        _ => Ok(()),
-    }
-}
-
-/// A [`fmt::Write`] that accepts only the bytes of its slice, in order,
-/// and keeps what it has not matched yet.
-struct Matches<'a>(&'a [u8]);
-
-impl fmt::Write for Matches<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        match self.0.strip_prefix(s.as_bytes()) {
-            Some(rest) => {
-                self.0 = rest;
-                Ok(())
-            }
-            None => Err(fmt::Error),
-        }
     }
 }
 
@@ -1337,6 +1221,16 @@ mod tests {
             }),
             tree.to_string()
         );
+        // The writer's own bytes parse and print back unchanged.
+        for text in [
+            r#"{"op":"create","apps":[{"name":"A \"1\"\\\n\u001f","work":747130005686.6029}]}"#,
+            "[0,-0,0.5,-1.25,123456789012345,0.000659,0.12362570224346385,9007199254740992]",
+            "[]",
+            "{}",
+            "\"é😀\u{7f}\"",
+        ] {
+            assert_eq!(Json::parse(text).unwrap().to_string(), text);
+        }
     }
 
     #[test]
@@ -1400,8 +1294,7 @@ mod tests {
         }
     }
 
-    /// Whitespace between tokens: mostly none, so that a good share of
-    /// the documents is canonical.
+    /// Whitespace between tokens: mostly none.
     fn space(mix: &mut Mix, out: &mut String) {
         if mix.below(8) == 0 {
             out.push_str(mix.pick(&[" ", "\t", "\r\n", "  "]));
@@ -1568,42 +1461,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// `canonical` is the parse printed back, errors included, and
-        /// borrows exactly when the text is already that.
-        fn canonical_is_the_parse_printed_back(seed in 0u64..u64::MAX, mangled in 0u8..4) {
-            let mix = &mut Mix(seed);
-            let mut text = String::new();
-            document(mix, 4, &mut text);
-            if mangled == 0 {
-                text = mangle(&text, mix);
-            }
-            let printed = Json::parse(&text).map(|v| v.to_string());
-            let got = canonical(&text);
-            prop_assert_eq!(
-                matches!(got, Ok(Cow::Borrowed(_))),
-                printed.as_deref() == Ok(text.as_str()),
-                "{:?}",
-                text
-            );
-            prop_assert_eq!(got.map(Cow::into_owned), printed, "{:?}", text);
-        }
-
-        /// Every number spelling, alone: the check agrees with printing.
-        fn canonical_numbers_match_the_writer(seed in 0u64..u64::MAX) {
-            let mix = &mut Mix(seed);
-            let mut text = String::new();
-            number(mix, &mut text);
-            let printed = Json::parse(&text).map(|v| v.to_string());
-            let got = canonical(&text);
-            prop_assert_eq!(
-                matches!(got, Ok(Cow::Borrowed(_))),
-                printed.as_deref() == Ok(text.as_str()),
-                "{:?}",
-                text
-            );
-            prop_assert_eq!(got.map(Cow::into_owned), printed, "{:?}", text);
-        }
-
         /// Reading a document and skipping it fail at the same byte with
         /// the same reason as parsing it, and the tree a reader builds
         /// value by value is the parse.
@@ -1616,38 +1473,5 @@ mod tests {
             let skipped = reader.skip().and_then(|()| reader.finish());
             prop_assert_eq!(skipped, Json::parse(&text).map(|_| ()), "{:?}", text);
         }
-    }
-
-    #[test]
-    fn canonical_borrows_the_writers_own_bytes() {
-        for text in [
-            r#"{"op":"create","apps":[{"name":"A \"1\"\\\n\u001f","work":747130005686.6029}]}"#,
-            "[0,-0,0.5,-1.25,123456789012345,0.000659,0.12362570224346385,9007199254740992]",
-            "[]",
-            "{}",
-            "\"é😀\u{7f}\"",
-        ] {
-            assert!(matches!(canonical(text), Ok(Cow::Borrowed(_))), "{text}");
-            assert_eq!(Json::parse(text).unwrap().to_string(), text);
-        }
-        for (text, printed) in [
-            (" 1", "1"),
-            (r#""a\/b""#, r#""a/b""#),
-            (r#""\u0041""#, r#""A""#),
-            (r#""\u000a""#, r#""\n""#),
-            (r#""\u001F""#, r#""\u001f""#),
-            ("1.50", "1.5"),
-            ("-0.0", "-0"),
-            ("1E+2", "100"),
-            ("01", "1"),
-            (r#""\/A\u000a\u001F""#, r#""/A\n\u001f""#),
-            ("[1 ,2]", "[1,2]"),
-            ("9007199254740993", "9007199254740992"),
-        ] {
-            assert_eq!(canonical(text).unwrap(), printed, "{text}");
-        }
-        assert_eq!(canonical("[1,]"), Err(Json::parse("[1,]").unwrap_err()));
-        let deep = "[".repeat(130) + &"]".repeat(130);
-        assert_eq!(canonical(&deep), Err(Json::parse(&deep).unwrap_err()));
     }
 }

@@ -78,7 +78,7 @@ const PINNED_LONE_STATE: &str = concat!(
     r#"{"shard":0,"requests":4,"instances":1,"mutations":1,"solves":2,"memo_hits":0,"#,
     r#""incremental_solves":1,"cold_solves":1,"kernel_calls":2,"apps_evaluated":4,"#,
     r#""tuner_explored":0,"tuner_committed":0,"tuner_challenger_wins":0,"tuner_member_solves":0,"#,
-    r#""wal_records":4,"wal_bytes":434,"wal_fsyncs":0,"wal_snapshot_generation":0,"wal_replayed":0,"#,
+    r#""wal_records":4,"wal_bytes":412,"wal_fsyncs":0,"wal_snapshot_generation":0,"wal_replayed":0,"#,
     r#""latency_count":4,"latency_p50_ns":0,"latency_p95_ns":0,"latency_p99_ns":0}],"#,
     r#""latency_count":4,"latency_p50_ns":0,"latency_p95_ns":0,"latency_p99_ns":0}"#,
 );

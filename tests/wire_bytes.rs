@@ -26,8 +26,13 @@
 
 mod common;
 
+use std::path::{Path, PathBuf};
+
 use common::{shutdown, spawn_server, spawn_server_with};
-use experiments::serve::wal::read_wal_records;
+use coschedule::session::Session;
+use experiments::serve::metrics::LatencyHistogram;
+use experiments::serve::protocol::{DEFAULT_SEED, DEFAULT_SOLVER};
+use experiments::serve::wal::{read_wal_records, recover_shard, WalWriter};
 use experiments::serve::{
     app_to_json, build_states, handle_line, Client, Durability, ServeConfig, ServeState,
 };
@@ -253,40 +258,163 @@ fn a_4096_app_instance_pins_its_create_and_solve_replies() {
     assert_synth4096_replies(&replies, "two-worker server");
 }
 
-/// A lone durable state's log, record by record, after a create, an
-/// `update_app`, a batch of two sub-requests, a failing op, a server-wide
-/// op, a request with reordered keys and an unknown field, and one with a
-/// duplicate `"op"` key. Each routed request is logged in the canonical
-/// serialization of its parse (keys in their order on the line, numbers
-/// printed round-trip), failed ones included; the batch envelope and the
-/// server-wide op are not.
-#[test]
-fn a_durable_state_logs_the_pinned_records() {
-    let dir = std::env::temp_dir().join(format!("cosched-wire-wal-{}", std::process::id()));
+/// The lines the durable-state tests send: a create, an `update_app`, a
+/// batch of two sub-requests, a failing op, a server-wide op, a request
+/// with reordered keys and an unknown field, and one with a duplicate
+/// `"op"` key.
+const WAL_LINES: [&str; 7] = [
+    r#"{"op":"create","apps":[{"name":"A \"1\"","work":1e10,"seq_fraction":0.1,"access_freq":0.5,"miss_rate_ref":1e-3},{"name":"B","work":2.5e10,"access_freq":0.6,"miss_rate_ref":2e-3,"footprint":3e8}],"platform":{"processors":64}}"#,
+    r#"{"op":"update_app","id":0,"index":1,"app":{"name":"B2","work":2.25e10,"seq_fraction":0.05,"access_freq":0.6,"miss_rate_ref":2e-3}}"#,
+    r#"{"op":"batch","requests":[{"op":"solve","id":0,"seed":1,"schedule":false},{"op":"remove_app","id":0,"index":0}]}"#,
+    r#"{"op":"solve","id":9,"solver":5}"#,
+    r#"{"op":"stats"}"#,
+    r#"{"seed":2,"id":0,"extra":[1,{"k":null}],"op":"solve","schedule":false}"#,
+    r#"{"op":"solve","op":"stats","id":0,"schedule":false}"#,
+];
+
+/// Lines that are not what the writer prints: whitespace between tokens,
+/// `\/`, `\u0041`, `\u000a` and upper-case `\u001F` escapes, `1.50`, `-0`,
+/// `1E+2`, `0e0`, an integer past 2^53, and a `batch` whose sub-requests
+/// are spelled that way too.
+const SPELLED_LINES: [&str; 4] = [
+    concat!(
+        " {\"op\" : \"create\",\t\"apps\" : [ {\"name\":\"A\\/1\\u0041\",\"work\":1.50e10,",
+        "\"seq_fraction\":-0,\"access_freq\":0.50,\"miss_rate_ref\":1E-3} ,",
+        "{\"name\":\"B\",\"work\":2e10,\"access_freq\":0.6,\"miss_rate_ref\":0.002}],",
+        "\"platform\":{\"processors\":1E+2}} ",
+    ),
+    r#"{"op":"batch","requests":[ {"op":"solve", "id":0e0, "seed":1.0, "schedule":false} , {"op":"remove_app","id":0,"index":1.00}]}"#,
+    r#"{"op":"solve","id":9,"solver":"Dominant","note":"a\u000ab\u001Fc\tdé"}"#,
+    r#"{"op":"solve","id":0,"schedule":false,"x":[9007199254740993,-0.0,1.5E30,0.000001]}"#,
+];
+
+/// A fresh directory under the system's temp dir, named after `tag`.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cosched-wire-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Sends `lines` to a lone durable state logging to `dir`, committing
+/// after each; returns the state and the records its log holds.
+fn log_lines(dir: &Path, lines: &[&str]) -> (ServeState, Vec<String>) {
     let mut config = ServeConfig {
         durability: Durability::Log,
-        wal_dir: Some(dir.clone()),
+        wal_dir: Some(dir.to_path_buf()),
         ..ServeConfig::default()
     };
     let mut state = build_states(&mut config).expect("durable state").remove(0);
-    for line in [
-        r#"{"op":"create","apps":[{"name":"A \"1\"","work":1e10,"seq_fraction":0.1,"access_freq":0.5,"miss_rate_ref":1e-3},{"name":"B","work":2.5e10,"access_freq":0.6,"miss_rate_ref":2e-3,"footprint":3e8}],"platform":{"processors":64}}"#,
-        r#"{"op":"update_app","id":0,"index":1,"app":{"name":"B2","work":2.25e10,"seq_fraction":0.05,"access_freq":0.6,"miss_rate_ref":2e-3}}"#,
-        r#"{"op":"batch","requests":[{"op":"solve","id":0,"seed":1,"schedule":false},{"op":"remove_app","id":0,"index":0}]}"#,
-        r#"{"op":"solve","id":9,"solver":5}"#,
-        r#"{"op":"stats"}"#,
-        r#"{"seed":2,"id":0,"extra":[1,{"k":null}],"op":"solve","schedule":false}"#,
-        r#"{"op":"solve","op":"stats","id":0,"schedule":false}"#,
-    ] {
+    for line in lines {
         handle_line(&mut state, line);
         state.wal_commit();
     }
     let records = read_wal_records(&dir.join("shard-0.wal.0.log")).expect("read the log");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(records, WAL_RECORDS);
+    (state, records)
 }
 
+/// Writes a fresh snapshot and a log of `records`, appended as given, to
+/// `dir`.
+fn write_log(dir: &Path, records: &[&str]) {
+    let mut writer = WalWriter::create(
+        dir,
+        0,
+        1,
+        Durability::Log,
+        1024,
+        0,
+        &Session::new(),
+        0,
+        &LatencyHistogram::default(),
+        0,
+    )
+    .expect("wal create");
+    for record in records {
+        writer.append(record).expect("wal append");
+    }
+    writer.commit().expect("wal commit");
+}
+
+/// What `state` answers to `list` and to a `solve` of instance 0 with
+/// its schedule. The solve must succeed, so that equal answers compare a
+/// restored instance.
+fn answers(state: &mut ServeState) -> [String; 2] {
+    let replies = [
+        r#"{"op":"list"}"#,
+        r#"{"op":"solve","id":0,"seed":3,"schedule":true}"#,
+    ]
+    .map(|line| handle_line(state, line));
+    assert!(replies[1].starts_with(r#"{"ok":true"#), "{}", replies[1]);
+    replies
+}
+
+/// What the state restored from `dir` answers.
+fn restored_answers(dir: &Path) -> [String; 2] {
+    let recovered = recover_shard(dir, 0, 1, DEFAULT_SOLVER, DEFAULT_SEED).expect("restore");
+    answers(&mut { recovered.state })
+}
+
+/// A lone durable state logs each routed request as its span, the bytes
+/// read for it, failed ones included; the batch envelope and the
+/// server-wide op are not logged.
+#[test]
+fn a_durable_state_logs_the_pinned_records() {
+    let dir = temp_dir("wal");
+    let (_, records) = log_lines(&dir, &WAL_LINES);
+    let _ = std::fs::remove_dir_all(&dir);
+    let spans = [
+        WAL_LINES[0],
+        WAL_LINES[1],
+        r#"{"op":"solve","id":0,"seed":1,"schedule":false}"#,
+        r#"{"op":"remove_app","id":0,"index":0}"#,
+        WAL_LINES[3],
+        WAL_LINES[5],
+        WAL_LINES[6],
+    ];
+    assert_eq!(records, spans);
+}
+
+/// Lines spelled otherwise than the writer prints are logged as read,
+/// from a request's first byte to its last (a line's outer whitespace
+/// aside), and the state restored from that log answers as the live one.
+#[test]
+fn a_durable_state_logs_each_request_as_spelled_and_restores_from_it() {
+    let dir = temp_dir("spelled");
+    let (mut live, records) = log_lines(&dir, &SPELLED_LINES);
+    let spans = [
+        SPELLED_LINES[0].trim(),
+        r#"{"op":"solve", "id":0e0, "seed":1.0, "schedule":false}"#,
+        r#"{"op":"remove_app","id":0,"index":1.00}"#,
+        SPELLED_LINES[2],
+        SPELLED_LINES[3],
+    ];
+    assert_eq!(records, spans);
+    let restored = restored_answers(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(restored, answers(&mut live));
+}
+
+/// A log written when each request was logged in canonical form (the
+/// records below) still restores: to the state the log of the same lines'
+/// spans restores to.
+#[test]
+fn a_log_of_canonical_records_restores_like_a_log_of_spans() {
+    for (lines, canonical) in [
+        (&WAL_LINES[..], &WAL_RECORDS[..]),
+        (&SPELLED_LINES[..], &CANONICAL_RECORDS[..]),
+    ] {
+        let (spans, old) = (temp_dir("spans"), temp_dir("canonical"));
+        log_lines(&spans, lines);
+        write_log(&old, canonical);
+        let (from_spans, from_old) = (restored_answers(&spans), restored_answers(&old));
+        let _ = std::fs::remove_dir_all(&spans);
+        let _ = std::fs::remove_dir_all(&old);
+        assert_eq!(from_old, from_spans, "{}", lines[0]);
+    }
+}
+
+/// The records of [`WAL_LINES`] when each request was logged as its
+/// parse printed back: keys in their order on the line, numbers printed
+/// round-trip.
 const WAL_RECORDS: [&str; 7] = [
     concat!(
         r#"{"op":"create","apps":[{"name":"A \"1\"","work":10000000000,"seq_fraction":0.1,"#,
@@ -305,41 +433,8 @@ const WAL_RECORDS: [&str; 7] = [
     r#"{"op":"solve","op":"stats","id":0,"schedule":false}"#,
 ];
 
-/// A lone durable state's log after lines that are not in canonical
-/// form: whitespace between tokens, `\/`, `\u0041`, `\u000a` and
-/// upper-case `\u001F` escapes, `1.50`, `-0`, `1E+2`, `0e0`, an integer
-/// past 2^53, and a `batch` whose sub-requests are not canonical either.
-/// Each record is the canonical form of its request (the bytes the parse
-/// prints back), failed requests included.
-#[test]
-fn a_durable_state_logs_the_canonical_form_of_each_record() {
-    let dir = std::env::temp_dir().join(format!("cosched-wire-canon-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut config = ServeConfig {
-        durability: Durability::Log,
-        wal_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    };
-    let mut state = build_states(&mut config).expect("durable state").remove(0);
-    for line in [
-        concat!(
-            " {\"op\" : \"create\",\t\"apps\" : [ {\"name\":\"A\\/1\\u0041\",\"work\":1.50e10,",
-            "\"seq_fraction\":-0,\"access_freq\":0.50,\"miss_rate_ref\":1E-3} ,",
-            "{\"name\":\"B\",\"work\":2e10,\"access_freq\":0.6,\"miss_rate_ref\":0.002}],",
-            "\"platform\":{\"processors\":1E+2}} ",
-        ),
-        r#"{"op":"batch","requests":[ {"op":"solve", "id":0e0, "seed":1.0, "schedule":false} , {"op":"remove_app","id":0,"index":1.00}]}"#,
-        r#"{"op":"solve","id":9,"solver":"Dominant","note":"a\u000ab\u001Fc\tdé"}"#,
-        r#"{"op":"solve","id":0,"schedule":false,"x":[9007199254740993,-0.0,1.5E30,0.000001]}"#,
-    ] {
-        handle_line(&mut state, line);
-        state.wal_commit();
-    }
-    let records = read_wal_records(&dir.join("shard-0.wal.0.log")).expect("read the log");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(records, CANONICAL_RECORDS);
-}
-
+/// The records of [`SPELLED_LINES`] when each request was logged as its
+/// parse printed back.
 const CANONICAL_RECORDS: [&str; 5] = [
     concat!(
         r#"{"op":"create","apps":[{"name":"A/1A","work":15000000000,"seq_fraction":-0,"#,
