@@ -349,8 +349,10 @@ fn answers(state: &mut ServeState) -> [String; 2] {
 
 /// What the state restored from `dir` answers.
 fn restored_answers(dir: &Path) -> [String; 2] {
-    let recovered = recover_shard(dir, 0, 1, DEFAULT_SOLVER, DEFAULT_SEED).expect("restore");
-    answers(&mut { recovered.state })
+    let mut restored = recover_shard(dir, 0, 1, DEFAULT_SOLVER, DEFAULT_SEED)
+        .expect("restore")
+        .state;
+    answers(&mut restored)
 }
 
 /// A lone durable state logs each routed request as its span, the bytes
