@@ -19,6 +19,9 @@
 //! workers over loopback, and through a server with a write-ahead log
 //! that is stopped halfway and restarted with `--restore`. A 4096-app `NpbSynth` instance, generated here from a
 //! fixed seed, pins the large solve reply by length and FNV-1a-64 digest.
+//! A `COSWAL01` log framed by hand must restore like a live state, and
+//! two request lines that are not UTF-8 pin their replies and their log
+//! record.
 //!
 //! The other serve suites compare transports with one another; this one
 //! compares each of them with fixed bytes, so a change that alters a
@@ -26,15 +29,17 @@
 
 mod common;
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 use common::{shutdown, spawn_server, spawn_server_with};
 use coschedule::session::Session;
 use experiments::serve::metrics::LatencyHistogram;
 use experiments::serve::protocol::{DEFAULT_SEED, DEFAULT_SOLVER};
-use experiments::serve::wal::{read_wal_records, recover_shard, WalWriter};
+use experiments::serve::wal::{read_wal_records, recover_shard, write_meta, WalWriter};
 use experiments::serve::{
-    app_to_json, build_states, handle_line, Client, Durability, ServeConfig, ServeState,
+    app_to_json, build_states, handle_line, Client, Durability, ServeConfig, ServeState, Standby,
 };
 use minijson::Json;
 use workloads::{seeded_rng, Dataset, SeqFraction};
@@ -363,17 +368,20 @@ fn a_durable_state_logs_the_pinned_records() {
     let dir = temp_dir("wal");
     let (_, records) = log_lines(&dir, &WAL_LINES);
     let _ = std::fs::remove_dir_all(&dir);
-    let spans = [
-        WAL_LINES[0],
-        WAL_LINES[1],
-        r#"{"op":"solve","id":0,"seed":1,"schedule":false}"#,
-        r#"{"op":"remove_app","id":0,"index":0}"#,
-        WAL_LINES[3],
-        WAL_LINES[5],
-        WAL_LINES[6],
-    ];
-    assert_eq!(records, spans);
+    assert_eq!(records, WAL_SPANS);
 }
+
+/// The records a durable state logs for [`WAL_LINES`]: each routed
+/// request's span, a batch's sub-requests one by one.
+const WAL_SPANS: [&str; 7] = [
+    WAL_LINES[0],
+    WAL_LINES[1],
+    r#"{"op":"solve","id":0,"seed":1,"schedule":false}"#,
+    r#"{"op":"remove_app","id":0,"index":0}"#,
+    WAL_LINES[3],
+    WAL_LINES[5],
+    WAL_LINES[6],
+];
 
 /// Lines spelled otherwise than the writer prints are logged as read,
 /// from a request's first byte to its last (a line's outer whitespace
@@ -451,3 +459,118 @@ const CANONICAL_RECORDS: [&str; 5] = [
         r#""x":[9007199254740992,-0,1500000000000000000000000000000,0.000001]}"#,
     ),
 ];
+
+/// FNV-1a, 32-bit: the record checksum of a `COSWAL01` log.
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |hash, &b| {
+        (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// A `COSWAL01` log of `records`, framed by hand: the magic, then per
+/// record its length and FNV-1a checksum (both `u32` LE) and its bytes.
+fn coswal01_log(records: &[&str]) -> Vec<u8> {
+    let mut log = b"COSWAL01".to_vec();
+    for record in records {
+        let bytes = record.as_bytes();
+        log.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        log.extend_from_slice(&fnv1a32(bytes).to_le_bytes());
+        log.extend_from_slice(bytes);
+    }
+    log
+}
+
+/// A `COSWAL01` log, framed here rather than by the server's writer,
+/// restores through `recover_shard`, a warm standby and a server started
+/// with `restore`, each answering `list` and a solve with the bytes of a
+/// live state that was sent the same lines.
+#[test]
+fn a_coswal01_log_restores_and_tails_like_a_live_state() {
+    let mut live = fresh_state();
+    for line in WAL_LINES {
+        handle_line(&mut live, line);
+    }
+    let want = answers(&mut live);
+
+    let dir = temp_dir("coswal01");
+    write_log(&dir, &[]);
+    write_meta(&dir, 1).expect("write meta.json");
+    std::fs::write(dir.join("shard-0.wal.0.log"), coswal01_log(&WAL_SPANS)).expect("write log");
+    assert_eq!(
+        read_wal_records(&dir.join("shard-0.wal.0.log")).expect("read the log"),
+        WAL_SPANS
+    );
+    assert_eq!(restored_answers(&dir), want, "recover_shard");
+
+    let mut standby = Standby::open(&dir, DEFAULT_SOLVER, DEFAULT_SEED).expect("standby");
+    let caught_up = standby.catch_up().expect("catch up");
+    assert_eq!(caught_up.records_applied, WAL_SPANS.len() as u64);
+    assert_eq!(answers(&mut standby.promote().remove(0)), want, "standby");
+
+    let restore_dir = dir.clone();
+    let (addr, handle) = spawn_server_with(move |config| {
+        config.durability = Durability::Log;
+        config.wal_dir = Some(restore_dir);
+        config.restore = true;
+    });
+    let replies = Client::default()
+        .exchange(
+            addr,
+            &[
+                r#"{"op":"list"}"#.to_string(),
+                r#"{"op":"solve","id":0,"seed":3,"schedule":true}"#.to_string(),
+                r#"{"op":"shutdown"}"#.to_string(),
+            ],
+        )
+        .expect("restored exchange");
+    handle.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(replies[..2], want, "server restored from the log");
+}
+
+/// Request lines that are not UTF-8, as a logged server at 1 and 2
+/// workers answers them: a `create` with a stray `0xFF` inside an app
+/// name, and a line with `0xFF` between two tokens. Invalid bytes read
+/// as U+FFFD, so the create succeeds and its record holds the
+/// replacement character; the second line is malformed.
+#[test]
+fn a_line_of_invalid_utf8_answers_and_logs_as_its_lossy_decoding() {
+    let create: &[u8] =
+        b"{\"op\":\"create\",\"apps\":[{\"name\":\"A\xFFz\",\"work\":1e10,\"access_freq\":0.5,\"miss_rate_ref\":1e-3}]}";
+    let stray: &[u8] = b"{\"op\":\xFF\"list\"}";
+    for workers in [1, 2] {
+        let dir = temp_dir(&format!("utf8-{workers}"));
+        let log_dir = dir.clone();
+        let (addr, handle) = spawn_server_with(move |config| {
+            config.workers = workers;
+            config.durability = Durability::Log;
+            config.wal_dir = Some(log_dir);
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+        let mut replies = Vec::new();
+        for line in [create, stray, br#"{"op":"shutdown"}"#] {
+            stream.write_all(line).expect("send");
+            stream.write_all(b"\n").expect("send");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("receive");
+            replies.push(reply);
+        }
+        handle.join().expect("server thread").expect("server run");
+        let records = read_wal_records(&dir.join("shard-0.wal.0.log")).expect("read the log");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            replies[..2],
+            [
+                "{\"ok\":true,\"id\":0,\"revision\":0,\"apps\":1}\n",
+                "{\"ok\":false,\"error\":\"malformed request: invalid JSON at byte 6: expected a value\"}\n",
+            ],
+            "{workers} workers"
+        );
+        assert_eq!(
+            records,
+            ["{\"op\":\"create\",\"apps\":[{\"name\":\"A\u{FFFD}z\",\"work\":1e10,\"access_freq\":0.5,\"miss_rate_ref\":1e-3}]}"],
+            "{workers} workers"
+        );
+    }
+}
