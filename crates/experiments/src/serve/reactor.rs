@@ -8,11 +8,14 @@
 //!
 //! * per-connection **read and write buffers**, with partial reads
 //!   reassembled into `\n`-terminated lines and partial writes resumed
-//!   where they left off. The `\n` search resumes where the previous
-//!   read stopped, so a line torn across many reads costs linear time.
-//!   A line longer than [`MAX_LINE_LEN`] is refused with one error line
-//!   and the connection closes once that reply drains, so a peer that
-//!   never sends `\n` cannot grow the buffer without bound;
+//!   where they left off. The `\n` search tests eight bytes at a time
+//!   and resumes where the previous read stopped, so a line torn across
+//!   many reads costs linear time. A complete line is answered where it
+//!   lies in the read buffer, not copied out; only a line that is not
+//!   UTF-8 is copied, decoded lossily (each invalid sequence reads as
+//!   U+FFFD). A line longer than [`MAX_LINE_LEN`] is refused with one
+//!   error line and the connection closes once that reply drains, so a
+//!   peer that never sends `\n` cannot grow the buffer without bound;
 //! * **write-interest toggling**: a connection is registered read-only
 //!   while its write buffer is empty and read+write while it is not, so
 //!   an idle connection costs no wakeups;
@@ -47,9 +50,11 @@
 //! buffered (bounded by `DRAIN_GRACE`), closes its connections, dials
 //! the accept loop awake, and exits.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -201,9 +206,10 @@ struct LineBuf {
 /// What [`LineBuf::next_line`] found.
 #[derive(Debug, PartialEq)]
 enum NextLine {
-    /// A complete line, its `\n` and one trailing `\r` stripped
-    /// (`BufRead::lines` semantics), decoded lossily as UTF-8.
-    Line(String),
+    /// A complete line, as its range in [`LineBuf::buf`]: its `\n` and
+    /// one trailing `\r` stripped (`BufRead::lines` semantics). The range
+    /// holds until the next call.
+    Line(Range<usize>),
     /// No complete line yet.
     Pending,
     /// The line in progress is longer than [`MAX_LINE_LEN`]; the buffer
@@ -220,7 +226,7 @@ impl LineBuf {
         // Resume the search where the previous call left it: bytes
         // before `scanned` hold no `\n`.
         let from = self.scanned.max(self.read_at);
-        let newline = self.buf[from..].iter().position(|&b| b == b'\n');
+        let newline = find_newline(&self.buf[from..]);
         let line_len = newline.map_or(self.buf.len(), |nl| from + nl) - self.read_at;
         if line_len > MAX_LINE_LEN {
             *self = LineBuf::default();
@@ -241,10 +247,30 @@ impl LineBuf {
         if line_end > self.read_at && self.buf[line_end - 1] == b'\r' {
             line_end -= 1;
         }
-        let line = String::from_utf8_lossy(&self.buf[self.read_at..line_end]).into_owned();
+        let line = self.read_at..line_end;
         self.read_at = end + 1;
         NextLine::Line(line)
     }
+}
+
+/// The index of the first `\n` in `bytes`, tested eight bytes at a time:
+/// a byte of `word ^ NEWLINES` is zero exactly where `word` holds `\n`,
+/// and `(x - 0x01…01) & !x & 0x80…80` sets the high bit of the lowest
+/// zero byte of `x` (a borrow can flag bytes above it, never below).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = words.len() * 8;
+    tail.iter().position(|&b| b == b'\n').map(|p| at + p)
 }
 
 impl Conn {
@@ -451,18 +477,19 @@ impl Loop {
                     return;
                 }
             };
-            self.dispatch(token, &line);
+            self.dispatch(token, line);
             if self.router.shutdown_requested() {
                 return;
             }
         }
     }
 
-    /// Answers one line inline (see the module docs) under the
-    /// connection's next sequence number and its server-wide trace id,
-    /// and queues the reply on the connection's write buffer. May wait
-    /// for a shard another reactor is solving on.
-    fn dispatch(&mut self, token: u64, line: &str) {
+    /// Answers the line at `line` in the connection's read buffer inline
+    /// (see the module docs) under the connection's next sequence number
+    /// and its server-wide trace id, and queues the reply on the
+    /// connection's write buffer. May wait for a shard another reactor is
+    /// solving on.
+    fn dispatch(&mut self, token: u64, line: Range<usize>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -471,9 +498,16 @@ impl Loop {
         // Trace ids stay unique while a connection has issued fewer
         // than 2^32 requests.
         let trace = (token << 32) | (seq & u64::from(u32::MAX));
+        // The router reads the line where it was received; only bytes
+        // that are not UTF-8 are copied, decoded lossily.
+        let bytes = &conn.lines.buf[line];
+        let line = match std::str::from_utf8(bytes) {
+            Ok(line) => Cow::Borrowed(line),
+            Err(_) => String::from_utf8_lossy(bytes),
+        };
         self.reply.clear();
         self.router
-            .dispatch(line, trace, &mut self.rotations, &mut self.reply);
+            .dispatch(&line, trace, &mut self.rotations, &mut self.reply);
         conn.write_buf.extend_from_slice(self.reply.as_bytes());
         conn.write_buf.push(b'\n');
         if !self.rotations.is_empty() {
@@ -566,12 +600,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Drains every complete line `lines` holds.
+    /// Drains every complete line `lines` holds, each decoded as UTF-8
+    /// as soon as it is found (a later call may compact the buffer).
     fn drain(lines: &mut LineBuf) -> Vec<String> {
         let mut out = Vec::new();
         loop {
             match lines.next_line() {
-                NextLine::Line(line) => out.push(line),
+                NextLine::Line(line) => {
+                    out.push(String::from_utf8(lines.buf[line].to_vec()).expect("UTF-8 line"))
+                }
                 NextLine::Pending => return out,
                 NextLine::TooLong => panic!("unexpected oversized line"),
             }
@@ -601,7 +638,8 @@ mod tests {
         lines.push(&vec![b'x'; MAX_LINE_LEN]);
         assert_eq!(lines.next_line(), NextLine::Pending);
         lines.push(b"\n");
-        assert_eq!(lines.next_line(), NextLine::Line("x".repeat(MAX_LINE_LEN)));
+        assert_eq!(lines.next_line(), NextLine::Line(0..MAX_LINE_LEN));
+        assert!(lines.buf[..MAX_LINE_LEN].iter().all(|&b| b == b'x'));
         // One byte more, with no `\n` yet, is refused and freed.
         lines.push(&vec![b'y'; MAX_LINE_LEN + 1]);
         assert_eq!(lines.next_line(), NextLine::TooLong);
@@ -620,6 +658,32 @@ mod tests {
         }
         // Without compaction this would be ~1 MB of consumed prefix.
         assert!(lines.buf.len() < 8 * line.len());
+    }
+
+    /// Byte values next to `\n` in value or in bit pattern, where a
+    /// word-at-a-time test that mishandles a borrow or a high bit would
+    /// misfire.
+    const NEAR_NEWLINE: [u8; 6] = [b'\n', 0x0B, 0x8A, 0x09, 0xFF, 0x00];
+
+    #[test]
+    fn find_newline_skips_its_neighbours() {
+        assert_eq!(find_newline(b""), None);
+        assert_eq!(
+            find_newline(&[0x0B, 0x8A, 0x09, 0xFF, 0x00, 0x0B, 0x8A, 0x09, 0xFF]),
+            None
+        );
+        assert_eq!(
+            find_newline(&[0x0A, 0x0B, 0x0B, 0x0B, 0x0B, 0x0B, 0x0B, 0x0A]),
+            Some(0)
+        );
+        assert_eq!(
+            find_newline(&[0x0B, 0x0B, 0x0B, 0x0B, 0x0B, 0x0B, 0x0B, 0x0A]),
+            Some(7)
+        );
+        assert_eq!(find_newline(&[0x8A; 17]), None);
+        let mut tail = [0xFF; 17];
+        tail[16] = b'\n';
+        assert_eq!(find_newline(&tail), Some(16));
     }
 
     /// Arbitrary unicode line: random scalar values (surrogates are
@@ -663,6 +727,26 @@ mod tests {
             }
             prop_assert_eq!(decoded, payloads);
             prop_assert_eq!(lines.read_at, lines.buf.len(), "no bytes may linger after the last line");
+        }
+
+        /// The word-at-a-time search finds what a byte scan finds: in the
+        /// bytes as drawn, and with a `\n` put at each offset in turn, so
+        /// at every offset mod 8 and at both ends, after any neighbour.
+        #[test]
+        fn find_newline_matches_a_byte_scan(
+            bytes in proptest::collection::vec(
+                (0..NEAR_NEWLINE.len() * 2, 0u8..=255)
+                    .prop_map(|(pick, byte)| NEAR_NEWLINE.get(pick).copied().unwrap_or(byte)),
+                0..80,
+            ),
+        ) {
+            let scan = |bytes: &[u8]| bytes.iter().position(|&b| b == b'\n');
+            prop_assert_eq!(find_newline(&bytes), scan(&bytes));
+            for at in 0..bytes.len() {
+                let mut with = bytes.clone();
+                with[at] = b'\n';
+                prop_assert_eq!(find_newline(&with), scan(&with), "newline at {}", at);
+            }
         }
     }
 }

@@ -20,8 +20,8 @@
 //!
 //! # Log format
 //!
-//! An 8-byte magic (`COSWAL01`), then length-delimited records:
-//! `[u32 LE length][u32 LE FNV-1a checksum][payload]`, where the payload
+//! An 8-byte magic (`COSWAL02`), then length-delimited records:
+//! `[u32 LE length][u32 LE checksum][payload]`, where the payload
 //! is one shard-routed request's bytes, exactly as the server read them.
 //! Read alone, those bytes read as the same request, so replaying them
 //! through [`protocol::handle_line`] reproduces the original dispatch bit
@@ -30,6 +30,31 @@
 //! before it are intact because [`WalWriter::commit`] is called before
 //! the response escapes to the client — an acknowledged op is always
 //! either in the log or in a newer snapshot.
+//!
+//! The checksum covers the payload alone and reads it eight bytes at a
+//! time; it guards against torn writes, not against an adversary. With
+//! `n` the payload's length in bytes, `K = 0x9E37_79B9_7F4A_7C15`, and
+//! every operation on `u64` (multiplication modulo 2^64, `rotl` a left
+//! rotation):
+//!
+//! 1. pad the payload with zero bytes to a multiple of 32 (an empty
+//!    payload has no blocks, one of 33 bytes has two);
+//! 2. start four lanes `v[0..4]` at `n`; for each 32-byte block in
+//!    order, and each `i` in `0..4`, read the block's bytes `8i..8i+8`
+//!    as a little-endian `w` and set `v[i] = rotl((v[i] ^ w) * K, 31)`;
+//! 3. fold: `h = 0`, then for each `i` in `0..4`,
+//!    `h = rotl((h ^ v[i]) * K, 31)`;
+//! 4. the checksum is the low 32 bits of `h ^ (h >> 32)`.
+//!
+//! Logs that begin with `COSWAL01`, the first format, are still read.
+//! They frame records the same way, with a 32-bit FNV-1a checksum of the
+//! payload (offset basis `0x811c_9dc5`, prime `0x0100_0193`). New logs
+//! are always `COSWAL02`: recovery replays an old log, and the server
+//! then logs to the next generation's file. A binary built before
+//! `COSWAL02` existed reads a `COSWAL02` log as empty, so a log
+//! directory cannot be handed back to an older build. A file shorter
+//! than its magic is torn at birth and replays nothing; any other
+//! first 8 bytes fail recovery with an error that names them.
 //!
 //! # What is logged
 //!
@@ -58,9 +83,14 @@ use minijson::Json;
 use super::metrics::LatencyHistogram;
 use super::protocol::{self, ServeState};
 
-/// First bytes of every WAL file; a file not starting with these is not
-/// (yet) a log — an empty or torn-at-birth file replays zero records.
-const MAGIC: &[u8; 8] = b"COSWAL01";
+/// First bytes of every WAL file this build writes. A file shorter than
+/// a magic is torn at birth and replays zero records; one that starts
+/// with neither this nor [`MAGIC_V1`] is an error.
+const MAGIC: &[u8; 8] = b"COSWAL02";
+
+/// The magic of the first log format, whose records carry an FNV-1a
+/// checksum; still read, never written.
+const MAGIC_V1: &[u8; 8] = b"COSWAL01";
 
 /// Snapshot + meta schema version.
 const FORMAT: u64 = 1;
@@ -132,8 +162,30 @@ pub struct WalStats {
     pub replayed: u64,
 }
 
-/// 32-bit FNV-1a — tiny, dependency-free, and plenty for torn-tail
-/// detection (the threat model is a truncated write, not an adversary).
+/// The record checksum of a `COSWAL02` log: four 64-bit lanes over the
+/// payload's 8-byte words, folded to 32 bits (defined under *Log format*
+/// in the module docs).
+fn word_checksum(payload: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |acc: u64, word: u64| (acc ^ word).wrapping_mul(K).rotate_left(31);
+    let mut lanes = [payload.len() as u64; 4];
+    let mut absorb = |block: &[u8; 32]| {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    };
+    let (blocks, tail) = payload.as_chunks::<32>();
+    blocks.iter().for_each(&mut absorb);
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        absorb(&padded);
+    }
+    let folded = lanes.into_iter().fold(0, mix);
+    (folded ^ (folded >> 32)) as u32
+}
+
+/// The record checksum of a `COSWAL01` log: 32-bit FNV-1a.
 fn fnv1a32(bytes: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -223,7 +275,7 @@ impl WalWriter {
         let len = u32::try_from(bytes.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "WAL record over 4 GiB"))?;
         self.file.write_all(&len.to_le_bytes())?;
-        self.file.write_all(&fnv1a32(bytes).to_le_bytes())?;
+        self.file.write_all(&word_checksum(bytes).to_le_bytes())?;
         self.file.write_all(bytes)?;
         self.pending = true;
         self.records_since_snapshot += 1;
@@ -404,6 +456,9 @@ fn write_snapshot(
 /// torn or checksum-failing record — the crash-truncated tail. A missing
 /// file reads as empty: a crash can land between snapshot rename and log
 /// creation, and "no log yet" simply means "nothing after the snapshot".
+/// So does a file shorter than its magic, torn at birth. A file that
+/// starts with any other 8 bytes than `COSWAL02` or `COSWAL01` is an
+/// [`io::ErrorKind::InvalidData`] error naming them.
 pub fn read_wal_records(path: &Path) -> io::Result<Vec<String>> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -413,21 +468,34 @@ pub fn read_wal_records(path: &Path) -> io::Result<Vec<String>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     }
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        // Torn at birth (or not a log): nothing trustworthy to replay.
+    let Some(magic) = bytes.first_chunk::<8>() else {
         return Ok(Vec::new());
-    }
+    };
+    let checksum = match magic {
+        MAGIC => word_checksum,
+        MAGIC_V1 => fnv1a32,
+        _ => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: unknown log magic \"{}\" (this build reads COSWAL02 and COSWAL01)",
+                    path.display(),
+                    magic.escape_ascii()
+                ),
+            ))
+        }
+    };
     let mut records = Vec::new();
     let mut at = MAGIC.len();
     while bytes.len() - at >= 8 {
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let checksum = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
+        let stored = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
         let start = at + 8;
         let Some(end) = start.checked_add(len).filter(|&end| end <= bytes.len()) else {
             break; // torn length or payload
         };
         let payload = &bytes[start..end];
-        if fnv1a32(payload) != checksum {
+        if checksum(payload) != stored {
             break; // torn or corrupt tail
         }
         let Ok(text) = std::str::from_utf8(payload) else {
@@ -836,11 +904,91 @@ mod tests {
         fs::write(&path, &bad).unwrap();
         assert_eq!(read_wal_records(&path).unwrap(), &lines[..1]);
 
-        // Missing and magic-less files read as empty.
+        // Missing files, and files torn before their magic is whole,
+        // read as empty.
         assert!(read_wal_records(&dir.join("nope.log")).unwrap().is_empty());
-        fs::write(&path, b"COS").unwrap();
-        assert!(read_wal_records(&path).unwrap().is_empty());
+        for torn in [&b"COS"[..], b"COSWAL0", b"x"] {
+            fs::write(&path, torn).unwrap();
+            assert!(read_wal_records(&path).unwrap().is_empty());
+        }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A whole magic of a log version this build does not know, or of no
+    /// log at all, fails the read and the recovery, naming the magic.
+    #[test]
+    fn an_unknown_magic_is_an_error_not_an_empty_log() {
+        let dir = temp_dir("magic");
+        let _ = WalWriter::create(
+            &dir,
+            0,
+            1,
+            Durability::Log,
+            1024,
+            0,
+            &Session::new(),
+            0,
+            &LatencyHistogram::default(),
+            0,
+        )
+        .unwrap();
+        let path = wal_path(&dir, 0, 0);
+        for (magic, named) in [
+            (&b"COSWAL03"[..], "COSWAL03"),
+            (b"COSWAL\x001", "COSWAL\\x001"),
+            (b"\0\0\0\0\0\0\0\0", "\\x00\\x00"),
+        ] {
+            let mut log = magic.to_vec();
+            log.extend_from_slice(&[0; 8]);
+            fs::write(&path, &log).unwrap();
+            let e = read_wal_records(&path).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains(named), "{e}");
+            let e = match recover_shard(&dir, 0, 1, "DominantMinRatio", 0) {
+                Err(e) => e,
+                Ok(_) => panic!("a log of unknown magic must fail to restore"),
+            };
+            assert!(e.starts_with("shard 0: ") && e.contains(named), "{e}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The checksum as the module docs define it, one step at a time.
+    fn documented_checksum(payload: &[u8]) -> u32 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut padded = payload.to_vec();
+        padded.resize(payload.len().div_ceil(32) * 32, 0);
+        let mut v = [payload.len() as u64; 4];
+        for block in padded.chunks(32) {
+            for i in 0..4 {
+                let w = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap());
+                v[i] = ((v[i] ^ w).wrapping_mul(K)).rotate_left(31);
+            }
+        }
+        let mut h = 0u64;
+        for lane in v {
+            h = ((h ^ lane).wrapping_mul(K)).rotate_left(31);
+        }
+        (h ^ (h >> 32)) as u32
+    }
+
+    #[test]
+    fn the_checksum_is_the_documented_one_and_fnv_is_fnv() {
+        let text: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for n in 0..text.len() {
+            assert_eq!(
+                word_checksum(&text[..n]),
+                documented_checksum(&text[..n]),
+                "{n}"
+            );
+        }
+        // Zero padding does not alias: the length starts every lane.
+        assert_ne!(word_checksum(b"a"), word_checksum(b"a\0"));
+        assert_ne!(word_checksum(b""), word_checksum(&[0; 32]));
+        // FNV-1a-32's published test values.
+        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
+        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
+        assert_eq!(fnv1a32(b"foobar"), 0xbf9c_f968);
     }
 
     /// Characters the fuzzed records are drawn from: JSON punctuation and
@@ -853,7 +1001,7 @@ mod tests {
         /// One flipped bit past the magic keeps exactly the records before
         /// the one holding it (a flip anywhere in a record fails its
         /// checksum, or its length runs past the file); one flipped bit
-        /// inside the magic keeps none. Never a panic.
+        /// inside the magic fails the read. Never a panic.
         #[test]
         fn a_flipped_bit_drops_its_record_and_everything_after(
             records in prop::collection::vec(
@@ -904,7 +1052,8 @@ mod tests {
             let mut flipped = clean;
             flipped[magic_bit / 8] ^= 1 << (magic_bit % 8);
             fs::write(&path, &flipped).unwrap();
-            prop_assert!(read_wal_records(&path).unwrap().is_empty());
+            let e = read_wal_records(&path).unwrap_err();
+            prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             let _ = fs::remove_dir_all(&dir);
         }
     }
