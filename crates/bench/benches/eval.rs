@@ -7,7 +7,7 @@
 //! the difference isolates the data layout. Results are recorded in
 //! `BENCH_eval.json` at the repository root.
 
-use coschedule::eval::{EvalScratch, EvalSet};
+use coschedule::eval::EvalSet;
 use coschedule::model::{exec_time, Platform};
 use coschedule::solver::Instance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -73,25 +73,6 @@ fn bench_makespan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_candidate_batch(c: &mut Criterion) {
-    let platform = Platform::taihulight();
-    let mut group = c.benchmark_group("eval_candidates");
-    group
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_secs(1));
-    let n = 256usize;
-    let (instance, procs, cache) = setup(n, &platform);
-    let eval = instance.eval().clone();
-    let candidates: Vec<(&[f64], &[f64])> = (0..16).map(|_| (&procs[..], &cache[..])).collect();
-    let mut scratch = EvalScratch::new();
-    group.bench_with_input(BenchmarkId::new("batch16", n), &n, |b, _| {
-        b.iter(|| {
-            black_box(scratch.score_candidates(&eval, &candidates).len());
-        });
-    });
-    group.finish();
-}
-
 fn bench_derivation(c: &mut Criterion) {
     // Cost of flattening an instance into the SoA view (paid once per
     // Instance, amortised over every subsequent kernel call).
@@ -103,10 +84,5 @@ fn bench_derivation(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_makespan,
-    bench_candidate_batch,
-    bench_derivation
-);
+criterion_group!(benches, bench_makespan, bench_derivation);
 criterion_main!(benches);

@@ -115,7 +115,7 @@ use crate::eval::{EvalScratch, EvalSet, EvalStats};
 use crate::model::Schedule;
 use crate::solver::{child_seed, Instance, SolveCtx, Solver};
 use crate::theory::cache_alloc::optimal_cache_fractions_into;
-use crate::theory::dominance::{partition_strength, Partition};
+use crate::theory::dominance::Partition;
 use crate::theory::objective::partition_objective_eval;
 use crate::theory::proc_alloc::{equal_finish_makespan_eval, equal_finish_split_eval};
 use rand::rngs::StdRng;
@@ -678,8 +678,9 @@ pub fn branch_and_bound(instance: &Instance, cfg: &BnbConfig) -> Result<BnbSolut
     // incumbent (so even a zero-budget search returns a sane answer) and
     // its strength fixes the relaxed bound's dual variable.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let warm_partition = dominant_partition(eval, BuildOrder::Forward, Choice::MinRatio, &mut rng);
-    let sh = Shared::new(eval, partition_strength(eval, &warm_partition));
+    let (warm_partition, warm_strength) =
+        dominant_partition(eval, BuildOrder::Forward, Choice::MinRatio, &mut rng);
+    let sh = Shared::new(eval, warm_strength);
     let mut ws = WorkerScratch::new(sh.n);
     let warm_makespan = leaf_value(&sh, &warm_partition, &mut ws)?;
     let warm = Incumbent {
@@ -942,13 +943,13 @@ mod tests {
             let eval = instance.eval();
             // Fix the relaxed bound's dual variable exactly as
             // `branch_and_bound` does.
-            let warm = dominant_partition(
+            let (_, warm_strength) = dominant_partition(
                 eval,
                 BuildOrder::Forward,
                 Choice::MinRatio,
                 &mut StdRng::seed_from_u64(0),
             );
-            let sh = Shared::new(eval, partition_strength(eval, &warm));
+            let sh = Shared::new(eval, warm_strength);
             let mut ws = WorkerScratch::new(sh.n);
             let root = lower_bound(&sh, &[], 0, 0.0, &mut ws).max(sh.lagr_bound(0.0));
             let exact = exact_perfectly_parallel(&instance).unwrap();

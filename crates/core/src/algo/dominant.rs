@@ -2,7 +2,7 @@
 
 use crate::algo::choice::{ratio_order, Choice};
 use crate::eval::EvalSet;
-use crate::theory::dominance::{is_dominant, violators, Partition};
+use crate::theory::dominance::{is_dominant, partition_strength, violators, Partition};
 use rand::Rng;
 
 /// Direction in which the greedy construction proceeds.
@@ -40,25 +40,34 @@ impl BuildOrder {
 ///   keeping the last subset that was dominant, and stop at the first
 ///   addition that breaks dominance (or when all applications are in).
 ///
-/// The returned partition is always dominant (possibly empty).
+/// The returned partition is always dominant (possibly empty). It comes
+/// with its strength `S(IC)`, with the bits
+/// [`partition_strength`] gives, so that the Theorem-3 fractions
+/// ([`fractions_at_strength_into`](crate::theory::cache_alloc::fractions_at_strength_into))
+/// need not sum it again.
 pub fn dominant_partition<R: Rng + ?Sized>(
     eval: &EvalSet,
     order: BuildOrder,
     choice: Choice,
     rng: &mut R,
-) -> Partition {
+) -> (Partition, f64) {
     match order {
         BuildOrder::Forward => forward(eval, choice, rng),
-        BuildOrder::Reverse => reverse(eval, choice, rng),
+        BuildOrder::Reverse => with_strength(eval, reverse(eval, choice, rng)),
     }
 }
 
-fn forward<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
+fn with_strength(eval: &EvalSet, partition: Partition) -> (Partition, f64) {
+    let strength = partition_strength(eval, &partition);
+    (partition, strength)
+}
+
+fn forward<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> (Partition, f64) {
     match choice {
         Choice::MinRatio => forward_min_ratio(eval),
         _ => None,
     }
-    .unwrap_or_else(|| evict_until_dominant(eval, choice, rng))
+    .unwrap_or_else(|| with_strength(eval, evict_until_dominant(eval, choice, rng)))
 }
 
 /// Algorithm 1 as printed: evict `choice(IC)` while `IC` has a violator,
@@ -74,7 +83,9 @@ fn evict_until_dominant<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &m
 
 /// Algorithm 1 with `MinRatio`: the partition [`evict_until_dominant`]
 /// ends at, found by a binary search instead of one O(n) pass per
-/// eviction. A dominant full set costs one strength pass and no sort.
+/// eviction. A dominant full set costs one contiguous strength pass and
+/// no sort. Returns the strength of the partition it ends at, which is
+/// the sum its last successful probe made.
 ///
 /// `MinRatio` evicts in `(ratio, index)` order, so after `k` evictions
 /// `IC_k` is that order without its first `k` entries, and `IC_k` is
@@ -89,14 +100,15 @@ fn evict_until_dominant<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &m
 ///
 /// Returns `None`, leaving the loop to run, when a ratio is NaN (the
 /// order is then not the loop's) or a weight is NaN or negative.
-fn forward_min_ratio(eval: &EvalSet) -> Option<Partition> {
-    // A dominant set has no violator, so the loop would keep it too.
+fn forward_min_ratio(eval: &EvalSet) -> Option<(Partition, f64)> {
+    // A dominant set has no violator, so the loop would keep it too. Its
+    // members are `0..n`, so the strength is the weights' sum in order.
     let n = eval.len();
-    let all = Partition::all(n);
-    if is_dominant(eval, &all) {
-        return Some(all);
-    }
     let (weights, ratios) = (eval.weights(), eval.ratios());
+    let strength: f64 = weights.iter().sum();
+    if ratios.iter().all(|&r| r > strength) {
+        return Some((Partition::all(n), strength));
+    }
     if ratios
         .iter()
         .zip(weights)
@@ -110,21 +122,21 @@ fn forward_min_ratio(eval: &EvalSet) -> Option<Partition> {
     for (position, &i) in order.iter().enumerate() {
         rank[i] = position;
     }
-    let dominant_after = |k: usize| {
-        let strength: f64 = (0..n).filter(|&i| rank[i] >= k).map(|i| weights[i]).sum();
-        k == n || ratios[order[k]] > strength
-    };
+    let strength_after =
+        |k: usize| -> f64 { (0..n).filter(|&i| rank[i] >= k).map(|i| weights[i]).sum() };
     // Not dominant after 0 evictions, always dominant after n.
-    let (mut lo, mut hi) = (0, n);
+    let (mut lo, mut hi, mut strength_at_hi) = (0, n, None);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if dominant_after(mid) {
-            hi = mid;
+        let strength = strength_after(mid);
+        if ratios[order[mid]] > strength {
+            (hi, strength_at_hi) = (mid, Some(strength));
         } else {
             lo = mid;
         }
     }
-    Some((0..n).filter(|&i| rank[i] >= hi).collect())
+    let strength = strength_at_hi.unwrap_or_else(|| strength_after(hi));
+    Some(((0..n).filter(|&i| rank[i] >= hi).collect(), strength))
 }
 
 fn reverse<R: Rng + ?Sized>(eval: &EvalSet, choice: Choice, rng: &mut R) -> Partition {
@@ -213,15 +225,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every Forward variant returns the eviction loop's partition
-        /// and draws the same random numbers doing so: for `MinRatio` the
-        /// loop is the reference the search is pinned to.
+        /// Every Forward variant returns the eviction loop's partition,
+        /// with the bits of its strength, and draws the same random
+        /// numbers doing so: for `MinRatio` the loop is the reference the
+        /// search is pinned to.
         fn forward_matches_the_eviction_loop(seed in 0u64..u64::MAX) {
             let eval = random_instance(seed);
             for choice in Choice::ALL {
                 let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let fast = forward(&eval, choice, &mut r1);
+                let (fast, strength) = forward(&eval, choice, &mut r1);
                 prop_assert_eq!(&fast, &evict_until_dominant(&eval, choice, &mut r2), "{}", choice.name());
+                prop_assert_eq!(strength.to_bits(), partition_strength(&eval, &fast).to_bits());
                 prop_assert_eq!(r1.random_range(0..u64::MAX), r2.random_range(0..u64::MAX));
             }
         }
@@ -240,7 +254,7 @@ mod tests {
         let eval = EvalSet::of(&apps, &pf);
         assert_eq!(eval.ratios()[1].to_bits(), eval.weights()[1].to_bits());
         let mut rng = StdRng::seed_from_u64(0);
-        let fast = forward(&eval, Choice::MinRatio, &mut rng);
+        let (fast, _) = forward(&eval, Choice::MinRatio, &mut rng);
         assert_eq!(
             fast,
             evict_until_dominant(&eval, Choice::MinRatio, &mut rng)
@@ -261,7 +275,7 @@ mod tests {
             })
             .collect();
         let eval = EvalSet::of(&apps, &Platform::taihulight().with_cache_size(10e6));
-        let fast = forward_min_ratio(&eval).expect("finite ratios and weights");
+        let (fast, strength) = forward_min_ratio(&eval).expect("finite ratios and weights");
         let reference =
             evict_until_dominant(&eval, Choice::MinRatio, &mut StdRng::seed_from_u64(0));
         assert!(
@@ -269,6 +283,10 @@ mod tests {
             "{} of {} kept",
             fast.len(),
             eval.len()
+        );
+        assert_eq!(
+            strength.to_bits(),
+            partition_strength(&eval, &fast).to_bits()
         );
         assert_eq!(fast, reference);
     }
@@ -298,7 +316,8 @@ mod tests {
             let m = npb_models(cs);
             for (order, choice) in all_variants() {
                 let mut rng = StdRng::seed_from_u64(11);
-                let p = dominant_partition(&m, order, choice, &mut rng);
+                let (p, strength) = dominant_partition(&m, order, choice, &mut rng);
+                assert_eq!(strength.to_bits(), partition_strength(&m, &p).to_bits());
                 assert!(
                     is_dominant(&m, &p),
                     "{}{} on Cs={cs} returned a non-dominant partition",
@@ -316,7 +335,7 @@ mod tests {
         let m = npb_models(32_000e6);
         for (order, choice) in all_variants() {
             let mut rng = StdRng::seed_from_u64(5);
-            let p = dominant_partition(&m, order, choice, &mut rng);
+            let (p, _) = dominant_partition(&m, order, choice, &mut rng);
             assert_eq!(p.len(), m.len(), "{}{}", order.name(), choice.name());
         }
     }
@@ -343,7 +362,7 @@ mod tests {
     fn reverse_admits_in_ratio_order_with_maxratio() {
         let m = npb_models(100e6);
         let mut rng = StdRng::seed_from_u64(0);
-        let p = dominant_partition(&m, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
+        let (p, _) = dominant_partition(&m, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
         // Members must be the top-|IC| applications by ratio.
         let mut by_ratio: Vec<usize> = (0..m.len()).collect();
         let r = m.ratios();
@@ -360,8 +379,8 @@ mod tests {
             for choice in [Choice::MinRatio, Choice::MaxRatio] {
                 let mut r1 = StdRng::seed_from_u64(1);
                 let mut r2 = StdRng::seed_from_u64(999);
-                let p1 = dominant_partition(&m, order, choice, &mut r1);
-                let p2 = dominant_partition(&m, order, choice, &mut r2);
+                let (p1, _) = dominant_partition(&m, order, choice, &mut r1);
+                let (p2, _) = dominant_partition(&m, order, choice, &mut r2);
                 assert_eq!(p1, p2);
             }
         }
@@ -379,7 +398,7 @@ mod tests {
         assert!(m.d()[0] > 1.0);
         for (order, choice) in all_variants() {
             let mut rng = StdRng::seed_from_u64(2);
-            let p = dominant_partition(&m, order, choice, &mut rng);
+            let (p, _) = dominant_partition(&m, order, choice, &mut rng);
             assert!(!p.contains(0), "{}{}", order.name(), choice.name());
         }
     }
@@ -388,9 +407,9 @@ mod tests {
     fn empty_instance_yields_empty_partition() {
         let mut rng = StdRng::seed_from_u64(0);
         let empty = EvalSet::default();
-        let p = dominant_partition(&empty, BuildOrder::Forward, Choice::MinRatio, &mut rng);
+        let (p, _) = dominant_partition(&empty, BuildOrder::Forward, Choice::MinRatio, &mut rng);
         assert!(p.is_empty());
-        let p = dominant_partition(&empty, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
+        let (p, _) = dominant_partition(&empty, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
         assert!(p.is_empty());
     }
 
@@ -401,8 +420,8 @@ mod tests {
         for cs in [32_000e6, 1e9, 200e6] {
             let m = npb_models(cs);
             let mut rng = StdRng::seed_from_u64(0);
-            let a = dominant_partition(&m, BuildOrder::Forward, Choice::MinRatio, &mut rng);
-            let b = dominant_partition(&m, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
+            let (a, _) = dominant_partition(&m, BuildOrder::Forward, Choice::MinRatio, &mut rng);
+            let (b, _) = dominant_partition(&m, BuildOrder::Reverse, Choice::MaxRatio, &mut rng);
             assert_eq!(a, b, "Cs = {cs}");
         }
     }

@@ -135,7 +135,7 @@ mod tests {
     fn start(apps: &[Application], pf: &Platform) -> (EvalSet, Partition, Vec<f64>) {
         let eval = EvalSet::of(apps, pf);
         let mut rng = StdRng::seed_from_u64(0);
-        let part = dominant_partition(&eval, BuildOrder::Forward, Choice::MinRatio, &mut rng);
+        let (part, _) = dominant_partition(&eval, BuildOrder::Forward, Choice::MinRatio, &mut rng);
         let mut cache = Vec::new();
         optimal_cache_fractions_into(eval.weights(), &part, &mut cache);
         (eval, part, cache)

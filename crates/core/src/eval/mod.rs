@@ -26,9 +26,7 @@
 //! [`EvalStats`] counters, and lives inside
 //! [`SolveCtx`](crate::solver::SolveCtx) so a solver (or a whole
 //! [`solve_batch`](crate::solver::solve_batch) worker) never re-allocates
-//! per evaluation. The candidate-batch evaluator
-//! [`EvalScratch::score_candidates`] scores many `(procs, cache)` vectors
-//! in one call.
+//! per evaluation.
 
 use crate::model::{Application, ExecModel, Platform};
 
@@ -275,16 +273,17 @@ impl EvalSet {
     /// Batched `Exe_i^seq(x_i)`: fills `out` with the sequential cost of
     /// every application under the cache vector.
     ///
-    /// Two passes, so that the libm calls do not hold up the rest. The
-    /// first writes only `x_eff^α` (`x_eff = min(x_i, cap_i)`), one `powf`
-    /// per application; those calls fix the bits and are most of the
-    /// time. The second repeats [`Self::seq_cost_at`]'s other operations
-    /// elementwise and in its order: `x_eff` again, `m = 1` when
-    /// `x_eff ≤ 0` (the power written for it is then ignored), else
-    /// `min(d_i / x_eff^α, 1)`, then `w_i·(1 + f_i·(l_c + l_m·m))`. With no
-    /// call and no branch in it, that pass vectorises. Each IEEE operation
-    /// is rounded elementwise however the loop is compiled, so the bits
-    /// are [`Self::seq_cost_at`]'s.
+    /// Two passes, so that the powers do not hold up the rest. The first
+    /// writes only `x_eff^α` (`x_eff = min(x_i, cap_i)`), each with
+    /// `powf`'s bits: at `α = ½` from `sqrt` wherever that provably equals
+    /// glibc's `pow`, and from `powf` elsewhere. The second repeats
+    /// [`Self::seq_cost_at`]'s other operations elementwise and in its
+    /// order: `x_eff` again, `m = 1` when `x_eff ≤ 0` (the power written
+    /// for it is then ignored), else `min(d_i / x_eff^α, 1)`, then
+    /// `w_i·(1 + f_i·(l_c + l_m·m))`. With no call and no branch in it,
+    /// that pass vectorises. Each IEEE operation is rounded elementwise
+    /// however the loop is compiled, so the bits are
+    /// [`Self::seq_cost_at`]'s.
     ///
     /// # Panics
     /// Panics if `cache.len() != self.len()`.
@@ -295,8 +294,7 @@ impl EvalSet {
         let (cap, d) = (&self.cap[..n], &self.d[..n]);
         let (work, freq) = (&self.work[..n], &self.access_freq[..n]);
         let (lc, lm) = (self.latency_cache, self.latency_mem);
-        out.clear();
-        out.extend((0..n).map(|i| cache[i].min(cap[i]).powf(self.alpha)));
+        powers_into(cache, cap, self.alpha, out);
         let out = &mut out[..n];
         for i in 0..n {
             // Divide first and select after: a branch around the division
@@ -363,10 +361,94 @@ impl EvalSet {
     }
 }
 
-/// One candidate resource vector pair for
-/// [`EvalScratch::score_candidates`]: `(procs, cache)` slices aligned with
-/// the instance.
-pub type Candidate<'a> = (&'a [f64], &'a [f64]);
+/// Fills `out` with `x_i^α` for `x_i = min(cache_i, cap_i)`, each with
+/// the bits of `x_i.powf(α)`.
+///
+/// At `α = ½`, the paper's platform, most powers come from `sqrt`, which
+/// costs a fraction of a libm call and vectorises; see
+/// [`sqrt_where_pow_agrees`] for when it is taken and why its bits are
+/// `powf`'s. The rest, and every other `α`, call `powf`. The fallback's
+/// exponent goes through [`std::hint::black_box`]: inside `α == 0.5` the
+/// compiler knows the exponent, and would otherwise rewrite
+/// `powf(x, 0.5)` into `sqrt(x)` for exactly the inputs this path exists
+/// for.
+#[inline]
+fn powers_into(cache: &[f64], cap: &[f64], alpha: f64, out: &mut Vec<f64>) {
+    let x = |(&c, &k): (&f64, &f64)| c.min(k);
+    out.clear();
+    #[cfg(target_env = "gnu")]
+    if alpha == 0.5 {
+        out.extend(
+            cache
+                .iter()
+                .zip(cap)
+                .map(|pair| sqrt_where_pow_agrees(x(pair))),
+        );
+        for (power, pair) in out.iter_mut().zip(cache.iter().zip(cap)) {
+            if power.is_nan() {
+                *power = x(pair).powf(std::hint::black_box(alpha));
+            }
+        }
+        return;
+    }
+    out.extend(cache.iter().zip(cap).map(|pair| x(pair).powf(alpha)));
+}
+
+/// `√x` correctly rounded when that is provably what glibc's `pow(x, ½)`
+/// returns, else NaN (the caller then calls `powf`).
+///
+/// glibc's `pow` (`sysdeps/ieee754/dbl-64/e_pow.c`, since 2.28) documents
+/// its worst case as 0.54 ULP: `exp`'s 0.509 ULP (0.511 without FMA)
+/// plus `|y·ln x|·relerr_log·2^53`, with `relerr_log` at most
+/// `1.5·2^-68`. For `y = ½` and `|ln x| ≤ 645`, which `10^-280 < x <
+/// 10^280` ensures, the second term is at most `322.5·1.5·2^-15 < 0.015`
+/// ULP, so the value `pow` rounds lies within 0.027 ULP of the exact
+/// `√x`. Rounding it therefore gives the correctly rounded `√x`, which
+/// is `x.sqrt()`, wherever the exact `√x` lies more than 0.027 ULP from
+/// a rounding midpoint. (Older glibc's `pow` was correctly rounded, so
+/// the argument holds there a fortiori.)
+///
+/// `s = x.sqrt()` is kept when all of these hold:
+/// * `10^-280 < x < 10^280`, so the bound above applies and no product
+///   below overflows or loses bits to underflow (NaN, `±∞`, zeros,
+///   negatives and subnormals all fail it);
+/// * `s` is not a power of two, where the ULP below `s` is half the one
+///   above;
+/// * `|x − s²| / (2s) < (½ − 1/32)·ulp(s)`: `√x − s = (x − s²)/(√x + s)`,
+///   so the exact `√x` lies at least 1/32 ULP from either midpoint
+///   around `s` (taking `2s` for `√x + s` is off by a relative `2^-53`,
+///   far inside the gap between 1/32 and 0.027).
+///
+/// `x − s²` is computed exactly. A Veltkamp split `s = hi + lo` (26 bits
+/// each) makes Dekker's `p + e = s²` exact without `mul_add`, which a
+/// baseline x86-64 build lowers to a libm call. `x − p` is exact by
+/// Sterbenz's lemma, and `x − s²` is a multiple of `ulp(s)²` below
+/// `2^53·ulp(s)²` in size, so `(x − p) − e` rounds to itself. Every step
+/// is branch-free, so a loop of these vectorises.
+#[cfg(target_env = "gnu")]
+#[inline]
+fn sqrt_where_pow_agrees(x: f64) -> f64 {
+    const SPLIT: f64 = 134_217_729.0; // 2^27 + 1
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    const MANTISSA: u64 = 0x000f_ffff_ffff_ffff;
+    let s = x.sqrt();
+    let c = SPLIT * s;
+    let hi = c - (c - s);
+    let lo = s - hi;
+    let p = s * s;
+    let e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo;
+    let residual = (x - p) - e;
+    let ulp = f64::from_bits(s.to_bits() & EXPONENT) * f64::EPSILON;
+    let kept = (residual.abs() < (1.0 - 1.0 / 16.0) * s * ulp)
+        & (s.to_bits() & MANTISSA != 0)
+        & (x > 1e-280)
+        & (x < 1e280);
+    if kept {
+        s
+    } else {
+        f64::NAN
+    }
+}
 
 /// Reusable evaluation state owned by a [`SolveCtx`](crate::solver::SolveCtx):
 /// output buffers for the batched kernels plus the [`EvalStats`] counters.
@@ -389,8 +471,6 @@ pub struct EvalScratch {
     pub fractions: Vec<f64>,
     /// Re-weighting buffer (refinement descent).
     pub weights: Vec<f64>,
-    /// Per-candidate scores from [`Self::score_candidates`].
-    scores: Vec<f64>,
 }
 
 impl EvalScratch {
@@ -408,7 +488,6 @@ impl EvalScratch {
         self.times.clear();
         self.fractions.clear();
         self.weights.clear();
-        self.scores.clear();
         self
     }
 
@@ -424,35 +503,6 @@ impl EvalScratch {
     pub fn makespan(&mut self, eval: &EvalSet, procs: &[f64], cache: &[f64]) -> f64 {
         self.stats.record(eval.len());
         eval.makespan(procs, cache)
-    }
-
-    /// Candidate-batch evaluator: scores every `(procs, cache)` candidate
-    /// by its makespan, reusing this scratch's buffer. Returns the scores
-    /// aligned with `candidates`.
-    pub fn score_candidates(&mut self, eval: &EvalSet, candidates: &[Candidate<'_>]) -> &[f64] {
-        self.scores.clear();
-        for &(procs, cache) in candidates {
-            self.stats.record(eval.len());
-            self.scores.push(eval.makespan(procs, cache));
-        }
-        &self.scores
-    }
-
-    /// Scores all candidates and returns `(index, makespan)` of the best
-    /// one (ties go to the earliest candidate; `None` iff empty).
-    pub fn best_candidate(
-        &mut self,
-        eval: &EvalSet,
-        candidates: &[Candidate<'_>],
-    ) -> Option<(usize, f64)> {
-        let scores = self.score_candidates(eval, candidates);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &s) in scores.iter().enumerate() {
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((i, s));
-            }
-        }
-        best
     }
 }
 
@@ -648,34 +698,108 @@ mod tests {
         assert!(recycled.costs.capacity() >= cap, "capacity must survive");
     }
 
+    /// `x^½` as the kernels take it, against `powf` with an exponent the
+    /// compiler cannot see, bit for bit: 10^7 random values (half over
+    /// every positive bit pattern, half over `[2^-60, 4)`, where cache
+    /// fractions live), 10^5 values whose exact square root lies within
+    /// 1/16 ULP of a rounding midpoint, and the special values (zeros,
+    /// subnormals, powers of two, infinities, NaN, negatives).
     #[test]
-    fn candidate_batch_scores_and_picks_best() {
-        let (a, p) = (apps(), pf());
-        let eval = EvalSet::of(&a, &p);
-        let mut scratch = EvalScratch::new();
-        let fair_p = vec![64.0; 4];
-        let skewed_p = vec![200.0, 30.0, 16.0, 10.0];
-        let cache = vec![0.25; 4];
-        let candidates: Vec<Candidate<'_>> =
-            vec![(&fair_p, &cache), (&skewed_p, &cache), (&fair_p, &cache)];
-        let scores = scratch.score_candidates(&eval, &candidates).to_vec();
-        assert_eq!(scores.len(), 3);
-        assert_eq!(
-            scores[0], scores[2],
-            "identical candidates, identical scores"
-        );
-        assert_eq!(
-            scores[0].to_bits(),
-            eval.makespan(&fair_p, &cache).to_bits()
-        );
-        let (idx, best) = scratch.best_candidate(&eval, &candidates).unwrap();
-        assert_eq!(best, scores.iter().copied().fold(f64::INFINITY, f64::min));
-        assert!(idx == 0 || idx == 1, "ties resolve to the earliest");
-        if scores[0] <= scores[1] {
-            assert_eq!(idx, 0);
+    fn alpha_half_sweep_matches_powf() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore as _, SeedableRng};
+        use std::hint::black_box;
+
+        let mut out = Vec::new();
+        let mut check = |xs: &mut Vec<f64>| {
+            // `x.min(NaN)` is `x`, so every value reaches the power as is;
+            // a NaN's payload is `min`'s choice, so NaN only has to stay NaN.
+            powers_into(xs, &vec![f64::NAN; xs.len()], 0.5, &mut out);
+            for (x, power) in xs.iter().zip(&out) {
+                let libm = x.powf(black_box(0.5));
+                if libm.is_nan() {
+                    assert!(power.is_nan(), "x = {x:e} ({:#x})", x.to_bits());
+                } else {
+                    assert_eq!(
+                        power.to_bits(),
+                        libm.to_bits(),
+                        "x = {x:e} ({:#x})",
+                        x.to_bits()
+                    );
+                }
+            }
+            xs.clear();
+        };
+        let mut xs = Vec::with_capacity(1 << 16);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for k in 0..10_000_000u64 {
+            let bits = rng.next_u64();
+            xs.push(if k % 2 == 0 {
+                f64::from_bits(bits >> 1)
+            } else {
+                // Exponent in [-60, 1], any mantissa.
+                f64::from_bits(((1023 - 60 + (bits >> 58) % 62) << 52) | (bits & (u64::MAX >> 12)))
+            });
+            if xs.len() == xs.capacity() {
+                check(&mut xs);
+            }
         }
-        assert_eq!(scratch.stats.kernel_calls, 6);
-        assert!(scratch.best_candidate(&eval, &[]).is_none());
+        check(&mut xs);
+
+        // Near midpoints: `s` with an exponent in [-500, 500], its
+        // midpoint `m = s + ulp/2`, and `RN(m²)` with its neighbours,
+        // kept when `|√x − m| < ulp/16`, judged from the exact `x − s²`.
+        let mut near = 0;
+        while near < 100_000 {
+            let bits = rng.next_u64();
+            let exponent = 1023 - 500 + (bits >> 54) % 1001;
+            let s = f64::from_bits((exponent << 52) | (bits & (u64::MAX >> 12)));
+            let ulp = f64::from_bits(exponent << 52) * f64::EPSILON;
+            let p = s * s;
+            let e = s.mul_add(s, -p);
+            let m2 = p + (e + s * ulp + 0.25 * ulp * ulp);
+            for step in -3i64..=3 {
+                let x = f64::from_bits(m2.to_bits().wrapping_add_signed(step));
+                let offset = ((-s).mul_add(s, x) - s * ulp - 0.25 * ulp * ulp) / (2.0 * s);
+                if offset.abs() < ulp / 16.0 {
+                    xs.push(x);
+                    near += 1;
+                }
+            }
+            if xs.len() >= xs.capacity() - 8 {
+                check(&mut xs);
+            }
+        }
+        check(&mut xs);
+
+        let mut special = vec![
+            0.0,
+            -0.0,
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -1.0,
+            -0.25,
+            -f64::from_bits(1),
+            1e-280,
+            1e280,
+        ];
+        for bound in [1e-280f64, 1e280] {
+            for step in -2i64..=2 {
+                special.push(f64::from_bits(bound.to_bits().wrapping_add_signed(step)));
+            }
+        }
+        // Every power of two, subnormal ones included.
+        special.extend((0..2046).map(|e| f64::from_bits((e + 1) << 52)));
+        special.extend((0..52).map(|k| f64::from_bits(1 << k)));
+        special.extend((1..1000).map(|k| f64::from_bits(k * 0x0000_0400_0000_0001)));
+        check(&mut special);
     }
 
     #[test]

@@ -149,29 +149,32 @@ pub fn describe(name: &str) -> &'static str {
 /// callers can render a useful message without consulting the registry
 /// themselves.
 pub fn by_name(name: &str) -> Result<Box<dyn Solver>> {
-    let wanted = name.trim();
-    for s in all() {
-        if s.name().eq_ignore_ascii_case(wanted) {
-            return Ok(s);
+    use crate::algo::{BuildOrder::*, Choice::*};
+    // Match the normalised name first and build only the solver it names:
+    // a served solve looks its solver up on every request.
+    let strategy = match name.trim().to_ascii_lowercase().as_str() {
+        "dominantrandom" => Strategy::dominant(Forward, Random),
+        "dominantminratio" | "dmr" => Strategy::dominant(Forward, MinRatio),
+        "dominantmaxratio" => Strategy::dominant(Forward, MaxRatio),
+        "dominantrevrandom" => Strategy::dominant(Reverse, Random),
+        "dominantrevminratio" => Strategy::dominant(Reverse, MinRatio),
+        "dominantrevmaxratio" => Strategy::dominant(Reverse, MaxRatio),
+        "randompart" => Strategy::RandomPart,
+        "fair" => Strategy::Fair,
+        "0cache" | "zerocache" => Strategy::ZeroCache,
+        "allproccache" | "seq" | "sequential" => Strategy::AllProcCache,
+        "dominantrefined" | "refined" => Strategy::refined(),
+        "exact" | "bnb" => return Ok(Box::new(crate::algo::BnbSolver::new())),
+        "portfolio" => return Ok(Box::new(Portfolio::new(all()))),
+        "auto" => return Ok(Box::new(crate::tune::Auto::new())),
+        _ => {
+            return Err(crate::error::CoschedError::UnknownSolver {
+                name: name.to_string(),
+                available: names(),
+            })
         }
-    }
-    match wanted.to_ascii_lowercase().as_str() {
-        "dmr" => Ok(Strategy::dominant(
-            crate::algo::BuildOrder::Forward,
-            crate::algo::Choice::MinRatio,
-        )
-        .to_solver()),
-        "refined" => Ok(Strategy::refined().to_solver()),
-        "zerocache" => Ok(Strategy::ZeroCache.to_solver()),
-        "seq" | "sequential" => Ok(Strategy::AllProcCache.to_solver()),
-        "exact" | "bnb" => Ok(Box::new(crate::algo::BnbSolver::new())),
-        "portfolio" => Ok(Box::new(Portfolio::new(all()))),
-        "auto" => Ok(Box::new(crate::tune::Auto::new())),
-        _ => Err(crate::error::CoschedError::UnknownSolver {
-            name: name.to_string(),
-            available: names(),
-        }),
-    }
+    };
+    Ok(strategy.to_solver())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use crate::algo::{dominant_partition, BuildOrder, Choice, Outcome, Strategy};
 use crate::error::Result;
 use crate::model::Schedule;
 use crate::solver::{Instance, SolveCtx, Solver};
-use crate::theory::cache_alloc::optimal_cache_fractions_into;
+use crate::theory::cache_alloc::fractions_at_strength_into;
 use crate::theory::proc_alloc::equal_finish_split_eval;
 
 impl Solver for Strategy {
@@ -25,13 +25,13 @@ impl Solver for Strategy {
         let before = ctx.stats();
         let mut outcome = match self {
             Self::Dominant { order, choice } => {
-                let partition = dominant_partition(eval, *order, *choice, ctx.rng());
+                let (partition, strength) = dominant_partition(eval, *order, *choice, ctx.rng());
                 // Theorem-3 fractions land in the scratch's reusable buffer
                 // (taken out for the duration of the solve so the kernels
                 // below can borrow the scratch mutably), allocation-free on
                 // a warm scratch.
                 let mut cache = std::mem::take(&mut ctx.scratch().fractions);
-                optimal_cache_fractions_into(eval.weights(), &partition, &mut cache);
+                fractions_at_strength_into(eval.weights(), &partition, strength, &mut cache);
                 let solved =
                     equal_finish_split_eval(eval, &cache, ctx.scratch()).map(|ef| Outcome {
                         makespan: ef.makespan,
@@ -48,10 +48,10 @@ impl Solver for Strategy {
                 solved?
             }
             Self::DominantRefined { max_iters } => {
-                let partition =
+                let (partition, strength) =
                     dominant_partition(eval, BuildOrder::Forward, Choice::MinRatio, ctx.rng());
                 let mut cache = Vec::new();
-                optimal_cache_fractions_into(eval.weights(), &partition, &mut cache);
+                fractions_at_strength_into(eval.weights(), &partition, strength, &mut cache);
                 let refined =
                     crate::algo::refine(eval, &partition, cache, *max_iters, ctx.scratch())?;
                 Outcome {

@@ -12,20 +12,44 @@ use crate::theory::dominance::Partition;
 /// [`EvalSet::weights`](crate::eval::EvalSet::weights); the caller owns the buffer, so enumeration loops
 /// evaluate many partitions without allocating. Strength is summed over
 /// members in the same order as
-/// [`partition_strength`](crate::theory::dominance::partition_strength).
+/// [`partition_strength`](crate::theory::dominance::partition_strength);
+/// a caller that already has it calls [`fractions_at_strength_into`].
 ///
 /// For a **dominant** `IC` this is the optimum of
 /// `CoSchedCache-Part(IC, ĪC)` (Theorem 3); for any `IC` it is the optimum
 /// of the relaxed problem `CoSchedCache-Ext`. The fractions sum to exactly 1
 /// whenever `IC ≠ ∅`.
 pub fn optimal_cache_fractions_into(weights: &[f64], partition: &Partition, x: &mut Vec<f64>) {
+    let strength = partition.members().iter().map(|&i| weights[i]).sum();
+    fractions_at_strength_into(weights, partition, strength, x);
+}
+
+/// [`optimal_cache_fractions_into`] for a partition whose strength
+/// `S(IC)` the caller has already summed, as
+/// [`dominant_partition`](crate::algo::dominant_partition) hands it out.
+/// `strength` must have the bits that sum has.
+///
+/// When `IC` is every application, the default LLC's case, the fractions
+/// are one contiguous pass of divisions instead of a gather and a
+/// scatter; each quotient is the same IEEE division either way.
+pub fn fractions_at_strength_into(
+    weights: &[f64],
+    partition: &Partition,
+    strength: f64,
+    x: &mut Vec<f64>,
+) {
+    let (members, n) = (partition.members(), weights.len());
     x.clear();
-    x.resize(weights.len(), 0.0);
-    let strength: f64 = partition.members().iter().map(|&i| weights[i]).sum();
+    // Sorted, distinct and all below `n`: the members are `0..n`.
+    if strength > 0.0 && members.len() == n && members.last().is_none_or(|&i| i < n) {
+        x.extend(weights.iter().map(|&w| w / strength));
+        return;
+    }
+    x.resize(n, 0.0);
     if strength <= 0.0 {
         return;
     }
-    for &i in partition.members() {
+    for &i in members {
         x[i] = weights[i] / strength;
     }
 }

@@ -72,7 +72,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use coschedule::obs;
@@ -460,18 +460,27 @@ fn write_snapshot(
 /// starts with any other 8 bytes than `COSWAL02` or `COSWAL01` is an
 /// [`io::ErrorKind::InvalidData`] error naming them.
 pub fn read_wal_records(path: &Path) -> io::Result<Vec<String>> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+    read_wal_tail(path, 0).map(|(records, _)| records)
+}
+
+/// [`read_wal_records`] from byte `from` of the log: the records that
+/// start there, and the byte offset just past the last of them. `from`
+/// is 0 (the whole log) or an offset this function returned for the same
+/// file, which only grows. A torn record ends the read and the offset
+/// stays before it, so a later read finds it again, whole or not.
+fn read_wal_tail(path: &Path, from: u64) -> io::Result<(Vec<String>, u64)> {
+    let mut file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), from)),
+        Err(e) => return Err(e),
+    };
+    let mut magic = [0; MAGIC.len()];
+    match file.read_exact(&mut magic) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok((Vec::new(), from)),
         Err(e) => return Err(e),
     }
-    let Some(magic) = bytes.first_chunk::<8>() else {
-        return Ok(Vec::new());
-    };
-    let checksum = match magic {
+    let checksum = match &magic {
         MAGIC => word_checksum,
         MAGIC_V1 => fnv1a32,
         _ => {
@@ -485,8 +494,12 @@ pub fn read_wal_records(path: &Path) -> io::Result<Vec<String>> {
             ))
         }
     };
+    let start = from.max(MAGIC.len() as u64);
+    file.seek(SeekFrom::Start(start))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
     let mut records = Vec::new();
-    let mut at = MAGIC.len();
+    let mut at = 0;
     while bytes.len() - at >= 8 {
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
         let stored = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
@@ -504,7 +517,7 @@ pub fn read_wal_records(path: &Path) -> io::Result<Vec<String>> {
         records.push(text.to_string());
         at = end;
     }
-    Ok(records)
+    Ok((records, start + at as u64))
 }
 
 /// The newest snapshot generation shard `shard` has on disk, or `None`
@@ -598,6 +611,10 @@ pub struct Recovered {
     pub state: ServeState,
     /// WAL records replayed on top of the snapshot.
     pub replayed: u64,
+    /// The byte offset just past the last replayed record of the
+    /// snapshot's log (0 when there is none): where a tail of it that
+    /// arrives later starts.
+    pub log_end: u64,
     /// Where the next writer continues (`latest + 1`, or 0 for a fresh
     /// directory).
     pub next_generation: u64,
@@ -625,6 +642,7 @@ pub fn recover_shard(
         return Ok(Recovered {
             state,
             replayed: 0,
+            log_end: 0,
             next_generation: 0,
         });
     };
@@ -674,7 +692,7 @@ pub fn recover_shard(
 
     state.resume(session, requests, latency);
 
-    let records = read_wal_records(&wal_path(dir, shard, generation))
+    let (records, log_end) = read_wal_tail(&wal_path(dir, shard, generation), 0)
         .map_err(|e| format!("shard {shard}: {e}"))?;
     let replayed = records.len() as u64;
     for line in &records {
@@ -685,6 +703,7 @@ pub fn recover_shard(
     Ok(Recovered {
         state,
         replayed,
+        log_end,
         next_generation: generation + 1,
     })
 }
@@ -706,7 +725,9 @@ pub struct Standby {
 
 struct StandbyShard {
     generation: Option<u64>,
-    applied: usize,
+    /// The byte offset just past the last record applied from the
+    /// generation's log.
+    log_end: u64,
     state: ServeState,
 }
 
@@ -728,7 +749,7 @@ impl Standby {
         let shards = (0..workers)
             .map(|shard| StandbyShard {
                 generation: None,
-                applied: 0,
+                log_end: 0,
                 state: ServeState::for_shard(shard, workers, default_solver, default_seed),
             })
             .collect();
@@ -752,7 +773,9 @@ impl Standby {
 
     /// Brings every shard replica up to the primary's committed state:
     /// reload the snapshot where the generation advanced, then apply the
-    /// unseen log tail. Idempotent and cheap when nothing changed.
+    /// unseen log tail. Idempotent and cheap when nothing changed: each
+    /// shard reads its log from the byte after the last record it
+    /// applied, so a poll reads and checksums only what is new.
     pub fn catch_up(&mut self) -> Result<CatchUp, String> {
         let mut progress = CatchUp::default();
         let shards = self.shards.len();
@@ -773,7 +796,7 @@ impl Standby {
                     self.default_seed,
                 )?;
                 replica.state = recovered.state;
-                replica.applied = recovered.replayed as usize;
+                replica.log_end = recovered.log_end;
                 replica.generation = newest;
                 progress.snapshots_loaded += 1;
                 progress.records_applied += recovered.replayed;
@@ -782,13 +805,14 @@ impl Standby {
             let Some(generation) = replica.generation else {
                 continue;
             };
-            let records = read_wal_records(&wal_path(&self.dir, shard, generation))
-                .map_err(|e| format!("shard {shard}: {e}"))?;
-            for line in &records[replica.applied.min(records.len())..] {
+            let (records, log_end) =
+                read_wal_tail(&wal_path(&self.dir, shard, generation), replica.log_end)
+                    .map_err(|e| format!("shard {shard}: {e}"))?;
+            for line in &records {
                 let _ = protocol::handle_line(&mut replica.state, line);
                 progress.records_applied += 1;
             }
-            replica.applied = replica.applied.max(records.len());
+            replica.log_end = log_end;
         }
         Ok(progress)
     }
@@ -1283,6 +1307,60 @@ mod tests {
         for line in [
             r#"{"op":"solve","id":0,"solver":"auto","seed":2,"schedule":false}"#,
             r#"{"op":"stats"}"#,
+        ] {
+            assert_eq!(
+                protocol::handle_line(&mut promoted, line),
+                protocol::handle_line(&mut primary, line),
+                "{line}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn standby_applies_a_torn_record_once_when_it_completes() {
+        let dir = temp_dir("standby-torn");
+        write_meta(&dir, 1).unwrap();
+        let mut primary = ServeState::with_session(Session::new());
+        let writer = WalWriter::create(
+            &dir,
+            0,
+            1,
+            Durability::Log,
+            1024,
+            0,
+            primary.session(),
+            0,
+            &LatencyHistogram::default(),
+            0,
+        )
+        .unwrap();
+        primary.attach_wal(writer);
+        let mut standby = Standby::open(&dir, "DominantMinRatio", 0xC05).unwrap();
+        let _ = protocol::handle_line(&mut primary, &create_line());
+        primary.wal_commit();
+        assert_eq!(standby.catch_up().unwrap().records_applied, 1);
+
+        // The primary logs an update; the standby sees it torn halfway.
+        let _ = protocol::handle_line(
+            &mut primary,
+            r#"{"op":"mutate","id":0,"action":"update_app","index":2,"app":{"name":"LU","work":1.5e11,"access_freq":0.75,"miss_rate_ref":0.00151}}"#,
+        );
+        primary.wal_commit();
+        let path = wal_path(&dir, 0, 0);
+        let full = fs::read(&path).unwrap();
+        fs::write(&path, &full[..full.len() - 20]).unwrap();
+        assert_eq!(standby.catch_up().unwrap(), CatchUp::default(), "torn");
+
+        // Completed, it is applied once, and never again.
+        fs::write(&path, &full).unwrap();
+        assert_eq!(standby.catch_up().unwrap().records_applied, 1);
+        assert_eq!(standby.catch_up().unwrap(), CatchUp::default());
+
+        let mut promoted = standby.promote().remove(0);
+        for line in [
+            r#"{"op":"list"}"#,
+            r#"{"op":"solve","id":0,"solver":"DominantMinRatio","seed":3}"#,
         ] {
             assert_eq!(
                 protocol::handle_line(&mut promoted, line),

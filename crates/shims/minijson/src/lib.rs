@@ -403,10 +403,14 @@ impl<W: fmt::Write> JsonWriter<W> {
     /// An array of integers, each as [`Self::int`] writes it. The digits
     /// go through a stack buffer that reaches `out` a few KB at a time, so
     /// a 4096-index partition costs a handful of writes, not thousands.
+    /// Integers below 10^8, every index of a partition, take two lookups
+    /// in a table of four-digit groups and no branch on their length.
     pub fn int_array(&mut self, items: impl IntoIterator<Item = u64>) -> &mut Self {
         self.begin_array();
         let mut chunk = [0u8; 4096];
         let mut len = 0;
+        // Kept in a local, not in `self`, between flushes.
+        let mut comma = self.comma;
         for n in items {
             // Room for a comma and 20 digits, or flush first.
             if len + 21 > chunk.len() || n >= INT_LIMIT {
@@ -414,19 +418,25 @@ impl<W: fmt::Write> JsonWriter<W> {
                 len = 0;
             }
             if n >= INT_LIMIT {
+                self.comma = comma;
                 self.num(n as f64);
+                comma = true;
                 continue;
             }
-            if self.comma {
-                chunk[len] = b',';
-                len += 1;
+            chunk[len] = b',';
+            len += usize::from(comma);
+            if n < EIGHT_DIGITS {
+                let dst = chunk[len..len + 8].first_chunk_mut().expect("room for 8");
+                len += eight_digits(n, dst);
+            } else {
+                let end = len + digit_count(n);
+                fill_digits(n, &mut chunk[len..end]);
+                len = end;
             }
-            let end = len + digit_count(n);
-            fill_digits(n, &mut chunk[len..end]);
-            len = end;
-            self.comma = true;
+            comma = true;
         }
         self.raw(ascii(&chunk[..len]));
+        self.comma = comma;
         self.end_array()
     }
 
@@ -540,6 +550,42 @@ fn fill_digits(mut n: u64, dst: &mut [u8]) {
     } else {
         dst[0] = b'0' + n as u8;
     }
+}
+
+/// The integers [`eight_digits`] converts: those of at most 8 digits.
+const EIGHT_DIGITS: u64 = 100_000_000;
+
+/// `"0000"` … `"9999"`: the four decimal digits of `i`, first digit in
+/// the lowest byte of entry `i`.
+static DIGIT_QUADS: [u32; 10_000] = {
+    let mut quads = [0; 10_000];
+    let mut i = 0;
+    while i < 10_000 {
+        let (a, b, c, d) = (i / 1000, i / 100 % 10, i / 10 % 10, i % 10);
+        quads[i] = u32::from_le_bytes([
+            b'0' + a as u8,
+            b'0' + b as u8,
+            b'0' + c as u8,
+            b'0' + d as u8,
+        ]);
+        i += 1;
+    }
+    quads
+};
+
+/// Writes the decimal digits of `n < 10^8` into `dst`, as [`fill_digits`]
+/// writes them, and returns their count; the bytes after them are
+/// scratch. The two four-digit groups fill one `u64`, zero-padded to 8
+/// digits with the first in the lowest byte. The padding is the run of
+/// low bytes equal to `b'0'` (all but the last, for `n = 0`), and
+/// shifting it out leaves the number at the start.
+#[inline]
+fn eight_digits(n: u64, dst: &mut [u8; 8]) -> usize {
+    let quad = |k: u64| u64::from(DIGIT_QUADS[k as usize % 10_000]);
+    let padded = quad(n / 10_000) | quad(n % 10_000) << 32;
+    let zeros = ((padded ^ 0x3030_3030_3030_3030).trailing_zeros() / 8).min(7) as usize;
+    *dst = (padded >> (8 * zeros)).to_le_bytes();
+    8 - zeros
 }
 
 /// The decimal digits of `n`, written into `buf`.
@@ -1258,6 +1304,20 @@ mod tests {
             prop_assert_eq!(written(|w| {
                 w.int_array(items.iter().copied());
             }), tree.to_string());
+        }
+    }
+
+    #[test]
+    fn eight_digit_integers_print_as_format_does() {
+        let mut dst = [0; 8];
+        let powers = (0..=8).map(|k| 10u64.pow(k));
+        for n in powers
+            .flat_map(|p| [p - 1, p])
+            .chain((0..EIGHT_DIGITS).step_by(9973))
+        {
+            let count = eight_digits(n.min(EIGHT_DIGITS - 1), &mut dst);
+            let n = n.min(EIGHT_DIGITS - 1);
+            assert_eq!(&dst[..count], format!("{n}").as_bytes(), "{n}");
         }
     }
 

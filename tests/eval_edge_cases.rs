@@ -9,7 +9,7 @@
 use coschedule::model::{Application, Platform};
 use coschedule::session::Session;
 use coschedule::solver::Instance;
-use coschedule::{CoschedError, EvalScratch, EvalSet};
+use coschedule::{CoschedError, EvalSet};
 use proptest::prelude::*;
 
 fn pf() -> Platform {
@@ -57,8 +57,6 @@ fn empty_eval_set_kernels_are_total() {
     assert!(out.is_empty());
     eval.power_law_miss_rates_into(&[], &mut out);
     assert!(out.is_empty());
-    let mut scratch = EvalScratch::new();
-    assert!(scratch.best_candidate(&eval, &[(&[], &[])]).is_some());
 }
 
 #[test]

@@ -133,39 +133,4 @@ proptest! {
             (a, b) => prop_assert!(false, "paths diverged: {a:?} vs {b:?}"),
         }
     }
-
-    /// The candidate-batch evaluator scores exactly what per-candidate
-    /// makespan evaluation would.
-    #[test]
-    fn candidate_batch_matches_individual_scores(
-        rows in proptest::collection::vec(arb_app(), 1..8),
-        seeds in proptest::collection::vec(0.0f64..1.0, 3),
-    ) {
-        let platform = Platform::taihulight();
-        let apps = build(&rows, &platform);
-        let n = apps.len();
-        let eval = EvalSet::of(&apps, &platform);
-        let mut scratch = EvalScratch::new();
-        let vectors: Vec<(Vec<f64>, Vec<f64>)> = seeds
-            .iter()
-            .map(|&t| {
-                let procs = vec![platform.processors * (0.1 + t) / n as f64; n];
-                let cache = vec![t / n as f64; n];
-                (procs, cache)
-            })
-            .collect();
-        let candidates: Vec<(&[f64], &[f64])> = vectors
-            .iter()
-            .map(|(p, c)| (p.as_slice(), c.as_slice()))
-            .collect();
-        let scores = scratch.score_candidates(&eval, &candidates).to_vec();
-        for (k, (p, c)) in vectors.iter().enumerate() {
-            let schedule = Schedule::from_parts(p, c);
-            prop_assert_eq!(
-                scores[k].to_bits(),
-                schedule.makespan(&apps, &platform).to_bits(),
-                "candidate {}", k
-            );
-        }
-    }
 }
