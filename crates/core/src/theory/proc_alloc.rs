@@ -330,24 +330,43 @@ fn replay(
 /// whether the inputs are `monotone` (every `c_i ≥ +0`, every
 /// `s_i ∈ [0, 1]`).
 ///
-/// Four lanes, each over every fourth application, so that no lane waits
-/// on another's maximum or sum. A maximum does not depend on the order it
-/// is taken in when it is positive: `f64::max` skips NaN, and two
-/// non-NaN doubles equal to the largest value have the same bits. `work`
-/// only seeds [`newton_estimate`], whose guess decides which midpoints
-/// are evaluated, never the result. When the inputs are not `monotone`
-/// (whose non-monotone results nothing here pins), or a maximum comes out
-/// zero, where `f64::max`'s choice between `+0` and `−0` depends on the
-/// order, the plain sequential loop runs instead, so `lo` and `hi` always
-/// have its bits.
+/// Taken [`in_four_lanes`]. A maximum does not depend on the order it is
+/// taken in when it is positive: `f64::max` skips NaN, and two non-NaN
+/// doubles equal to the largest value have the same bits. `work` only
+/// seeds [`newton_estimate`], whose guess decides which midpoints are
+/// evaluated, never the result. Inputs that are not `monotone`, which
+/// get no estimate, and maxima that come out zero, where `f64::max`'s
+/// choice between `+0` and `−0` depends on the order, take the plain
+/// sequential loop instead, so `lo` and `hi` always have its bits.
 fn bracket_inputs(costs: &[f64], seq: &[f64], p: f64) -> (f64, f64, f64, bool) {
     let (mut lo, mut hi, mut work, mut monotone) = ([0.0; 4], [0.0; 4], [0.0; 4], true);
-    let mut step = |lane: usize, c: f64, s: f64| {
+    in_four_lanes(costs, seq, |lane, c, s| {
         lo[lane] = f64::max(lo[lane], (s + (1.0 - s) / p) * c);
         hi[lane] = f64::max(hi[lane], c);
         work[lane] += (1.0 - s) * c;
         monotone &= c.is_sign_positive() & (0.0..=1.0).contains(&s);
-    };
+    });
+    let max4 = |v: [f64; 4]| f64::max(f64::max(v[0], v[1]), f64::max(v[2], v[3]));
+    let (lo, hi) = (max4(lo), max4(hi));
+    if monotone && lo != 0.0 && hi != 0.0 {
+        return (lo, hi, sum4(work), true);
+    }
+    let (mut lo, mut hi, mut work) = (0.0, 0.0, 0.0);
+    for (&c, &s) in costs.iter().zip(seq) {
+        lo = f64::max(lo, (s + (1.0 - s) / p) * c);
+        hi = f64::max(hi, c);
+        work += (1.0 - s) * c;
+    }
+    (lo, hi, work, monotone)
+}
+
+/// Calls `step(i mod 4, c_i, s_i)` for every application `i`, in index
+/// order: four independent accumulators, one per lane, so that no
+/// maximum or sum waits on the one before it and the divisions
+/// vectorise. Only for folds whose callers have shown the lane order
+/// harmless.
+#[inline]
+fn in_four_lanes(costs: &[f64], seq: &[f64], mut step: impl FnMut(usize, f64, f64)) {
     let n = costs.len().min(seq.len());
     let (c4, s4) = (costs[..n].chunks_exact(4), seq[..n].chunks_exact(4));
     let (c_tail, s_tail) = (c4.remainder(), s4.remainder());
@@ -359,18 +378,11 @@ fn bracket_inputs(costs: &[f64], seq: &[f64], p: f64) -> (f64, f64, f64, bool) {
     for (lane, (&c, &s)) in c_tail.iter().zip(s_tail).enumerate() {
         step(lane, c, s);
     }
-    let max4 = |v: [f64; 4]| f64::max(f64::max(v[0], v[1]), f64::max(v[2], v[3]));
-    let (lo, hi) = (max4(lo), max4(hi));
-    if monotone && lo != 0.0 && hi != 0.0 {
-        return (lo, hi, (work[0] + work[1]) + (work[2] + work[3]), true);
-    }
-    let (mut lo, mut hi, mut work) = (0.0, 0.0, 0.0);
-    for (&c, &s) in costs.iter().zip(seq) {
-        lo = f64::max(lo, (s + (1.0 - s) / p) * c);
-        hi = f64::max(hi, c);
-        work += (1.0 - s) * c;
-    }
-    (lo, hi, work, monotone)
+}
+
+/// The sum of four lane accumulators.
+fn sum4(v: [f64; 4]) -> f64 {
+    (v[0] + v[1]) + (v[2] + v[3])
 }
 
 /// What [`replay`] knows of the strict predicate `demand(K) > p`: true
@@ -475,34 +487,21 @@ impl<'a> Bracket<'a> {
 /// more pass would not move it by anything [`Bracket::seed`]'s ±1e-14
 /// probes can see.
 ///
-/// The iterate only seeds the bracket, so its sums are taken in four
-/// lanes, each over every fourth application: no add waits on the one
-/// before, and the divisions vectorise.
+/// The iterate only seeds the bracket, so its sums are taken
+/// [`in_four_lanes`].
 fn newton_estimate(costs: &[f64], seq: &[f64], p: f64, start: f64) -> (f64, u32) {
-    let n = costs.len().min(seq.len());
-    let (c4, s4) = (costs[..n].chunks_exact(4), seq[..n].chunks_exact(4));
-    let (c_tail, s_tail) = (c4.remainder(), s4.remainder());
     let mut k = start;
     for pass in 1..=8 {
         // With u = K − s·c, a term is (1 − s)·c/u and its share of
         // −demand'(K) is (1 − s)·c/u²: one division per application.
         let (mut demand, mut slope) = ([0.0; 4], [0.0; 4]);
-        let mut step = |lane: usize, c: f64, s: f64| {
+        in_four_lanes(costs, seq, |lane, c, s| {
             let r = 1.0 / (k - s * c);
             let term = (1.0 - s) * c * r;
             demand[lane] += term;
             slope[lane] += term * r;
-        };
-        for (c, s) in c4.clone().zip(s4.clone()) {
-            for lane in 0..4 {
-                step(lane, c[lane], s[lane]);
-            }
-        }
-        for (lane, (&c, &s)) in c_tail.iter().zip(s_tail).enumerate() {
-            step(lane, c, s);
-        }
-        let sum = |v: [f64; 4]| (v[0] + v[1]) + (v[2] + v[3]);
-        let (demand, slope) = (sum(demand), sum(slope));
+        });
+        let (demand, slope) = (sum4(demand), sum4(slope));
         let next = k + demand * (demand / p - 1.0) / slope;
         if !next.is_finite() {
             return (k, pass);
